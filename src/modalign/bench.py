@@ -371,6 +371,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
     train_modality = Modality(config.train_modality)
     variants = config.variants()
     report = TransferReport(config=config.to_dict(), chance_floor=floor)
+    success: dict[tuple[int, str], list[float]] = {}
 
     for seed in config.seeds:
         dataset = _stage(
@@ -436,6 +437,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
                     offset if eval_modality is Modality.VISUAL else None,
                 )
                 per_task = np.array(list(result.per_task.values()))
+                success.setdefault((vi, eval_name), []).append(float(result.success_rate))
                 report.rows.append(
                     BenchRow(
                         collapse=variant.collapse,
@@ -451,32 +453,23 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
                     )
                 )
 
-    for variant in variants:
-        names = list(config.eval_modalities)
-        if config.eval_heldout_text and "text" in config.eval_modalities:
-            names.append("text_heldout")
-        for eval_name in names:
-            values = [
-                r.success_mean
-                for r in report.rows
-                if r.eval_modality == eval_name
-                and r.collapse == variant.collapse
-                and r.corrupt_kind == variant.corrupt_kind
-                and r.alpha_or_std == variant.alpha_or_std
-                and r.injected_gap_norm == variant.injected_gap_norm
-            ]
-            report.aggregates.append(
-                {
-                    "collapse": variant.collapse,
-                    "corrupt_kind": variant.corrupt_kind,
-                    "alpha_or_std": variant.alpha_or_std,
-                    "injected_gap_norm": variant.injected_gap_norm,
-                    "train_modality": config.train_modality,
-                    "eval_modality": eval_name,
-                    "success_mean": float(np.mean(values)),
-                    "success_std": float(np.std(values)),
-                    "chance_floor": floor,
-                    "n_seeds": len(values),
-                }
-            )
+    # One aggregate per (variant, eval modality) cell, in run order, so
+    # variants that differ in any field (delete_k included) never pool.
+    for (vi, eval_name), values in success.items():
+        variant = variants[vi]
+        report.aggregates.append(
+            {
+                "collapse": variant.collapse,
+                "delete_k": variant.delete_k,
+                "corrupt_kind": variant.corrupt_kind,
+                "alpha_or_std": variant.alpha_or_std,
+                "injected_gap_norm": variant.injected_gap_norm,
+                "train_modality": config.train_modality,
+                "eval_modality": eval_name,
+                "success_mean": float(np.mean(values)),
+                "success_std": float(np.std(values)),
+                "chance_floor": floor,
+                "n_seeds": len(values),
+            }
+        )
     return report

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,6 +212,16 @@ def cmd_train_encoder(args) -> int:
     return 0
 
 
+def _ablation_number(key: str, value: str, cast):
+    try:
+        number = cast(value)
+        if math.isfinite(number):
+            return number
+    except ValueError:
+        pass
+    raise ParameterError(f"--ablate {key} expects a finite number, got {value!r}")
+
+
 def _parse_ablation(spec: str) -> dict:
     overrides: dict = {}
     for pair in spec.split(","):
@@ -222,9 +233,11 @@ def _parse_ablation(spec: str) -> dict:
         if key == "collapse":
             overrides["collapse"] = value
         elif key == "delete_k":
-            overrides["delete_k"] = int(value)
+            overrides["delete_k"] = _ablation_number(key, value, int)
         elif key == "gap":
-            overrides["injected_gap_norm"] = float(value)
+            overrides["injected_gap_norm"] = _ablation_number(key, value, float)
+        elif key == "alpha":
+            overrides["alpha"] = _ablation_number(key, value, float)
         elif key == "corrupt":
             if value == "none":
                 overrides["corrupt_kind"] = "none"
@@ -235,7 +248,7 @@ def _parse_ablation(spec: str) -> dict:
                         f"--ablate corrupt expects cosine:<alpha>, gaussian:<std> or none, got {value!r}"
                     )
                 overrides["corrupt_kind"] = kind
-                overrides["alpha" if kind == "cosine" else "std"] = float(strength)
+                overrides["alpha" if kind == "cosine" else "std"] = _ablation_number(key, strength, float)
         else:
             raise ParameterError(f"unknown --ablate key {key!r}")
     return overrides
@@ -355,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ablate",
         action="append",
         metavar="KEY=VALUE[,KEY=VALUE...]",
-        help="add a comparison variant, e.g. collapse=none or corrupt=gaussian:0.1",
+        help="add a comparison variant; keys: collapse, delete_k, gap, alpha, corrupt "
+        "(e.g. collapse=none, alpha=0.5 or corrupt=gaussian:0.1)",
     )
     p.set_defaults(func=cmd_bench)
 

@@ -16,7 +16,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,13 +54,43 @@ class Clip:
                 raise ParameterError("instruction templates must be non-empty")
 
 
+class TokenRows(NamedTuple):
+    """Token sequences as padded index rows for one vocabulary: row i holds
+    sequence i, then pads equal to `vocab`, which select the zero row that
+    `pool` appends to the token table."""
+
+    padded: np.ndarray  # (N, L) intp
+    lengths: np.ndarray  # (N,) intp, every entry >= 1
+    vocab: int
+
+    def pool(self, table: np.ndarray) -> np.ndarray:
+        """Mean token vector per row. The row sum adds the tokens in order and
+        then exact zeros, so it is bit-identical to table[seq].mean(axis=0)."""
+        ext = np.concatenate([table, np.zeros((1, table.shape[1]))])
+        return ext[self.padded].sum(axis=1) / self.lengths[:, None]
+
+
+def compile_tokens(token_seqs: Sequence[Sequence[int]], vocab: int) -> TokenRows:
+    """Validate token sequences against a vocabulary and pad them into rows."""
+    padded = np.full((len(token_seqs), max(map(len, token_seqs), default=0)), vocab, dtype=np.intp)
+    for i, seq in enumerate(token_seqs):
+        if len(seq) == 0:
+            raise ParameterError(f"row {i}: empty token sequence")
+        if min(seq) < 0 or max(seq) >= vocab:
+            raise DimensionError(f"row {i}: token index out of range for vocab {vocab}")
+        padded[i, : len(seq)] = seq
+    return TokenRows(padded, np.array([len(seq) for seq in token_seqs], dtype=np.intp), vocab)
+
+
 @dataclass(frozen=True)
 class PairBatch:
-    """B rows of (start frame, end frame, instruction tokens)."""
+    """B rows of (start frame, end frame, instruction tokens); `compiled`
+    may carry the tokens as rows already, as the training sampler does."""
 
     o_start: np.ndarray  # (B, obs_dim)
     o_end: np.ndarray  # (B, obs_dim)
     tokens: tuple[tuple[int, ...], ...]
+    compiled: TokenRows | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         start = np.asarray(self.o_start, dtype=np.float64)
@@ -82,6 +112,11 @@ class PairBatch:
     @property
     def size(self) -> int:
         return len(self.tokens)
+
+    def token_rows(self, vocab: int) -> TokenRows:
+        if self.compiled is not None and self.compiled.vocab == vocab:
+            return self.compiled
+        return compile_tokens(self.tokens, vocab)
 
 
 @dataclass(frozen=True)
@@ -171,19 +206,6 @@ def init_encoder_params(config: TrainerConfig, rng: np.random.Generator) -> Enco
     return EncoderParams(visual, text, table, config.temperature)
 
 
-def _pool_tokens(params: EncoderParams, token_seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    pooled = np.empty((len(token_seqs), params.token_table.shape[1]))
-    vocab = params.token_table.shape[0]
-    for i, seq in enumerate(token_seqs):
-        if len(seq) == 0:
-            raise ParameterError(f"row {i}: empty token sequence")
-        idx = np.asarray(seq, dtype=np.intp)
-        if idx.min() < 0 or idx.max() >= vocab:
-            raise DimensionError(f"row {i}: token index out of range for vocab {vocab}")
-        pooled[i] = params.token_table[idx].mean(axis=0)
-    return pooled
-
-
 def visual_forward(params: EncoderParams, observations: np.ndarray) -> np.ndarray:
     """Encode a batch of observation vectors; (B, obs_dim) -> (B, D)."""
     out, _ = dense_forward(params.visual, np.atleast_2d(np.asarray(observations, dtype=np.float64)))
@@ -192,7 +214,8 @@ def visual_forward(params: EncoderParams, observations: np.ndarray) -> np.ndarra
 
 def text_forward(params: EncoderParams, token_seqs: Sequence[Sequence[int]]) -> np.ndarray:
     """Encode a batch of token sequences; -> (B, D)."""
-    out, _ = dense_forward(params.text, _pool_tokens(params, token_seqs))
+    rows = compile_tokens(token_seqs, params.vocab_size)
+    out, _ = dense_forward(params.text, rows.pool(params.token_table))
     return out
 
 
@@ -220,8 +243,8 @@ def _loss_internals(params: EncoderParams, batch: PairBatch):
     last = params.visual.n_layers - 1
     hidden_diff = cache_end[last] - cache_start[last]
     diff = hidden_diff @ params.visual.weights[last].T  # (B, D)
-    pooled = _pool_tokens(params, batch.tokens)
-    text, cache_text = dense_forward(params.text, pooled)
+    rows = batch.token_rows(params.vocab_size)
+    text, cache_text = dense_forward(params.text, rows.pool(params.token_table))
 
     norm_f = np.linalg.norm(diff, axis=1)
     norm_t = np.linalg.norm(text, axis=1)
@@ -253,6 +276,7 @@ def _loss_internals(params: EncoderParams, batch: PairBatch):
         "cache_start": cache_start,
         "cache_end": cache_end,
         "cache_text": cache_text,
+        "rows": rows,
     }
 
 
@@ -292,12 +316,14 @@ def _gradient_from_internals(params: EncoderParams, batch: PairBatch, state) -> 
             visual.biases[l] = grads_end.biases[l] + grads_start.biases[l]
 
     text_grads, dpooled = dense_backward(params.text, state["cache_text"], dtext)
-    table = np.zeros_like(params.token_table)
-    for i, seq in enumerate(batch.tokens):
-        share = dpooled[i] / len(seq)
-        for tok in seq:
-            table[tok] += share
-    return EncoderGrads(visual, text_grads, table)
+    # One ordered scatter into the flattened table adds every token's share
+    # in the order a per-token loop would; pads land in the dropped last row.
+    rows, width = state["rows"], params.token_table.shape[1]
+    share = np.repeat(dpooled / rows.lengths[:, None], rows.padded.shape[1], axis=0)
+    cells = rows.padded.reshape(-1, 1) * width + np.arange(width)
+    table = np.zeros((rows.vocab + 1) * width)
+    np.add.at(table, cells.ravel(), share.ravel())
+    return EncoderGrads(visual, text_grads, table.reshape(-1, width)[: rows.vocab])
 
 
 def infonce_gradient(params: EncoderParams, batch: PairBatch) -> EncoderGrads:
@@ -340,21 +366,43 @@ class TrainResult:
     loss_trace: list[float] = field(default_factory=list)
 
 
+class _CompiledClips:
+    """Clips compiled once for sampling: every observation in one array, every
+    template in one list and as token rows, and per clip its first frame row,
+    horizon, first template row and template count."""
+
+    def __init__(self, clips: Sequence[Clip], vocab: int):
+        self.observations = np.concatenate([clip.observations for clip in clips])
+        self.templates = [tpl for clip in clips for tpl in clip.templates]
+        self.rows = compile_tokens(self.templates, vocab)
+        frame, first, self.spans = 0, 0, []
+        for clip in clips:
+            self.spans.append((frame, len(clip.observations), first, len(clip.templates)))
+            frame, first = frame + len(clip.observations), first + len(clip.templates)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> PairBatch:
+        """Draw B rows: a random clip, a random start frame n, a random segment
+        length m over the valid suffix, and a random template. Each row makes
+        these four scalar draws in this order, so a seed fixes every batch."""
+        draw, spans = rng.integers, self.spans
+        starts, ends, picks = [], [], []
+        for _ in range(batch_size):
+            frame, horizon, first, count = spans[int(draw(len(spans)))]
+            n = int(draw(0, horizon - 1))
+            starts.append(frame + n)
+            ends.append(frame + n + int(draw(1, horizon - n)))
+            picks.append(first + int(draw(count)))
+        rows = TokenRows(self.rows.padded[picks], self.rows.lengths[picks], self.rows.vocab)
+        tokens = tuple(self.templates[p] for p in picks)
+        return PairBatch(self.observations[starts], self.observations[ends], tokens, rows)
+
+
 def sample_pair_batch(
     clips: Sequence[Clip], batch_size: int, rng: np.random.Generator
 ) -> PairBatch:
-    """Draw B rows: a random clip, a random start frame n, a random segment
-    length m over the valid suffix, and a random instruction template."""
-    o_start, o_end, tokens = [], [], []
-    for _ in range(batch_size):
-        clip = clips[int(rng.integers(len(clips)))]
-        horizon = clip.observations.shape[0]
-        n = int(rng.integers(0, horizon - 1))
-        m = int(rng.integers(1, horizon - n))
-        o_start.append(clip.observations[n])
-        o_end.append(clip.observations[n + m])
-        tokens.append(clip.templates[int(rng.integers(len(clip.templates)))])
-    return PairBatch(np.stack(o_start), np.stack(o_end), tuple(tokens))
+    """One training batch drawn from the clips, as train_encoders draws it."""
+    vocab = 1 + max(max(tpl) for clip in clips for tpl in clip.templates)
+    return _CompiledClips(clips, vocab).sample(batch_size, rng)
 
 
 def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
@@ -370,6 +418,7 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
             raise DimensionError(
                 f"clip {i} obs dim {clip.observations.shape[1]} != config {config.obs_dim}"
             )
+    compiled = _CompiledClips(clips, config.vocab_size)
     rng = np.random.default_rng(config.seed)
     params = init_encoder_params(config, rng)
     arrays = params.arrays()
@@ -377,7 +426,7 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
     n_visual = len(params.visual.arrays())
     trace: list[float] = []
     for step in range(config.steps):
-        batch = sample_pair_batch(clips, config.batch_size, rng)
+        batch = compiled.sample(config.batch_size, rng)
         loss, grads = infonce_loss_and_gradient(params, batch)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at step {step}")
@@ -442,6 +491,9 @@ def load_encoder_params(path) -> EncoderParams:
     for key in ("visual_sizes", "text_sizes", "token_table_shape", "temperature"):
         if key not in meta:
             raise FormatError(f"{path}: metadata is missing {key!r}")
+    temperature = meta["temperature"]
+    if not isinstance(temperature, (int, float)) or not np.isfinite(temperature):
+        raise FormatError(f"{path}: temperature {temperature!r} is not a finite number")
 
     offset = 9 + meta_len
 
@@ -451,6 +503,9 @@ def load_encoder_params(path) -> EncoderParams:
         if offset + 4 * count > len(raw):
             raise FormatError(f"{path}: truncated payload at offset {offset}")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise FormatError(f"{path}: non-finite parameter at offset {offset + 4 * int(bad[0])}")
         offset += 4 * count
         return arr.reshape(shape)
 
@@ -462,7 +517,7 @@ def load_encoder_params(path) -> EncoderParams:
     table = take(tuple(int(s) for s in meta["token_table_shape"]))
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return EncoderParams(visual, text, table, float(meta["temperature"]))
+    return EncoderParams(visual, text, table, float(temperature))
 
 
 def _take_interleaved(take, sizes) -> DenseParams:

@@ -150,6 +150,17 @@ class TestAblations:
         none_gap = report.aggregate("text", collapse="none")
         assert none_gap["success_mean"] < centralize["success_mean"]
 
+    def test_delete_k_variants_aggregate_apart(self):
+        # two delete variants that differ only in delete_k must not pool
+        report = run_transfer_experiment(
+            tiny_config(collapse="delete", ablations=({"delete_k": 3},))
+        )
+        for k in (1, 3):
+            cells = [a for a in report.aggregates if a["delete_k"] == k]
+            assert sorted(a["eval_modality"] for a in cells) == ["text", "text_heldout", "visual"]
+            assert [a["n_seeds"] for a in cells] == [1, 1, 1]
+        assert len(report.aggregates) == 6
+
     def test_gaussian_variant_runs(self):
         cfg = tiny_config(
             eval_heldout_text=False,

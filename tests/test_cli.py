@@ -263,6 +263,20 @@ class TestBench:
         assert doc["config"]["seeds"] == [3, 4]
         assert {r["seed"] for r in doc["rows"]} == {3, 4}
 
+    def test_ablate_alpha(self, tmp_path):
+        config = self.bench_config(tmp_path)
+        out = tmp_path / "run"
+        assert run(["bench", "--config", config, "--out-dir", out, "--ablate", "alpha=0.5"]) == 0
+        doc = json.loads((out / "transfer_report.json").read_text())
+        assert sorted(a["alpha_or_std"] for a in doc["aggregates"]) == [0.2] * 3 + [0.5] * 3
+
+    @pytest.mark.parametrize("spec", ["delete_k=abc", "delete_k=1.5", "gap=x", "alpha=x", "alpha=nan"])
+    def test_bad_ablate_number_exits_two(self, tmp_path, capsys, spec):
+        config = self.bench_config(tmp_path)
+        assert run(["bench", "--config", config, "--out-dir", tmp_path / "x", "--ablate", spec]) == 2
+        key, value = spec.split("=")
+        assert f"--ablate {key} expects a finite number, got {value!r}" in capsys.readouterr().err
+
     def test_bad_ablate_spec_exits_two(self, tmp_path):
         config = self.bench_config(tmp_path)
         assert run([

@@ -23,7 +23,13 @@ from modalign import (
     train_encoders,
 )
 from modalign.nets import DenseParams
-from modalign.trainer import init_encoder_params, sample_pair_batch
+from modalign.trainer import (
+    compile_tokens,
+    infonce_loss_and_gradient,
+    init_encoder_params,
+    sample_pair_batch,
+    text_forward,
+)
 
 
 def linear_identity_params(dim: int, table: np.ndarray | None = None) -> EncoderParams:
@@ -321,6 +327,33 @@ class TestTrainEncoders:
         )
 
 
+def reference_sample(clips, batch_size, rng):
+    """Per-row sampler: clip, start n, length m, template, one scalar draw each."""
+    o_start, o_end, tokens = [], [], []
+    for _ in range(batch_size):
+        clip = clips[int(rng.integers(len(clips)))]
+        horizon = clip.observations.shape[0]
+        n = int(rng.integers(0, horizon - 1))
+        m = int(rng.integers(1, horizon - n))
+        o_start.append(clip.observations[n])
+        o_end.append(clip.observations[n + m])
+        tokens.append(clip.templates[int(rng.integers(len(clip.templates)))])
+    return np.stack(o_start), np.stack(o_end), tuple(tokens)
+
+
+def varied_clips(rng, n_clips=7, obs_dim=6, vocab=9):
+    """Clips of different horizons with different numbers and lengths of templates."""
+    clips = []
+    for _ in range(n_clips):
+        horizon = int(rng.integers(2, 8))
+        templates = tuple(
+            tuple(int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 6)))
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        clips.append(Clip(rng.standard_normal((horizon, obs_dim)), templates))
+    return clips
+
+
 class TestBatchSampling:
     def test_segments_are_forward_in_time(self):
         clips, _ = synthetic_clips(np.random.default_rng(23), n_tasks=2, clips_per_task=2)
@@ -328,6 +361,81 @@ class TestBatchSampling:
         for _ in range(50):
             batch = sample_pair_batch(clips, 8, rng)
             assert not np.array_equal(batch.o_start, batch.o_end)
+
+    def test_matches_per_row_reference_sampler(self):
+        clips = varied_clips(np.random.default_rng(30))
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                batch = sample_pair_batch(clips, 9, rng)
+                start, end, tokens = reference_sample(clips, 9, ref_rng)
+                np.testing.assert_array_equal(batch.o_start, start)
+                np.testing.assert_array_equal(batch.o_end, end)
+                assert batch.tokens == tokens
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_carried_token_rows_give_the_same_step(self):
+        # the sampler's rows are padded to the widest template of all clips;
+        # a batch compiled from its own tokens must give identical results
+        clips = varied_clips(np.random.default_rng(31))
+        cfg = tiny_config(vocab_size=9)
+        params = init_encoder_params(cfg, np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            batch = sample_pair_batch(clips, 6, rng)
+            assert batch.compiled is not None
+            plain = PairBatch(batch.o_start, batch.o_end, batch.tokens)
+            loss, grads = infonce_loss_and_gradient(params, batch)
+            plain_loss, plain_grads = infonce_loss_and_gradient(params, plain)
+            assert loss == plain_loss
+            for a, b in zip(grads.arrays(), plain_grads.arrays()):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestTokenRows:
+    def test_pooling_equals_per_row_mean_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        table = rng.standard_normal((9, 5)) * 10.0 ** rng.uniform(-3, 3, size=(9, 1))
+        seqs = [(3,), (3, 3, 3), (1, 2, 1, 2, 1), (0, 8, 0, 8, 8, 0, 4), (5,) * 11]
+        seqs += [tuple(int(t) for t in rng.integers(0, 9, size=rng.integers(1, 20))) for _ in range(50)]
+        pooled = compile_tokens(seqs, 9).pool(table)
+        for i, seq in enumerate(seqs):
+            assert np.array_equal(pooled[i], table[np.asarray(seq)].mean(axis=0)), seq
+
+    def test_empty_sequence_names_its_row(self):
+        params = init_encoder_params(tiny_config(), np.random.default_rng(35))
+        with pytest.raises(ParameterError, match="row 2: empty token sequence"):
+            text_forward(params, [(0,), (1, 1), ()])
+
+    def test_out_of_range_token_names_its_row(self):
+        params = init_encoder_params(tiny_config(), np.random.default_rng(36))
+        with pytest.raises(DimensionError, match="row 1: token index out of range for vocab 7"):
+            text_forward(params, [(0, 6), (2, 7)])
+        with pytest.raises(DimensionError, match="row 0: token index out of range"):
+            text_forward(params, [(-1, 2)])
+        batch = PairBatch(np.zeros((2, 6)), np.ones((2, 6)), ((1,), (3, 9)))
+        with pytest.raises(DimensionError, match="row 1: token index out of range"):
+            infonce_loss(params, batch)
+
+    def test_templates_validated_when_training_starts(self):
+        clips, _ = synthetic_clips(np.random.default_rng(37), n_tasks=2, clips_per_task=1)
+        cfg = TrainerConfig(obs_dim=12, vocab_size=2, dim=4, steps=0)
+        with pytest.raises(DimensionError, match="token index out of range for vocab 2"):
+            train_encoders(clips, cfg)
+
+    def test_gradient_with_repeated_tokens_matches_finite_differences(self):
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(2000 + seed)
+            params = init_encoder_params(tiny_config(), rng)
+            tokens = []
+            for _ in range(3):
+                seq = [int(t) for t in rng.integers(0, 7, size=rng.integers(1, 4))]
+                tokens.append(tuple(seq + [seq[int(rng.integers(len(seq)))]]))
+            tokens = tuple(tokens)
+            batch = PairBatch(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), tokens)
+            worst = max(worst, finite_difference_check(params, batch, 1e-5))
+        assert worst < 1e-4
 
 
 class TestSerialization:
@@ -350,6 +458,17 @@ class TestSerialization:
         save_encoder_params(params, p1)
         save_encoder_params(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        from modalign import FormatError
+
+        params = init_encoder_params(tiny_config(), np.random.default_rng(27))
+        params.token_table[3, 1] = bad
+        path = tmp_path / "bad.eprm"
+        save_encoder_params(params, path)
+        with pytest.raises(FormatError, match="non-finite parameter at offset"):
+            load_encoder_params(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.eprm"
