@@ -11,15 +11,13 @@ from .banks import (
     load_bank,
     normalize,
     save_bank,
+    unit_rows,
 )
 from .bench import BenchConfig, TransferReport, run_transfer_experiment
 from .collapse import (
     CollapseKind,
     CollapseTransform,
-    apply_centralize,
-    apply_delete,
     apply_to_bank,
-    apply_transform,
     fit_centralize,
     fit_delete,
     load_transform,
@@ -54,7 +52,6 @@ from .errors import (
     ParameterError,
     PipelineError,
     TaskMismatchError,
-    TransformKindError,
 )
 from .gridworld import (
     Action,
@@ -70,8 +67,8 @@ from .policy import (
     PolicyConfig,
     PolicyParams,
     chance_floor,
+    encode_goals,
     evaluate_policy,
-    goal_embedding,
     train_policy,
 )
 from .trainer import (
@@ -79,9 +76,8 @@ from .trainer import (
     EncoderParams,
     PairBatch,
     TrainerConfig,
-    encoder_forward,
     finite_difference_check,
-    frame_difference_embedding,
+    frame_differences,
     infonce_gradient,
     infonce_loss,
     load_encoder_params,

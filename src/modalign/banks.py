@@ -150,9 +150,6 @@ class EmbeddingBank:
         for tid, row in zip(self.task_ids, self.values):
             yield tid, row
 
-    def embedding(self, i: int) -> Embedding:
-        return Embedding(self.values[i], self.modality)
-
     def task_set(self) -> set[str]:
         return set(self.task_ids)
 
@@ -194,6 +191,16 @@ def normalize(v):
     if n == 0.0:
         raise DegenerateVectorError("cannot normalize a zero vector")
     return u / n
+
+
+def unit_rows(matrix: np.ndarray, what: str = "row", floor: float = 0.0) -> np.ndarray:
+    """Scale every row of a matrix to unit length; a row whose norm is at
+    most floor has no direction and raises DegenerateVectorError."""
+    norms = np.linalg.norm(matrix, axis=1)
+    zero = np.flatnonzero(norms <= floor)
+    if zero.size:
+        raise DegenerateVectorError(f"{what} {int(zero[0])} is a zero vector")
+    return matrix / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +248,6 @@ def load_bank(path, format: BankFormat | None = None) -> EmbeddingBank:
     if format is BankFormat.BINARY:
         return _decode_binary(raw, str(path))
     raise ParameterError(f"unknown bank format {format!r}")
-
-
-def detect_format(path) -> BankFormat:
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    return BankFormat.BINARY if head == BINARY_MAGIC else BankFormat.JSON_LINES
 
 
 def _encode_jsonl(bank: EmbeddingBank) -> bytes:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -33,10 +33,11 @@ from .policy import (
     PolicyConfig,
     build_goal_bank,
     chance_floor,
+    encode_goals,
     evaluate_policy,
     train_policy,
 )
-from .trainer import Clip, TrainerConfig, text_forward, train_encoders
+from .trainer import Clip, TrainerConfig, train_encoders
 
 _STAGE_DATA = 0
 _STAGE_ENCODER = 1
@@ -81,7 +82,13 @@ class VariantSpec:
             raise ParameterError(f"unknown collapse kind {self.collapse!r}")
         if self.corrupt_kind not in ("cosine", "gaussian", "none"):
             raise ParameterError(f"unknown corrupt kind {self.corrupt_kind!r}")
-        if self.injected_gap_norm < 0.0:
+        if not isinstance(self.delete_k, int) or isinstance(self.delete_k, bool) or self.delete_k < 1:
+            raise ParameterError(f"delete_k must be a positive integer, got {self.delete_k!r}")
+        if not -1.0 < self.alpha <= 1.0:
+            raise ParameterError(f"alpha must be in (-1, 1], got {self.alpha}")
+        if not self.std >= 0.0:
+            raise ParameterError(f"std must be non-negative, got {self.std}")
+        if not self.injected_gap_norm >= 0.0:
             raise ParameterError("injected_gap_norm must be >= 0")
 
     @property
@@ -139,6 +146,13 @@ class BenchConfig:
     ablations: tuple[dict, ...] = ()
 
     def __post_init__(self):
+        try:
+            self._validate()
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"invalid bench config value: {exc}") from None
+
+    def _validate(self):
+        """Coerce and check every field and every variant before any work."""
         if self.schema_version != 1:
             raise ParameterError(f"unsupported schema_version {self.schema_version!r}")
         if self.train_modality not in ("visual", "text"):
@@ -150,6 +164,8 @@ class BenchConfig:
             raise ParameterError(
                 f"horizon {self.horizon} cannot reach every cell of a {self.grid_size} grid"
             )
+        if isinstance(self.seeds, str):
+            raise ParameterError(f"seeds must be a list of integers, got {self.seeds!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "eval_modalities", tuple(self.eval_modalities))
         for name in ("encoder_visual_hidden", "encoder_text_hidden", "policy_hidden"):
@@ -159,7 +175,11 @@ class BenchConfig:
             unknown = set(abl) - _VARIANT_KEYS
             if unknown:
                 raise ParameterError(f"unknown ablation keys: {sorted(unknown)}")
-        self.base_variant()  # validate the base cell eagerly
+        for variant in self.variants():
+            if variant.collapse == "delete" and variant.delete_k >= self.dim:
+                raise ParameterError(
+                    f"delete_k={variant.delete_k} would delete all of {self.dim} dimensions"
+                )
 
     def base_variant(self) -> VariantSpec:
         return VariantSpec(
@@ -270,21 +290,7 @@ class TransferReport:
         return {
             "config": self.config,
             "chance_floor": self.chance_floor,
-            "rows": [
-                {
-                    "collapse": r.collapse,
-                    "corrupt_kind": r.corrupt_kind,
-                    "alpha_or_std": r.alpha_or_std,
-                    "train_modality": r.train_modality,
-                    "eval_modality": r.eval_modality,
-                    "seed": r.seed,
-                    "injected_gap_norm": r.injected_gap_norm,
-                    "success_mean": r.success_mean,
-                    "success_std": r.success_std,
-                    "chance_floor": r.chance_floor,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "aggregates": self.aggregates,
         }
 
@@ -321,17 +327,13 @@ def text_reference_bank(
 ) -> EmbeddingBank:
     """Unit text embeddings of every task under every given template.
 
-    Rows are normalized to match the goal-embedding boundary, so collapse
-    statistics fit here apply to what policies actually consume.
+    Rows go through the goal-embedding path, so collapse statistics fit
+    here apply to what policies actually consume.
     """
-    ids, seqs = [], []
-    for task in sorted(tasks, key=lambda t: t.task_id):
-        for i in template_indices:
-            ids.append(task.task_id)
-            seqs.append(task.templates[i])
-    values = text_forward(encoders, seqs)
-    values = values / np.linalg.norm(values, axis=1, keepdims=True)
-    return EmbeddingBank(Modality.TEXT, values.shape[1], tuple(ids), values)
+    ordered = sorted(tasks, key=lambda t: t.task_id)
+    ids = [task.task_id for task in ordered for _ in template_indices]
+    seqs = [task.templates[i] for task in ordered for i in template_indices]
+    return encode_goals(encoders, None, Modality.TEXT, ids, seqs)
 
 
 def _fit_transform(
@@ -372,6 +374,11 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
     variants = config.variants()
     report = TransferReport(config=config.to_dict(), chance_floor=floor)
     success: dict[tuple[int, str], list[float]] = {}
+    evals: list[tuple[str, Sequence[int] | None]] = [
+        (m, TRAIN_TEMPLATE_INDICES if m == "text" else None) for m in config.eval_modalities
+    ]
+    if config.eval_heldout_text and "text" in config.eval_modalities:
+        evals.append(("text_heldout", HELDOUT_TEMPLATE_INDICES))
 
     for seed in config.seeds:
         dataset = _stage(
@@ -381,59 +388,28 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
         encoders = _stage(
             "train_encoders", train_encoders, clips, config.trainer_config(subseed(seed, _STAGE_ENCODER))
         ).params
+        # Reference banks do not depend on the variant: unit visual goals
+        # once per seed, each variant adding its own injected gap.
+        unit_v, _ = _stage(
+            "reference_banks", build_goal_bank, encoders, None, dataset, Modality.VISUAL,
+            subseed(seed, _STAGE_REFBANK),
+        )
+        ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks)
         for vi, variant in enumerate(variants):
-            offset = (
-                gap_direction * variant.injected_gap_norm
-                if variant.injected_gap_norm > 0.0
-                else None
-            )
-            ref_v, _ = _stage(
-                "reference_banks",
-                build_goal_bank,
-                encoders,
-                None,
-                dataset,
-                Modality.VISUAL,
-                subseed(seed, _STAGE_REFBANK),
-                None,
-                offset,
-            )
-            ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks)
+            offset = gap_direction * variant.injected_gap_norm if variant.injected_gap_norm > 0.0 else None
+            ref_v = unit_v if offset is None else unit_v.with_values(unit_v.values + offset)
             transform = _stage("fit_collapse", _fit_transform, variant, ref_v, ref_l)
             corrupt_cfg = variant.corrupt_config(subseed(seed, _STAGE_CORRUPT, vi))
             policy = _stage(
-                "train_policy",
-                train_policy,
-                dataset,
-                encoders,
-                transform,
-                corrupt_cfg,
-                train_modality,
-                config.policy_config(subseed(seed, _STAGE_POLICY, vi)),
-                TRAIN_TEMPLATE_INDICES,
-                offset,
+                "train_policy", train_policy, dataset, encoders, transform, corrupt_cfg, train_modality,
+                config.policy_config(subseed(seed, _STAGE_POLICY, vi)), TRAIN_TEMPLATE_INDICES, offset,
             ).params
-
-            evals: list[tuple[str, Sequence[int] | None]] = []
-            for m in config.eval_modalities:
-                evals.append((m, TRAIN_TEMPLATE_INDICES if m == "text" else None))
-            if config.eval_heldout_text and "text" in config.eval_modalities:
-                evals.append(("text_heldout", HELDOUT_TEMPLATE_INDICES))
             for eval_name, pool in evals:
                 eval_modality = Modality.TEXT if eval_name.startswith("text") else Modality.VISUAL
                 tag = _STAGE_EVAL_HELDOUT if eval_name == "text_heldout" else _STAGE_EVAL
                 result = _stage(
-                    "evaluate_policy",
-                    evaluate_policy,
-                    policy,
-                    tasks,
-                    eval_modality,
-                    encoders,
-                    transform,
-                    config.episodes_per_task,
-                    config.horizon,
-                    subseed(seed, tag, vi),
-                    pool,
+                    "evaluate_policy", evaluate_policy, policy, tasks, eval_modality, encoders, transform,
+                    config.episodes_per_task, config.horizon, subseed(seed, tag, vi), pool,
                     offset if eval_modality is Modality.VISUAL else None,
                 )
                 per_task = np.array(list(result.per_task.values()))

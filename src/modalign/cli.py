@@ -257,7 +257,7 @@ def _parse_ablation(spec: str) -> dict:
 def cmd_bench(args) -> int:
     doc = _load_json_config(args.config) if args.config else {"schema_version": 1}
     if args.seeds is not None:
-        doc["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        doc["seeds"] = [s for s in args.seeds.split(",") if s]  # BenchConfig coerces
     if args.train_modality is not None:
         doc["train_modality"] = args.train_modality
     if args.ablate:

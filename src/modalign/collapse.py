@@ -9,13 +9,14 @@ serialized to JSON so a transform fit offline ships with a policy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .banks import Embedding, EmbeddingBank, Modality
+from .banks import EmbeddingBank, Modality
 from .diagnostics import per_dimension_mean_gap
 from .errors import (
     DimensionError,
@@ -23,7 +24,6 @@ from .errors import (
     FormatError,
     IoError,
     ParameterError,
-    TransformKindError,
 )
 
 
@@ -102,24 +102,42 @@ class CollapseTransform:
             raise FormatError(f"unknown transform fields: {sorted(unknown)}")
         if "source_dim" not in doc:
             raise FormatError("transform document is missing 'source_dim'")
+        source_dim = _json_int(doc["source_dim"], "source_dim")
         if kind is CollapseKind.CENTRALIZE:
             if "visual_mean" not in doc or "text_mean" not in doc:
                 raise FormatError("centralize transform needs visual_mean and text_mean")
             return cls(
                 kind=kind,
-                source_dim=int(doc["source_dim"]),
-                visual_mean=np.asarray(doc["visual_mean"], dtype=np.float64),
-                text_mean=np.asarray(doc["text_mean"], dtype=np.float64),
+                source_dim=source_dim,
+                visual_mean=_json_means(doc["visual_mean"], "visual_mean"),
+                text_mean=_json_means(doc["text_mean"], "text_mean"),
                 fit_reference=doc.get("fit_reference"),
             )
         if "deleted_dims" not in doc:
             raise FormatError("delete transform needs deleted_dims")
+        dims = doc["deleted_dims"]
+        if not isinstance(dims, list):
+            raise FormatError(f"deleted_dims must be a list, got {dims!r}")
         return cls(
             kind=kind,
-            source_dim=int(doc["source_dim"]),
-            deleted_dims=tuple(doc["deleted_dims"]),
+            source_dim=source_dim,
+            deleted_dims=tuple(_json_int(d, "deleted_dims entry") for d in dims),
             fit_reference=doc.get("fit_reference"),
         )
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_means(values, what: str) -> np.ndarray:
+    if not isinstance(values, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in values
+    ):
+        raise FormatError(f"{what} must be a list of finite numbers")
+    return np.asarray(values, dtype=np.float64)
 
 
 def fit_centralize(
@@ -163,41 +181,12 @@ def fit_delete(
     )
 
 
-def apply_centralize(transform: CollapseTransform, e: Embedding) -> Embedding:
-    """Subtract the stored mean of the embedding's own modality."""
-    if transform.kind is not CollapseKind.CENTRALIZE:
-        raise TransformKindError(f"expected a centralize transform, got {transform.kind.value}")
-    if e.dim != transform.source_dim:
-        raise DimensionError(f"embedding dim {e.dim} != transform dim {transform.source_dim}")
-    mean = transform.visual_mean if e.modality is Modality.VISUAL else transform.text_mean
-    return Embedding(e.values - mean, e.modality)
-
-
-def apply_delete(transform: CollapseTransform, e: Embedding) -> Embedding:
-    """Drop the marked dimensions, preserving the order of the rest.
-
-    The same dimensions are removed regardless of modality.
-    """
-    if transform.kind is not CollapseKind.DELETE:
-        raise TransformKindError(f"expected a delete transform, got {transform.kind.value}")
-    if e.dim != transform.source_dim:
-        raise DimensionError(f"embedding dim {e.dim} != transform dim {transform.source_dim}")
-    keep = np.ones(transform.source_dim, dtype=bool)
-    keep[list(transform.deleted_dims)] = False
-    return Embedding(e.values[keep], e.modality)
-
-
-def apply_transform(transform: CollapseTransform | None, e: Embedding) -> Embedding:
-    """Dispatch on transform kind; None is the identity (no collapse)."""
-    if transform is None:
-        return e
-    if transform.kind is CollapseKind.CENTRALIZE:
-        return apply_centralize(transform, e)
-    return apply_delete(transform, e)
-
-
 def apply_to_bank(transform: CollapseTransform | None, bank: EmbeddingBank) -> EmbeddingBank:
-    """Apply a transform row-wise to a whole bank."""
+    """Apply a transform row-wise to a whole bank; None is the identity.
+
+    Centralize subtracts the stored mean of the bank's own modality; delete
+    drops the marked dimensions, the same for either modality, and keeps
+    the order of the rest."""
     if transform is None:
         return bank
     if bank.dim != transform.source_dim:

@@ -117,19 +117,13 @@ def _row_stream(seed: int, task_id: str, row: np.ndarray) -> np.random.Generator
     return np.random.default_rng([seed, key])
 
 
-def corrupt_embedding(e: Embedding, cfg: CorruptConfig, rng: np.random.Generator) -> Embedding:
-    if cfg.kind is NoiseKind.COSINE:
-        return cosine_noise(e, cfg, rng)
-    return gaussian_noise(e, cfg, rng)
-
-
 def corrupt_bank(bank: EmbeddingBank, cfg: CorruptConfig, seed: int | None = None) -> EmbeddingBank:
     """Corrupt every row with an independent substream derived from
     (seed, row content); deterministic and order-independent."""
     if seed is None:
         seed = cfg.seed
+    noise = cosine_noise if cfg.kind is NoiseKind.COSINE else gaussian_noise
     out = np.empty_like(bank.values)
     for i, (tid, row) in enumerate(bank.rows()):
-        rng = _row_stream(seed, tid, row)
-        out[i] = corrupt_embedding(Embedding(row, bank.modality), cfg, rng).values
+        out[i] = noise(Embedding(row, bank.modality), cfg, _row_stream(seed, tid, row)).values
     return bank.with_values(out)

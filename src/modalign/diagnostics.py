@@ -15,9 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality
+from .banks import EmbeddingBank, Modality, unit_rows
 from .errors import (
-    DegenerateVectorError,
     DimensionError,
     EmptyBankError,
     ParameterError,
@@ -97,14 +96,6 @@ def _per_task_means(bank: EmbeddingBank, tasks: Sequence[str]) -> np.ndarray:
     return np.stack([np.mean(by_task[t], axis=0) for t in tasks])
 
 
-def _unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateVectorError(f"{what} {zero[0]} is a zero vector")
-    return matrix / norms[:, None]
-
-
 def matched_pair_similarity_matrix(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> np.ndarray:
     """K x K cosine similarities between task-aggregated embeddings.
 
@@ -114,8 +105,8 @@ def matched_pair_similarity_matrix(bank_v: EmbeddingBank, bank_l: EmbeddingBank)
     """
     _check_pair(bank_v, bank_l)
     tasks = shared_task_ids(bank_v, bank_l)
-    means_v = _unit_rows(_per_task_means(bank_v, tasks), "visual task mean")
-    means_l = _unit_rows(_per_task_means(bank_l, tasks), "text task mean")
+    means_v = unit_rows(_per_task_means(bank_v, tasks), "visual task mean")
+    means_l = unit_rows(_per_task_means(bank_l, tasks), "text task mean")
     return means_v @ means_l.T
 
 
@@ -135,17 +126,17 @@ def retrieval_topk_accuracy(query_bank: EmbeddingBank, gallery_bank: EmbeddingBa
     missing = query_bank.task_set() - gallery_bank.task_set()
     if missing:
         raise TaskMismatchError(f"query tasks missing from gallery: {sorted(missing)}")
-    queries = _unit_rows(query_bank.values, "query row")
-    gallery = _unit_rows(gallery_bank.values, "gallery row")
+    queries = unit_rows(query_bank.values, "query row")
+    gallery = unit_rows(gallery_bank.values, "gallery row")
     sims = queries @ gallery.T  # (n_query, n_gallery)
-    gallery_ids = np.array(gallery_bank.task_ids)
-    indices = np.arange(gallery_bank.n)
+    # Gallery columns in (task_id, row) order, found once; a stable sort of
+    # each query's permuted row by similarity keeps every tie in that order.
+    perm = np.argsort(np.array(gallery_bank.task_ids), kind="stable")
+    gallery_ids = np.array(gallery_bank.task_ids)[perm]
     hits = 0
-    for q in range(query_bank.n):
-        # lexsort uses the last key as primary: similarity desc, then id, then index
-        order = np.lexsort((indices, gallery_ids, -sims[q]))
-        if np.any(gallery_ids[order[:k]] == query_bank.task_ids[q]):
-            hits += 1
+    for q, tid in enumerate(query_bank.task_ids):
+        top = np.argsort(-sims[q, perm], kind="stable")[:k]
+        hits += bool(np.any(gallery_ids[top] == tid))
     return hits / query_bank.n
 
 

@@ -29,10 +29,6 @@ class ParameterError(ModalignError):
     """A parameter value is outside the operation's domain."""
 
 
-class TransformKindError(ModalignError):
-    """A transform of one kind was applied where another kind is required."""
-
-
 class FormatError(ModalignError):
     """A bank, transform, or parameter file does not conform to its format."""
 

@@ -169,6 +169,16 @@ def step(grid_size: int, cell: tuple[int, int], action: Action) -> tuple[int, in
     )
 
 
+_MOVE_ROWS = np.array([_MOVES[a] for a in Action])
+
+
+def step_cells(grid_sizes, cells: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """`step` for n cells (n, 2) and n actions at once; grid_sizes is one
+    size or one per cell."""
+    upper = np.asarray(grid_sizes).reshape(-1, 1) - 1
+    return np.clip(cells + _MOVE_ROWS[actions], 0, upper)
+
+
 def synthetic_gap_bank(
     n_tasks: int,
     dim: int,

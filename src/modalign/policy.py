@@ -14,19 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .banks import Embedding, EmbeddingBank, Modality
-from .collapse import CollapseTransform, apply_transform
+from .banks import EmbeddingBank, Modality, unit_rows
+from .collapse import CollapseTransform, apply_to_bank
 from .corrupt import CorruptConfig, corrupt_bank
-from .errors import (
-    DegenerateVectorError,
-    DimensionError,
-    DivergenceError,
-    ParameterError,
-)
-from .banks import normalize
-from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step
+from .errors import DimensionError, DivergenceError, ParameterError
+from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
-from .trainer import EncoderParams, frame_difference_embedding, text_forward
+from .trainer import EncoderParams, frame_differences, text_forward
 
 
 @dataclass(frozen=True)
@@ -69,49 +63,37 @@ class EvalReport:
     horizon: int
 
 
-def goal_embedding(
+def encode_goals(
     encoders: EncoderParams,
     transform: CollapseTransform | None,
-    item,
     modality: Modality,
-    template_index: int | None = None,
-    rng: np.random.Generator | None = None,
-    template_pool: Sequence[int] | None = None,
+    task_ids: Sequence[str],
+    items: Sequence,
     visual_offset: np.ndarray | None = None,
-) -> Embedding:
-    """Collapsed goal representation of a trajectory (visual) or task (text).
+) -> EmbeddingBank:
+    """Collapsed goal bank, one row per item: a Trajectory (visual) or a
+    token sequence (text), all encoded in one batch.
 
-    Raw encoder outputs are unit-normalized before anything else (the
-    contrastive objective only constrains directions, so the scale is an
-    artifact), which makes corruption strengths and injected gap norms
-    scale-free. Visual goals are the frame difference of the first and
-    last observations; a zero transition (start == target) has no
-    direction and raises DegenerateVectorError so callers can exclude it.
-    Text goals encode one template, chosen by index or sampled from
-    template_pool with the given rng. visual_offset, when set, is added
-    to the normalized visual embedding before collapsing (used to inject
-    a synthetic modality gap).
+    Raw encoder outputs are unit-normalized first (the contrastive objective
+    only constrains directions), so corruption strengths and injected gap
+    norms are scale-free. A visual goal is the frame difference of the
+    first and last observations; a zero transition has no direction and
+    raises DegenerateVectorError. visual_offset, when set, is added to the
+    unit visual rows before collapsing (a synthetic modality gap).
     """
     if modality is Modality.VISUAL:
-        if not isinstance(item, Trajectory):
-            raise ParameterError("visual goals need a Trajectory")
-        diff = frame_difference_embedding(encoders, item.observations[0], item.observations[-1])
-        if float(np.linalg.norm(diff.values)) < 1e-12:
-            raise DegenerateVectorError("zero transition: start and end frames encode equally")
-        raw = normalize(diff)
-        if visual_offset is not None:
-            raw = Embedding(raw.values + visual_offset, Modality.VISUAL)
-        return apply_transform(transform, raw)
-    if not isinstance(item, GridTask):
-        raise ParameterError("text goals need a GridTask")
-    if template_index is None:
-        pool = tuple(template_pool) if template_pool is not None else tuple(range(len(item.templates)))
-        if rng is None:
-            raise ParameterError("sampling a template needs an rng")
-        template_index = int(pool[int(rng.integers(len(pool)))])
-    tokens = item.templates[template_index]
-    raw = normalize(Embedding(text_forward(encoders, [tokens])[0], Modality.TEXT))
-    return apply_transform(transform, raw)
+        starts, ends = [t.observations[0] for t in items], [t.observations[-1] for t in items]
+        rows = unit_rows(frame_differences(encoders, starts, ends), "visual goal", 1e-12)
+        rows = rows if visual_offset is None else rows + visual_offset
+    else:
+        rows = unit_rows(text_forward(encoders, items), "text goal")
+    return apply_to_bank(transform, EmbeddingBank(modality, rows.shape[1], tuple(task_ids), rows))
+
+
+def _draw_template(task: GridTask, pool: Sequence[int] | None, rng: np.random.Generator):
+    """One template of the task, drawn uniformly from pool (default: all)."""
+    pool = range(len(task.templates)) if pool is None else pool
+    return task.templates[int(pool[int(rng.integers(len(pool)))])]
 
 
 def build_goal_bank(
@@ -124,40 +106,25 @@ def build_goal_bank(
     visual_offset: np.ndarray | None = None,
 ) -> tuple[EmbeddingBank, list[int]]:
     """Per-trajectory goal embeddings as a bank, plus the dataset indices
-    that produced each row (zero-transition trajectories are excluded)."""
-    rng = np.random.default_rng(seed)
-    ids, rows, kept = [], [], []
-    for i, (traj, task) in enumerate(dataset):
-        if len(traj.states) < 2:
-            continue  # excluded: no transition to encode
-        emb = goal_embedding(
-            encoders,
-            transform,
-            traj if modality is Modality.VISUAL else task,
-            modality,
-            rng=rng,
-            template_pool=template_pool,
-            visual_offset=visual_offset,
-        )
-        ids.append(task.task_id)
-        rows.append(emb.values)
-        kept.append(i)
-    if not rows:
+    that produced each row (zero-transition trajectories are excluded).
+    Text rows draw their templates in row order from a stream seeded by seed."""
+    kept = [i for i, (traj, _) in enumerate(dataset) if len(traj.states) >= 2]
+    if not kept:
         raise ParameterError("no usable trajectories in the dataset")
-    bank = EmbeddingBank(modality, len(rows[0]), tuple(ids), np.stack(rows))
-    return bank, kept
+    rng = np.random.default_rng(seed)
+    if modality is Modality.VISUAL:
+        items = [dataset[i][0] for i in kept]
+    else:
+        items = [_draw_template(dataset[i][1], template_pool, rng) for i in kept]
+    ids = [dataset[i][1].task_id for i in kept]
+    return encode_goals(encoders, transform, modality, ids, items, visual_offset), kept
 
 
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateVectorError("goal embedding with zero norm")
-    return matrix / norms[:, None]
-
-
-def _state_onehot(grid_size: int, cell: tuple[int, int]) -> np.ndarray:
-    onehot = np.zeros(grid_size * grid_size)
-    onehot[cell[0] * grid_size + cell[1]] = 1.0
+def _state_onehot(grid_size: int, cells) -> np.ndarray:
+    """One-hot rows for (n, 2) grid cells."""
+    cells = np.asarray(cells, dtype=np.intp).reshape(-1, 2)
+    onehot = np.zeros((len(cells), grid_size * grid_size))
+    onehot[np.arange(len(cells)), cells[:, 0] * grid_size + cells[:, 1]] = 1.0
     return onehot
 
 
@@ -221,34 +188,69 @@ def train_policy(
         raise ParameterError("dataset must be non-empty")
     grid_size = dataset[0][1].grid_size
     bank, kept = build_goal_bank(
-        encoders,
-        transform,
-        dataset,
-        train_modality,
-        seed=config.seed,
-        template_pool=template_pool,
-        visual_offset=visual_offset,
+        encoders, transform, dataset, train_modality, config.seed, template_pool, visual_offset
     )
     if corrupt_cfg is not None:
         bank = corrupt_bank(bank, corrupt_cfg)
-    goal_rows = _normalize_rows(bank.values)
-    states, goals, actions = [], [], []
+    rows, cells, actions = [], [], []
     for row, dataset_idx in enumerate(kept):
         traj, _ = dataset[dataset_idx]
-        for t, action in enumerate(traj.actions):
-            states.append(_state_onehot(grid_size, traj.states[t]))
-            goals.append(goal_rows[row])
-            actions.append(int(action))
+        rows += [row] * len(traj.actions)
+        cells += traj.states[: len(traj.actions)]
+        actions += traj.actions
+    goals = unit_rows(bank.values, "goal")[rows]
     return train_policy_from_arrays(
-        np.stack(states), np.stack(goals), np.asarray(actions), grid_size, config
+        _state_onehot(grid_size, cells), goals, np.asarray(actions), grid_size, config
     )
 
 
-def policy_action(policy: PolicyParams, cell: tuple[int, int], goal: np.ndarray) -> Action:
-    """Greedy action for one state; argmax breaks ties at the lowest index."""
-    x = np.concatenate([_state_onehot(policy.grid_size, cell), goal])[None, :]
-    logits, _ = dense_forward(policy.net, x)
-    return Action(int(np.argmax(logits[0])))
+def greedy(policy: PolicyParams, goals: np.ndarray):
+    """The rollout chooser of the policy's greedy actions, episode i
+    conditioned on goals[i]; argmax breaks ties at the lowest action index."""
+
+    def choose(active: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        x = np.concatenate([_state_onehot(policy.grid_size, cells), goals[active]], axis=1)
+        return np.argmax(dense_forward(policy.net, x)[0], axis=1)
+
+    return choose
+
+
+def rollout(tasks: Sequence[GridTask], streams, horizon: int, choose) -> np.ndarray:
+    """Lockstep episodes, episode i on tasks[i] with stream streams[i], which
+    draws its start cell here (after any goal draws of the caller). Every
+    time step makes one choose(active, cells) call for the episodes not yet
+    on their target. Returns which episodes reach it by the horizon."""
+    grids = np.array([task.grid_size for task in tasks], dtype=np.intp)
+    targets = np.array([task.target for task in tasks], dtype=np.intp).reshape(-1, 2)
+    cells = np.array(
+        [(rng.integers(t.grid_size), rng.integers(t.grid_size)) for rng, t in zip(streams, tasks)],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    reached = np.all(cells == targets, axis=1)
+    for _ in range(horizon):
+        active = np.flatnonzero(~reached)
+        if active.size == 0:
+            break
+        cells[active] = step_cells(grids[active], cells[active], choose(active, cells[active]))
+        reached[active] = np.all(cells[active] == targets[active], axis=1)
+    return reached
+
+
+def _episodes(tasks: Sequence[GridTask], episodes_per_task: int, seed: int):
+    """Tasks sorted by id, each episode's task, and each episode's stream
+    default_rng([seed, task index, episode])."""
+    ordered = sorted(tasks, key=lambda t: t.task_id)
+    pairs = [(ti, episode) for ti in range(len(ordered)) for episode in range(episodes_per_task)]
+    streams = [np.random.default_rng([seed, ti, episode]) for ti, episode in pairs]
+    return ordered, [ordered[ti] for ti, _ in pairs], streams
+
+
+def _prompt(task: GridTask, rng: np.random.Generator) -> Trajectory:
+    """A fresh demonstration from a random start off the target."""
+    while True:
+        start = (int(rng.integers(task.grid_size)), int(rng.integers(task.grid_size)))
+        if start != task.target:
+            return expert_trajectory(task, start, int(rng.integers(0, 2**63 - 1)))
 
 
 def evaluate_policy(
@@ -270,46 +272,18 @@ def evaluate_policy(
     from a fresh prompt demonstration per episode (its own start cell and
     distractors), so they never match the rollout's own observations.
     """
-    ordered = sorted(tasks, key=lambda t: t.task_id)
-    per_task: dict[str, float] = {}
-    total = 0
-    for ti, task in enumerate(ordered):
-        grid = task.grid_size
-        wins = 0
-        for episode in range(episodes_per_task):
-            rng = np.random.default_rng([seed, ti, episode])
-            if eval_modality is Modality.VISUAL:
-                while True:
-                    prompt_start = (int(rng.integers(grid)), int(rng.integers(grid)))
-                    if prompt_start != task.target:
-                        break
-                prompt = expert_trajectory(task, prompt_start, int(rng.integers(0, 2**63 - 1)))
-                goal = goal_embedding(
-                    encoders, transform, prompt, Modality.VISUAL, visual_offset=visual_offset
-                )
-            else:
-                goal = goal_embedding(
-                    encoders,
-                    transform,
-                    task,
-                    Modality.TEXT,
-                    rng=rng,
-                    template_pool=template_pool,
-                )
-            goal_vec = normalize(goal.values)
-            cell = (int(rng.integers(grid)), int(rng.integers(grid)))
-            reached = cell == task.target
-            for _ in range(horizon):
-                if reached:
-                    break
-                cell = step(grid, cell, policy_action(policy, cell, goal_vec))
-                reached = cell == task.target
-            wins += int(reached)
-        per_task[task.task_id] = wins / episodes_per_task
-        total += wins
+    ordered, episodes, streams = _episodes(tasks, episodes_per_task, seed)
+    if eval_modality is Modality.VISUAL:
+        items = [_prompt(task, rng) for task, rng in zip(episodes, streams)]
+    else:
+        items = [_draw_template(task, template_pool, rng) for task, rng in zip(episodes, streams)]
+    ids = [task.task_id for task in episodes]
+    goals = encode_goals(encoders, transform, eval_modality, ids, items, visual_offset)
+    reached = rollout(episodes, streams, horizon, greedy(policy, unit_rows(goals.values, "goal")))
+    wins = reached.reshape(len(ordered), episodes_per_task).sum(axis=1)
     return EvalReport(
-        success_rate=total / (len(ordered) * episodes_per_task),
-        per_task=per_task,
+        success_rate=int(reached.sum()) / reached.size,
+        per_task={task.task_id: int(w) / episodes_per_task for task, w in zip(ordered, wins)},
         episodes_per_task=episodes_per_task,
         horizon=horizon,
     )
@@ -318,19 +292,12 @@ def evaluate_policy(
 def chance_floor(
     tasks: Sequence[GridTask], episodes_per_task: int, horizon: int, seed: int
 ) -> float:
-    """Success rate of a uniformly random policy under the same protocol."""
-    ordered = sorted(tasks, key=lambda t: t.task_id)
-    wins = 0
-    for ti, task in enumerate(ordered):
-        grid = task.grid_size
-        for episode in range(episodes_per_task):
-            rng = np.random.default_rng([seed, ti, episode])
-            cell = (int(rng.integers(grid)), int(rng.integers(grid)))
-            reached = cell == task.target
-            for _ in range(horizon):
-                if reached:
-                    break
-                cell = step(grid, cell, Action(int(rng.integers(len(Action)))))
-                reached = cell == task.target
-            wins += int(reached)
-    return wins / (len(ordered) * episodes_per_task)
+    """Success rate of a uniformly random policy under the same protocol:
+    each active episode draws its action from its own stream every step."""
+    _, episodes, streams = _episodes(tasks, episodes_per_task, seed)
+
+    def uniform(active: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        return np.array([streams[i].integers(len(Action)) for i in active], dtype=np.intp)
+
+    reached = rollout(episodes, streams, horizon, uniform)
+    return int(reached.sum()) / reached.size

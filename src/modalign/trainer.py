@@ -20,7 +20,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .banks import Embedding, Modality
 from .errors import (
     DegenerateVectorError,
     DimensionError,
@@ -219,20 +218,14 @@ def text_forward(params: EncoderParams, token_seqs: Sequence[Sequence[int]]) -> 
     return out
 
 
-def encoder_forward(params: EncoderParams, inp, which: Modality) -> Embedding:
-    """Encode one observation vector or one token sequence."""
-    if which is Modality.VISUAL:
-        return Embedding(visual_forward(params, np.atleast_2d(inp))[0], Modality.VISUAL)
-    return Embedding(text_forward(params, [tuple(inp)])[0], Modality.TEXT)
-
-
-def frame_difference_embedding(params: EncoderParams, o_start, o_end) -> Embedding:
-    """Visual goal representation: encode(end frame) - encode(start frame)."""
-    pair = np.stack(
-        [np.asarray(o_start, dtype=np.float64), np.asarray(o_end, dtype=np.float64)]
-    )
-    enc = visual_forward(params, pair)
-    return Embedding(enc[1] - enc[0], Modality.VISUAL)
+def frame_differences(params: EncoderParams, starts, ends) -> np.ndarray:
+    """Visual goal representations encode(end) - encode(start), row by row,
+    from one visual_forward over the stacked frames; -> (B, D)."""
+    starts, ends = np.atleast_2d(starts), np.atleast_2d(ends)
+    if starts.shape != ends.shape:
+        raise DimensionError(f"frame arrays disagree: {starts.shape} vs {ends.shape}")
+    encoded = visual_forward(params, np.concatenate([starts, ends]))
+    return encoded[len(starts) :] - encoded[: len(starts)]
 
 
 def _loss_internals(params: EncoderParams, batch: PairBatch):
@@ -509,12 +502,16 @@ def load_encoder_params(path) -> EncoderParams:
         offset += 4 * count
         return arr.reshape(shape)
 
+    for key in ("visual_sizes", "text_sizes", "token_table_shape"):
+        sizes = meta[key]
+        if not isinstance(sizes, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in sizes
+        ):
+            raise FormatError(f"{path}: {key} {sizes!r} must be a list of positive integers")
     # Declaration order interleaves each layer's weight and bias.
-    visual_sizes = [int(s) for s in meta["visual_sizes"]]
-    text_sizes = [int(s) for s in meta["text_sizes"]]
-    visual = _take_interleaved(take, visual_sizes)
-    text = _take_interleaved(take, text_sizes)
-    table = take(tuple(int(s) for s in meta["token_table_shape"]))
+    visual = _take_interleaved(take, meta["visual_sizes"])
+    text = _take_interleaved(take, meta["text_sizes"])
+    table = take(tuple(meta["token_table_shape"]))
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
     return EncoderParams(visual, text, table, float(temperature))

@@ -63,6 +63,37 @@ class TestBenchConfig:
         with pytest.raises(ParameterError):
             VariantSpec(corrupt_kind="salt")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"alpha": 2.0},
+            {"alpha": -1.0},
+            {"alpha": float("nan")},
+            {"std": -0.1},
+            {"delete_k": 0},
+            {"delete_k": 1.5},
+            {"delete_k": True},
+        ],
+    )
+    def test_out_of_domain_variant_rejected(self, fields):
+        with pytest.raises(ParameterError):
+            VariantSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "ablation", [{"alpha": 2.0}, {"std": -1.0}, {"collapse": "delete", "delete_k": 8}]
+    )
+    def test_every_variant_checked_at_construction(self, ablation):
+        # dim is 8, so deleting 8 dimensions would leave none
+        with pytest.raises(ParameterError):
+            tiny_config(ablations=({"collapse": "none"}, ablation))
+
+    @pytest.mark.parametrize(
+        "doc", [{"seeds": "ab"}, {"seeds": ["a"]}, {"seeds": [[0]]}, {"policy_hidden": ["x"]}, {"grid_size": "5"}]
+    )
+    def test_bad_values_are_parameter_errors(self, doc):
+        with pytest.raises(ParameterError):
+            BenchConfig.from_dict({"schema_version": 1, **doc})
+
 
 class TestSubseed:
     def test_deterministic_and_distinct(self):

@@ -107,6 +107,22 @@ class TestCollapse:
         code = run(["collapse", "--kind", "centralize", "--target", pv, "--out", tmp_path / "x.ebnk"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"kind": "delete", "source_dim": 16, "deleted_dims": [1.7]}',
+            '{"kind": "delete", "source_dim": "x", "deleted_dims": [1]}',
+            '{"kind": "centralize", "source_dim": 1, "visual_mean": [NaN], "text_mean": [0.0]}',
+        ],
+    )
+    def test_malformed_transform_exits_two(self, bank_pair, tmp_path, capsys, doc):
+        pv, _ = bank_pair
+        transform = tmp_path / "t.json"
+        transform.write_text(doc, encoding="utf-8")
+        code = run(["collapse", "--transform-in", transform, "--target", pv, "--out", tmp_path / "x.ebnk"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCorrupt:
     def test_alpha_one_outputs_normalized_rows(self, bank_pair, tmp_path):
@@ -269,6 +285,29 @@ class TestBench:
         assert run(["bench", "--config", config, "--out-dir", out, "--ablate", "alpha=0.5"]) == 0
         doc = json.loads((out / "transfer_report.json").read_text())
         assert sorted(a["alpha_or_std"] for a in doc["aggregates"]) == [0.2] * 3 + [0.5] * 3
+
+    @pytest.mark.parametrize(
+        "argv", [["--ablate", "alpha=2"], ["--ablate", "corrupt=gaussian:-1"], ["--seeds", "a,b"]]
+    )
+    def test_bad_config_exits_two_before_training(self, monkeypatch, tmp_path, capsys, argv):
+        import modalign.bench as bench_module
+
+        calls = []
+
+        def must_not_train(clips, config):
+            calls.append(config)
+            raise AssertionError("encoders trained before the config was validated")
+
+        monkeypatch.setattr(bench_module, "train_encoders", must_not_train)
+        config = self.bench_config(tmp_path)
+        assert run(["bench", "--config", config, "--out-dir", tmp_path / "x", *argv]) == 2
+        assert calls == []
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_seeds_in_config_exits_two(self, tmp_path):
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({"schema_version": 1, "seeds": "ab"}))
+        assert run(["bench", "--config", config, "--out-dir", tmp_path / "x"]) == 2
 
     @pytest.mark.parametrize("spec", ["delete_k=abc", "delete_k=1.5", "gap=x", "alpha=x", "alpha=nan"])
     def test_bad_ablate_number_exits_two(self, tmp_path, capsys, spec):

@@ -5,14 +5,11 @@ from modalign import (
     CollapseKind,
     CollapseTransform,
     DimensionError,
-    Embedding,
     EmbeddingBank,
     EmptyBankError,
+    FormatError,
     Modality,
     ParameterError,
-    TransformKindError,
-    apply_centralize,
-    apply_delete,
     apply_to_bank,
     cosine_similarity,
     fit_centralize,
@@ -59,6 +56,10 @@ class TestFitCentralize:
             fit_centralize(empty, full)
 
 
+def one_row(values, modality):
+    return EmbeddingBank(modality, len(values), ("a",), np.array([values], dtype=np.float64))
+
+
 class TestApplyCentralize:
     def test_mean_maps_to_origin(self):
         t = CollapseTransform(
@@ -67,8 +68,8 @@ class TestApplyCentralize:
             visual_mean=np.array([3.0, 0.0]),
             text_mean=np.array([0.0, 0.0]),
         )
-        out = apply_centralize(t, Embedding(np.array([3.0, 0.0]), Modality.VISUAL))
-        np.testing.assert_array_equal(out.values, [0, 0])
+        out = apply_to_bank(t, one_row([3.0, 0.0], Modality.VISUAL))
+        np.testing.assert_array_equal(out.values, [[0, 0]])
 
     def test_zero_mean_is_identity(self):
         t = CollapseTransform(
@@ -77,8 +78,8 @@ class TestApplyCentralize:
             visual_mean=np.zeros(3),
             text_mean=np.zeros(3),
         )
-        e = Embedding(np.array([1.0, -2.0, 0.5]), Modality.TEXT)
-        np.testing.assert_array_equal(apply_centralize(t, e).values, e.values)
+        bank = one_row([1.0, -2.0, 0.5], Modality.TEXT)
+        np.testing.assert_array_equal(apply_to_bank(t, bank).values, bank.values)
 
     def test_modality_selects_mean(self):
         t = CollapseTransform(
@@ -87,32 +88,34 @@ class TestApplyCentralize:
             visual_mean=np.array([1.0, 0.0]),
             text_mean=np.array([0.0, 1.0]),
         )
-        vis = apply_centralize(t, Embedding(np.array([1.0, 1.0]), Modality.VISUAL))
-        txt = apply_centralize(t, Embedding(np.array([1.0, 1.0]), Modality.TEXT))
-        np.testing.assert_array_equal(vis.values, [0, 1])
-        np.testing.assert_array_equal(txt.values, [1, 0])
+        vis = apply_to_bank(t, one_row([1.0, 1.0], Modality.VISUAL))
+        txt = apply_to_bank(t, one_row([1.0, 1.0], Modality.TEXT))
+        np.testing.assert_array_equal(vis.values, [[0, 1]])
+        np.testing.assert_array_equal(txt.values, [[1, 0]])
 
     def test_improves_matched_cosine_on_offset_pair(self):
         bank_v, bank_l = synthetic_gap_bank(
             6, 8, gap_norm=4.0, intra_noise_std=0.05, seed=11
         )
         t = fit_centralize(bank_v, bank_l)
+        out_v, out_l = apply_to_bank(t, bank_v), apply_to_bank(t, bank_l)
         before, after = [], []
-        for (_, rv), (_, rl) in zip(bank_v.rows(), bank_l.rows()):
-            before.append(cosine_similarity(rv, rl))
-            cv = apply_centralize(t, Embedding(rv, Modality.VISUAL))
-            cl = apply_centralize(t, Embedding(rl, Modality.TEXT))
-            after.append(cosine_similarity(cv.values, cl.values))
+        for i in range(bank_v.n):
+            before.append(cosine_similarity(bank_v.values[i], bank_l.values[i]))
+            after.append(cosine_similarity(out_v.values[i], out_l.values[i]))
         assert np.mean(after) > np.mean(before)
 
     def test_wrong_kind(self):
+        # The bank-level apply dispatches on the transform's own kind, so a
+        # delete transform deletes and never subtracts a mean.
         t = fit_delete(
             make_bank(Modality.VISUAL, [("a", [1, 0, 0])]),
             make_bank(Modality.TEXT, [("a", [0, 0, 0.5])]),
             k=1,
         )
-        with pytest.raises(TransformKindError):
-            apply_centralize(t, Embedding(np.array([1.0, 0, 0]), Modality.VISUAL))
+        out = apply_to_bank(t, one_row([1.0, 0, 0], Modality.VISUAL))
+        assert out.dim == 2
+        np.testing.assert_array_equal(out.values, [[0.0, 0.0]])
 
 
 class TestFitDelete:
@@ -147,20 +150,20 @@ class TestApplyDelete:
 
     def test_single_coordinate_removal(self):
         t = self._delete((1,), 3)
-        out = apply_delete(t, Embedding(np.array([7.0, 8.0, 9.0]), Modality.VISUAL))
-        np.testing.assert_array_equal(out.values, [7, 9])
+        out = apply_to_bank(t, one_row([7.0, 8.0, 9.0], Modality.VISUAL))
+        np.testing.assert_array_equal(out.values, [[7, 9]])
 
     def test_multi_removal_keeps_order(self):
         t = self._delete((0, 2), 4)
-        out = apply_delete(t, Embedding(np.array([1.0, 2.0, 3.0, 4.0]), Modality.TEXT))
-        np.testing.assert_array_equal(out.values, [2, 4])
+        out = apply_to_bank(t, one_row([1.0, 2.0, 3.0, 4.0], Modality.TEXT))
+        np.testing.assert_array_equal(out.values, [[2, 4]])
 
     def test_same_dims_for_both_modalities(self):
         t = self._delete((2,), 3)
-        v = apply_delete(t, Embedding(np.array([1.0, 2.0, 3.0]), Modality.VISUAL))
-        l = apply_delete(t, Embedding(np.array([4.0, 5.0, 6.0]), Modality.TEXT))
-        np.testing.assert_array_equal(v.values, [1, 2])
-        np.testing.assert_array_equal(l.values, [4, 5])
+        v = apply_to_bank(t, one_row([1.0, 2.0, 3.0], Modality.VISUAL))
+        l = apply_to_bank(t, one_row([4.0, 5.0, 6.0], Modality.TEXT))
+        np.testing.assert_array_equal(v.values, [[1, 2]])
+        np.testing.assert_array_equal(l.values, [[4, 5]])
 
     def test_concentrated_gap_mostly_removed(self):
         # construct a gap with ~95% of its squared norm in coordinate 3
@@ -182,7 +185,7 @@ class TestApplyDelete:
     def test_wrong_dim(self):
         t = self._delete((0,), 3)
         with pytest.raises(DimensionError):
-            apply_delete(t, Embedding(np.array([1.0, 2.0]), Modality.VISUAL))
+            apply_to_bank(t, one_row([1.0, 2.0], Modality.VISUAL))
 
 
 class TestInvariants:
@@ -289,3 +292,25 @@ class TestSerialization:
         np.testing.assert_array_equal(
             apply_to_bank(loaded, bank_v).values, apply_to_bank(t, bank_v).values
         )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "delete", "source_dim": 4, "deleted_dims": [1.7]},
+            {"kind": "delete", "source_dim": 4.9, "deleted_dims": [1]},
+            {"kind": "delete", "source_dim": "x", "deleted_dims": [1]},
+            {"kind": "delete", "source_dim": 4, "deleted_dims": ["1"]},
+            {"kind": "delete", "source_dim": 4, "deleted_dims": [True]},
+            {"kind": "delete", "source_dim": 4, "deleted_dims": "12"},
+            {"kind": "centralize", "source_dim": 2, "visual_mean": [0.0, float("nan")], "text_mean": [0.0, 0.0]},
+            {"kind": "centralize", "source_dim": 2, "visual_mean": [0.0, 0.0], "text_mean": [float("inf"), 0.0]},
+            {"kind": "centralize", "source_dim": 2, "visual_mean": [0.0, "x"], "text_mean": [0.0, 0.0]},
+        ],
+    )
+    def test_non_integral_or_non_finite_values_rejected(self, doc):
+        with pytest.raises(FormatError):
+            CollapseTransform.from_json_dict(doc)
+
+    def test_integral_values_still_load(self):
+        t = CollapseTransform.from_json_dict({"kind": "delete", "source_dim": 4, "deleted_dims": [0, 3]})
+        assert (t.source_dim, t.deleted_dims) == (4, (0, 3))

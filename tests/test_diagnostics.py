@@ -201,6 +201,30 @@ class TestRetrieval:
         assert retrieval_topk_accuracy(query, gallery, 3) == 1.0
 
 
+    def test_ties_with_gallery_ids_out_of_row_order(self):
+        # exact ties (scaled copies of axis vectors) among gallery rows whose
+        # ids are not sorted by row; checked against a brute-force sort by
+        # (similarity desc, task_id, row)
+        rng = np.random.default_rng(14)
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
+        names = ["q", "b", "zz", "a", "m", "b2"]
+        g_ids = tuple(names[i] for i in rng.integers(0, len(names), size=30))
+        g_vals = axes[rng.integers(0, 4, size=30)] * rng.integers(1, 4, size=(30, 1))
+        q_ids = tuple(g_ids[i] for i in rng.integers(0, 30, size=12))
+        q_vals = axes[rng.integers(0, 4, size=12)]
+        gallery = EmbeddingBank(Modality.TEXT, 3, g_ids, g_vals)
+        query = EmbeddingBank(Modality.VISUAL, 3, q_ids, q_vals)
+        for k in (1, 2, 3, 7):
+            hits = 0
+            for q in range(query.n):
+                ranked = sorted(
+                    range(gallery.n),
+                    key=lambda g: (-cosine_similarity(q_vals[q], g_vals[g]), g_ids[g], g),
+                )
+                hits += any(g_ids[g] == q_ids[q] for g in ranked[:k])
+            assert retrieval_topk_accuracy(query, gallery, k) == hits / query.n
+
+
 class TestPca:
     def test_recovers_planar_distances(self):
         # points living in a 2-d coordinate plane of a 5-d space: projection

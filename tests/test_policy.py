@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import modalign.policy as policy_module
+
 from modalign import (
     CorruptConfig,
     DegenerateVectorError,
@@ -12,17 +14,17 @@ from modalign import (
     build_vocab,
     chance_floor,
     cosine_similarity,
+    encode_goals,
     evaluate_policy,
     expert_trajectory,
     generate_tasks,
-    goal_embedding,
     train_policy,
 )
 from modalign.bench import clips_from_dataset, text_reference_bank
 from modalign.collapse import fit_centralize
-from modalign.gridworld import HELDOUT_TEMPLATE_INDICES, TRAIN_TEMPLATE_INDICES
+from modalign.gridworld import HELDOUT_TEMPLATE_INDICES, TRAIN_TEMPLATE_INDICES, Action, step
 from modalign.nets import dense_forward
-from modalign.policy import train_policy_from_arrays
+from modalign.policy import build_goal_bank, greedy, rollout, train_policy_from_arrays
 from modalign.trainer import TrainerConfig, train_encoders
 
 
@@ -41,74 +43,84 @@ def world():
         seed=7,
     )
     encoders = train_encoders(clips_from_dataset(dataset), cfg).params
-    from modalign.policy import build_goal_bank
-
     ref_v, _ = build_goal_bank(encoders, None, dataset, Modality.VISUAL, seed=2)
     ref_l = text_reference_bank(encoders, tasks)
     transform = fit_centralize(ref_v, ref_l)
     return dict(grid=grid, tasks=tasks, dataset=dataset, encoders=encoders, transform=transform)
 
 
+def off_target_start(task, rng, grid):
+    while True:
+        start = (int(rng.integers(grid)), int(rng.integers(grid)))
+        if start != task.target:
+            return start
+
+
 class TestGoalEmbedding:
     def test_zero_transition_flagged(self, world):
         task = world["tasks"][0]
+        other = world["tasks"][1]
+        good = expert_trajectory(other, (0, 0) if other.target != (0, 0) else (1, 1), seed=2)
         traj = expert_trajectory(task, task.target, seed=3)
         with pytest.raises(DegenerateVectorError):
-            goal_embedding(world["encoders"], world["transform"], traj, Modality.VISUAL)
+            encode_goals(
+                world["encoders"], world["transform"], Modality.VISUAL,
+                [other.task_id, task.task_id], [good, traj],
+            )
 
     def test_visual_goal_is_pure(self, world):
         task = world["tasks"][1]
         start = (0, 0) if task.target != (0, 0) else (1, 1)
         traj = expert_trajectory(task, start, seed=4)
-        e1 = goal_embedding(world["encoders"], world["transform"], traj, Modality.VISUAL)
-        e2 = goal_embedding(world["encoders"], world["transform"], traj, Modality.VISUAL)
+        args = (world["encoders"], world["transform"], Modality.VISUAL, [task.task_id], [traj])
+        e1 = encode_goals(*args)
+        e2 = encode_goals(*args)
         np.testing.assert_array_equal(e1.values, e2.values)
 
     def test_text_template_selection(self, world):
         task = world["tasks"][2]
-        explicit = goal_embedding(
-            world["encoders"], world["transform"], task, Modality.TEXT, template_index=1
+        explicit = encode_goals(
+            world["encoders"], world["transform"], Modality.TEXT, [task.task_id], [task.templates[1]]
         )
-        sampled = goal_embedding(
-            world["encoders"],
-            world["transform"],
-            task,
-            Modality.TEXT,
-            rng=np.random.default_rng(0),
+        traj = expert_trajectory(task, off_target_start(task, np.random.default_rng(0), world["grid"]), 1)
+        sampled, _ = build_goal_bank(
+            world["encoders"], world["transform"], [(traj, task)], Modality.TEXT, seed=0,
             template_pool=(1,),
         )
         np.testing.assert_array_equal(explicit.values, sampled.values)
-
-    def test_text_without_rng_or_index_rejected(self, world):
-        with pytest.raises(ParameterError):
-            goal_embedding(world["encoders"], world["transform"], world["tasks"][0], Modality.TEXT)
 
     def test_trained_goals_align_across_modalities(self, world):
         # retrieval oracle on the trained toy encoders: the matched pair
         # beats the average mismatched cosine
         tasks = sorted(world["tasks"], key=lambda t: t.task_id)
-        text_goals = [
-            goal_embedding(
-                world["encoders"], world["transform"], t, Modality.TEXT, template_index=0
-            ).values
-            for t in tasks
-        ]
+        ids = [t.task_id for t in tasks]
+        text_goals = encode_goals(
+            world["encoders"], world["transform"], Modality.TEXT, ids, [t.templates[0] for t in tasks]
+        ).values
         rng = np.random.default_rng(5)
+        trajs = []
+        for task in tasks:
+            start = off_target_start(task, rng, world["grid"])
+            trajs.append(expert_trajectory(task, start, seed=int(rng.integers(1 << 40))))
+        vis = encode_goals(world["encoders"], world["transform"], Modality.VISUAL, ids, trajs).values
         matched, mismatched = [], []
-        for i, task in enumerate(tasks):
-            while True:
-                start = (int(rng.integers(world["grid"])), int(rng.integers(world["grid"])))
-                if start != task.target:
-                    break
-            traj = expert_trajectory(task, start, seed=int(rng.integers(1 << 40)))
-            vis = goal_embedding(
-                world["encoders"], world["transform"], traj, Modality.VISUAL
-            ).values
+        for i in range(len(tasks)):
             for j in range(len(tasks)):
-                (matched if j == i else mismatched).append(
-                    cosine_similarity(vis, text_goals[j])
-                )
+                (matched if j == i else mismatched).append(cosine_similarity(vis[i], text_goals[j]))
         assert np.mean(matched) > np.mean(mismatched)
+
+    def test_batch_rows_match_single_item_calls(self, world):
+        # one batch encodes each goal as its own one-row call does
+        tasks = sorted(world["tasks"], key=lambda t: t.task_id)[:6]
+        rng = np.random.default_rng(6)
+        trajs = [expert_trajectory(t, off_target_start(t, rng, world["grid"]), i) for i, t in enumerate(tasks)]
+        seqs = [t.templates[i % 3] for i, t in enumerate(tasks)]
+        for modality, items in ((Modality.VISUAL, trajs), (Modality.TEXT, seqs)):
+            ids = [t.task_id for t in tasks]
+            batch = encode_goals(world["encoders"], world["transform"], modality, ids, items)
+            for i in range(len(tasks)):
+                one = encode_goals(world["encoders"], world["transform"], modality, ids[i : i + 1], items[i : i + 1])
+                np.testing.assert_allclose(batch.values[i], one.values[0], rtol=0, atol=1e-12)
 
 
 class TestTrainPolicyFromArrays:
@@ -147,9 +159,6 @@ class TestTrainPolicyFromArrays:
     def test_oracle_goal_rollouts_exceed_95_percent_on_default_grid(self):
         # isolates policy learning from embedding quality: one-hot target
         # goals, greedy rollouts on the 5x5 grid
-        from modalign.gridworld import step
-        from modalign.policy import policy_action
-
         grid = 5
         tasks = generate_tasks(grid, 0)
         dataset = build_dataset(tasks, 20, seed=1)
@@ -167,22 +176,14 @@ class TestTrainPolicyFromArrays:
             np.stack(states), np.stack(goals), np.asarray(actions), grid,
             PolicyConfig(steps=3000, seed=5),
         ).params
+        # ten episodes per task; one shared stream draws the start cells in order
+        episodes = [task for task in tasks for _ in range(10)]
+        goals = np.zeros((len(episodes), grid * grid))
+        for i, task in enumerate(episodes):
+            goals[i, task.target[0] * grid + task.target[1]] = 1.0
         rng = np.random.default_rng(3)
-        wins = total = 0
-        for task in tasks:
-            goal = np.zeros(grid * grid)
-            goal[task.target[0] * grid + task.target[1]] = 1.0
-            for _ in range(10):
-                cell = (int(rng.integers(grid)), int(rng.integers(grid)))
-                reached = cell == task.target
-                for _ in range(2 * (grid - 1)):
-                    if reached:
-                        break
-                    cell = step(grid, cell, policy_action(policy, cell, goal))
-                    reached = cell == task.target
-                wins += int(reached)
-                total += 1
-        assert wins / total >= 0.95
+        reached = rollout(episodes, [rng] * len(episodes), 2 * (grid - 1), greedy(policy, goals))
+        assert reached.mean() >= 0.95
 
 
 class TestTrainPolicy:
@@ -291,7 +292,85 @@ class TestEvaluatePolicy:
         assert 0.0 < report.success_rate < 3 * expected
 
 
+def reference_evaluate(policy, tasks, modality, encoders, transform, episodes, horizon, seed, pool=None):
+    """Per-episode loop: goal draws, then the start cell, then one policy
+    forward per step, all from stream [seed, task index, episode]."""
+    ordered = sorted(tasks, key=lambda t: t.task_id)
+    per_task, goals, total = {}, [], 0
+    for ti, task in enumerate(ordered):
+        grid, wins = task.grid_size, 0
+        for episode in range(episodes):
+            rng = np.random.default_rng([seed, ti, episode])
+            if modality is Modality.VISUAL:
+                start = off_target_start(task, rng, grid)
+                item = expert_trajectory(task, start, int(rng.integers(0, 2**63 - 1)))
+            else:
+                options = pool if pool is not None else range(len(task.templates))
+                item = task.templates[options[int(rng.integers(len(options)))]]
+            goal = encode_goals(encoders, transform, modality, [task.task_id], [item]).values[0]
+            goal = goal / np.linalg.norm(goal)
+            goals.append(goal)
+            cell = (int(rng.integers(grid)), int(rng.integers(grid)))
+            reached = cell == task.target
+            for _ in range(horizon):
+                if reached:
+                    break
+                onehot = np.zeros(grid * grid)
+                onehot[cell[0] * grid + cell[1]] = 1.0
+                logits, _ = dense_forward(policy.net, np.concatenate([onehot, goal])[None, :])
+                cell = step(grid, cell, Action(int(np.argmax(logits[0]))))
+                reached = cell == task.target
+            wins += int(reached)
+        per_task[task.task_id] = wins / episodes
+        total += wins
+    return per_task, total / (len(ordered) * episodes), np.stack(goals)
+
+
+class TestLockstepRollout:
+    @pytest.mark.parametrize(
+        "modality, pool", [(Modality.VISUAL, None), (Modality.TEXT, TRAIN_TEMPLATE_INDICES)]
+    )
+    def test_matches_per_episode_reference(self, world, trained, monkeypatch, modality, pool):
+        used = []
+        real_greedy = policy_module.greedy
+
+        def recording_greedy(policy, goals):
+            used.append(goals)
+            return real_greedy(policy, goals)
+
+        monkeypatch.setattr(policy_module, "greedy", recording_greedy)
+        args = (trained, world["tasks"], modality, world["encoders"], world["transform"], 5, 6, 31)
+        report = evaluate_policy(*args, template_pool=pool)
+        per_task, success_rate, goals = reference_evaluate(*args, pool=pool)
+        np.testing.assert_allclose(used[0], goals, rtol=0, atol=1e-12)
+        assert report.per_task == per_task
+        assert report.success_rate == success_rate
+
+
 class TestChanceFloor:
+    def test_matches_scalar_reference(self):
+        tasks = generate_tasks(4, 0)
+        for seed, episodes, horizon in ((23, 10, 6), (5, 3, 0), (7, 4, 2)):
+            ordered = sorted(tasks, key=lambda t: t.task_id)
+            wins = 0
+            for ti, task in enumerate(ordered):
+                for episode in range(episodes):
+                    rng = np.random.default_rng([seed, ti, episode])
+                    cell = (int(rng.integers(4)), int(rng.integers(4)))
+                    reached = cell == task.target
+                    for _ in range(horizon):
+                        if reached:
+                            break
+                        cell = step(4, cell, Action(int(rng.integers(len(Action)))))
+                        reached = cell == task.target
+                    wins += int(reached)
+            assert chance_floor(tasks, episodes, horizon, seed) == wins / (len(ordered) * episodes)
+
+    def test_default_bench_floor(self):
+        from modalign.bench import _CHANCE_TAG, subseed
+
+        assert chance_floor(generate_tasks(5, 0), 10, 8, subseed(0, _CHANCE_TAG)) == 0.224
+
     def test_uniform_policy_well_below_half(self):
         tasks = generate_tasks(5, 0)
         floor = chance_floor(tasks, 10, 8, seed=23)

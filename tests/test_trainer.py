@@ -13,9 +13,8 @@ from modalign import (
     PairBatch,
     ParameterError,
     TrainerConfig,
-    encoder_forward,
     finite_difference_check,
-    frame_difference_embedding,
+    frame_differences,
     infonce_gradient,
     infonce_loss,
     load_encoder_params,
@@ -29,6 +28,7 @@ from modalign.trainer import (
     init_encoder_params,
     sample_pair_batch,
     text_forward,
+    visual_forward,
 )
 
 
@@ -65,53 +65,58 @@ class TestEncoderForward:
         params = linear_identity_params(3)
         for w in params.visual.weights:
             w[:] = 0.0
-        out = encoder_forward(params, np.array([4.0, -1.0, 2.0]), Modality.VISUAL)
-        np.testing.assert_array_equal(out.values, np.zeros(3))
+        out = visual_forward(params, np.array([[4.0, -1.0, 2.0]]))
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_identity_linear_layer(self):
         params = linear_identity_params(2)
-        out = encoder_forward(params, np.array([1.0, 2.0]), Modality.VISUAL)
-        np.testing.assert_array_equal(out.values, [1.0, 2.0])
+        out = visual_forward(params, np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_text_mean_pools_tokens(self):
         table = np.array([[2.0, 0.0], [0.0, 4.0]])
         params = linear_identity_params(2, table)
-        out = encoder_forward(params, (0, 1), Modality.TEXT)
-        np.testing.assert_allclose(out.values, [1.0, 2.0])
+        out = text_forward(params, [(0, 1)])
+        np.testing.assert_allclose(out, [[1.0, 2.0]])
 
     def test_shape_mismatch(self):
         params = linear_identity_params(3)
         with pytest.raises(DimensionError):
-            encoder_forward(params, np.array([1.0, 2.0]), Modality.VISUAL)
+            visual_forward(params, np.array([[1.0, 2.0]]))
 
     def test_token_out_of_range(self):
         params = linear_identity_params(2)
         with pytest.raises(DimensionError):
-            encoder_forward(params, (5,), Modality.TEXT)
+            text_forward(params, [(5,)])
 
 
 class TestFrameDifference:
     def test_identical_frames_encode_zero(self):
         params = init_encoder_params(tiny_config(), np.random.default_rng(0))
-        obs = np.random.default_rng(1).standard_normal(6)
-        out = frame_difference_embedding(params, obs, obs)
-        np.testing.assert_array_equal(out.values, np.zeros(4))
+        obs = np.random.default_rng(1).standard_normal((3, 6))
+        out = frame_differences(params, obs, obs)
+        np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_linearity_for_linear_encoder(self):
         params = linear_identity_params(4)
         rng = np.random.default_rng(2)
-        a, b = rng.standard_normal(4), rng.standard_normal(4)
-        diff = frame_difference_embedding(params, a, b)
-        direct = encoder_forward(params, b - a, Modality.VISUAL)
-        np.testing.assert_allclose(diff.values, direct.values, atol=1e-12)
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        diff = frame_differences(params, a, b)
+        direct = visual_forward(params, b - a)
+        np.testing.assert_allclose(diff, direct, atol=1e-12)
 
     def test_swap_negates(self):
         params = init_encoder_params(tiny_config(), np.random.default_rng(3))
         rng = np.random.default_rng(4)
-        a, b = rng.standard_normal(6), rng.standard_normal(6)
-        fwd = frame_difference_embedding(params, a, b)
-        rev = frame_difference_embedding(params, b, a)
-        np.testing.assert_array_equal(fwd.values, -rev.values)
+        a, b = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
+        fwd = frame_differences(params, a, b)
+        rev = frame_differences(params, b, a)
+        np.testing.assert_array_equal(fwd, -rev)
+
+    def test_mismatched_frame_arrays_rejected(self):
+        params = init_encoder_params(tiny_config(), np.random.default_rng(5))
+        with pytest.raises(DimensionError):
+            frame_differences(params, np.zeros((3, 6)), np.zeros((2, 6)))
 
 
 class TestInfonceLoss:
@@ -476,4 +481,33 @@ class TestSerialization:
         from modalign import FormatError
 
         with pytest.raises(FormatError):
+            load_encoder_params(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("visual_sizes", ["x"]),
+            ("visual_sizes", [-2, 3]),
+            ("text_sizes", [2.5]),
+            ("token_table_shape", [7, True]),
+            ("token_table_shape", "7x4"),
+        ],
+    )
+    def test_bad_metadata_sizes_rejected(self, tmp_path, key, value):
+        # a hand-built header: each size must be a positive JSON integer
+        import json
+        import struct
+
+        from modalign import FormatError
+
+        params = init_encoder_params(tiny_config(), np.random.default_rng(28))
+        path = tmp_path / "enc.eprm"
+        save_encoder_params(params, path)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 5)
+        meta = json.loads(raw[9 : 9 + meta_len])
+        meta[key] = value
+        blob = json.dumps(meta).encode("utf-8")
+        path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + meta_len :])
+        with pytest.raises(FormatError, match=key):
             load_encoder_params(path)
