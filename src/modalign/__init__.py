@@ -4,7 +4,6 @@ diagnostics, and a gridworld transfer benchmark."""
 
 from .banks import (
     BankFormat,
-    Embedding,
     EmbeddingBank,
     Modality,
     cosine_similarity,

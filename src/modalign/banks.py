@@ -1,4 +1,4 @@
-"""Embedding vectors, task-labelled embedding banks, and bank file I/O.
+"""Vector helpers, task-labelled embedding banks, and bank file I/O.
 
 Scalars are float64 in memory. The binary bank format stores float32
 (matching common embedding dumps), so a save is lossy for values that
@@ -35,52 +35,19 @@ class Modality(Enum):
     VISUAL = "visual"
     TEXT = "text"
 
-    @classmethod
-    def from_string(cls, name: str) -> "Modality":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ParameterError(f"unknown modality {name!r}; expected 'visual' or 'text'") from None
-
 
 class BankFormat(Enum):
     JSON_LINES = "jsonl"
     BINARY = "binary"
 
-    @classmethod
-    def from_string(cls, name: str) -> "BankFormat":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ParameterError(f"unknown bank format {name!r}; expected 'jsonl' or 'binary'") from None
 
-
-def _as_vector(values) -> np.ndarray:
+def as_vector(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise DimensionError(f"expected a non-empty 1-d vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ParameterError("vector entries must be finite")
     return v
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """A D-dimensional real vector tagged with the modality that produced it."""
-
-    values: np.ndarray
-    modality: Modality
-
-    def __post_init__(self):
-        if not isinstance(self.modality, Modality):
-            raise ParameterError(f"modality must be a Modality, got {self.modality!r}")
-        v = _as_vector(self.values).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -164,12 +131,11 @@ class EmbeddingBank:
 def cosine_similarity(a, b) -> float:
     """Cosine of the angle between two vectors, in [-1, 1].
 
-    Accepts Embedding or plain array-like arguments. Evaluation order is
-    symmetric, so cosine_similarity(a, b) == cosine_similarity(b, a)
-    exactly.
+    Evaluation order is symmetric, so cosine_similarity(a, b) ==
+    cosine_similarity(b, a) exactly.
     """
-    u = a.values if isinstance(a, Embedding) else _as_vector(a)
-    w = b.values if isinstance(b, Embedding) else _as_vector(b)
+    u = as_vector(a)
+    w = as_vector(b)
     if u.size != w.size:
         raise DimensionError(f"dimension mismatch: {u.size} vs {w.size}")
     nu = float(np.linalg.norm(u))
@@ -179,14 +145,9 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(u, w) / (nu * nw))
 
 
-def normalize(v):
-    """Scale a vector to unit length, preserving direction.
-
-    Embedding in, Embedding out; array in, array out.
-    """
-    if isinstance(v, Embedding):
-        return Embedding(normalize(v.values), v.modality)
-    u = _as_vector(v)
+def normalize(v) -> np.ndarray:
+    """Scale a vector to unit length, preserving direction."""
+    u = as_vector(v)
     n = float(np.linalg.norm(u))
     if n == 0.0:
         raise DegenerateVectorError("cannot normalize a zero vector")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
 
@@ -19,7 +21,7 @@ import numpy as np
 from .banks import EmbeddingBank, Modality, normalize
 from .collapse import CollapseTransform, fit_centralize, fit_delete
 from .corrupt import CorruptConfig, NoiseKind
-from .errors import ParameterError, PipelineError
+from .errors import DivergenceError, ParameterError, PipelineError
 from .gridworld import (
     HELDOUT_TEMPLATE_INDICES,
     TRAIN_TEMPLATE_INDICES,
@@ -37,7 +39,7 @@ from .policy import (
     evaluate_policy,
     train_policy,
 )
-from .trainer import Clip, TrainerConfig, train_encoders
+from .trainer import Clip, TrainerConfig, TrainResult, train_encoders
 
 _STAGE_DATA = 0
 _STAGE_ENCODER = 1
@@ -66,6 +68,14 @@ def subseed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1, dtype=np.uint64)[0])
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class VariantSpec:
     """One ablation cell: collapse kind, corruption, and injected gap."""
@@ -78,11 +88,14 @@ class VariantSpec:
     injected_gap_norm: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "std", "injected_gap_norm"):
+            if not _is_finite(getattr(self, name)):
+                raise ParameterError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.collapse not in ("centralize", "delete", "none"):
             raise ParameterError(f"unknown collapse kind {self.collapse!r}")
         if self.corrupt_kind not in ("cosine", "gaussian", "none"):
             raise ParameterError(f"unknown corrupt kind {self.corrupt_kind!r}")
-        if not isinstance(self.delete_k, int) or isinstance(self.delete_k, bool) or self.delete_k < 1:
+        if not _is_integer(self.delete_k) or self.delete_k < 1:
             raise ParameterError(f"delete_k must be a positive integer, got {self.delete_k!r}")
         if not -1.0 < self.alpha <= 1.0:
             raise ParameterError(f"alpha must be in (-1, 1], got {self.alpha}")
@@ -152,7 +165,26 @@ class BenchConfig:
             raise ParameterError(f"invalid bench config value: {exc}") from None
 
     def _validate(self):
-        """Coerce and check every field and every variant before any work."""
+        """Check every field's type (its annotation) and every variant
+        before any work."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type == "int | None":
+                continue
+            if f.type == "tuple[int, ...]":
+                if not isinstance(value, (list, tuple)) or not all(_is_integer(v) for v in value):
+                    raise ParameterError(f"{f.name} must be a list of integers, got {value!r}")
+                object.__setattr__(self, f.name, tuple(int(v) for v in value))
+            elif f.type in ("int", "int | None") and not _is_integer(value):
+                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
+            elif f.type == "float" and not _is_finite(value):
+                raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise ParameterError(f"{f.name} must be true or false, got {value!r}")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ParameterError(f"seeds must be non-empty and non-negative, got {list(self.seeds)}")
+        if self.world_seed < 0:
+            raise ParameterError(f"world_seed must be non-negative, got {self.world_seed}")
         if self.schema_version != 1:
             raise ParameterError(f"unsupported schema_version {self.schema_version!r}")
         if self.train_modality not in ("visual", "text"):
@@ -164,12 +196,7 @@ class BenchConfig:
             raise ParameterError(
                 f"horizon {self.horizon} cannot reach every cell of a {self.grid_size} grid"
             )
-        if isinstance(self.seeds, str):
-            raise ParameterError(f"seeds must be a list of integers, got {self.seeds!r}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "eval_modalities", tuple(self.eval_modalities))
-        for name in ("encoder_visual_hidden", "encoder_text_hidden", "policy_hidden"):
-            object.__setattr__(self, name, tuple(int(h) for h in getattr(self, name)))
         object.__setattr__(self, "ablations", tuple(dict(a) for a in self.ablations))
         for abl in self.ablations:
             unknown = set(abl) - _VARIANT_KEYS
@@ -307,32 +334,28 @@ class TransferReport:
                 writer.writerow(row.csv_values())
 
 
-def clips_from_dataset(
-    dataset: Sequence[tuple[Trajectory, GridTask]],
-    template_indices: Sequence[int] = TRAIN_TEMPLATE_INDICES,
-) -> list[Clip]:
-    """Trajectories with at least one transition become encoder clips."""
+def clips_from_dataset(dataset: Sequence[tuple[Trajectory, GridTask]]) -> list[Clip]:
+    """Trajectories with at least one transition become encoder clips,
+    paired with their task's training templates."""
     clips = []
     for traj, task in dataset:
         if len(traj.states) < 2:
             continue
         clips.append(
-            Clip(traj.observations, tuple(task.templates[i] for i in template_indices))
+            Clip(traj.observations, tuple(task.templates[i] for i in TRAIN_TEMPLATE_INDICES))
         )
     return clips
 
 
-def text_reference_bank(
-    encoders, tasks: Sequence[GridTask], template_indices: Sequence[int] = TRAIN_TEMPLATE_INDICES
-) -> EmbeddingBank:
-    """Unit text embeddings of every task under every given template.
+def text_reference_bank(encoders, tasks: Sequence[GridTask]) -> EmbeddingBank:
+    """Unit text embeddings of every task under every training template.
 
     Rows go through the goal-embedding path, so collapse statistics fit
     here apply to what policies actually consume.
     """
     ordered = sorted(tasks, key=lambda t: t.task_id)
-    ids = [task.task_id for task in ordered for _ in template_indices]
-    seqs = [task.templates[i] for task in ordered for i in template_indices]
+    ids = [task.task_id for task in ordered for _ in TRAIN_TEMPLATE_INDICES]
+    seqs = [task.templates[i] for task in ordered for i in TRAIN_TEMPLATE_INDICES]
     return encode_goals(encoders, None, Modality.TEXT, ids, seqs)
 
 
@@ -351,8 +374,23 @@ def _stage(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except PipelineError:
         raise
+    except DivergenceError as exc:
+        raise DivergenceError(f"stage '{name}': {exc}") from exc
     except Exception as exc:
         raise PipelineError(name, f"{type(exc).__name__}: {exc}") from exc
+
+
+def train_seed_encoders(
+    config: BenchConfig, tasks: Sequence[GridTask], seed: int
+) -> tuple[list[tuple[Trajectory, GridTask]], TrainerConfig, TrainResult]:
+    """The encoder stage of one bench seed: its gridworld dataset, the
+    trainer config derived from the seed, and the trained encoder pair."""
+    dataset = _stage(
+        "build_dataset", build_dataset, tasks, config.demos_per_task, subseed(seed, _STAGE_DATA)
+    )
+    trainer_config = config.trainer_config(subseed(seed, _STAGE_ENCODER))
+    trained = _stage("train_encoders", train_encoders, clips_from_dataset(dataset), trainer_config)
+    return dataset, trainer_config, trained
 
 
 def run_transfer_experiment(config: BenchConfig) -> TransferReport:
@@ -381,13 +419,8 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
         evals.append(("text_heldout", HELDOUT_TEMPLATE_INDICES))
 
     for seed in config.seeds:
-        dataset = _stage(
-            "build_dataset", build_dataset, tasks, config.demos_per_task, subseed(seed, _STAGE_DATA)
-        )
-        clips = clips_from_dataset(dataset)
-        encoders = _stage(
-            "train_encoders", train_encoders, clips, config.trainer_config(subseed(seed, _STAGE_ENCODER))
-        ).params
+        dataset, _, trained = train_seed_encoders(config, tasks, seed)
+        encoders = trained.params
         # Reference banks do not depend on the variant: unit visual goals
         # once per seed, each variant adding its own injected gap.
         unit_v, _ = _stage(

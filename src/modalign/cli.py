@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: diagnose, collapse, corrupt, train-encoder, bench, verify.
-Exit codes: 0 success, 2 usage or validation failure, 3 training
-divergence. Everything is seeded, so identical inputs produce identical
-output bytes.
+Exit codes: 0 success, 2 usage or validation failure or an output that
+cannot be written, 3 training divergence. Everything is seeded, so
+identical inputs produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .banks import BankFormat, cosine_similarity, load_bank, save_bank
-from .bench import BenchConfig, run_transfer_experiment
+from .bench import BenchConfig, run_transfer_experiment, train_seed_encoders
 from .collapse import (
     CollapseKind,
     apply_to_bank,
@@ -41,12 +41,8 @@ from .diagnostics import (
     shared_task_ids,
 )
 from .errors import DivergenceError, ModalignError, ParameterError
-from .gridworld import build_dataset, build_vocab, generate_tasks
-from .trainer import save_encoder_params, train_encoders
-
-
-def _bank_format(name: str) -> BankFormat:
-    return BankFormat.from_string(name)
+from .gridworld import generate_tasks
+from .trainer import save_encoder_params
 
 
 def cmd_diagnose(args) -> int:
@@ -85,7 +81,7 @@ def cmd_collapse(args) -> int:
         else:
             transform = fit_delete(ref_v, ref_l, k=args.k, fit_reference=reference)
     collapsed = apply_to_bank(transform, target)
-    save_bank(collapsed, args.out, _bank_format(args.out_format))
+    save_bank(collapsed, args.out, BankFormat(args.out_format))
     if args.transform_out:
         save_transform(transform, args.transform_out)
     print(f"collapsed {target.n} rows: dim {target.dim} -> {collapsed.dim}; wrote {args.out}")
@@ -100,52 +96,9 @@ def cmd_corrupt(args) -> int:
     else:
         cfg = CorruptConfig(kind, std=args.std, seed=args.seed)
     corrupted = corrupt_bank(bank, cfg)
-    save_bank(corrupted, args.out, _bank_format(args.out_format))
+    save_bank(corrupted, args.out, BankFormat(args.out_format))
     print(f"corrupted {bank.n} rows with {kind.value} noise; wrote {args.out}")
     return 0
-
-
-@dataclass(frozen=True)
-class TrainEncoderRunConfig:
-    """Config document for `train-encoder`: gridworld data generation plus
-    trainer hyperparameters. Unknown keys are rejected."""
-
-    schema_version: int = 1
-    grid_size: int = 5
-    demos_per_task: int = 20
-    world_seed: int = 0
-    data_seed: int = 1
-    dim: int = 16
-    steps: int = 3000
-    batch_size: int = 32
-    learning_rate: float = 0.3
-    momentum: float = 0.9
-    visual_hidden: tuple[int, ...] = (64,)
-    text_hidden: tuple[int, ...] = (64,)
-    token_dim: int = 32
-    temperature: float = 1.0
-    freeze_text_after: int | None = None
-    seed: int = 0
-    out_params: str = "encoder_params.eprm"
-    out_loss_csv: str = "encoder_loss.csv"
-
-    def __post_init__(self):
-        if self.schema_version != 1:
-            raise ParameterError(f"unsupported schema_version {self.schema_version!r}")
-        object.__setattr__(self, "visual_hidden", tuple(int(h) for h in self.visual_hidden))
-        object.__setattr__(self, "text_hidden", tuple(int(h) for h in self.text_hidden))
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainEncoderRunConfig":
-        if not isinstance(doc, dict):
-            raise ParameterError("config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        if "schema_version" not in doc:
-            raise ParameterError("config is missing schema_version")
-        return cls(**doc)
 
 
 def _load_json_config(path) -> dict:
@@ -154,72 +107,44 @@ def _load_json_config(path) -> dict:
     except OSError as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"{path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: config must be a JSON object")
+    return doc
 
 
 def cmd_train_encoder(args) -> int:
     doc = _load_json_config(args.config) if args.config else {"schema_version": 1}
-    cfg = TrainEncoderRunConfig.from_dict(doc)
-    overrides = {}
-    if args.steps is not None:
-        overrides["steps"] = args.steps
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        doc["seeds"] = [args.seed]
+    if args.steps is not None:
+        doc["encoder_steps"] = args.steps
     if args.freeze_text_after is not None:
-        overrides["freeze_text_after"] = args.freeze_text_after
-    if args.out is not None:
-        overrides["out_params"] = args.out
-    if args.loss_csv is not None:
-        overrides["out_loss_csv"] = args.loss_csv
-    if overrides:
-        merged = dict(doc)
-        merged.update(overrides)
-        cfg = TrainEncoderRunConfig.from_dict(merged)
-
-    from .bench import clips_from_dataset
-    from .trainer import TrainerConfig
-
+        doc["encoder_freeze_text_after"] = args.freeze_text_after
+    cfg = BenchConfig.from_dict(doc)
     tasks = generate_tasks(cfg.grid_size, cfg.world_seed)
-    dataset = build_dataset(tasks, cfg.demos_per_task, cfg.data_seed)
-    clips = clips_from_dataset(dataset)
-    trainer_cfg = TrainerConfig(
-        obs_dim=cfg.grid_size * cfg.grid_size,
-        vocab_size=len(build_vocab(cfg.grid_size)),
-        dim=cfg.dim,
-        visual_hidden=cfg.visual_hidden,
-        text_hidden=cfg.text_hidden,
-        token_dim=cfg.token_dim,
-        temperature=cfg.temperature,
-        steps=cfg.steps,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        seed=cfg.seed,
-        freeze_text_after=cfg.freeze_text_after,
-    )
-    result = train_encoders(clips, trainer_cfg)
-    meta = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(trainer_cfg).items()}
-    save_encoder_params(result.params, cfg.out_params, extra_metadata=meta)
-    with open(cfg.out_loss_csv, "w", encoding="utf-8", newline="") as fh:
+    _, trainer_cfg, result = train_seed_encoders(cfg, tasks, cfg.seeds[0])
+    save_encoder_params(result.params, args.out, extra_metadata=asdict(trainer_cfg))
+    with open(args.loss_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "loss"])
         for i, loss in enumerate(result.loss_trace):
             writer.writerow([i, repr(loss)])
     final = result.loss_trace[-1] if result.loss_trace else float("nan")
-    print(f"trained {cfg.steps} steps; final loss {final!r}; wrote {cfg.out_params} and {cfg.out_loss_csv}")
+    print(f"trained {cfg.encoder_steps} steps; final loss {final!r}; wrote {args.out} and {args.loss_csv}")
     return 0
 
 
-def _ablation_number(key: str, value: str, cast):
+def _flag_number(flag: str, value: str, cast):
     try:
         number = cast(value)
         if math.isfinite(number):
             return number
     except ValueError:
         pass
-    raise ParameterError(f"--ablate {key} expects a finite number, got {value!r}")
+    raise ParameterError(f"{flag} expects a finite number, got {value!r}")
 
 
 def _parse_ablation(spec: str) -> dict:
@@ -230,14 +155,15 @@ def _parse_ablation(spec: str) -> dict:
         key, value = pair.split("=", 1)
         key = key.strip()
         value = value.strip()
+        flag = f"--ablate {key}"
         if key == "collapse":
             overrides["collapse"] = value
         elif key == "delete_k":
-            overrides["delete_k"] = _ablation_number(key, value, int)
+            overrides["delete_k"] = _flag_number(flag, value, int)
         elif key == "gap":
-            overrides["injected_gap_norm"] = _ablation_number(key, value, float)
+            overrides["injected_gap_norm"] = _flag_number(flag, value, float)
         elif key == "alpha":
-            overrides["alpha"] = _ablation_number(key, value, float)
+            overrides["alpha"] = _flag_number(flag, value, float)
         elif key == "corrupt":
             if value == "none":
                 overrides["corrupt_kind"] = "none"
@@ -248,7 +174,7 @@ def _parse_ablation(spec: str) -> dict:
                         f"--ablate corrupt expects cosine:<alpha>, gaussian:<std> or none, got {value!r}"
                     )
                 overrides["corrupt_kind"] = kind
-                overrides["alpha" if kind == "cosine" else "std"] = _ablation_number(key, strength, float)
+                overrides["alpha" if kind == "cosine" else "std"] = _flag_number(flag, strength, float)
         else:
             raise ParameterError(f"unknown --ablate key {key!r}")
     return overrides
@@ -257,7 +183,7 @@ def _parse_ablation(spec: str) -> dict:
 def cmd_bench(args) -> int:
     doc = _load_json_config(args.config) if args.config else {"schema_version": 1}
     if args.seeds is not None:
-        doc["seeds"] = [s for s in args.seeds.split(",") if s]  # BenchConfig coerces
+        doc["seeds"] = [_flag_number("--seeds", s, int) for s in args.seeds.split(",") if s]
     if args.train_modality is not None:
         doc["train_modality"] = args.train_modality
     if args.ablate:
@@ -265,9 +191,9 @@ def cmd_bench(args) -> int:
             _parse_ablation(spec) for spec in args.ablate
         ]
     cfg = BenchConfig.from_dict(doc)
-    report = run_transfer_experiment(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    report = run_transfer_experiment(cfg)
     report.write_json(out / "transfer_report.json")
     report.write_csv(out / "transfer_report.csv")
     print(f"chance_floor={report.chance_floor!r}")
@@ -346,17 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-format", choices=["jsonl", "binary"], default="binary")
     p.set_defaults(func=cmd_corrupt)
 
-    p = sub.add_parser("train-encoder", help="train the toy encoder pair on gridworld data")
-    p.add_argument("--config", help="JSON config document")
-    p.add_argument("--steps", type=int, help="override config steps")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p = sub.add_parser(
+        "train-encoder", help="train one bench seed's encoder pair on its gridworld data"
+    )
+    p.add_argument("--config", help="bench JSON config document")
+    p.add_argument("--steps", type=int, help="override config encoder_steps")
+    p.add_argument("--seed", type=int, help="bench seed to train (default: the config's first seed)")
     p.add_argument(
         "--freeze-text-after",
         type=int,
-        help="freeze the text tower after this step (visual keeps training)",
+        help="override config encoder_freeze_text_after: freeze the text tower after "
+        "this step (visual keeps training)",
     )
-    p.add_argument("--out", help="override params output path")
-    p.add_argument("--loss-csv", help="override loss trace output path")
+    p.add_argument("--out", default="encoder_params.eprm", help="params output path")
+    p.add_argument("--loss-csv", default="encoder_loss.csv", help="loss trace output path")
     p.set_defaults(func=cmd_train_encoder)
 
     p = sub.add_parser("bench", help="run the transfer experiment and write the report")
@@ -396,7 +325,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ModalignError as exc:
+    except (ModalignError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,12 +9,13 @@ the baseline: additive iid noise with no such guarantee.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .banks import Embedding, EmbeddingBank
+from .banks import EmbeddingBank, as_vector
 from .errors import (
     DegenerateVectorError,
     DimensionError,
@@ -43,9 +44,8 @@ class CorruptConfig:
         if self.kind is NoiseKind.COSINE:
             if not (-1.0 < self.alpha <= 1.0):
                 raise ParameterError(f"alpha must be in (-1, 1], got {self.alpha}")
-        else:
-            if self.std < 0.0:
-                raise ParameterError(f"std must be non-negative, got {self.std}")
+        elif not (self.std >= 0.0 and math.isfinite(self.std)):
+            raise ParameterError(f"std must be a finite non-negative number, got {self.std}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -69,41 +69,39 @@ def orthogonal_component(v, phi) -> np.ndarray:
     return out
 
 
-def cosine_noise(e: Embedding, cfg: CorruptConfig, rng: np.random.Generator) -> Embedding:
-    """Resample e at a random cosine similarity s ~ U[alpha, 1].
+def cosine_noise(v, cfg: CorruptConfig, rng: np.random.Generator) -> np.ndarray:
+    """Resample vector v at a random cosine similarity s ~ U[alpha, 1].
 
     The output is unit length and satisfies
-    cosine_similarity(output, e) == s within 1e-9 by construction.
+    cosine_similarity(output, v) == s within 1e-9 by construction.
     """
     if cfg.kind is not NoiseKind.COSINE:
         raise ParameterError(f"config kind is {cfg.kind.value}, expected cosine")
-    values = e.values
+    values = as_vector(v)
     norm = float(np.linalg.norm(values))
     if norm == 0.0:
         raise DegenerateVectorError("cannot corrupt a zero vector")
-    if e.dim < 2:
+    if values.size < 2:
         raise ParameterError("cosine noise needs dim >= 2 for an orthogonal direction")
     s = float(rng.uniform(cfg.alpha, 1.0))
     unit = values / norm
     while True:
-        candidate = rng.standard_normal(e.dim)
+        candidate = rng.standard_normal(values.size)
         try:
             perp = orthogonal_component(candidate, values)
             break
         except ParallelVectorError:
             continue  # probability ~0 for a Gaussian draw in dim >= 2
     perp /= np.linalg.norm(perp)
-    out = s * unit + np.sqrt(max(1.0 - s * s, 0.0)) * perp
-    return Embedding(out, e.modality)
+    return s * unit + np.sqrt(max(1.0 - s * s, 0.0)) * perp
 
 
-def gaussian_noise(e: Embedding, cfg: CorruptConfig, rng: np.random.Generator) -> Embedding:
-    """Add iid zero-mean Gaussian noise of standard deviation cfg.std."""
+def gaussian_noise(v, cfg: CorruptConfig, rng: np.random.Generator) -> np.ndarray:
+    """Add iid zero-mean Gaussian noise of standard deviation cfg.std to vector v."""
     if cfg.kind is not NoiseKind.GAUSSIAN:
         raise ParameterError(f"config kind is {cfg.kind.value}, expected gaussian")
-    if cfg.std < 0.0:
-        raise ParameterError(f"std must be non-negative, got {cfg.std}")
-    return Embedding(e.values + rng.normal(0.0, cfg.std, size=e.dim), e.modality)
+    values = as_vector(v)
+    return values + rng.normal(0.0, cfg.std, size=values.size)
 
 
 def _row_stream(seed: int, task_id: str, row: np.ndarray) -> np.random.Generator:
@@ -117,13 +115,11 @@ def _row_stream(seed: int, task_id: str, row: np.ndarray) -> np.random.Generator
     return np.random.default_rng([seed, key])
 
 
-def corrupt_bank(bank: EmbeddingBank, cfg: CorruptConfig, seed: int | None = None) -> EmbeddingBank:
+def corrupt_bank(bank: EmbeddingBank, cfg: CorruptConfig) -> EmbeddingBank:
     """Corrupt every row with an independent substream derived from
-    (seed, row content); deterministic and order-independent."""
-    if seed is None:
-        seed = cfg.seed
+    (cfg.seed, row content); deterministic and order-independent."""
     noise = cosine_noise if cfg.kind is NoiseKind.COSINE else gaussian_noise
     out = np.empty_like(bank.values)
     for i, (tid, row) in enumerate(bank.rows()):
-        out[i] = noise(Embedding(row, bank.modality), cfg, _row_stream(seed, tid, row)).values
+        out[i] = noise(row, cfg, _row_stream(cfg.seed, tid, row))
     return bank.with_values(out)

@@ -7,7 +7,6 @@ from modalign import (
     BankFormat,
     DegenerateVectorError,
     DimensionError,
-    Embedding,
     EmbeddingBank,
     FormatError,
     IoError,
@@ -56,11 +55,6 @@ class TestCosineSimilarity:
             c = float(rng.uniform(0.01, 100))
             assert cosine_similarity(a, c * a) == pytest.approx(1.0, abs=1e-9)
 
-    def test_accepts_embeddings(self):
-        a = Embedding(vec(1, 0), Modality.VISUAL)
-        b = Embedding(vec(1, 1), Modality.TEXT)
-        assert cosine_similarity(a, b) == pytest.approx(1 / math.sqrt(2))
-
 
 class TestNormalize:
     def test_three_four_five(self):
@@ -86,11 +80,6 @@ class TestNormalize:
         for _ in range(100):
             u = normalize(rng.standard_normal(5))
             np.testing.assert_allclose(normalize(u), u, atol=1e-9)
-
-    def test_embedding_keeps_modality(self):
-        e = normalize(Embedding(vec(3, 4), Modality.TEXT))
-        assert e.modality is Modality.TEXT
-        np.testing.assert_allclose(e.values, vec(0.6, 0.8))
 
 
 class TestBankConstruction:

@@ -94,6 +94,40 @@ class TestBenchConfig:
         with pytest.raises(ParameterError):
             BenchConfig.from_dict({"schema_version": 1, **doc})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"seeds": [2.7]},
+            {"seeds": [True]},
+            {"seeds": []},
+            {"seeds": [-1]},
+            {"world_seed": -1},
+            {"policy_hidden": [63.9]},
+            {"encoder_steps": 2.5},
+            {"grid_size": True},
+            {"encoder_freeze_text_after": 1.5},
+            {"encoder_learning_rate": float("nan")},
+            {"policy_momentum": float("inf")},
+            {"encoder_temperature": "0.5"},
+            {"alpha": True},
+            {"injected_gap_norm": float("inf")},
+            {"ablations": [{"std": float("inf")}]},
+            {"eval_heldout_text": "no"},
+        ],
+    )
+    def test_values_are_not_coerced(self, doc):
+        # integer fields take integers (not bools or truncated floats),
+        # float fields finite numbers and bool fields booleans
+        with pytest.raises(ParameterError):
+            BenchConfig.from_dict({"schema_version": 1, **doc})
+
+    def test_integral_values_accepted(self):
+        cfg = BenchConfig.from_dict(
+            {"schema_version": 1, "seeds": [4], "encoder_learning_rate": 1,
+             "encoder_freeze_text_after": None}
+        )
+        assert cfg.seeds == (4,) and cfg.encoder_learning_rate == 1
+
 
 class TestSubseed:
     def test_deterministic_and_distinct(self):

@@ -1,10 +1,15 @@
 import json
+import shlex
+import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modalign import BankFormat, load_bank, save_bank
-from modalign.cli import main
+from modalign.bench import subseed
+from modalign.cli import build_parser, main
 from modalign.gridworld import synthetic_gap_bank
 
 
@@ -22,7 +27,24 @@ def bank_pair(tmp_path):
     return pv, pl
 
 
+def readme_cli_commands():
+    """Every `modalign ...` command of README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("modalign ")]
+
+
 class TestParser:
+    def test_readme_commands_parse(self):
+        commands = readme_cli_commands()
+        assert {argv[1] for argv in commands} == {
+            "diagnose", "collapse", "corrupt", "train-encoder", "bench", "verify"
+        }
+        for argv in commands:
+            args = build_parser().parse_args(argv[1:])
+            assert args.command == argv[1]
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:
             run(["--help"])
@@ -38,6 +60,38 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             run(["corrupt", "--frobnicate"])
         assert info.value.code == 2
+
+
+class TestUnwritableOutput:
+    """An output path under a regular file cannot be created: exit 2, no traceback."""
+
+    def test_diagnose(self, bank_pair, tmp_path, capsys):
+        pv, pl = bank_pair
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        assert run(["diagnose", "--bank-v", pv, "--bank-l", pl, "--out", out]) == 2
+        assert "afile" in capsys.readouterr().err
+
+    def test_bench(self, monkeypatch, tmp_path, capsys):
+        import modalign.cli as cli_module
+
+        def must_not_run(config):
+            raise AssertionError("the bench ran before its output directory was made")
+
+        monkeypatch.setattr(cli_module, "run_transfer_experiment", must_not_run)
+        (tmp_path / "afile").write_text("")
+        assert run(["bench", "--out-dir", tmp_path / "afile" / "sub"]) == 2
+        assert "afile" in capsys.readouterr().err
+
+    def test_train_encoder(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": 1, "grid_size": 3, "encoder_steps": 0}))
+        (tmp_path / "afile").write_text("")
+        assert run([
+            "train-encoder", "--config", config, "--out", tmp_path / "enc.eprm",
+            "--loss-csv", tmp_path / "afile" / "loss.csv",
+        ]) == 2
+        assert "afile" in capsys.readouterr().err
 
 
 class TestDiagnose:
@@ -141,6 +195,14 @@ class TestCorrupt:
             assert run(["corrupt", "--bank", pv, "--alpha", 0.2, "--seed", 5, "--out", out]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    @pytest.mark.parametrize("std", ["nan", "inf", "-1"])
+    def test_bad_std_exits_two(self, bank_pair, tmp_path, capsys, std):
+        pv, _ = bank_pair
+        out = tmp_path / "c.ebnk"
+        code = run(["corrupt", "--bank", pv, "--kind", "gaussian", "--std", std, "--out", out])
+        assert code == 2
+        assert "std must be" in capsys.readouterr().err
+
     def test_verify_confirms_cosine_bounds(self, bank_pair, tmp_path):
         pv, _ = bank_pair
         out = tmp_path / "c.ebnk"
@@ -170,15 +232,24 @@ class TestVerify:
         assert "line 2" in capsys.readouterr().err
 
 
+def read_eprm_metadata(path):
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 5)
+    return json.loads(raw[9 : 9 + length])
+
+
 class TestTrainEncoder:
-    def test_zero_steps_writes_init(self, tmp_path):
+    def config(self, tmp_path, **fields):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "schema_version": 1, "grid_size": 3, "demos_per_task": 2, "steps": 0,
-            "out_params": str(tmp_path / "enc.eprm"),
-            "out_loss_csv": str(tmp_path / "loss.csv"),
-        }))
-        assert run(["train-encoder", "--config", config]) == 0
+        config.write_text(json.dumps({"schema_version": 1, "grid_size": 3, **fields}))
+        return config
+
+    def test_zero_steps_writes_init(self, tmp_path):
+        config = self.config(tmp_path, demos_per_task=2, encoder_steps=0)
+        assert run([
+            "train-encoder", "--config", config,
+            "--out", tmp_path / "enc.eprm", "--loss-csv", tmp_path / "loss.csv",
+        ]) == 0
         from modalign import load_encoder_params
 
         params = load_encoder_params(tmp_path / "enc.eprm")
@@ -186,14 +257,13 @@ class TestTrainEncoder:
         assert (tmp_path / "loss.csv").read_text().splitlines() == ["step,loss"]
 
     def test_short_run_loss_below_ln_b(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "schema_version": 1, "grid_size": 3, "demos_per_task": 6, "dim": 8,
-            "steps": 400, "batch_size": 16,
-            "out_params": str(tmp_path / "enc.eprm"),
-            "out_loss_csv": str(tmp_path / "loss.csv"),
-        }))
-        assert run(["train-encoder", "--config", config]) == 0
+        config = self.config(
+            tmp_path, demos_per_task=6, dim=8, encoder_steps=400, encoder_batch_size=16
+        )
+        assert run([
+            "train-encoder", "--config", config,
+            "--out", tmp_path / "enc.eprm", "--loss-csv", tmp_path / "loss.csv",
+        ]) == 0
         lines = (tmp_path / "loss.csv").read_text().splitlines()
         final = float(lines[-1].split(",")[1])
         assert final < np.log(16)
@@ -204,11 +274,20 @@ class TestTrainEncoder:
         assert run(["train-encoder", "--config", config]) == 2
         assert "wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["steps", "seed", "data_seed", "out_params", "out_loss_csv"])
+    def test_old_config_keys_exit_two(self, tmp_path, capsys, key):
+        config = self.config(tmp_path, **{key: 1})
+        assert run(["train-encoder", "--config", config]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [{"encoder_steps": 2.5}, {"seeds": [2.7]}, {"grid_size": True}])
+    def test_non_integral_config_value_exits_two(self, tmp_path, capsys, fields):
+        config = self.config(tmp_path, **fields)
+        assert run(["train-encoder", "--config", config]) == 2
+        assert next(iter(fields)) in capsys.readouterr().err
+
     def test_identical_runs_byte_identical(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "schema_version": 1, "grid_size": 3, "demos_per_task": 3, "dim": 8, "steps": 60,
-        }))
+        config = self.config(tmp_path, demos_per_task=3, dim=8, encoder_steps=60)
         outputs = []
         for tag in ("a", "b"):
             params = tmp_path / f"{tag}.eprm"
@@ -219,18 +298,71 @@ class TestTrainEncoder:
             outputs.append((params.read_bytes(), loss.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_saves_the_encoders_the_bench_trains(self, monkeypatch, tmp_path):
+        import modalign.bench as bench_module
+        from modalign import load_encoder_params
+
+        fields = dict(
+            grid_size=3, demos_per_task=3, dim=8, seeds=[0, 5], episodes_per_task=1, horizon=4,
+            encoder_steps=80, policy_steps=10, eval_heldout_text=False,
+        )
+        real = bench_module.train_encoders
+        trained = []
+
+        def recording(clips, config):
+            result = real(clips, config)
+            trained.append(result.params)
+            return result
+
+        monkeypatch.setattr(bench_module, "train_encoders", recording)
+        bench_module.run_transfer_experiment(bench_module.BenchConfig(**fields))
+        monkeypatch.undo()
+        config = self.config(tmp_path, **fields)
+        assert run([
+            "train-encoder", "--config", config, "--seed", 5,
+            "--out", tmp_path / "enc.eprm", "--loss-csv", tmp_path / "loss.csv",
+        ]) == 0
+        saved = load_encoder_params(tmp_path / "enc.eprm")
+        for got, want in zip(saved.arrays(), trained[1].arrays(), strict=True):
+            np.testing.assert_array_equal(got, want.astype(np.float32).astype(np.float64))
+        assert len((tmp_path / "loss.csv").read_text().splitlines()) == 1 + 80
+
+    def test_default_config_is_the_bench_default(self, monkeypatch, tmp_path):
+        import modalign.bench as bench_module
+
+        real = bench_module.train_encoders
+        monkeypatch.setattr(  # the metadata, not the 4,000 steps, is under test
+            bench_module, "train_encoders", lambda clips, config: real(clips, replace(config, steps=0))
+        )
+        out = tmp_path / "enc.eprm"
+        assert run(["train-encoder", "--out", out, "--loss-csv", tmp_path / "loss.csv"]) == 0
+        echo = read_eprm_metadata(out)["config"]
+        assert (echo["learning_rate"], echo["temperature"], echo["steps"]) == (0.1, 0.5, 4000)
+        assert echo["seed"] == subseed(0, 1)
+
+    def test_flags_override_encoder_fields(self, tmp_path):
+        config = self.config(tmp_path, demos_per_task=2, dim=8, encoder_steps=50)
+        out = tmp_path / "enc.eprm"
+        assert run([
+            "train-encoder", "--config", config, "--steps", 7, "--freeze-text-after", 3,
+            "--out", out, "--loss-csv", tmp_path / "loss.csv",
+        ]) == 0
+        echo = read_eprm_metadata(out)["config"]
+        assert (echo["steps"], echo["freeze_text_after"]) == (7, 3)
+        assert len((tmp_path / "loss.csv").read_text().splitlines()) == 1 + 7
+
     def test_divergence_maps_to_exit_three(self, monkeypatch, tmp_path, capsys):
-        import modalign.cli as cli_module
+        import modalign.bench as bench_module
         from modalign import DivergenceError
 
         def exploding(clips, config):
             raise DivergenceError("non-finite loss at step 3")
 
-        monkeypatch.setattr(cli_module, "train_encoders", exploding)
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"schema_version": 1, "grid_size": 3, "demos_per_task": 2}))
+        monkeypatch.setattr(bench_module, "train_encoders", exploding)
+        config = self.config(tmp_path, demos_per_task=2)
         assert run(["train-encoder", "--config", config]) == 3
-        assert "step 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "step 3" in err and "train_encoders" in err
 
 
 class TestBench:
@@ -287,7 +419,13 @@ class TestBench:
         assert sorted(a["alpha_or_std"] for a in doc["aggregates"]) == [0.2] * 3 + [0.5] * 3
 
     @pytest.mark.parametrize(
-        "argv", [["--ablate", "alpha=2"], ["--ablate", "corrupt=gaussian:-1"], ["--seeds", "a,b"]]
+        "argv",
+        [
+            ["--ablate", "alpha=2"],
+            ["--ablate", "corrupt=gaussian:-1"],
+            ["--seeds", "a,b"],
+            ["--seeds", "2.7"],
+        ],
     )
     def test_bad_config_exits_two_before_training(self, monkeypatch, tmp_path, capsys, argv):
         import modalign.bench as bench_module
@@ -303,6 +441,18 @@ class TestBench:
         assert run(["bench", "--config", config, "--out-dir", tmp_path / "x", *argv]) == 2
         assert calls == []
         assert "error:" in capsys.readouterr().err
+
+    def test_divergence_maps_to_exit_three(self, monkeypatch, tmp_path, capsys):
+        import modalign.bench as bench_module
+        from modalign import DivergenceError
+
+        def exploding(clips, config):
+            raise DivergenceError("non-finite loss at step 3")
+
+        monkeypatch.setattr(bench_module, "train_encoders", exploding)
+        config = self.bench_config(tmp_path)
+        assert run(["bench", "--config", config, "--out-dir", tmp_path / "x"]) == 3
+        assert "stage 'train_encoders': non-finite loss at step 3" in capsys.readouterr().err
 
     def test_bad_seeds_in_config_exits_two(self, tmp_path):
         config = tmp_path / "bench.json"
