@@ -9,7 +9,6 @@ float32-representable banks round-trips bit-identically.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +28,7 @@ from .errors import (
 BINARY_MAGIC = b"EBNK"
 BINARY_VERSION = 1
 JSONL_VERSION = 1
+_NUMBER_TYPES = {int, float}
 
 
 class Modality(Enum):
@@ -260,7 +260,7 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
     modality = Modality(header["modality"])
 
     ids = []
-    vecs = []
+    rows = []
     for row_idx, line in enumerate(lines[1:], start=1):
         lineno = row_idx + 1
         obj = _parse_json_line(line, name, lineno)
@@ -270,27 +270,30 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
         if not isinstance(tid, str) or not tid:
             raise FormatError(f"{name}: line {lineno}: task_id must be a non-empty string")
         vec = obj["v"]
-        if not isinstance(vec, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec
-        ):
+        # json gives exact types, and a bool is not an int here
+        if not isinstance(vec, list) or not set(map(type, vec)) <= _NUMBER_TYPES:
             raise FormatError(f"{name}: line {lineno}: v must be a list of numbers")
         if len(vec) != dim:
             raise DimensionError(
                 f"{name}: row {row_idx} (line {lineno}): expected {dim} values, got {len(vec)}"
             )
-        if not all(math.isfinite(x) for x in vec):
+        try:
+            row = np.array(vec, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            row = None
+        if row is None or not np.isfinite(row).all():
             raise FormatError(f"{name}: line {lineno}: non-finite value")
         ids.append(tid)
-        vecs.append(vec)
-    values = np.array(vecs, dtype=np.float64).reshape(len(ids), dim)
+        rows.append(row)
+    values = np.array(rows, dtype=np.float64).reshape(len(ids), dim)
     return EmbeddingBank(modality, dim, tuple(ids), values)
 
 
 def _parse_json_line(line: str, name: str, lineno: int):
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{name}: line {lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
+        raise FormatError(f"{name}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
 
 
 def _encode_binary(bank: EmbeddingBank) -> bytes:

@@ -121,35 +121,37 @@ class VariantSpec:
 
 
 _VARIANT_KEYS = {"collapse", "delete_k", "corrupt_kind", "alpha", "std", "injected_gap_norm"}
+# Lower bounds of integer config fields (of every entry of an integer list).
+_POSITIVE, _NON_NEGATIVE = {"floor": 1}, {"floor": 0}
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     schema_version: int = 1
-    grid_size: int = 5
-    demos_per_task: int = 20
-    dim: int = 16
-    world_seed: int = 0
-    seeds: tuple[int, ...] = (0, 1, 2)
+    grid_size: int = field(default=5, metadata=_POSITIVE)
+    demos_per_task: int = field(default=20, metadata=_POSITIVE)
+    dim: int = field(default=16, metadata=_POSITIVE)
+    world_seed: int = field(default=0, metadata=_NON_NEGATIVE)
+    seeds: tuple[int, ...] = field(default=(0, 1, 2), metadata=_NON_NEGATIVE)
     train_modality: str = "visual"
     eval_modalities: tuple[str, ...] = ("visual", "text")
     eval_heldout_text: bool = True
-    episodes_per_task: int = 10
-    horizon: int = 8
-    encoder_steps: int = 4000
-    encoder_batch_size: int = 32
+    episodes_per_task: int = field(default=10, metadata=_POSITIVE)
+    horizon: int = field(default=8, metadata=_POSITIVE)
+    encoder_steps: int = field(default=4000, metadata=_NON_NEGATIVE)
+    encoder_batch_size: int = field(default=32, metadata=_POSITIVE)
     encoder_learning_rate: float = 0.1
     encoder_momentum: float = 0.9
-    encoder_visual_hidden: tuple[int, ...] = (64,)
-    encoder_text_hidden: tuple[int, ...] = (64,)
-    encoder_token_dim: int = 32
+    encoder_visual_hidden: tuple[int, ...] = field(default=(64,), metadata=_POSITIVE)
+    encoder_text_hidden: tuple[int, ...] = field(default=(64,), metadata=_POSITIVE)
+    encoder_token_dim: int = field(default=32, metadata=_POSITIVE)
     encoder_temperature: float = 0.5
-    encoder_freeze_text_after: int | None = None
-    policy_steps: int = 3000
-    policy_batch_size: int = 64
+    encoder_freeze_text_after: int | None = field(default=None, metadata=_NON_NEGATIVE)
+    policy_steps: int = field(default=3000, metadata=_NON_NEGATIVE)
+    policy_batch_size: int = field(default=64, metadata=_POSITIVE)
     policy_learning_rate: float = 0.3
     policy_momentum: float = 0.9
-    policy_hidden: tuple[int, ...] = (64,)
+    policy_hidden: tuple[int, ...] = field(default=(64,), metadata=_POSITIVE)
     collapse: str = "centralize"
     delete_k: int = 1
     corrupt_kind: str = "cosine"
@@ -181,10 +183,13 @@ class BenchConfig:
                 raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
             elif f.type == "bool" and not isinstance(value, bool):
                 raise ParameterError(f"{f.name} must be true or false, got {value!r}")
-        if not self.seeds or min(self.seeds) < 0:
-            raise ParameterError(f"seeds must be non-empty and non-negative, got {list(self.seeds)}")
-        if self.world_seed < 0:
-            raise ParameterError(f"world_seed must be non-negative, got {self.world_seed}")
+            floor = f.metadata.get("floor")
+            if floor is not None and min(np.atleast_1d(value), default=floor) < floor:
+                raise ParameterError(f"{f.name} must be {'positive' if floor else 'non-negative'}, got {value!r}")
+        if not self.seeds:
+            raise ParameterError("seeds must not be empty")
+        if not self.eval_modalities:
+            raise ParameterError("eval_modalities must name at least one modality")
         if self.schema_version != 1:
             raise ParameterError(f"unsupported schema_version {self.schema_version!r}")
         if self.train_modality not in ("visual", "text"):

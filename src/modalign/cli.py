@@ -35,8 +35,6 @@ from .diagnostics import (
     export_per_dim_gap,
     export_similarity_matrix,
     gap_report,
-    gap_vector,
-    matched_pair_similarity_matrix,
     pca_project_2d,
     shared_task_ids,
 )
@@ -53,10 +51,8 @@ def cmd_diagnose(args) -> int:
     report = gap_report(bank_v, bank_l)
     export_gap_report(report, out / "gap_report.json")
     tasks = shared_task_ids(bank_v, bank_l)
-    export_similarity_matrix(
-        tasks, matched_pair_similarity_matrix(bank_v, bank_l), out / "simmatrix.csv"
-    )
-    export_per_dim_gap(gap_vector(bank_v, bank_l), out / "perdim_gap.csv")
+    export_similarity_matrix(tasks, report.similarity_matrix, out / "simmatrix.csv")
+    export_per_dim_gap(report.gap_vector, out / "perdim_gap.csv")
     export_pca_points(pca_project_2d([bank_v, bank_l]), out / "pca2d.csv")
     print(f"gap_norm={report.gap_norm!r} matched_pair_mean_cosine={report.matched_pair_mean_cosine!r}")
     print(f"retrieval_top1_v2t={report.retrieval_top1_v2t!r} retrieval_top1_t2v={report.retrieval_top1_t2v!r}")

@@ -27,6 +27,8 @@ from .errors import (
 # tag is recorded in exported reports so downstream plots know the convention.
 TASK_AGGREGATION = "per_task_mean"
 
+_QUERY_BLOCK = 256  # query rows per block of retrieval_topk_accuracy temporaries
+
 
 @dataclass(frozen=True)
 class GapReport:
@@ -35,6 +37,7 @@ class GapReport:
     dim: int
     gap_vector: np.ndarray
     per_dim_abs_mean_gap: np.ndarray
+    similarity_matrix: np.ndarray  # matched_pair_similarity_matrix of the pair
     gap_norm: float
     matched_pair_mean_cosine: float
     retrieval_top1_v2t: float
@@ -129,14 +132,18 @@ def retrieval_topk_accuracy(query_bank: EmbeddingBank, gallery_bank: EmbeddingBa
     queries = unit_rows(query_bank.values, "query row")
     gallery = unit_rows(gallery_bank.values, "gallery row")
     sims = queries @ gallery.T  # (n_query, n_gallery)
-    # Gallery columns in (task_id, row) order, found once; a stable sort of
-    # each query's permuted row by similarity keeps every tie in that order.
-    perm = np.argsort(np.array(gallery_bank.task_ids), kind="stable")
-    gallery_ids = np.array(gallery_bank.task_ids)[perm]
+    # A query hits when its best same-task column ranks below k: rank counts
+    # higher columns and ties before it in (task_id, row) order, which for
+    # its task's first maximum are the ties of smaller task ids.
+    names, gallery_codes = np.unique(np.array(gallery_bank.task_ids), return_inverse=True)
+    query_codes = np.searchsorted(names, np.array(query_bank.task_ids))[:, None]
     hits = 0
-    for q, tid in enumerate(query_bank.task_ids):
-        top = np.argsort(-sims[q, perm], kind="stable")[:k]
-        hits += bool(np.any(gallery_ids[top] == tid))
+    for start in range(0, query_bank.n, _QUERY_BLOCK):
+        block, codes = sims[start : start + _QUERY_BLOCK], query_codes[start : start + _QUERY_BLOCK]
+        best = np.where(gallery_codes == codes, block, -np.inf).max(axis=1, keepdims=True)
+        ties = (block == best) & (gallery_codes < codes)
+        rank = np.count_nonzero(block > best, axis=1) + np.count_nonzero(ties, axis=1)
+        hits += int(np.count_nonzero(rank < k))
     return hits / query_bank.n
 
 
@@ -191,6 +198,7 @@ def gap_report(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> GapReport:
         dim=bank_v.dim,
         gap_vector=gap,
         per_dim_abs_mean_gap=np.abs(gap),
+        similarity_matrix=matrix,
         gap_norm=float(np.linalg.norm(gap)),
         matched_pair_mean_cosine=float(np.mean(np.diag(matrix))),
         retrieval_top1_v2t=retrieval_topk_accuracy(bank_v, bank_l, 1),

@@ -223,3 +223,75 @@ class TestBankIo:
             path = tmp_path / f"u.{fmt.value}"
             save_bank(bank, path, fmt)
             assert load_bank(path, fmt).task_ids == ("tâche-1",)
+
+
+JSONL_HEADER = '{"format":"ebank","version":1,"modality":"text","dim":3}\n'
+HUGE_INT = "9" * 400  # beyond float range, so no float holds it
+
+
+def jsonl_row(values, task_id="a"):
+    return '{"task_id":"%s","v":%s}\n' % (task_id, values)
+
+
+class TestJsonlRowContract:
+    """Every malformed row is rejected with its error class and line; the
+    first bad line wins."""
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ("[1,true,2]", FormatError, "line 3: v must be a list of numbers"),
+            ('[1,"2",3]', FormatError, "line 3: v must be a list of numbers"),
+            ("[1,[2],3]", FormatError, "line 3: v must be a list of numbers"),
+            ("[1,null,3]", FormatError, "line 3: v must be a list of numbers"),
+            ("[1,NaN,2]", FormatError, "line 3: non-finite value"),
+            ("[1,Infinity,2]", FormatError, "line 3: non-finite value"),
+            ("[1,-Infinity,2]", FormatError, "line 3: non-finite value"),
+            ("[1,1e400,2]", FormatError, "line 3: non-finite value"),
+            (f"[1,{HUGE_INT},2]", FormatError, "line 3: non-finite value"),
+            (f"[1,-{HUGE_INT},2]", FormatError, "line 3: non-finite value"),
+            ("[1," + "9" * 5000 + ",2]", FormatError, "line 3: invalid JSON"),
+            ("[1,2]", DimensionError, r"row 2 \(line 3\): expected 3 values, got 2"),
+        ],
+        ids=[
+            "true", "string", "nested", "null", "nan", "inf", "-inf", "1e400", "huge-int",
+            "huge-negative-int", "over-4300-digits", "short",
+        ],
+    )
+    def test_bad_row(self, tmp_path, values, error, message):
+        path = tmp_path / "b.jsonl"
+        path.write_text(JSONL_HEADER + jsonl_row("[1,2,3]") + jsonl_row(values) + jsonl_row("[4,5,6]"))
+        with pytest.raises(error, match=message):
+            load_bank(path, BankFormat.JSON_LINES)
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            (["[1,2]", "[1,NaN,2]"], DimensionError, r"\(line 2\)"),
+            (["[1,NaN,2]", "[1,2]"], FormatError, "line 2: non-finite"),
+            (["[1,2,3,4]", f"[{HUGE_INT},1,2]"], DimensionError, r"\(line 2\)"),
+            ([f"[{HUGE_INT},1,2]", "[1,2,3,4]"], FormatError, "line 2: non-finite"),
+            (["[1,2,3]", "[true,1,2]", "[1,2]"], FormatError, "line 3: v must be"),
+        ],
+    )
+    def test_first_bad_line_wins(self, tmp_path, rows, error, message):
+        path = tmp_path / "b.jsonl"
+        path.write_text(JSONL_HEADER + "".join(jsonl_row(r) for r in rows))
+        with pytest.raises(error, match=message):
+            load_bank(path, BankFormat.JSON_LINES)
+
+    def test_integers_convert_like_float(self, tmp_path):
+        ints = [2**53 + 1, -(2**70) - 3, 10**300 + 7]
+        path = tmp_path / "b.jsonl"
+        path.write_text(JSONL_HEADER + jsonl_row(str(ints)))
+        assert load_bank(path, BankFormat.JSON_LINES).values[0].tolist() == [float(i) for i in ints]
+
+    def test_17_digit_values_round_trip_exactly(self, tmp_path):
+        rng = np.random.default_rng(21)
+        values = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3))
+        text = [jsonl_row("[" + ",".join(f"{x:.17g}" for x in row) + "]") for row in values]
+        path = tmp_path / "b.jsonl"
+        path.write_text(JSONL_HEADER + "".join(text))
+        loaded = load_bank(path, BankFormat.JSON_LINES)
+        assert loaded.values.dtype == np.float64
+        np.testing.assert_array_equal(loaded.values, values)

@@ -121,6 +121,38 @@ class TestBenchConfig:
         with pytest.raises(ParameterError):
             BenchConfig.from_dict({"schema_version": 1, **doc})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_size", 0),
+            ("demos_per_task", 0),
+            ("dim", 0),
+            ("episodes_per_task", 0),
+            ("horizon", 0),
+            ("encoder_batch_size", 0),
+            ("encoder_token_dim", 0),
+            ("policy_batch_size", -1),
+            ("encoder_visual_hidden", [64, 0]),
+            ("encoder_text_hidden", [-3]),
+            ("policy_hidden", [0]),
+            ("encoder_steps", -1),
+            ("policy_steps", -1),
+            ("encoder_freeze_text_after", -1),
+            ("seeds", [0, -1]),
+            ("world_seed", -1),
+            ("eval_modalities", []),
+        ],
+    )
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            BenchConfig.from_dict({"schema_version": 1, field: value})
+
+    def test_zero_steps_and_empty_hidden_lists_accepted(self):
+        cfg = tiny_config(
+            encoder_steps=0, policy_steps=0, encoder_freeze_text_after=0, policy_hidden=(), world_seed=0
+        )
+        assert cfg.encoder_steps == 0 and cfg.policy_hidden == ()
+
     def test_integral_values_accepted(self):
         cfg = BenchConfig.from_dict(
             {"schema_version": 1, "seeds": [4], "encoder_learning_rate": 1,

@@ -231,6 +231,16 @@ class TestVerify:
         assert run(["verify", "--bank", bad]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_huge_integer_is_a_non_finite_value(self, tmp_path, capsys):
+        # an integer beyond float range used to escape as OverflowError (exit 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"format":"ebank","version":1,"modality":"visual","dim":2}\n'
+            '{"task_id":"a","v":[1,%s]}\n' % ("9" * 400)
+        )
+        assert run(["verify", "--bank", bad]) == 2
+        assert "line 2: non-finite value" in capsys.readouterr().err
+
 
 def read_eprm_metadata(path):
     raw = path.read_bytes()
@@ -441,6 +451,24 @@ class TestBench:
         assert run(["bench", "--config", config, "--out-dir", tmp_path / "x", *argv]) == 2
         assert calls == []
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("episodes_per_task", 0), ("dim", 0), ("eval_modalities", [])]
+    )
+    def test_out_of_range_config_names_field_before_training(
+        self, monkeypatch, tmp_path, capsys, field, value
+    ):
+        import modalign.bench as bench_module
+
+        def must_not_train(clips, config):
+            raise AssertionError("encoders trained before the config was validated")
+
+        monkeypatch.setattr(bench_module, "train_encoders", must_not_train)
+        config = self.bench_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), field: value}))
+        assert run(["bench", "--config", config, "--out-dir", tmp_path / "x"]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_divergence_maps_to_exit_three(self, monkeypatch, tmp_path, capsys):
         import modalign.bench as bench_module

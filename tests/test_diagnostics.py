@@ -19,6 +19,7 @@ from modalign import (
     retrieval_topk_accuracy,
     synthetic_gap_bank,
 )
+from modalign import diagnostics
 from modalign.diagnostics import shared_task_ids
 
 
@@ -223,6 +224,64 @@ class TestRetrieval:
                 )
                 hits += any(g_ids[g] == q_ids[q] for g in ranked[:k])
             assert retrieval_topk_accuracy(query, gallery, k) == hits / query.n
+
+
+def stable_sort_retrieval(query, gallery, k):
+    """Per-query reference: rank gallery rows by similarity (desc), ties by
+    (task_id, row), and count the queries with a same-task row in the top k."""
+    q_vals = query.values / np.linalg.norm(query.values, axis=1, keepdims=True)
+    g_vals = gallery.values / np.linalg.norm(gallery.values, axis=1, keepdims=True)
+    sims = q_vals @ g_vals.T
+    hits = 0
+    for q, tid in enumerate(query.task_ids):
+        ranked = sorted(range(gallery.n), key=lambda g: (-sims[q, g], gallery.task_ids[g], g))
+        hits += any(gallery.task_ids[g] == tid for g in ranked[:k])
+    return hits / query.n
+
+
+def tie_heavy_pair(rng, n_query, n_gallery, dim=3):
+    """Small-integer rows (many exact ties) under shuffled, repeated ids."""
+    names = ["q", "b", "zz", "a", "m", "b2", "c"]
+    g_ids = tuple(names[i] for i in rng.integers(0, len(names), size=n_gallery))
+    q_ids = tuple(g_ids[i] for i in rng.integers(0, n_gallery, size=n_query))
+    def rows(n):
+        vals = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        vals[~vals.any(axis=1), 0] = 1.0
+        return vals
+    return (
+        EmbeddingBank(Modality.VISUAL, dim, q_ids, rows(n_query)),
+        EmbeddingBank(Modality.TEXT, dim, g_ids, rows(n_gallery)),
+    )
+
+
+class TestBlockedRetrieval:
+    """retrieval_topk_accuracy ranks queries in blocks of rows; it must give
+    the per-query stable-sort result for every block split."""
+
+    @pytest.mark.parametrize("block", [1, 4, 256])
+    @pytest.mark.parametrize("n_query", [1, 9, 263])
+    def test_matches_stable_sort_reference(self, monkeypatch, block, n_query):
+        monkeypatch.setattr(diagnostics, "_QUERY_BLOCK", block)
+        rng = np.random.default_rng([n_query, block])
+        query, gallery = tie_heavy_pair(rng, n_query, 23)
+        for k in (1, 2, 3, 7, gallery.n):
+            assert retrieval_topk_accuracy(query, gallery, k) == stable_sort_retrieval(query, gallery, k)
+
+    def test_many_random_tie_heavy_pairs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            query, gallery = tie_heavy_pair(
+                rng, int(rng.integers(1, 40)), int(rng.integers(8, 30)), dim=int(rng.integers(1, 4))
+            )
+            for k in (1, 2, 3, 7):
+                assert retrieval_topk_accuracy(query, gallery, k) == stable_sort_retrieval(query, gallery, k)
+
+    def test_all_rows_tied(self):
+        # every similarity is 1, so only the id order decides the ranks
+        ids = ("m", "c", "z", "c", "a")
+        gallery = EmbeddingBank(Modality.TEXT, 2, ids, np.ones((5, 2)))
+        query = EmbeddingBank(Modality.VISUAL, 2, ("z",), np.ones((1, 2)))
+        assert [retrieval_topk_accuracy(query, gallery, k) for k in range(1, 6)] == [0, 0, 0, 0, 1]
 
 
 class TestPca:
