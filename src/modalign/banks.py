@@ -12,7 +12,6 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -21,9 +20,9 @@ from .errors import (
     DegenerateVectorError,
     DimensionError,
     FormatError,
-    IoError,
     ParameterError,
 )
+from .fileio import json_int, read_bytes, read_json, write_atomic
 
 BINARY_MAGIC = b"EBNK"
 BINARY_VERSION = 1
@@ -182,26 +181,18 @@ _CODE_MODALITY = {v: k for k, v in _MODALITY_CODE.items()}
 
 def save_bank(bank: EmbeddingBank, path, format: BankFormat) -> None:
     """Write a bank to disk; deterministic (same bank -> same bytes)."""
-    path = Path(path)
     if format is BankFormat.JSON_LINES:
         payload = _encode_jsonl(bank)
     elif format is BankFormat.BINARY:
         payload = _encode_binary(bank)
     else:
         raise ParameterError(f"unknown bank format {format!r}")
-    try:
-        path.write_bytes(payload)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, payload)
 
 
 def load_bank(path, format: BankFormat | None = None) -> EmbeddingBank:
     """Read a bank from disk; format is sniffed from the file when omitted."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_bytes(path)
     if format is None:
         format = BankFormat.BINARY if raw[:4] == BINARY_MAGIC else BankFormat.JSON_LINES
     if format is BankFormat.JSON_LINES:
@@ -231,16 +222,12 @@ def _encode_jsonl(bank: EmbeddingBank) -> bytes:
 
 
 def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{name}: not valid UTF-8 ({exc})") from exc
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
+    lines = raw.split(b"\n")  # 0x0A never occurs inside a UTF-8 sequence
+    while lines and lines[-1] == b"":
         lines.pop()
     if not lines:
         raise FormatError(f"{name}: empty file, expected an ebank header on line 1")
-    header = _parse_json_line(lines[0], name, 1)
+    header = read_json(lines[0], f"{name}: line 1")
     if not isinstance(header, dict):
         raise FormatError(f"{name}: line 1: header must be a JSON object")
     expected_keys = {"format", "version", "modality", "dim"}
@@ -250,12 +237,12 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
         )
     if header["format"] != "ebank":
         raise FormatError(f"{name}: line 1: format is {header['format']!r}, expected 'ebank'")
-    if header["version"] != JSONL_VERSION:
+    if json_int(header["version"], f"{name}: line 1: version") != JSONL_VERSION:
         raise FormatError(f"{name}: line 1: unsupported version {header['version']!r}")
     if header["modality"] not in ("visual", "text"):
         raise FormatError(f"{name}: line 1: bad modality {header['modality']!r}")
-    dim = header["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    dim = json_int(header["dim"], f"{name}: line 1: dim")
+    if dim < 1:
         raise FormatError(f"{name}: line 1: dim must be a positive integer, got {dim!r}")
     modality = Modality(header["modality"])
 
@@ -263,7 +250,7 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
     rows = []
     for row_idx, line in enumerate(lines[1:], start=1):
         lineno = row_idx + 1
-        obj = _parse_json_line(line, name, lineno)
+        obj = read_json(line, f"{name}: line {lineno}")
         if not isinstance(obj, dict) or set(obj) != {"task_id", "v"}:
             raise FormatError(f"{name}: line {lineno}: row must have exactly task_id and v")
         tid = obj["task_id"]
@@ -287,13 +274,6 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
         rows.append(row)
     values = np.array(rows, dtype=np.float64).reshape(len(ids), dim)
     return EmbeddingBank(modality, dim, tuple(ids), values)
-
-
-def _parse_json_line(line: str, name: str, lineno: int):
-    try:
-        return json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
-        raise FormatError(f"{name}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
 
 
 def _encode_binary(bank: EmbeddingBank) -> bytes:

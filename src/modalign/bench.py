@@ -8,12 +8,9 @@ Everything is seeded; re-running a config reproduces every output byte.
 
 from __future__ import annotations
 
-import csv
-import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +19,7 @@ from .banks import EmbeddingBank, Modality, normalize
 from .collapse import CollapseTransform, fit_centralize, fit_delete
 from .corrupt import CorruptConfig, NoiseKind
 from .errors import DivergenceError, ParameterError, PipelineError
+from .fileio import csv_text, json_text, write_atomic
 from .gridworld import (
     HELDOUT_TEMPLATE_INDICES,
     TRAIN_TEMPLATE_INDICES,
@@ -60,6 +58,9 @@ CSV_COLUMNS = (
     "success_mean",
     "success_std",
     "chance_floor",
+    "seed",
+    "delete_k",
+    "injected_gap_norm",
 )
 
 
@@ -73,7 +74,8 @@ def _is_integer(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    # not math.isfinite, which raises on an integer beyond the float range
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -279,6 +281,7 @@ class BenchConfig:
 @dataclass(frozen=True)
 class BenchRow:
     collapse: str
+    delete_k: int
     corrupt_kind: str
     alpha_or_std: float | None
     train_modality: str
@@ -299,6 +302,9 @@ class BenchRow:
             repr(float(self.success_mean)),
             repr(float(self.success_std)),
             repr(float(self.chance_floor)),
+            str(self.seed),
+            str(self.delete_k),
+            repr(float(self.injected_gap_norm)),
         ]
 
 
@@ -327,16 +333,10 @@ class TransferReport:
         }
 
     def write_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_atomic(path, json_text(self.to_json_dict()))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow(row.csv_values())
+        write_atomic(path, csv_text(CSV_COLUMNS, [row.csv_values() for row in self.rows]))
 
 
 def clips_from_dataset(dataset: Sequence[tuple[Trajectory, GridTask]]) -> list[Clip]:
@@ -455,6 +455,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
                 report.rows.append(
                     BenchRow(
                         collapse=variant.collapse,
+                        delete_k=variant.delete_k,
                         corrupt_kind=variant.corrupt_kind,
                         alpha_or_std=variant.alpha_or_std,
                         train_modality=config.train_modality,

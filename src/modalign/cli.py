@@ -1,16 +1,14 @@
 """Command-line entry point.
 
 Subcommands: diagnose, collapse, corrupt, train-encoder, bench, verify.
-Exit codes: 0 success, 2 usage or validation failure or an output that
-cannot be written, 3 training divergence. Everything is seeded, so
-identical inputs produce identical output bytes.
+Exit codes: 0 success, 2 usage or validation failure, a malformed input
+file or an output that cannot be written, 3 training divergence.
+Everything is seeded, so identical inputs produce identical output bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -39,6 +37,7 @@ from .diagnostics import (
     shared_task_ids,
 )
 from .errors import DivergenceError, ModalignError, ParameterError
+from .fileio import csv_text, read_bytes, read_json, write_atomic
 from .gridworld import generate_tasks
 from .trainer import save_encoder_params
 
@@ -98,14 +97,7 @@ def cmd_corrupt(args) -> int:
 
 
 def _load_json_config(path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParameterError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{path}: invalid JSON ({exc.msg})") from exc
+    doc = read_json(read_bytes(path), str(path))
     if not isinstance(doc, dict):
         raise ParameterError(f"{path}: config must be a JSON object")
     return doc
@@ -123,11 +115,8 @@ def cmd_train_encoder(args) -> int:
     tasks = generate_tasks(cfg.grid_size, cfg.world_seed)
     _, trainer_cfg, result = train_seed_encoders(cfg, tasks, cfg.seeds[0])
     save_encoder_params(result.params, args.out, extra_metadata=asdict(trainer_cfg))
-    with open(args.loss_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "loss"])
-        for i, loss in enumerate(result.loss_trace):
-            writer.writerow([i, repr(loss)])
+    rows = [[i, repr(loss)] for i, loss in enumerate(result.loss_trace)]
+    write_atomic(args.loss_csv, csv_text(["step", "loss"], rows))
     final = result.loss_trace[-1] if result.loss_trace else float("nan")
     print(f"trained {cfg.encoder_steps} steps; final loss {final!r}; wrote {args.out} and {args.loss_csv}")
     return 0
@@ -321,7 +310,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ModalignError, OSError) as exc:  # OSError: an output path cannot be written
+    except (ModalignError, OSError) as exc:  # OSError: an output directory cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,11 +8,8 @@ serialized to JSON so a transform fit offline ships with a policy.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +19,9 @@ from .errors import (
     DimensionError,
     EmptyBankError,
     FormatError,
-    IoError,
     ParameterError,
 )
+from .fileio import json_int, json_number, json_text, read_bytes, read_json, write_atomic
 
 
 class CollapseKind(Enum):
@@ -102,7 +99,7 @@ class CollapseTransform:
             raise FormatError(f"unknown transform fields: {sorted(unknown)}")
         if "source_dim" not in doc:
             raise FormatError("transform document is missing 'source_dim'")
-        source_dim = _json_int(doc["source_dim"], "source_dim")
+        source_dim = json_int(doc["source_dim"], "source_dim")
         if kind is CollapseKind.CENTRALIZE:
             if "visual_mean" not in doc or "text_mean" not in doc:
                 raise FormatError("centralize transform needs visual_mean and text_mean")
@@ -121,23 +118,15 @@ class CollapseTransform:
         return cls(
             kind=kind,
             source_dim=source_dim,
-            deleted_dims=tuple(_json_int(d, "deleted_dims entry") for d in dims),
+            deleted_dims=tuple(json_int(d, "deleted_dims entry") for d in dims),
             fit_reference=doc.get("fit_reference"),
         )
 
 
-def _json_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
 def _json_means(values, what: str) -> np.ndarray:
-    if not isinstance(values, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in values
-    ):
+    if not isinstance(values, list):
         raise FormatError(f"{what} must be a list of finite numbers")
-    return np.asarray(values, dtype=np.float64)
+    return np.array([json_number(x, f"{what} entry") for x in values], dtype=np.float64)
 
 
 def fit_centralize(
@@ -200,22 +189,8 @@ def apply_to_bank(transform: CollapseTransform | None, bank: EmbeddingBank) -> E
 
 
 def save_transform(transform: CollapseTransform, path) -> None:
-    try:
-        Path(path).write_text(
-            json.dumps(transform.to_json_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, json_text(transform.to_json_dict()))
 
 
 def load_transform(path) -> CollapseTransform:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc.msg})") from exc
-    return CollapseTransform.from_json_dict(doc)
+    return CollapseTransform.from_json_dict(read_json(read_bytes(path), str(path)))

@@ -7,10 +7,7 @@ CSV/JSON export of all of the above.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +19,7 @@ from .errors import (
     ParameterError,
     TaskMismatchError,
 )
+from .fileio import csv_text, json_text, write_atomic
 
 # The heatmap aggregates multiple rows per task as the per-task mean; this
 # tag is recorded in exported reports so downstream plots know the convention.
@@ -214,35 +212,20 @@ def gap_report(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> GapReport:
 # ---------------------------------------------------------------------------
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
 def export_gap_report(report: GapReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(path, json_text(report.to_json_dict()))
 
 
 def export_similarity_matrix(task_ids: Sequence[str], matrix: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["visual_task"] + list(task_ids))
-        for tid, row in zip(task_ids, matrix):
-            writer.writerow([tid] + [repr(float(x)) for x in row])
+    rows = [[tid] + [repr(float(x)) for x in row] for tid, row in zip(task_ids, matrix)]
+    write_atomic(path, csv_text(["visual_task"] + list(task_ids), rows))
 
 
 def export_per_dim_gap(gap: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["dim", "gap", "abs_gap"])
-        for i, x in enumerate(gap):
-            writer.writerow([i, repr(float(x)), repr(abs(float(x)))])
+    rows = [[i, repr(float(x)), repr(abs(float(x)))] for i, x in enumerate(gap)]
+    write_atomic(path, csv_text(["dim", "gap", "abs_gap"], rows))
 
 
 def export_pca_points(points: Sequence[PcaPoint], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["modality", "task_id", "x", "y"])
-        for p in points:
-            writer.writerow([p.modality.value, p.task_id, repr(p.x), repr(p.y)])
+    rows = [[p.modality.value, p.task_id, repr(p.x), repr(p.y)] for p in points]
+    write_atomic(path, csv_text(["modality", "task_id", "x", "y"], rows))

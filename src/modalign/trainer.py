@@ -13,9 +13,9 @@ checked against central finite differences by finite_difference_check.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,9 +25,9 @@ from .errors import (
     DimensionError,
     DivergenceError,
     FormatError,
-    IoError,
     ParameterError,
 )
+from .fileio import json_number, read_bytes, read_json, write_atomic
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense, zeros_like_dense
 
 PARAMS_MAGIC = b"EPRM"
@@ -456,17 +456,11 @@ def save_encoder_params(params: EncoderParams, path, extra_metadata: dict | None
     buf += blob
     for arr in params.arrays():
         buf += arr.astype("<f4").tobytes(order="C")
-    try:
-        Path(path).write_bytes(bytes(buf))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, bytes(buf))
 
 
 def load_encoder_params(path) -> EncoderParams:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    raw = read_bytes(path)
     if raw[:4] != PARAMS_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {PARAMS_MAGIC!r}")
     if len(raw) < 9:
@@ -477,22 +471,19 @@ def load_encoder_params(path) -> EncoderParams:
     (meta_len,) = struct.unpack_from("<I", raw, 5)
     if 9 + meta_len > len(raw):
         raise FormatError(f"{path}: truncated metadata block")
-    try:
-        meta = json.loads(raw[9 : 9 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: invalid metadata ({exc})") from exc
+    meta = read_json(raw[9 : 9 + meta_len], f"{path}: metadata")
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata must be a JSON object")
     for key in ("visual_sizes", "text_sizes", "token_table_shape", "temperature"):
         if key not in meta:
             raise FormatError(f"{path}: metadata is missing {key!r}")
-    temperature = meta["temperature"]
-    if not isinstance(temperature, (int, float)) or not np.isfinite(temperature):
-        raise FormatError(f"{path}: temperature {temperature!r} is not a finite number")
+    temperature = json_number(meta["temperature"], f"{path}: temperature")
 
     offset = 9 + meta_len
 
     def take(shape) -> np.ndarray:
         nonlocal offset
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         if offset + 4 * count > len(raw):
             raise FormatError(f"{path}: truncated payload at offset {offset}")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).astype(np.float64)
@@ -504,17 +495,15 @@ def load_encoder_params(path) -> EncoderParams:
 
     for key in ("visual_sizes", "text_sizes", "token_table_shape"):
         sizes = meta[key]
-        if not isinstance(sizes, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in sizes
-        ):
-            raise FormatError(f"{path}: {key} {sizes!r} must be a list of positive integers")
+        if not isinstance(sizes, list) or len(sizes) < 2 or not all(type(s) is int and s > 0 for s in sizes):
+            raise FormatError(f"{path}: {key} {sizes!r} must be a list of two or more positive integers")
     # Declaration order interleaves each layer's weight and bias.
     visual = _take_interleaved(take, meta["visual_sizes"])
     text = _take_interleaved(take, meta["text_sizes"])
     table = take(tuple(meta["token_table_shape"]))
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return EncoderParams(visual, text, table, float(temperature))
+    return EncoderParams(visual, text, table, temperature)
 
 
 def _take_interleaved(take, sizes) -> DenseParams:

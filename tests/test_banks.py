@@ -152,6 +152,13 @@ class TestBankIo:
         with pytest.raises(FormatError, match="line 2"):
             load_bank(path, BankFormat.JSON_LINES)
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_jsonl_version_must_be_a_json_integer(self, tmp_path, version):
+        path = tmp_path / "bank.jsonl"
+        path.write_text('{"format":"ebank","version":%s,"modality":"text","dim":1}\n' % version)
+        with pytest.raises(FormatError, match="line 1: version must be a JSON integer"):
+            load_bank(path, BankFormat.JSON_LINES)
+
     def test_missing_file(self, tmp_path):
         missing = tmp_path / "nope.jsonl"
         with pytest.raises(IoError, match="nope.jsonl"):

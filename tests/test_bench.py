@@ -258,6 +258,22 @@ class TestAblations:
             assert [a["n_seeds"] for a in cells] == [1, 1, 1]
         assert len(report.aggregates) == 6
 
+    def test_rows_name_their_seed_and_variant(self, tmp_path):
+        # without seed, delete_k and injected_gap_norm two rows could share
+        # every identifying column
+        report = run_transfer_experiment(tiny_config(
+            seeds=(0, 1), collapse="delete", eval_heldout_text=False, eval_modalities=("text",),
+            ablations=({"delete_k": 3}, {"injected_gap_norm": 2.0}),
+        ))
+        assert [r.delete_k for r in report.rows] == [1, 3, 1] * 2
+        assert [r["delete_k"] for r in report.to_json_dict()["rows"]] == [1, 3, 1] * 2
+        path = tmp_path / "report.csv"
+        report.write_csv(path)
+        header, *lines = path.read_text().splitlines()
+        values = ("success_mean", "success_std", "chance_floor")
+        keys = {tuple(v for c, v in zip(header.split(","), line.split(",")) if c not in values) for line in lines}
+        assert len(keys) == len(lines) == 6
+
     def test_gaussian_variant_runs(self):
         cfg = tiny_config(
             eval_heldout_text=False,

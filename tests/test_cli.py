@@ -242,6 +242,54 @@ class TestVerify:
         assert "line 2: non-finite value" in capsys.readouterr().err
 
 
+OVERLONG_INT = "9" * 5000  # past the 4,300-digit limit of int parsing
+DEEP = "[" * 100_000  # past the recursion limit of the JSON decoder
+JSONL_HEADER = '{"format":"ebank","version":1,"modality":"visual","dim":2}\n'
+
+
+class TestMalformedJson:
+    """An over-long integer or deep nesting in any JSON input exits 2 naming
+    invalid JSON; neither escapes as a ValueError or RecursionError."""
+
+    def assert_invalid_json(self, capsys, argv):
+        assert run(argv) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc", ['{"schema_version": 1, "grid_size": %s}' % OVERLONG_INT, DEEP], ids=["overlong-int", "deep"]
+    )
+    def test_bench_config(self, tmp_path, capsys, doc):
+        config = tmp_path / "cfg.json"
+        config.write_text(doc)
+        self.assert_invalid_json(capsys, ["bench", "--config", config, "--out-dir", tmp_path / "run"])
+
+    @pytest.mark.parametrize(
+        "doc", ['{"kind": "delete", "source_dim": %s}' % OVERLONG_INT, DEEP], ids=["overlong-int", "deep"]
+    )
+    def test_transform_in(self, bank_pair, tmp_path, capsys, doc):
+        pv, _ = bank_pair
+        transform = tmp_path / "t.json"
+        transform.write_text(doc)
+        self.assert_invalid_json(
+            capsys, ["collapse", "--transform-in", transform, "--target", pv, "--out", tmp_path / "x.ebnk"]
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format":"ebank","version":1,"modality":"visual","dim":%s}\n' % OVERLONG_INT,
+            DEEP + "\n",
+            JSONL_HEADER + '{"task_id":"a","v":[1,%s]}\n' % OVERLONG_INT,
+            JSONL_HEADER + '{"task_id":"a","v":%s}\n' % DEEP,
+        ],
+        ids=["header-overlong-int", "header-deep", "row-overlong-int", "row-deep"],
+    )
+    def test_verify_bank(self, tmp_path, capsys, text):
+        bank = tmp_path / "bad.jsonl"
+        bank.write_text(text)
+        self.assert_invalid_json(capsys, ["verify", "--bank", bank])
+
+
 def read_eprm_metadata(path):
     raw = path.read_bytes()
     (length,) = struct.unpack_from("<I", raw, 5)
@@ -391,7 +439,10 @@ class TestBench:
         assert run(["bench", "--config", config, "--out-dir", out]) == 0
         csv_text = (out / "transfer_report.csv").read_text()
         header = csv_text.splitlines()[0]
-        assert header == "collapse,corrupt_kind,alpha_or_std,train_modality,eval_modality,success_mean,success_std,chance_floor"
+        assert header == (
+            "collapse,corrupt_kind,alpha_or_std,train_modality,eval_modality,success_mean,success_std,"
+            "chance_floor,seed,delete_k,injected_gap_norm"
+        )
         doc = json.loads((out / "transfer_report.json").read_text())
         assert doc["config"]["grid_size"] == 3
 

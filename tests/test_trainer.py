@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from modalign import (
     DimensionError,
     DivergenceError,
     EncoderParams,
+    FormatError,
     Modality,
     PairBatch,
     ParameterError,
@@ -495,19 +498,40 @@ class TestSerialization:
     )
     def test_bad_metadata_sizes_rejected(self, tmp_path, key, value):
         # a hand-built header: each size must be a positive JSON integer
-        import json
-        import struct
-
-        from modalign import FormatError
-
-        params = init_encoder_params(tiny_config(), np.random.default_rng(28))
-        path = tmp_path / "enc.eprm"
-        save_encoder_params(params, path)
-        raw = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<I", raw, 5)
-        meta = json.loads(raw[9 : 9 + meta_len])
-        meta[key] = value
-        blob = json.dumps(meta).encode("utf-8")
-        path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + meta_len :])
+        path = saved_with_metadata(tmp_path, lambda meta: json.dumps({**meta, key: value}))
         with pytest.raises(FormatError, match=key):
             load_encoder_params(path)
+
+    @pytest.mark.parametrize("value", [True, "0.5", 10**400], ids=["bool", "string", "beyond-float"])
+    def test_temperature_must_be_a_finite_number(self, tmp_path, value):
+        path = saved_with_metadata(tmp_path, lambda meta: json.dumps({**meta, "temperature": value}))
+        with pytest.raises(FormatError, match="temperature must be a finite number"):
+            load_encoder_params(path)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            ("[1, 2]", "metadata must be a JSON object"),
+            ('"meta"', "metadata must be a JSON object"),
+            ("5", "metadata must be a JSON object"),
+            ('{"temperature": %s}' % ("9" * 5000), "metadata: invalid JSON"),
+            ("[" * 100_000, "metadata: invalid JSON"),
+        ],
+        ids=["list", "string", "number", "over-4300-digits", "deep"],
+    )
+    def test_bad_metadata_document_rejected(self, tmp_path, blob, message):
+        path = saved_with_metadata(tmp_path, lambda meta: blob)
+        with pytest.raises(FormatError, match=message):
+            load_encoder_params(path)
+
+
+def saved_with_metadata(tmp_path, edit):
+    """A saved .eprm file whose metadata block is replaced by edit(metadata)."""
+    params = init_encoder_params(tiny_config(), np.random.default_rng(28))
+    path = tmp_path / "enc.eprm"
+    save_encoder_params(params, path)
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, 5)
+    blob = edit(json.loads(raw[9 : 9 + meta_len])).encode("utf-8")
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + meta_len :])
+    return path
