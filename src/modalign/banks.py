@@ -22,7 +22,7 @@ from .errors import (
     FormatError,
     ParameterError,
 )
-from .fileio import json_int, read_bytes, read_json, write_atomic
+from .fileio import float32_bytes, float32_values, json_int, read_bytes, read_json, write_atomic
 
 BINARY_MAGIC = b"EBNK"
 BINARY_VERSION = 1
@@ -277,18 +277,16 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
 
 
 def _encode_binary(bank: EmbeddingBank) -> bytes:
-    floats = bank.values.astype("<f4")
-    bad = np.argwhere(~np.isfinite(floats))
-    if bad.size:
-        r, c = bad[0]
-        raise ParameterError(
-            f"row {r}, dim {c}: value {bank.values[r, c]!r} is outside float32 range"
-        )
+    def outside(i: int) -> str:
+        r, c = divmod(i, bank.dim)
+        return f"row {r}, dim {c}: value {float(bank.values[r, c])!r} is outside float32 range"
+
+    floats = float32_bytes(bank.values, outside)
     buf = bytearray()
     buf += BINARY_MAGIC
     buf += struct.pack("<BB", BINARY_VERSION, _MODALITY_CODE[bank.modality])
     buf += struct.pack("<IQ", bank.dim, bank.n)
-    buf += floats.tobytes(order="C")
+    buf += floats
     for i, tid in enumerate(bank.task_ids):
         encoded = tid.encode("utf-8")
         if len(encoded) > 0xFFFF:
@@ -319,14 +317,9 @@ def _decode_binary(raw: bytes, name: str) -> EmbeddingBank:
     offset = 18
     n_floats = dim * count
     need(offset, 4 * n_floats, f"{n_floats} float32 values")
-    values = (
-        np.frombuffer(raw, dtype="<f4", count=n_floats, offset=offset)
-        .astype(np.float64)
-        .reshape(count, dim)
-    )
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        raise FormatError(f"{name}: row {bad[0][0]}: non-finite value")
+    values = float32_values(
+        raw, offset, n_floats, lambda i: f"{name}: row {i // dim}: non-finite value"
+    ).reshape(count, dim)
     offset += 4 * n_floats
     ids = []
     for i in range(count):

@@ -50,17 +50,8 @@ _CHANCE_TAG = 97
 _GAP_TAG = 98
 
 CSV_COLUMNS = (
-    "collapse",
-    "corrupt_kind",
-    "alpha_or_std",
-    "train_modality",
-    "eval_modality",
-    "success_mean",
-    "success_std",
-    "chance_floor",
-    "seed",
-    "delete_k",
-    "injected_gap_norm",
+    "collapse", "corrupt_kind", "alpha_or_std", "train_modality", "eval_modality",
+    "success_mean", "success_std", "chance_floor", "seed", "delete_k", "injected_gap_norm",
 )
 
 
@@ -121,14 +112,21 @@ class VariantSpec:
             return CorruptConfig(NoiseKind.COSINE, alpha=self.alpha, seed=seed)
         return CorruptConfig(NoiseKind.GAUSSIAN, std=self.std, seed=seed)
 
+    def report_fields(self) -> dict:
+        """The variant's cells of a report row; alpha and std report as alpha_or_std."""
+        cells = {f.name: getattr(self, f.name) for f in fields(VariantSpec) if f.name not in ("alpha", "std")}
+        return {**cells, "alpha_or_std": self.alpha_or_std}
 
-_VARIANT_KEYS = {"collapse", "delete_k", "corrupt_kind", "alpha", "std", "injected_gap_norm"}
+
+_VARIANT_KEYS = {f.name for f in fields(VariantSpec)}
 # Lower bounds of integer config fields (of every entry of an integer list).
 _POSITIVE, _NON_NEGATIVE = {"floor": 1}, {"floor": 0}
 
 
 @dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(VariantSpec):
+    """Every bench setting; the base variant's fields come from VariantSpec."""
+
     schema_version: int = 1
     grid_size: int = field(default=5, metadata=_POSITIVE)
     demos_per_task: int = field(default=20, metadata=_POSITIVE)
@@ -154,12 +152,6 @@ class BenchConfig:
     policy_learning_rate: float = 0.3
     policy_momentum: float = 0.9
     policy_hidden: tuple[int, ...] = field(default=(64,), metadata=_POSITIVE)
-    collapse: str = "centralize"
-    delete_k: int = 1
-    corrupt_kind: str = "cosine"
-    alpha: float = 0.2
-    std: float = 0.1
-    injected_gap_norm: float = 0.0
     ablations: tuple[dict, ...] = ()
 
     def __post_init__(self):
@@ -203,6 +195,13 @@ class BenchConfig:
             raise ParameterError(
                 f"horizon {self.horizon} cannot reach every cell of a {self.grid_size} grid"
             )
+        # Each stage config checks its own ranges and starts its message
+        # with the field name; the prefix makes that the config key.
+        for prefix, stage_config in (("encoder_", self.trainer_config), ("policy_", self.policy_config)):
+            try:
+                stage_config(0)
+            except ParameterError as exc:
+                raise ParameterError(f"{prefix}{exc}") from None
         object.__setattr__(self, "eval_modalities", tuple(self.eval_modalities))
         object.__setattr__(self, "ablations", tuple(dict(a) for a in self.ablations))
         for abl in self.ablations:
@@ -216,14 +215,7 @@ class BenchConfig:
                 )
 
     def base_variant(self) -> VariantSpec:
-        return VariantSpec(
-            collapse=self.collapse,
-            delete_k=self.delete_k,
-            corrupt_kind=self.corrupt_kind,
-            alpha=self.alpha,
-            std=self.std,
-            injected_gap_norm=self.injected_gap_norm,
-        )
+        return VariantSpec(**{f.name: getattr(self, f.name) for f in fields(VariantSpec)})
 
     def variants(self) -> list[VariantSpec]:
         base = self.base_variant()
@@ -242,70 +234,50 @@ class BenchConfig:
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        doc = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                value = list(value)
-            doc[name] = value
-        return doc
+        return asdict(self)
+
+    def _stage_fields(self, prefix: str) -> dict:
+        """Every field named prefix + x, keyed x: one stage config's arguments."""
+        n = len(prefix)
+        return {f.name[n:]: getattr(self, f.name) for f in fields(self) if f.name.startswith(prefix)}
 
     def trainer_config(self, seed: int) -> TrainerConfig:
         return TrainerConfig(
-            obs_dim=self.grid_size * self.grid_size,
-            vocab_size=len(build_vocab(self.grid_size)),
-            dim=self.dim,
-            visual_hidden=self.encoder_visual_hidden,
-            text_hidden=self.encoder_text_hidden,
-            token_dim=self.encoder_token_dim,
-            temperature=self.encoder_temperature,
-            steps=self.encoder_steps,
-            batch_size=self.encoder_batch_size,
-            learning_rate=self.encoder_learning_rate,
-            momentum=self.encoder_momentum,
-            seed=seed,
-            freeze_text_after=self.encoder_freeze_text_after,
+            obs_dim=self.grid_size * self.grid_size, vocab_size=len(build_vocab(self.grid_size)),
+            dim=self.dim, seed=seed, **self._stage_fields("encoder_"),
         )
 
     def policy_config(self, seed: int) -> PolicyConfig:
-        return PolicyConfig(
-            steps=self.policy_steps,
-            batch_size=self.policy_batch_size,
-            learning_rate=self.policy_learning_rate,
-            momentum=self.policy_momentum,
-            hidden=self.policy_hidden,
-            seed=seed,
-        )
+        return PolicyConfig(seed=seed, **self._stage_fields("policy_"))
 
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One report cell: a variant's report fields plus the run fields."""
+
     collapse: str
     delete_k: int
     corrupt_kind: str
     alpha_or_std: float | None
+    injected_gap_norm: float
     train_modality: str
     eval_modality: str  # visual | text | text_heldout
     seed: int
-    injected_gap_norm: float
     success_mean: float
     success_std: float
     chance_floor: float
 
     def csv_values(self) -> list[str]:
-        return [
-            self.collapse,
-            self.corrupt_kind,
-            "" if self.alpha_or_std is None else repr(float(self.alpha_or_std)),
-            self.train_modality,
-            self.eval_modality,
-            repr(float(self.success_mean)),
-            repr(float(self.success_std)),
-            repr(float(self.chance_floor)),
-            str(self.seed),
-            str(self.delete_k),
-            repr(float(self.injected_gap_norm)),
-        ]
+        """CSV_COLUMNS cells, formatted by each field's declared type, so an
+        integer-valued float field still writes as a float."""
+        types = {f.name: f.type for f in fields(self)}
+        return [_csv_cell(getattr(self, c), types[c].startswith("float")) for c in CSV_COLUMNS]
+
+
+def _csv_cell(value, is_float: bool) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if is_float else str(value)
 
 
 @dataclass
@@ -416,7 +388,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
     train_modality = Modality(config.train_modality)
     variants = config.variants()
     report = TransferReport(config=config.to_dict(), chance_floor=floor)
-    success: dict[tuple[int, str], list[float]] = {}
+    cells: dict[tuple[int, str], list[BenchRow]] = {}
     evals: list[tuple[str, Sequence[int] | None]] = [
         (m, TRAIN_TEMPLATE_INDICES if m == "text" else None) for m in config.eval_modalities
     ]
@@ -451,40 +423,23 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
                     offset if eval_modality is Modality.VISUAL else None,
                 )
                 per_task = np.array(list(result.per_task.values()))
-                success.setdefault((vi, eval_name), []).append(float(result.success_rate))
-                report.rows.append(
-                    BenchRow(
-                        collapse=variant.collapse,
-                        delete_k=variant.delete_k,
-                        corrupt_kind=variant.corrupt_kind,
-                        alpha_or_std=variant.alpha_or_std,
-                        train_modality=config.train_modality,
-                        eval_modality=eval_name,
-                        seed=seed,
-                        injected_gap_norm=variant.injected_gap_norm,
-                        success_mean=float(result.success_rate),
-                        success_std=float(per_task.std()),
-                        chance_floor=floor,
-                    )
+                row = BenchRow(
+                    **variant.report_fields(),
+                    train_modality=config.train_modality,
+                    eval_modality=eval_name,
+                    seed=seed,
+                    success_mean=float(result.success_rate),
+                    success_std=float(per_task.std()),
+                    chance_floor=floor,
                 )
+                report.rows.append(row)
+                cells.setdefault((vi, eval_name), []).append(row)
 
     # One aggregate per (variant, eval modality) cell, in run order, so
     # variants that differ in any field (delete_k included) never pool.
-    for (vi, eval_name), values in success.items():
-        variant = variants[vi]
-        report.aggregates.append(
-            {
-                "collapse": variant.collapse,
-                "delete_k": variant.delete_k,
-                "corrupt_kind": variant.corrupt_kind,
-                "alpha_or_std": variant.alpha_or_std,
-                "injected_gap_norm": variant.injected_gap_norm,
-                "train_modality": config.train_modality,
-                "eval_modality": eval_name,
-                "success_mean": float(np.mean(values)),
-                "success_std": float(np.std(values)),
-                "chance_floor": floor,
-                "n_seeds": len(values),
-            }
-        )
+    for rows in cells.values():
+        values = [row.success_mean for row in rows]
+        cell = {k: v for k, v in asdict(rows[0]).items() if k != "seed"}
+        cell.update(success_mean=float(np.mean(values)), success_std=float(np.std(values)), n_seeds=len(values))
+        report.aggregates.append(cell)
     return report

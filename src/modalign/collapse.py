@@ -100,6 +100,9 @@ class CollapseTransform:
         if "source_dim" not in doc:
             raise FormatError("transform document is missing 'source_dim'")
         source_dim = json_int(doc["source_dim"], "source_dim")
+        fit_reference = doc.get("fit_reference")
+        if "fit_reference" in doc and not isinstance(fit_reference, str):
+            raise FormatError(f"fit_reference must be a string, got {fit_reference!r}")
         if kind is CollapseKind.CENTRALIZE:
             if "visual_mean" not in doc or "text_mean" not in doc:
                 raise FormatError("centralize transform needs visual_mean and text_mean")
@@ -108,7 +111,7 @@ class CollapseTransform:
                 source_dim=source_dim,
                 visual_mean=_json_means(doc["visual_mean"], "visual_mean"),
                 text_mean=_json_means(doc["text_mean"], "text_mean"),
-                fit_reference=doc.get("fit_reference"),
+                fit_reference=fit_reference,
             )
         if "deleted_dims" not in doc:
             raise FormatError("delete transform needs deleted_dims")
@@ -119,7 +122,7 @@ class CollapseTransform:
             kind=kind,
             source_dim=source_dim,
             deleted_dims=tuple(json_int(d, "deleted_dims entry") for d in dims),
-            fit_reference=doc.get("fit_reference"),
+            fit_reference=fit_reference,
         )
 
 

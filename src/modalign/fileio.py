@@ -14,7 +14,9 @@ import os
 import sys
 from contextlib import suppress
 
-from .errors import FormatError, IoError
+import numpy as np
+
+from .errors import FormatError, IoError, ParameterError
 
 
 def read_bytes(path) -> bytes:
@@ -47,6 +49,28 @@ def json_number(value, what: str) -> float:
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise FormatError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def float32_bytes(values: np.ndarray, message) -> bytes:
+    """values as C-order LE float32 bytes. A value that is not finite as a
+    float32 is a ParameterError saying message(i) of flat entry i."""
+    with np.errstate(over="ignore"):  # the finiteness check below reports it
+        floats = np.ascontiguousarray(values, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        raise ParameterError(message(int(bad[0])))
+    return floats.tobytes()
+
+
+def float32_values(raw: bytes, offset: int, count: int, message) -> np.ndarray:
+    """count LE float32 values of raw from offset, as float64. A non-finite
+    one is a FormatError saying message(i) of entry i; the check runs on
+    the float32 view, so a NaN payload is refused before the cast warns."""
+    floats = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        raise FormatError(message(int(bad[0])))
+    return floats.astype(np.float64)
 
 
 def write_atomic(path, data: bytes | str) -> None:

@@ -38,7 +38,9 @@ class PolicyConfig:
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0.0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
+            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 

@@ -27,7 +27,7 @@ from .errors import (
     FormatError,
     ParameterError,
 )
-from .fileio import json_number, read_bytes, read_json, write_atomic
+from .fileio import float32_bytes, float32_values, json_number, read_bytes, read_json, write_atomic
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense, zeros_like_dense
 
 PARAMS_MAGIC = b"EPRM"
@@ -143,9 +143,11 @@ class TrainerConfig:
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if self.steps > 0 and self.batch_size < 2:
-            raise ParameterError("contrastive training needs batch_size >= 2")
+            raise ParameterError(f"batch_size must be >= 2 for contrastive training, got {self.batch_size}")
         if self.learning_rate <= 0.0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
+            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.freeze_text_after is not None and self.freeze_text_after < 0:
             raise ParameterError("freeze_text_after must be >= 0 or None")
         object.__setattr__(self, "visual_hidden", tuple(int(h) for h in self.visual_hidden))
@@ -454,8 +456,10 @@ def save_encoder_params(params: EncoderParams, path, extra_metadata: dict | None
     buf += struct.pack("<B", PARAMS_VERSION)
     buf += struct.pack("<I", len(blob))
     buf += blob
-    for arr in params.arrays():
-        buf += arr.astype("<f4").tobytes(order="C")
+    for k, arr in enumerate(params.arrays()):
+        buf += float32_bytes(arr, lambda i: (
+            f"parameter array {k}, entry {i}: value {float(arr.flat[i])!r} is outside float32 range"
+        ))
     write_atomic(path, bytes(buf))
 
 
@@ -486,10 +490,9 @@ def load_encoder_params(path) -> EncoderParams:
         count = math.prod(shape)
         if offset + 4 * count > len(raw):
             raise FormatError(f"{path}: truncated payload at offset {offset}")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise FormatError(f"{path}: non-finite parameter at offset {offset + 4 * int(bad[0])}")
+        arr = float32_values(
+            raw, offset, count, lambda i: f"{path}: non-finite parameter at offset {offset + 4 * i}"
+        )
         offset += 4 * count
         return arr.reshape(shape)
 

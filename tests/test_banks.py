@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from modalign import (
     FormatError,
     IoError,
     Modality,
+    ParameterError,
     cosine_similarity,
     load_bank,
     normalize,
@@ -215,6 +218,28 @@ class TestBankIo:
         path.write_bytes(b"XXXX" + b"\x00" * 20)
         with pytest.raises(FormatError, match="magic"):
             load_bank(path, BankFormat.BINARY)
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7FA00000, 0xFF800000], ids=["nan", "signalling-nan", "-inf"])
+    def test_binary_non_finite_payload_rejected_without_a_cast_warning(self, tmp_path, bits):
+        bank = EmbeddingBank.from_rows(Modality.VISUAL, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        path = tmp_path / "b.ebnk"
+        save_bank(bank, path, BankFormat.BINARY)
+        raw = bytearray(path.read_bytes())
+        raw[18 + 12 : 18 + 16] = struct.pack("<I", bits)  # row 1, dim 1
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="row 1: non-finite value"):
+                load_bank(path, BankFormat.BINARY)
+
+    def test_binary_save_refuses_values_outside_float32(self, tmp_path):
+        bank = EmbeddingBank.from_rows(Modality.VISUAL, [("a", [1.0, 0.0]), ("b", [0.0, 1e39])])
+        path = tmp_path / "b.ebnk"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="row 1, dim 1: value 1e[+]?39 is outside float32 range"):
+                save_bank(bank, path, BankFormat.BINARY)
+        assert not path.exists()
 
     def test_format_sniffing(self, tmp_path):
         bank = random_bank(np.random.default_rng(4), n=2)

@@ -1,4 +1,6 @@
+import csv
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -6,10 +8,12 @@ from modalign import ParameterError, PipelineError
 from modalign.bench import (
     CSV_COLUMNS,
     BenchConfig,
+    BenchRow,
     VariantSpec,
     run_transfer_experiment,
     subseed,
 )
+from modalign.cli import main
 
 
 def tiny_config(**overrides):
@@ -141,6 +145,13 @@ class TestBenchConfig:
             ("seeds", [0, -1]),
             ("world_seed", -1),
             ("eval_modalities", []),
+            # checked by the encoder and policy stage configs
+            ("policy_learning_rate", -0.1),
+            ("policy_momentum", 1.0),
+            ("encoder_learning_rate", 0),
+            ("encoder_temperature", 0),
+            ("encoder_momentum", 1.0),
+            ("encoder_batch_size", 1),
         ],
     )
     def test_out_of_range_value_names_its_field(self, field, value):
@@ -295,3 +306,41 @@ class TestAblations:
         with pytest.raises(PipelineError, match="train_encoders") as info:
             run_transfer_experiment(tiny_config())
         assert info.value.stage == "train_encoders"
+
+
+class TestReportSchema:
+    def test_every_variant_field_reaches_rows_csv_and_aggregates(self):
+        # each ablation differs in one field from the base or the one before
+        report = run_transfer_experiment(tiny_config(
+            collapse="delete", eval_heldout_text=False, encoder_steps=60, policy_steps=60,
+            ablations=(
+                {"collapse": "none"}, {"delete_k": 2}, {"alpha": 0.5}, {"injected_gap_norm": 1.0},
+                {"corrupt_kind": "gaussian"}, {"corrupt_kind": "gaussian", "std": 0.3}, {"corrupt_kind": "none"},
+            ),
+        ))
+        keys = set(VariantSpec().report_fields())
+        assert keys == {"collapse", "delete_k", "corrupt_kind", "alpha_or_std", "injected_gap_norm"}
+        assert keys <= {f.name for f in fields(BenchRow)}
+        assert keys <= set(CSV_COLUMNS)
+        assert all(keys <= set(agg) for agg in report.aggregates)
+        cells = {(tuple(agg[k] for k in sorted(keys)), agg["eval_modality"]) for agg in report.aggregates}
+        assert len(cells) == len(report.aggregates) == 8 * 2
+
+    def test_integer_valued_floats_format_by_field_type(self, tmp_path, capsys):
+        config = tmp_path / "bench.json"
+        doc = {
+            "schema_version": 1, "grid_size": 3, "demos_per_task": 4, "dim": 8, "seeds": [0],
+            "episodes_per_task": 2, "horizon": 4, "encoder_steps": 60, "policy_steps": 60,
+            "eval_heldout_text": False, "eval_modalities": ["visual"], "alpha": 0, "injected_gap_norm": 1,
+        }
+        config.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        # the CSV formats by the declared float type, not by the value's type
+        (row,) = csv.DictReader((tmp_path / "transfer_report.csv").read_text().splitlines())
+        assert (row["alpha_or_std"], row["injected_gap_norm"], row["delete_k"]) == ("0.0", "1.0", "1")
+        # JSON and the console keep the values as given
+        report = json.loads((tmp_path / "transfer_report.json").read_text())
+        for cell in (report["rows"][0], report["aggregates"][0]):
+            assert (cell["alpha_or_std"], cell["injected_gap_norm"]) == (0, 1)
+            assert type(cell["alpha_or_std"]) is int and type(cell["injected_gap_norm"]) is int
+        assert "centralize/cosine=0 gap=1 train=visual eval=visual" in capsys.readouterr().out

@@ -504,20 +504,31 @@ class TestBench:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, value", [("episodes_per_task", 0), ("dim", 0), ("eval_modalities", [])]
+        "field, value",
+        [
+            ("episodes_per_task", 0),
+            ("dim", 0),
+            ("eval_modalities", []),
+            # ranges the encoder and policy stage configs check
+            ("policy_learning_rate", -0.1),
+            ("policy_momentum", 1.0),
+            ("encoder_learning_rate", 0),
+            ("encoder_temperature", 0),
+            ("encoder_momentum", 1.0),
+            ("encoder_batch_size", 1),
+        ],
     )
     def test_out_of_range_config_names_field_before_training(
         self, monkeypatch, tmp_path, capsys, field, value
     ):
         import modalign.bench as bench_module
 
-        def must_not_train(clips, config):
-            raise AssertionError("encoders trained before the config was validated")
-
-        monkeypatch.setattr(bench_module, "train_encoders", must_not_train)
+        calls = []
+        monkeypatch.setattr(bench_module, "train_encoders", lambda clips, config: calls.append(config))
         config = self.bench_config(tmp_path)
         config.write_text(json.dumps({**json.loads(config.read_text()), field: value}))
         assert run(["bench", "--config", config, "--out-dir", tmp_path / "x"]) == 2
+        assert calls == []
         assert field in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 

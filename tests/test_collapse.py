@@ -305,6 +305,8 @@ class TestSerialization:
             {"kind": "centralize", "source_dim": 2, "visual_mean": [0.0, float("nan")], "text_mean": [0.0, 0.0]},
             {"kind": "centralize", "source_dim": 2, "visual_mean": [0.0, 0.0], "text_mean": [float("inf"), 0.0]},
             {"kind": "centralize", "source_dim": 2, "visual_mean": [0.0, "x"], "text_mean": [0.0, 0.0]},
+            {"kind": "delete", "source_dim": 4, "deleted_dims": [0], "fit_reference": 5},
+            {"kind": "delete", "source_dim": 4, "deleted_dims": [0], "fit_reference": ["banks"]},
         ],
     )
     def test_non_integral_or_non_finite_values_rejected(self, doc):

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -467,16 +468,43 @@ class TestSerialization:
         save_encoder_params(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @staticmethod
+    def eprm_with_table_entry(tmp_path, entry: bytes):
+        """A valid .eprm whose token_table[3, 1] float32 bytes are replaced;
+        the saver refuses non-finite values, so the file is patched."""
+        params = init_encoder_params(tiny_config(), np.random.default_rng(27))
+        path = tmp_path / "bad.eprm"
+        save_encoder_params(params, path)
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - 4 * params.token_table.size + 4 * (3 * params.token_table.shape[1] + 1)
+        raw[at : at + 4] = entry
+        path.write_bytes(bytes(raw))
+        return path, at
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, bad):
-        from modalign import FormatError
+        path, at = self.eprm_with_table_entry(tmp_path, struct.pack("<f", bad))
+        with pytest.raises(FormatError, match=f"non-finite parameter at offset {at}"):
+            load_encoder_params(path)
 
+    def test_signalling_nan_rejected_without_a_cast_warning(self, tmp_path):
+        # finiteness is checked on the float32 view, before the float64 cast
+        path, _ = self.eprm_with_table_entry(tmp_path, struct.pack("<I", 0x7FA00000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite parameter"):
+                load_encoder_params(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39, -1e39])
+    def test_save_refuses_values_outside_float32(self, tmp_path, bad):
         params = init_encoder_params(tiny_config(), np.random.default_rng(27))
         params.token_table[3, 1] = bad
         path = tmp_path / "bad.eprm"
-        save_encoder_params(params, path)
-        with pytest.raises(FormatError, match="non-finite parameter at offset"):
-            load_encoder_params(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="outside float32 range"):
+                save_encoder_params(params, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.eprm"
