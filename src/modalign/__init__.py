@@ -75,10 +75,11 @@ from .trainer import (
     EncoderParams,
     PairBatch,
     TrainerConfig,
+    compile_tokens,
     finite_difference_check,
     frame_differences,
-    infonce_gradient,
     infonce_loss,
+    infonce_loss_and_gradient,
     load_encoder_params,
     save_encoder_params,
     train_encoders,

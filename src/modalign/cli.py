@@ -127,7 +127,7 @@ def _flag_number(flag: str, value: str, cast):
         number = cast(value)
         if math.isfinite(number):
             return number
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond float range
         pass
     raise ParameterError(f"{flag} expects a finite number, got {value!r}")
 
@@ -194,6 +194,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ParameterError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    if not -1.0 < args.alpha <= 1.0:
+        raise ParameterError(f"--alpha must be in (-1, 1], got {args.alpha}")
     bank = load_bank(args.bank)  # loading enforces all bank invariants
     print(f"{args.bank}: valid {bank.modality.value} bank, {bank.n} rows, dim {bank.dim}")
     if args.against is None:

@@ -51,13 +51,6 @@ def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseParams:
     return DenseParams(weights, biases)
 
 
-def zeros_like_dense(params: DenseParams) -> DenseParams:
-    return DenseParams(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
-
-
 def dense_forward(params: DenseParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass; returns (output (B, out), per-layer activations).
 
@@ -83,34 +76,30 @@ def dense_backward(
 ) -> tuple[DenseParams, np.ndarray]:
     """Backprop grad_out (B, out) through the net; returns (param grads,
     gradient with respect to the input (B, in))."""
-    grads = zeros_like_dense(params)
+    weights, biases = [], []
     g = np.asarray(grad_out, dtype=np.float64)  # dL/dz of the linear output
     for l in range(params.n_layers - 1, -1, -1):
-        grads.weights[l] = g.T @ cache[l]
-        grads.biases[l] = g.sum(axis=0)
+        weights.append(g.T @ cache[l])
+        biases.append(g.sum(axis=0))
         g = g @ params.weights[l]
         if l > 0:
             g = g * (1.0 - cache[l] ** 2)  # tanh'
-    return grads, g
+    return DenseParams(weights[::-1], biases[::-1]), g
 
 
 class MomentumState:
-    """Classic SGD-with-momentum over a flat list of parameter arrays."""
+    """Classic SGD-with-momentum over a flat list of parameter arrays. The
+    learning rate and momentum come from a config that has checked them."""
 
-    def __init__(self, arrays: list[np.ndarray], learning_rate: float, momentum: float = 0.9):
-        if learning_rate <= 0.0:
-            raise ParameterError(f"learning rate must be positive, got {learning_rate}")
-        if not (0.0 <= momentum < 1.0):
-            raise ParameterError(f"momentum must be in [0, 1), got {momentum}")
+    def __init__(self, arrays: list[np.ndarray], learning_rate: float, momentum: float):
         self.lr = learning_rate
         self.momentum = momentum
         self.velocities = [np.zeros_like(a) for a in arrays]
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray], mask=None) -> None:
-        """In-place update; mask (same length, booleans) freezes entries."""
-        for i, (a, g, v) in enumerate(zip(arrays, grads, self.velocities)):
-            if mask is not None and not mask[i]:
-                continue
+    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """In-place update of each array by its gradient; a shorter arrays
+        list steps only that prefix and leaves the rest untouched."""
+        for a, g, v in zip(arrays, grads, self.velocities):
             v *= self.momentum
             v -= self.lr * g
             a += v

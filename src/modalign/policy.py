@@ -48,7 +48,6 @@ class PolicyConfig:
 class PolicyParams:
     net: DenseParams
     grid_size: int
-    goal_dim: int
 
 
 @dataclass
@@ -62,7 +61,6 @@ class EvalReport:
     success_rate: float
     per_task: dict[str, float]
     episodes_per_task: int
-    horizon: int
 
 
 def encode_goals(
@@ -171,7 +169,7 @@ def train_policy_from_arrays(
         dlogits /= len(y)
         grads, _ = dense_backward(net, cache, dlogits)
         optimizer.step(net.arrays(), grads.arrays())
-    return PolicyResult(PolicyParams(net, grid_size, goals.shape[1]), trace)
+    return PolicyResult(PolicyParams(net, grid_size), trace)
 
 
 def train_policy(
@@ -287,7 +285,6 @@ def evaluate_policy(
         success_rate=int(reached.sum()) / reached.size,
         per_task={task.task_id: int(w) / episodes_per_task for task, w in zip(ordered, wins)},
         episodes_per_task=episodes_per_task,
-        horizon=horizon,
     )
 
 

@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
 )
 from .fileio import float32_bytes, float32_values, json_number, read_bytes, read_json, write_atomic
-from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense, zeros_like_dense
+from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
 
 PARAMS_MAGIC = b"EPRM"
 PARAMS_VERSION = 1
@@ -83,39 +83,28 @@ def compile_tokens(token_seqs: Sequence[Sequence[int]], vocab: int) -> TokenRows
 
 @dataclass(frozen=True)
 class PairBatch:
-    """B rows of (start frame, end frame, instruction tokens); `compiled`
-    may carry the tokens as rows already, as the training sampler does."""
+    """B rows of (start frame, end frame, instruction token rows); a
+    hand-made batch takes its rows from compile_tokens(seqs, vocab)."""
 
     o_start: np.ndarray  # (B, obs_dim)
     o_end: np.ndarray  # (B, obs_dim)
-    tokens: tuple[tuple[int, ...], ...]
-    compiled: TokenRows | None = field(default=None, repr=False, compare=False)
+    tokens: TokenRows
 
     def __post_init__(self):
         start = np.asarray(self.o_start, dtype=np.float64)
         end = np.asarray(self.o_end, dtype=np.float64)
         if start.ndim != 2 or start.shape != end.shape:
             raise DimensionError(f"frame arrays disagree: {start.shape} vs {end.shape}")
-        if start.shape[0] != len(self.tokens):
-            raise DimensionError(
-                f"{start.shape[0]} frame rows but {len(self.tokens)} instruction rows"
-            )
+        if start.shape[0] != self.size:
+            raise DimensionError(f"{start.shape[0]} frame rows but {self.size} instruction rows")
         if start.shape[0] < 1:
             raise ParameterError("a batch needs at least one row")
-        for seq in self.tokens:
-            if len(seq) == 0:
-                raise ParameterError("instruction token sequences must be non-empty")
         object.__setattr__(self, "o_start", start)
         object.__setattr__(self, "o_end", end)
 
     @property
     def size(self) -> int:
-        return len(self.tokens)
-
-    def token_rows(self, vocab: int) -> TokenRows:
-        if self.compiled is not None and self.compiled.vocab == vocab:
-            return self.compiled
-        return compile_tokens(self.tokens, vocab)
+        return len(self.tokens.lengths)
 
 
 @dataclass(frozen=True)
@@ -172,10 +161,6 @@ class EncoderParams:
         return self.visual.weights[-1].shape[0]
 
     @property
-    def obs_dim(self) -> int:
-        return self.visual.weights[0].shape[1]
-
-    @property
     def vocab_size(self) -> int:
         return self.token_table.shape[0]
 
@@ -186,16 +171,6 @@ class EncoderParams:
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays in declaration order (visual, text, table)."""
-        return self.visual.arrays() + self.text.arrays() + [self.token_table]
-
-
-@dataclass
-class EncoderGrads:
-    visual: DenseParams
-    text: DenseParams
-    token_table: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
         return self.visual.arrays() + self.text.arrays() + [self.token_table]
 
 
@@ -238,7 +213,10 @@ def _loss_internals(params: EncoderParams, batch: PairBatch):
     last = params.visual.n_layers - 1
     hidden_diff = cache_end[last] - cache_start[last]
     diff = hidden_diff @ params.visual.weights[last].T  # (B, D)
-    rows = batch.token_rows(params.vocab_size)
+    rows = batch.tokens
+    if rows.vocab != params.vocab_size:
+        # a pad index of another vocabulary would select a real token row
+        raise DimensionError(f"batch tokens are compiled for vocab {rows.vocab}, not {params.vocab_size}")
     text, cache_text = dense_forward(params.text, rows.pool(params.token_table))
 
     norm_f = np.linalg.norm(diff, axis=1)
@@ -281,10 +259,9 @@ def infonce_loss(params: EncoderParams, batch: PairBatch) -> float:
     return _loss_internals(params, batch)["loss"]
 
 
-def _gradient_from_internals(params: EncoderParams, batch: PairBatch, state) -> EncoderGrads:
-    b = batch.size
+def _gradient_from_internals(params: EncoderParams, state) -> list[np.ndarray]:
     p = state["softmax"]
-    dlogits = (p - np.eye(b)) / b
+    dlogits = (p - np.eye(len(p))) / len(p)
     dsims = dlogits / params.temperature
 
     fn, tn = state["fn"], state["tn"]
@@ -294,10 +271,8 @@ def _gradient_from_internals(params: EncoderParams, batch: PairBatch, state) -> 
     ddiff = (g_fn - (np.sum(g_fn * fn, axis=1, keepdims=True)) * fn) / state["norm_f"][:, None]
     dtext = (g_tn - (np.sum(g_tn * tn, axis=1, keepdims=True)) * tn) / state["norm_t"][:, None]
 
-    visual = zeros_like_dense(params.visual)
+    visual = []
     last = params.visual.n_layers - 1
-    visual.weights[last] = ddiff.T @ state["hidden_diff"]
-    # output bias cancelled in the difference, so its gradient stays zero
     if last > 0:
         g = ddiff @ params.visual.weights[last]
         sub = DenseParams(params.visual.weights[:last], params.visual.biases[:last])
@@ -306,9 +281,9 @@ def _gradient_from_internals(params: EncoderParams, batch: PairBatch, state) -> 
         grads_start, _ = dense_backward(
             sub, state["cache_start"][: last + 1], -g * (1.0 - h_start**2)
         )
-        for l in range(last):
-            visual.weights[l] = grads_end.weights[l] + grads_start.weights[l]
-            visual.biases[l] = grads_end.biases[l] + grads_start.biases[l]
+        visual = [e + s for e, s in zip(grads_end.arrays(), grads_start.arrays())]
+    # the output bias cancels in the difference, so its gradient is zero
+    visual += [ddiff.T @ state["hidden_diff"], np.zeros_like(params.visual.biases[last])]
 
     text_grads, dpooled = dense_backward(params.text, state["cache_text"], dtext)
     # One ordered scatter into the flattened table adds every token's share
@@ -318,17 +293,14 @@ def _gradient_from_internals(params: EncoderParams, batch: PairBatch, state) -> 
     cells = rows.padded.reshape(-1, 1) * width + np.arange(width)
     table = np.zeros((rows.vocab + 1) * width)
     np.add.at(table, cells.ravel(), share.ravel())
-    return EncoderGrads(visual, text_grads, table.reshape(-1, width)[: rows.vocab])
+    return visual + text_grads.arrays() + [table.reshape(-1, width)[: rows.vocab]]
 
 
-def infonce_gradient(params: EncoderParams, batch: PairBatch) -> EncoderGrads:
-    """Analytic gradient of infonce_loss with respect to every parameter."""
-    return _gradient_from_internals(params, batch, _loss_internals(params, batch))
-
-
-def infonce_loss_and_gradient(params: EncoderParams, batch: PairBatch) -> tuple[float, EncoderGrads]:
+def infonce_loss_and_gradient(params: EncoderParams, batch: PairBatch) -> tuple[float, list[np.ndarray]]:
+    """infonce_loss and its analytic gradient, one array per entry of
+    params.arrays(), in that order."""
     state = _loss_internals(params, batch)
-    return state["loss"], _gradient_from_internals(params, batch, state)
+    return state["loss"], _gradient_from_internals(params, state)
 
 
 def finite_difference_check(params: EncoderParams, batch: PairBatch, epsilon: float = 1e-5) -> float:
@@ -337,9 +309,9 @@ def finite_difference_check(params: EncoderParams, batch: PairBatch, epsilon: fl
     if epsilon <= 0.0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     work = params.copy()
-    analytic = infonce_gradient(work, batch)
+    _, analytic = infonce_loss_and_gradient(work, batch)
     worst = 0.0
-    for arr, grad in zip(work.arrays(), analytic.arrays()):
+    for arr, grad in zip(work.arrays(), analytic):
         flat = arr.ravel()
         gflat = grad.ravel()
         for i in range(flat.size):
@@ -363,13 +335,12 @@ class TrainResult:
 
 class _CompiledClips:
     """Clips compiled once for sampling: every observation in one array, every
-    template in one list and as token rows, and per clip its first frame row,
-    horizon, first template row and template count."""
+    template as token rows, and per clip its first frame row, horizon, first
+    template row and template count."""
 
     def __init__(self, clips: Sequence[Clip], vocab: int):
         self.observations = np.concatenate([clip.observations for clip in clips])
-        self.templates = [tpl for clip in clips for tpl in clip.templates]
-        self.rows = compile_tokens(self.templates, vocab)
+        self.rows = compile_tokens([tpl for clip in clips for tpl in clip.templates], vocab)
         frame, first, self.spans = 0, 0, []
         for clip in clips:
             self.spans.append((frame, len(clip.observations), first, len(clip.templates)))
@@ -388,16 +359,7 @@ class _CompiledClips:
             ends.append(frame + n + int(draw(1, horizon - n)))
             picks.append(first + int(draw(count)))
         rows = TokenRows(self.rows.padded[picks], self.rows.lengths[picks], self.rows.vocab)
-        tokens = tuple(self.templates[p] for p in picks)
-        return PairBatch(self.observations[starts], self.observations[ends], tokens, rows)
-
-
-def sample_pair_batch(
-    clips: Sequence[Clip], batch_size: int, rng: np.random.Generator
-) -> PairBatch:
-    """One training batch drawn from the clips, as train_encoders draws it."""
-    vocab = 1 + max(max(tpl) for clip in clips for tpl in clip.templates)
-    return _CompiledClips(clips, vocab).sample(batch_size, rng)
+        return PairBatch(self.observations[starts], self.observations[ends], rows)
 
 
 def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
@@ -418,7 +380,9 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
     params = init_encoder_params(config, rng)
     arrays = params.arrays()
     optimizer = MomentumState(arrays, config.learning_rate, config.momentum)
-    n_visual = len(params.visual.arrays())
+    # Freezing steps only the visual prefix; the text tower and token table
+    # keep their values and their velocities.
+    visual = arrays[: len(params.visual.arrays())]
     trace: list[float] = []
     for step in range(config.steps):
         batch = compiled.sample(config.batch_size, rng)
@@ -426,11 +390,8 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at step {step}")
         trace.append(loss)
-        if config.freeze_text_after is not None and step >= config.freeze_text_after:
-            mask = [i < n_visual for i in range(len(arrays))]
-        else:
-            mask = None
-        optimizer.step(arrays, grads.arrays(), mask)
+        frozen = config.freeze_text_after is not None and step >= config.freeze_text_after
+        optimizer.step(visual if frozen else arrays, grads)
     return TrainResult(params, trace)
 
 
@@ -500,10 +461,19 @@ def load_encoder_params(path) -> EncoderParams:
         sizes = meta[key]
         if not isinstance(sizes, list) or len(sizes) < 2 or not all(type(s) is int and s > 0 for s in sizes):
             raise FormatError(f"{path}: {key} {sizes!r} must be a list of two or more positive integers")
+    visual_sizes, text_sizes, table_shape = meta["visual_sizes"], meta["text_sizes"], meta["token_table_shape"]
+    if visual_sizes[-1] != text_sizes[-1]:
+        raise FormatError(
+            f"{path}: visual_sizes {visual_sizes!r} and text_sizes {text_sizes!r} end in different dims"
+        )
+    if len(table_shape) != 2 or table_shape[1] != text_sizes[0]:
+        raise FormatError(
+            f"{path}: token_table_shape {table_shape!r} must be [vocab, text_sizes[0] = {text_sizes[0]}]"
+        )
     # Declaration order interleaves each layer's weight and bias.
-    visual = _take_interleaved(take, meta["visual_sizes"])
-    text = _take_interleaved(take, meta["text_sizes"])
-    table = take(tuple(meta["token_table_shape"]))
+    visual = _take_interleaved(take, visual_sizes)
+    text = _take_interleaved(take, text_sizes)
+    table = take(tuple(table_shape))
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
     return EncoderParams(visual, text, table, temperature)

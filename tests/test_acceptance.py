@@ -17,6 +17,7 @@ from modalign import (
     NoiseKind,
     PairBatch,
     TrainerConfig,
+    compile_tokens,
     cosine_noise,
     cosine_similarity,
     finite_difference_check,
@@ -173,11 +174,11 @@ def test_criterion_04_infonce_correctness():
             token_table=np.asarray(table, dtype=np.float64),
         )
 
-    one_row = PairBatch(np.zeros((1, 2)), np.array([[1.0, 0.0]]), ((0,),))
+    one_row = PairBatch(np.zeros((1, 2)), np.array([[1.0, 0.0]]), compile_tokens(((0,),), 2))
     loss_b1 = infonce_loss(identity_params(np.eye(2)), one_row)
 
     b = 4
-    equal = PairBatch(np.zeros((b, 2)), np.tile([1.0, 0.0], (b, 1)), ((0,),) * b)
+    equal = PairBatch(np.zeros((b, 2)), np.tile([1.0, 0.0], (b, 1)), compile_tokens(((0,),) * b, 2))
     loss_equal = infonce_loss(identity_params(np.eye(2)), equal)
 
     cfg = TrainerConfig(
@@ -191,7 +192,7 @@ def test_criterion_04_infonce_correctness():
         tokens = tuple(
             tuple(int(t) for t in rng.integers(0, 7, size=rng.integers(1, 4))) for _ in range(3)
         )
-        batch = PairBatch(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), tokens)
+        batch = PairBatch(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), compile_tokens(tokens, 7))
         worst = max(worst, finite_difference_check(params, batch, 1e-5))
     elapsed = time.monotonic() - start
     ok = (

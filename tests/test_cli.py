@@ -241,7 +241,33 @@ class TestVerify:
         assert run(["verify", "--bank", bad]) == 2
         assert "line 2: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1e-9"),
+            ("--alpha", "-inf"), ("--alpha", "-1"), ("--alpha", "1.5"), ("--alpha", "nan"),
+        ],
+    )
+    def test_bad_bound_exits_two_before_loading(self, tmp_path, capsys, flag, value):
+        absent = tmp_path / "absent.ebnk"
+        assert run(["verify", "--bank", absent, "--against", absent, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        rule = "a finite number >= 0" if flag == "--tolerance" else "in (-1, 1]"
+        assert f"error: {flag} must be {rule}, got {float(value)}" in err
+        assert "absent" not in err
 
+    def test_unbounded_cone_no_longer_passes_a_non_unit_bank(self, bank_pair, capsys):
+        # --alpha=-inf --tolerance=inf used to confirm every row of any bank
+        pv, pl = bank_pair
+        assert run(["verify", "--bank", pl, "--against", pv, "--alpha=-inf", "--tolerance=inf"]) == 2
+        assert "all 5 rows" not in capsys.readouterr().out
+
+    def test_edge_bounds_accepted(self, bank_pair):
+        pv, _ = bank_pair
+        assert run(["verify", "--bank", pv, "--alpha", 1, "--tolerance", 0]) == 0
+
+
+BEYOND_FLOAT = "9" * 309  # an integer of more digits than any finite float has
 OVERLONG_INT = "9" * 5000  # past the 4,300-digit limit of int parsing
 DEEP = "[" * 100_000  # past the recursion limit of the JSON decoder
 JSONL_HEADER = '{"format":"ebank","version":1,"modality":"visual","dim":2}\n'
@@ -549,12 +575,25 @@ class TestBench:
         config.write_text(json.dumps({"schema_version": 1, "seeds": "ab"}))
         assert run(["bench", "--config", config, "--out-dir", tmp_path / "x"]) == 2
 
-    @pytest.mark.parametrize("spec", ["delete_k=abc", "delete_k=1.5", "gap=x", "alpha=x", "alpha=nan"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "delete_k=abc", "delete_k=1.5", "gap=x", "alpha=x", "alpha=nan",
+            pytest.param(f"delete_k={BEYOND_FLOAT}", id="delete_k=beyond-float"),
+        ],
+    )
     def test_bad_ablate_number_exits_two(self, tmp_path, capsys, spec):
         config = self.bench_config(tmp_path)
         assert run(["bench", "--config", config, "--out-dir", tmp_path / "x", "--ablate", spec]) == 2
         key, value = spec.split("=")
         assert f"--ablate {key} expects a finite number, got {value!r}" in capsys.readouterr().err
+
+    def test_seed_beyond_float_exits_two(self, tmp_path, capsys):
+        # an integer beyond float range used to escape as OverflowError (exit 1)
+        config = self.bench_config(tmp_path)
+        argv = ["bench", "--config", config, "--out-dir", tmp_path / "x", "--seeds", f"0,{BEYOND_FLOAT}"]
+        assert run(argv) == 2
+        assert f"--seeds expects a finite number, got {BEYOND_FLOAT!r}" in capsys.readouterr().err
 
     def test_bad_ablate_spec_exits_two(self, tmp_path):
         config = self.bench_config(tmp_path)

@@ -1,13 +1,15 @@
-"""Seeded byte-level fuzzing of every file format the package reads.
+"""Seeded byte-level fuzzing of every file format the package reads, and
+character-level fuzzing of the bench's number-bearing flags.
 
-Each case mutates or truncates a valid file. The contract: the loader
-returns a valid object or raises ModalignError, and the CLI exits 0 or 2,
-never 1 with a traceback.
+Each case mutates or truncates a valid file or flag value. The contract: the
+loader returns a valid object or raises ModalignError, and the CLI exits 0
+or 2, never 1 with a traceback.
 """
 
 import json
 import math
 import random
+import string
 
 import numpy as np
 import pytest
@@ -146,3 +148,36 @@ def test_bench_config(tmp_path, monkeypatch):
         tmp_path, json.dumps(doc).encode("utf-8"), 14, load, check,
         lambda p: ["bench", "--config", p, "--out-dir", tmp_path / "run"],
     )
+
+
+FLAG_CASES = 400
+FLAG_CHARS = "=,:.-+e0123456789" + string.ascii_letters
+ABLATE_SPECS = (
+    "collapse=delete,delete_k=3", "collapse=none,gap=2.0", "alpha=0.5",
+    "corrupt=cosine:0.5", "corrupt=gaussian:0.1", "corrupt=none",
+)
+
+
+def flag_mutant(text: str, rng: random.Random) -> str:
+    """text with 1-3 characters inserted, deleted or replaced; a fifth of the
+    new pieces are digit runs longer than any finite float's integer part."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        op, pos = rng.randrange(3), rng.randrange(len(chars) + 1)
+        piece = "9" * rng.choice((309, 400)) if rng.random() < 0.2 else rng.choice(FLAG_CHARS)
+        if op == 0:
+            chars.insert(pos, piece)
+        elif pos < len(chars):
+            chars[pos : pos + 1] = [] if op == 1 else [piece]
+    return "".join(chars)
+
+
+def test_bench_number_flags(tmp_path, monkeypatch):
+    # an accepted flag writes an empty report; the bench is not under test
+    monkeypatch.setattr(cli_module, "run_transfer_experiment", lambda c: TransferReport(c.to_dict(), 0.0))
+    rng = random.Random(15)
+    codes = []
+    for i in range(FLAG_CASES):
+        flag, value = ("--seeds", "0,1,2") if i % 2 else ("--ablate", rng.choice(ABLATE_SPECS))
+        codes.append(main(["bench", "--out-dir", str(tmp_path / "run"), f"{flag}={flag_mutant(value, rng)}"]))
+    assert set(codes) == {0, 2}  # the mutations reach both outcomes, and nothing else

@@ -19,7 +19,6 @@ from modalign import (
     TrainerConfig,
     finite_difference_check,
     frame_differences,
-    infonce_gradient,
     infonce_loss,
     load_encoder_params,
     save_encoder_params,
@@ -27,10 +26,11 @@ from modalign import (
 )
 from modalign.nets import DenseParams
 from modalign.trainer import (
+    TokenRows,
+    _CompiledClips,
     compile_tokens,
     infonce_loss_and_gradient,
     init_encoder_params,
-    sample_pair_batch,
     text_forward,
     visual_forward,
 )
@@ -61,7 +61,9 @@ def random_batch(rng, b=3, obs_dim=6, vocab=7):
     tokens = tuple(
         tuple(int(t) for t in rng.integers(0, vocab, size=rng.integers(1, 4))) for _ in range(b)
     )
-    return PairBatch(rng.standard_normal((b, obs_dim)), rng.standard_normal((b, obs_dim)), tokens)
+    return PairBatch(
+        rng.standard_normal((b, obs_dim)), rng.standard_normal((b, obs_dim)), compile_tokens(tokens, vocab)
+    )
 
 
 class TestEncoderForward:
@@ -136,21 +138,21 @@ class TestInfonceLoss:
         b = 4
         start = np.zeros((b, 2))
         end = np.tile([1.0, 0.0], (b, 1))
-        batch = PairBatch(start, end, ((0,),) * b)
+        batch = PairBatch(start, end, compile_tokens(((0,),) * b, 2))
         assert infonce_loss(params, batch) == pytest.approx(math.log(b), abs=1e-12)
 
     def test_opposed_pairs_analytic_value(self):
         # S = [[1,-1],[-1,1]] -> loss = ln(1 + e^-2)
         params = linear_identity_params(2, table=np.array([[1.0, 0.0], [-1.0, 0.0]]))
         batch = PairBatch(
-            np.zeros((2, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]]), ((0,), (1,))
+            np.zeros((2, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]]), compile_tokens(((0,), (1,)), 2)
         )
         assert infonce_loss(params, batch) == pytest.approx(math.log(1 + math.exp(-2)), abs=1e-12)
 
     def test_zero_frame_difference_rejected(self):
         params = linear_identity_params(2)
         obs = np.array([[1.0, 0.0]])
-        batch = PairBatch(obs, obs, ((0,),))
+        batch = PairBatch(obs, obs, compile_tokens(((0,),), 2))
         with pytest.raises(DegenerateVectorError):
             infonce_loss(params, batch)
 
@@ -160,7 +162,7 @@ class TestInfonceLoss:
         params = linear_identity_params(3)
         rng = np.random.default_rng(7)
         start, end = np.zeros((3, 3)), rng.standard_normal((3, 3))
-        tokens = ((0,), (1,), (2,))
+        tokens = compile_tokens(((0,), (1,), (2,)), 3)
         base = infonce_loss(params, PairBatch(start, end, tokens))
         scaled_end = end.copy()
         scaled_end[1] *= 37.5
@@ -172,8 +174,9 @@ class TestInfonceLoss:
         rng = np.random.default_rng(9)
         batch = random_batch(rng, b=5)
         perm = rng.permutation(5)
+        rows = batch.tokens
         permuted = PairBatch(
-            batch.o_start[perm], batch.o_end[perm], tuple(batch.tokens[i] for i in perm)
+            batch.o_start[perm], batch.o_end[perm], TokenRows(rows.padded[perm], rows.lengths[perm], rows.vocab)
         )
         assert infonce_loss(params, permuted) == pytest.approx(
             infonce_loss(params, batch), abs=1e-12
@@ -190,7 +193,9 @@ class TestInfonceLoss:
         # which can only happen when the diagonal strictly dominates
         params = linear_identity_params(2, table=np.array([[1.0, 0.0], [-1.0, 0.0]]))
         params.temperature = 0.05
-        batch = PairBatch(np.zeros((2, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]]), ((0,), (1,)))
+        batch = PairBatch(
+            np.zeros((2, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]]), compile_tokens(((0,), (1,)), 2)
+        )
         loss = infonce_loss(params, batch)
         assert loss < 1e-6
         diag = np.array([1.0, 1.0])
@@ -202,17 +207,17 @@ class TestInfonceGradient:
     def test_batch_of_one_gradient_is_zero(self):
         params = init_encoder_params(tiny_config(), np.random.default_rng(11))
         batch = random_batch(np.random.default_rng(12), b=1)
-        grads = infonce_gradient(params, batch)
-        for arr in grads.arrays():
+        _, grads = infonce_loss_and_gradient(params, batch)
+        for arr in grads:
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
     def test_structure_matches_params(self):
         for hidden in ((), (5,), (4, 3)):
             cfg = tiny_config(visual_hidden=hidden, text_hidden=hidden)
             params = init_encoder_params(cfg, np.random.default_rng(13))
-            grads = infonce_gradient(params, random_batch(np.random.default_rng(14)))
-            assert len(grads.arrays()) == len(params.arrays())
-            for g, p in zip(grads.arrays(), params.arrays()):
+            _, grads = infonce_loss_and_gradient(params, random_batch(np.random.default_rng(14)))
+            assert len(grads) == len(params.arrays())
+            for g, p in zip(grads, params.arrays()):
                 assert g.shape == p.shape
 
     def test_matches_finite_differences(self):
@@ -232,7 +237,7 @@ class TestFiniteDifferenceCheck:
             text=DenseParams([np.array([[1.0]])], [np.zeros(1)]),
             token_table=np.array([[1.0]]),
         )
-        batch = PairBatch(np.array([[0.0]]), np.array([[1.0]]), ((0,),))
+        batch = PairBatch(np.array([[0.0]]), np.array([[1.0]]), compile_tokens(((0,),), 1))
         assert finite_difference_check(params, batch, 1e-5) < 1e-8
 
     def test_epsilon_must_be_positive(self):
@@ -366,21 +371,25 @@ def varied_clips(rng, n_clips=7, obs_dim=6, vocab=9):
 class TestBatchSampling:
     def test_segments_are_forward_in_time(self):
         clips, _ = synthetic_clips(np.random.default_rng(23), n_tasks=2, clips_per_task=2)
+        compiled = _CompiledClips(clips, 11)
         rng = np.random.default_rng(24)
         for _ in range(50):
-            batch = sample_pair_batch(clips, 8, rng)
+            batch = compiled.sample(8, rng)
             assert not np.array_equal(batch.o_start, batch.o_end)
 
     def test_matches_per_row_reference_sampler(self):
         clips = varied_clips(np.random.default_rng(30))
+        compiled = _CompiledClips(clips, 9)
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(20):
-                batch = sample_pair_batch(clips, 9, rng)
+                batch = compiled.sample(9, rng)
                 start, end, tokens = reference_sample(clips, 9, ref_rng)
                 np.testing.assert_array_equal(batch.o_start, start)
                 np.testing.assert_array_equal(batch.o_end, end)
-                assert batch.tokens == tokens
+                np.testing.assert_array_equal(batch.tokens.lengths, [len(seq) for seq in tokens])
+                for row, seq in zip(batch.tokens.padded, tokens):
+                    assert tuple(row[: len(seq)]) == seq and np.all(row[len(seq) :] == 9)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_carried_token_rows_give_the_same_step(self):
@@ -388,16 +397,19 @@ class TestBatchSampling:
         # a batch compiled from its own tokens must give identical results
         clips = varied_clips(np.random.default_rng(31))
         cfg = tiny_config(vocab_size=9)
+        compiled = _CompiledClips(clips, cfg.vocab_size)
+        widest = max(len(tpl) for clip in clips for tpl in clip.templates)
         params = init_encoder_params(cfg, np.random.default_rng(32))
         rng = np.random.default_rng(33)
         for _ in range(10):
-            batch = sample_pair_batch(clips, 6, rng)
-            assert batch.compiled is not None
-            plain = PairBatch(batch.o_start, batch.o_end, batch.tokens)
+            batch = compiled.sample(6, rng)
+            assert batch.tokens.padded.shape[1] == widest
+            own = [tuple(row[:n]) for row, n in zip(batch.tokens.padded.tolist(), batch.tokens.lengths)]
+            plain = PairBatch(batch.o_start, batch.o_end, compile_tokens(own, cfg.vocab_size))
             loss, grads = infonce_loss_and_gradient(params, batch)
             plain_loss, plain_grads = infonce_loss_and_gradient(params, plain)
             assert loss == plain_loss
-            for a, b in zip(grads.arrays(), plain_grads.arrays()):
+            for a, b in zip(grads, plain_grads):
                 np.testing.assert_array_equal(a, b)
 
 
@@ -422,8 +434,16 @@ class TestTokenRows:
             text_forward(params, [(0, 6), (2, 7)])
         with pytest.raises(DimensionError, match="row 0: token index out of range"):
             text_forward(params, [(-1, 2)])
-        batch = PairBatch(np.zeros((2, 6)), np.ones((2, 6)), ((1,), (3, 9)))
         with pytest.raises(DimensionError, match="row 1: token index out of range"):
+            batch = PairBatch(np.zeros((2, 6)), np.ones((2, 6)), compile_tokens(((1,), (3, 9)), 7))
+            infonce_loss(params, batch)
+
+    @pytest.mark.parametrize("vocab", [6, 8])
+    def test_batch_compiled_for_another_vocab_refused(self, vocab):
+        # pads of vocab 6 would select token row 6 of a 7-row table
+        params = init_encoder_params(tiny_config(), np.random.default_rng(38))
+        batch = PairBatch(np.zeros((2, 6)), np.ones((2, 6)), compile_tokens(((1,), (3, 5, 2)), vocab))
+        with pytest.raises(DimensionError, match=f"compiled for vocab {vocab}, not 7"):
             infonce_loss(params, batch)
 
     def test_templates_validated_when_training_starts(self):
@@ -442,7 +462,7 @@ class TestTokenRows:
                 seq = [int(t) for t in rng.integers(0, 7, size=rng.integers(1, 4))]
                 tokens.append(tuple(seq + [seq[int(rng.integers(len(seq)))]]))
             tokens = tuple(tokens)
-            batch = PairBatch(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), tokens)
+            batch = PairBatch(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)), compile_tokens(tokens, 7))
             worst = max(worst, finite_difference_check(params, batch, 1e-5))
         assert worst < 1e-4
 
@@ -522,6 +542,12 @@ class TestSerialization:
             ("text_sizes", [2.5]),
             ("token_table_shape", [7, True]),
             ("token_table_shape", "7x4"),
+            # towers that disagree (embedding dims, token width, table rank)
+            # while the payload still holds the declared number of values
+            ("visual_sizes", [6, 1, 1, 25]),
+            ("text_sizes", [4, 8, 1]),
+            ("token_table_shape", [4, 7]),
+            ("token_table_shape", [7, 4, 1]),
         ],
     )
     def test_bad_metadata_sizes_rejected(self, tmp_path, key, value):
