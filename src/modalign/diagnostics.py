@@ -91,10 +91,21 @@ def shared_task_ids(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> list[str]:
 
 
 def _per_task_means(bank: EmbeddingBank, tasks: Sequence[str]) -> np.ndarray:
-    by_task = {t: [] for t in tasks}
-    for tid, row in bank.rows():
-        by_task[tid].append(row)
-    return np.stack([np.mean(by_task[t], axis=0) for t in tasks])
+    """Mean row of each task, in `tasks` order. A stable sort groups the rows;
+    tasks with equal row counts are summed at once over a (tasks, count, dim)
+    stack, which adds in the same order (pairwise at dim 1) as np.mean over
+    one task's rows, so the means are bit-identical to that."""
+    index = {t: i for i, t in enumerate(tasks)}
+    codes = np.fromiter((index[t] for t in bank.task_ids), dtype=np.intp, count=bank.n)
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(tasks))
+    firsts = np.cumsum(counts) - counts
+    means = np.empty((len(tasks), bank.dim))
+    for size in np.unique(counts):
+        group = np.flatnonzero(counts == size)
+        rows = bank.values[order[(firsts[group, None] + np.arange(size)).ravel()]]
+        means[group] = rows.reshape(len(group), size, bank.dim).sum(axis=1) / size
+    return means
 
 
 def matched_pair_similarity_matrix(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> np.ndarray:

@@ -333,6 +333,52 @@ class TrainResult:
     loss_trace: list[float] = field(default_factory=list)
 
 
+class _WordStream:
+    """Scalar Generator.integers(n) draws for 1 <= n <= 2**32, taken from one
+    bulk random_raw fetch of a PCG64 generator by numpy's own rule: Lemire's
+    multiply-shift with rejection on 32-bit halves of the 64-bit outputs, the
+    low half first and the high half carried (the state's has_uint32 and
+    uinteger) to the next draw; n == 1 takes no word. finish() leaves the
+    generator exactly where the scalar calls would have left it."""
+
+    def __init__(self, rng: np.random.Generator, prefetch: int):
+        self.bitgen = rng.bit_generator
+        self.saved = self.bitgen.state
+        self.pending = bool(self.saved["has_uint32"])
+        # the last high half stored; numpy keeps it after the half is used
+        self.high = self.saved["uinteger"]
+        self.prefetch = prefetch
+        self.words = self.bitgen.random_raw(prefetch).tolist()
+        self.used = 0
+
+    def below(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            if self.pending:
+                self.pending = False
+                m = self.high * n
+            else:
+                if self.used == len(self.words):
+                    self.words += self.bitgen.random_raw(self.prefetch).tolist()
+                word = self.words[self.used]
+                self.used += 1
+                self.high, self.pending = word >> 32, True
+                m = (word & 0xFFFFFFFF) * n
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    def finish(self) -> None:
+        """Rewind the bulk fetches, advance by the outputs used and restore
+        the carried half, which advance clears."""
+        self.bitgen.state = self.saved
+        self.bitgen.advance(self.used)
+        state = self.bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self.pending), self.high
+        self.bitgen.state = state
+
+
 class _CompiledClips:
     """Clips compiled once for sampling: every observation in one array, every
     template as token rows, and per clip its first frame row, horizon, first
@@ -348,16 +394,19 @@ class _CompiledClips:
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> PairBatch:
         """Draw B rows: a random clip, a random start frame n, a random segment
-        length m over the valid suffix, and a random template. Each row makes
-        these four scalar draws in this order, so a seed fixes every batch."""
-        draw, spans = rng.integers, self.spans
+        length m over the valid suffix, and a random template. Each row draws
+        these four in this order, exactly as four scalar rng.integers calls
+        would, and leaves rng in the same state, so a seed fixes every batch."""
+        words = _WordStream(rng, 2 * batch_size)  # 4 half-words a row, unless rejected
+        below, spans = words.below, self.spans
         starts, ends, picks = [], [], []
         for _ in range(batch_size):
-            frame, horizon, first, count = spans[int(draw(len(spans)))]
-            n = int(draw(0, horizon - 1))
+            frame, horizon, first, count = spans[below(len(spans))]
+            n = below(horizon - 1)
             starts.append(frame + n)
-            ends.append(frame + n + int(draw(1, horizon - n)))
-            picks.append(first + int(draw(count)))
+            ends.append(frame + n + 1 + below(horizon - n - 1))
+            picks.append(first + below(count))
+        words.finish()
         rows = TokenRows(self.rows.padded[picks], self.rows.lengths[picks], self.rows.vocab)
         return PairBatch(self.observations[starts], self.observations[ends], rows)
 
@@ -403,6 +452,8 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
 
 
 def save_encoder_params(params: EncoderParams, path, extra_metadata: dict | None = None) -> None:
+    if not 0.0 < params.temperature < math.inf:
+        raise ParameterError(f"temperature must be positive and finite, got {params.temperature!r}")
     meta = {
         "visual_sizes": params.visual.sizes,
         "text_sizes": params.text.sizes,
@@ -443,6 +494,8 @@ def load_encoder_params(path) -> EncoderParams:
         if key not in meta:
             raise FormatError(f"{path}: metadata is missing {key!r}")
     temperature = json_number(meta["temperature"], f"{path}: temperature")
+    if temperature <= 0.0:
+        raise FormatError(f"{path}: temperature must be positive, got {temperature!r}")
 
     offset = 9 + meta_len
 

@@ -122,6 +122,21 @@ class TestSimilarityMatrix:
             mean_l = np.mean([r for t, r in rows_l if t == task], axis=0)
             assert matrix[i, i] == pytest.approx(cosine_similarity(mean_v, mean_l), abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_per_task_means_equal_per_task_np_mean_bit_for_bit(self, dim):
+        # unequal task counts (a single-row task, counts past numpy's 8- and
+        # 128-element pairwise blocks), shuffled rows and -0.0 entries
+        rng = np.random.default_rng(dim)
+        for counts in ([1, 3, 3, 9], [1, 200, 17, 5, 130, 2], [12]):
+            tasks = [f"t{i}" for i in range(len(counts))]
+            ids = [t for t, c in zip(tasks, counts) for _ in range(c)]
+            rng.shuffle(ids)
+            values = rng.standard_normal((len(ids), dim)) * 10.0 ** rng.uniform(-6, 6, size=(len(ids), 1))
+            values[:, 0] = np.where(rng.random(len(ids)) < 0.5, -0.0, values[:, 0])
+            bank = EmbeddingBank(Modality.VISUAL, dim, ids, values)
+            expected = np.stack([np.mean(values[[t == task for t in ids]], axis=0) for task in tasks])
+            assert diagnostics._per_task_means(bank, tasks).tobytes() == expected.tobytes()
+
     def test_sorted_task_order(self):
         bank_v = make_bank(Modality.VISUAL, [("z", [1, 0]), ("a", [0, 1])])
         bank_l = make_bank(Modality.TEXT, [("a", [0, 1]), ("z", [1, 0])])

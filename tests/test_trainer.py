@@ -28,6 +28,7 @@ from modalign.nets import DenseParams
 from modalign.trainer import (
     TokenRows,
     _CompiledClips,
+    _WordStream,
     compile_tokens,
     infonce_loss_and_gradient,
     init_encoder_params,
@@ -412,6 +413,84 @@ class TestBatchSampling:
             for a, b in zip(grads, plain_grads):
                 np.testing.assert_array_equal(a, b)
 
+    def test_range_one_draws_take_no_word(self):
+        # horizon 2 and one template: the start, length and template draws
+        # have one outcome each, so only the clip draw takes a word
+        rng = np.random.default_rng(35)
+        clips = [Clip(rng.standard_normal((2, 3)), ((i,),)) for i in range(4)]
+        compiled = _CompiledClips(clips, 4)
+        rng, ref_rng = np.random.default_rng(36), np.random.default_rng(36)
+        for _ in range(5):
+            batch = compiled.sample(7, rng)
+            start, end, tokens = reference_sample(clips, 7, ref_rng)
+            np.testing.assert_array_equal(batch.o_start, start)
+            np.testing.assert_array_equal(batch.o_end, end)
+            np.testing.assert_array_equal(batch.tokens.padded[:, 0], [seq[0] for seq in tokens])
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # with a single such clip no draw takes a word
+        before = rng.bit_generator.state
+        _CompiledClips(clips[:1], 4).sample(5, rng)
+        assert rng.bit_generator.state == before
+
+    def test_first_batches_match_recorded_rows(self):
+        # start, end and template rows of the first three batches, recorded
+        # from the per-row scalar sampler; they pin the draw order itself
+        compiled = _CompiledClips(varied_clips(np.random.default_rng(30)), 9)
+        recorded = [
+            ([16, 20, 0, 16, 33, 14], [17, 23, 1, 17, 34, 16], [6, 7, 0, 6, 10, 6]),
+            ([21, 24, 0, 10, 14, 10], [23, 30, 1, 11, 18, 11], [8, 9, 0, 4, 6, 4]),
+            ([25, 0, 5, 15, 15, 32], [29, 1, 6, 17, 17, 34], [9, 0, 1, 6, 6, 10]),
+        ]
+        rng = np.random.default_rng(40)
+        for starts, ends, picks in recorded:
+            batch = compiled.sample(6, rng)
+            np.testing.assert_array_equal(batch.o_start, compiled.observations[starts])
+            np.testing.assert_array_equal(batch.o_end, compiled.observations[ends])
+            np.testing.assert_array_equal(batch.tokens.padded, compiled.rows.padded[picks])
+            np.testing.assert_array_equal(batch.tokens.lengths, compiled.rows.lengths[picks])
+
+
+def generator_after(draws: int) -> np.random.Generator:
+    """A seeded generator after `draws` scalar draws: an odd count leaves a
+    carried high half-word, an even one a stale uinteger."""
+    rng = np.random.default_rng(37)
+    for _ in range(draws):
+        rng.integers(7)
+    return rng
+
+
+class TestWordStream:
+    # 2**31 + 1 and 3 * 2**30 reject about half and a quarter of all words
+    BOUNDS = [1, 2, 3, 483, 2**31 + 1, 3 * 2**30, 2**32]
+
+    @pytest.mark.parametrize("n", BOUNDS)
+    @pytest.mark.parametrize("draws", [0, 1, 2], ids=["fresh", "carried-half", "stale-half"])
+    def test_matches_scalar_integers(self, n, draws):
+        rng, ref_rng = generator_after(draws), generator_after(draws)
+        words = _WordStream(rng, 8)
+        got = [words.below(n) for _ in range(100)]
+        words.finish()
+        assert got == [int(ref_rng.integers(n)) for _ in range(100)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rejections_refill_the_prefetched_words(self):
+        rng, ref_rng = generator_after(1), generator_after(1)
+        words = _WordStream(rng, 4)
+        got = [words.below(3 * 2**30) for _ in range(200)]
+        assert words.used > 100  # rejected words made it fetch more than 4
+        words.finish()
+        assert got == [int(ref_rng.integers(3 * 2**30)) for _ in range(200)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_mixed_bounds_match_scalar_integers(self):
+        bounds = np.random.default_rng(38).choice(self.BOUNDS, size=300).tolist()
+        rng, ref_rng = generator_after(3), generator_after(3)
+        words = _WordStream(rng, 16)
+        got = [words.below(n) for n in bounds]
+        words.finish()
+        assert got == [int(ref_rng.integers(n)) for n in bounds]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestTokenRows:
     def test_pooling_equals_per_row_mean_bit_for_bit(self):
@@ -561,6 +640,20 @@ class TestSerialization:
         path = saved_with_metadata(tmp_path, lambda meta: json.dumps({**meta, "temperature": value}))
         with pytest.raises(FormatError, match="temperature must be a finite number"):
             load_encoder_params(path)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_temperature_must_be_positive(self, tmp_path, value):
+        path = saved_with_metadata(tmp_path, lambda meta: json.dumps({**meta, "temperature": value}))
+        with pytest.raises(FormatError, match="temperature must be positive"):
+            load_encoder_params(path)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf, np.nan])
+    def test_save_refuses_a_temperature_that_is_not_positive(self, tmp_path, value):
+        params = init_encoder_params(tiny_config(), np.random.default_rng(28))
+        params.temperature = value
+        with pytest.raises(ParameterError, match="temperature must be positive"):
+            save_encoder_params(params, tmp_path / "enc.eprm")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "blob, message",
