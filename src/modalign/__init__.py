@@ -6,9 +6,8 @@ from .banks import (
     BankFormat,
     EmbeddingBank,
     Modality,
-    cosine_similarity,
     load_bank,
-    normalize,
+    row_norms,
     save_bank,
     unit_rows,
 )
@@ -22,14 +21,7 @@ from .collapse import (
     load_transform,
     save_transform,
 )
-from .corrupt import (
-    CorruptConfig,
-    NoiseKind,
-    corrupt_bank,
-    cosine_noise,
-    gaussian_noise,
-    orthogonal_component,
-)
+from .corrupt import CorruptConfig, NoiseKind, corrupt_bank
 from .diagnostics import (
     GapReport,
     gap_report,
@@ -47,7 +39,6 @@ from .errors import (
     FormatError,
     IoError,
     ModalignError,
-    ParallelVectorError,
     ParameterError,
     PipelineError,
     TaskMismatchError,

@@ -1,4 +1,4 @@
-"""Vector helpers, task-labelled embedding banks, and bank file I/O.
+"""Row helpers, task-labelled embedding banks, and bank file I/O.
 
 Scalars are float64 in memory. The binary bank format stores float32
 (matching common embedding dumps), so a save is lossy for values that
@@ -12,7 +12,6 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,15 +37,6 @@ class Modality(Enum):
 class BankFormat(Enum):
     JSON_LINES = "jsonl"
     BINARY = "binary"
-
-
-def as_vector(values) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError(f"expected a non-empty 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("vector entries must be finite")
-    return v
 
 
 @dataclass(frozen=True)
@@ -83,38 +73,9 @@ class EmbeddingBank:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_rows(
-        cls,
-        modality: Modality,
-        rows: Iterable[tuple[str, Iterable[float]]],
-        dim: int | None = None,
-    ) -> "EmbeddingBank":
-        rows = list(rows)
-        ids = []
-        vecs = []
-        for i, (tid, vec) in enumerate(rows):
-            v = np.asarray(vec, dtype=np.float64)
-            if v.ndim != 1:
-                raise DimensionError(f"row {i}: expected a 1-d vector, got shape {v.shape}")
-            if dim is None:
-                dim = int(v.size)
-            if v.size != dim:
-                raise DimensionError(f"row {i}: expected {dim} values, got {v.size}")
-            ids.append(tid)
-            vecs.append(v)
-        if dim is None:
-            raise ParameterError("dim is required for an empty bank")
-        values = np.array(vecs, dtype=np.float64).reshape(len(ids), dim)
-        return cls(modality, dim, tuple(ids), values)
-
     @property
     def n(self) -> int:
         return len(self.task_ids)
-
-    def rows(self) -> Iterator[tuple[str, np.ndarray]]:
-        for tid, row in zip(self.task_ids, self.values):
-            yield tid, row
 
     def task_set(self) -> set[str]:
         return set(self.task_ids)
@@ -127,35 +88,16 @@ class EmbeddingBank:
         return EmbeddingBank(self.modality, dim, self.task_ids, values)
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Evaluation order is symmetric, so cosine_similarity(a, b) ==
-    cosine_similarity(b, a) exactly.
-    """
-    u = as_vector(a)
-    w = as_vector(b)
-    if u.size != w.size:
-        raise DimensionError(f"dimension mismatch: {u.size} vs {w.size}")
-    nu = float(np.linalg.norm(u))
-    nw = float(np.linalg.norm(w))
-    if nu == 0.0 or nw == 0.0:
-        raise DegenerateVectorError("cosine similarity of a zero vector is undefined")
-    return float(np.dot(u, w) / (nu * nw))
-
-
-def normalize(v) -> np.ndarray:
-    """Scale a vector to unit length, preserving direction."""
-    u = as_vector(v)
-    n = float(np.linalg.norm(u))
-    if n == 0.0:
-        raise DegenerateVectorError("cannot normalize a zero vector")
-    return u / n
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis. np.vecdot makes the same dot call
+    per row as a 1-d np.linalg.norm, so each norm keeps that call's bits."""
+    return np.sqrt(np.vecdot(matrix, matrix))
 
 
 def unit_rows(matrix: np.ndarray, what: str = "row", floor: float = 0.0) -> np.ndarray:
     """Scale every row of a matrix to unit length; a row whose norm is at
-    most floor has no direction and raises DegenerateVectorError."""
+    most floor has no direction and raises DegenerateVectorError. The norm is
+    np.linalg.norm(axis=1), whose bits every goal and retrieval bank keeps."""
     norms = np.linalg.norm(matrix, axis=1)
     zero = np.flatnonzero(norms <= floor)
     if zero.size:
@@ -210,7 +152,7 @@ def _encode_jsonl(bank: EmbeddingBank) -> bytes:
         "dim": bank.dim,
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for tid, row in bank.rows():
+    for tid, row in zip(bank.task_ids, bank.values):
         lines.append(
             json.dumps(
                 {"task_id": tid, "v": [float(x) for x in row]},

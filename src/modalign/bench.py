@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality, normalize
+from .banks import EmbeddingBank, Modality, row_norms
 from .collapse import CollapseTransform, fit_centralize, fit_delete
 from .corrupt import CorruptConfig, NoiseKind
 from .errors import DivergenceError, ParameterError, PipelineError
@@ -382,9 +382,9 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
         config.horizon,
         subseed(config.world_seed, _CHANCE_TAG),
     )
-    gap_direction = normalize(
-        np.random.default_rng(subseed(config.world_seed, _GAP_TAG)).standard_normal(config.dim)
-    )
+    gap_rng = np.random.default_rng(subseed(config.world_seed, _GAP_TAG))
+    gap_direction = gap_rng.standard_normal(config.dim)
+    gap_direction /= row_norms(gap_direction)
     train_modality = Modality(config.train_modality)
     variants = config.variants()
     report = TransferReport(config=config.to_dict(), chance_floor=floor)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .banks import BankFormat, cosine_similarity, load_bank, save_bank
+from .banks import BankFormat, load_bank, row_norms, save_bank
 from .bench import BenchConfig, run_transfer_experiment, train_seed_encoders
 from .collapse import (
     CollapseKind,
@@ -36,7 +36,7 @@ from .diagnostics import (
     pca_project_2d,
     shared_task_ids,
 )
-from .errors import DivergenceError, ModalignError, ParameterError
+from .errors import DegenerateVectorError, DivergenceError, ModalignError, ParameterError
 from .fileio import csv_text, read_bytes, read_json, write_atomic
 from .gridworld import generate_tasks
 from .trainer import save_encoder_params
@@ -72,6 +72,9 @@ def cmd_collapse(args) -> int:
         ref_l = load_bank(args.ref_text)
         reference = f"visual={args.ref_visual};text={args.ref_text}"
         if CollapseKind(args.kind) is CollapseKind.CENTRALIZE:
+            for flag, ref, want in (("--ref-visual", ref_v, "visual"), ("--ref-text", ref_l, "text")):
+                if ref.modality.value != want:
+                    raise ParameterError(f"{flag} needs a {want} bank, got a {ref.modality.value} bank")
             transform = fit_centralize(ref_v, ref_l, fit_reference=reference)
         else:
             transform = fit_delete(ref_v, ref_l, k=args.k, fit_reference=reference)
@@ -208,18 +211,24 @@ def cmd_verify(args) -> int:
             f"banks disagree: {bank.n}x{bank.dim} vs {original.n}x{original.dim}"
         )
     tolerance = args.tolerance
-    for i in range(bank.n):
-        norm = float(np.linalg.norm(bank.values[i]))
-        if abs(norm - 1.0) > tolerance:
-            print(f"row {i}: norm {norm!r} is not unit within {tolerance}", file=sys.stderr)
+    norms, ref_norms = row_norms(bank.values), row_norms(original.values)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero row is reported below
+        cosines = np.vecdot(bank.values, original.values) / (norms * ref_norms)
+    off_norm = np.abs(norms - 1.0) > tolerance
+    off_cone = ~((args.alpha - tolerance <= cosines) & (cosines <= 1.0 + tolerance))
+    failed = np.flatnonzero(off_norm | off_cone)
+    if failed.size:  # each row is checked for its norm, then its cosine
+        i = int(failed[0])
+        if off_norm[i]:
+            print(f"row {i}: norm {float(norms[i])!r} is not unit within {tolerance}", file=sys.stderr)
             return 2
-        s = cosine_similarity(bank.values[i], original.values[i])
-        if not (args.alpha - tolerance <= s <= 1.0 + tolerance):
-            print(
-                f"row {i}: cosine {s!r} outside [{args.alpha}, 1] within {tolerance}",
-                file=sys.stderr,
-            )
-            return 2
+        if norms[i] == 0.0 or ref_norms[i] == 0.0:
+            raise DegenerateVectorError(f"row {i}: cosine similarity of a zero vector is undefined")
+        print(
+            f"row {i}: cosine {float(cosines[i])!r} outside [{args.alpha}, 1] within {tolerance}",
+            file=sys.stderr,
+        )
+        return 2
     print(f"all {bank.n} rows: unit norm and cosine within [{args.alpha}, 1] (tolerance {tolerance})")
     return 0
 

@@ -136,6 +136,11 @@ def fit_centralize(
     reference_v: EmbeddingBank, reference_l: EmbeddingBank, fit_reference: str | None = None
 ) -> CollapseTransform:
     """Estimate per-modality means over all reference rows."""
+    if (reference_v.modality, reference_l.modality) != (Modality.VISUAL, Modality.TEXT):
+        raise ParameterError(
+            f"centralize needs a visual then a text reference bank, got "
+            f"{reference_v.modality.value} then {reference_l.modality.value}"
+        )
     if reference_v.n == 0 or reference_l.n == 0:
         raise EmptyBankError("reference banks must be non-empty")
     if reference_v.dim != reference_l.dim:

@@ -15,13 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .banks import EmbeddingBank, as_vector
-from .errors import (
-    DegenerateVectorError,
-    DimensionError,
-    ParallelVectorError,
-    ParameterError,
-)
+from .banks import EmbeddingBank, row_norms
+from .errors import DegenerateVectorError, ParameterError
 
 
 class NoiseKind(Enum):
@@ -50,60 +45,6 @@ class CorruptConfig:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def orthogonal_component(v, phi) -> np.ndarray:
-    """The part of v orthogonal to phi: v - (v.phi / phi.phi) phi.
-
-    Raises ParallelVectorError when nothing is left, in which case the
-    caller is expected to resample v.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    if v.shape != phi.shape:
-        raise DimensionError(f"shape mismatch: {v.shape} vs {phi.shape}")
-    denom = float(np.dot(phi, phi))
-    if denom == 0.0:
-        raise DegenerateVectorError("reference vector is zero")
-    out = v - (np.dot(v, phi) / denom) * phi
-    if float(np.linalg.norm(out)) <= 1e-12 * float(np.linalg.norm(v)):
-        raise ParallelVectorError("vector is parallel to the reference")
-    return out
-
-
-def cosine_noise(v, cfg: CorruptConfig, rng: np.random.Generator) -> np.ndarray:
-    """Resample vector v at a random cosine similarity s ~ U[alpha, 1].
-
-    The output is unit length and satisfies
-    cosine_similarity(output, v) == s within 1e-9 by construction.
-    """
-    if cfg.kind is not NoiseKind.COSINE:
-        raise ParameterError(f"config kind is {cfg.kind.value}, expected cosine")
-    values = as_vector(v)
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:
-        raise DegenerateVectorError("cannot corrupt a zero vector")
-    if values.size < 2:
-        raise ParameterError("cosine noise needs dim >= 2 for an orthogonal direction")
-    s = float(rng.uniform(cfg.alpha, 1.0))
-    unit = values / norm
-    while True:
-        candidate = rng.standard_normal(values.size)
-        try:
-            perp = orthogonal_component(candidate, values)
-            break
-        except ParallelVectorError:
-            continue  # probability ~0 for a Gaussian draw in dim >= 2
-    perp /= np.linalg.norm(perp)
-    return s * unit + np.sqrt(max(1.0 - s * s, 0.0)) * perp
-
-
-def gaussian_noise(v, cfg: CorruptConfig, rng: np.random.Generator) -> np.ndarray:
-    """Add iid zero-mean Gaussian noise of standard deviation cfg.std to vector v."""
-    if cfg.kind is not NoiseKind.GAUSSIAN:
-        raise ParameterError(f"config kind is {cfg.kind.value}, expected gaussian")
-    values = as_vector(v)
-    return values + rng.normal(0.0, cfg.std, size=values.size)
-
-
 def _row_stream(seed: int, task_id: str, row: np.ndarray) -> np.random.Generator:
     # Substream keyed by row content, not position, so corruption commutes
     # with row permutation and parallel evaluation matches sequential.
@@ -115,11 +56,44 @@ def _row_stream(seed: int, task_id: str, row: np.ndarray) -> np.random.Generator
     return np.random.default_rng([seed, key])
 
 
+def _perpendicular(draws: np.ndarray, rows: np.ndarray, sq_norms: np.ndarray):
+    """Each draw minus its projection on its row, and whether nothing was left
+    (the draw was parallel to its row and must be drawn again)."""
+    perp = draws - (np.vecdot(draws, rows) / sq_norms)[:, None] * rows
+    return perp, row_norms(perp) <= 1e-12 * row_norms(draws)
+
+
 def corrupt_bank(bank: EmbeddingBank, cfg: CorruptConfig) -> EmbeddingBank:
     """Corrupt every row with an independent substream derived from
-    (cfg.seed, row content); deterministic and order-independent."""
-    noise = cosine_noise if cfg.kind is NoiseKind.COSINE else gaussian_noise
-    out = np.empty_like(bank.values)
-    for i, (tid, row) in enumerate(bank.rows()):
-        out[i] = noise(row, cfg, _row_stream(cfg.seed, tid, row))
-    return bank.with_values(out)
+    (cfg.seed, task id, row content); deterministic and order-independent.
+
+    Each row's draws come from its own stream, in a fixed order; the
+    arithmetic on them runs over the whole bank at once."""
+    values = bank.values
+    streams = [_row_stream(cfg.seed, tid, row) for tid, row in zip(bank.task_ids, values)]
+    if cfg.kind is NoiseKind.GAUSSIAN:
+        noise = np.empty_like(values)
+        for i, rng in enumerate(streams):
+            noise[i] = rng.normal(0.0, cfg.std, size=bank.dim)
+        return bank.with_values(values + noise)
+    sq_norms = np.vecdot(values, values)
+    if np.any(sq_norms == 0.0):
+        raise DegenerateVectorError("cannot corrupt a zero vector")
+    if bank.n and bank.dim < 2:  # an empty bank passes at any dim
+        raise ParameterError("cosine noise needs dim >= 2 for an orthogonal direction")
+    s = np.empty(bank.n)
+    draws = np.empty_like(values)
+    for i, rng in enumerate(streams):
+        s[i] = rng.uniform(cfg.alpha, 1.0)
+        draws[i] = rng.standard_normal(bank.dim)
+    perp, parallel = _perpendicular(draws, values, sq_norms)
+    redraw = np.flatnonzero(parallel)  # probability ~0 for a Gaussian draw in dim >= 2
+    while redraw.size:
+        for i in redraw:
+            draws[i] = streams[i].standard_normal(bank.dim)
+        perp[redraw], parallel = _perpendicular(draws[redraw], values[redraw], sq_norms[redraw])
+        redraw = redraw[parallel]
+    unit = values / np.sqrt(sq_norms)[:, None]
+    perp /= row_norms(perp)[:, None]
+    cos, sin = s[:, None], np.sqrt(np.maximum(1.0 - s * s, 0.0))[:, None]
+    return bank.with_values(cos * unit + sin * perp)

@@ -13,10 +13,6 @@ class DegenerateVectorError(ModalignError):
     """An all-zero vector was given where a direction is required."""
 
 
-class ParallelVectorError(ModalignError):
-    """The sampled vector has no component orthogonal to the reference."""
-
-
 class EmptyBankError(ModalignError):
     """The operation needs more rows than the given bank(s) contain."""
 

@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality, normalize
+from .banks import EmbeddingBank, Modality, row_norms
 from .errors import ParameterError
 
 N_DISTRACTORS = 2
@@ -201,22 +201,19 @@ def synthetic_gap_bank(
     if intra_noise_std < 0.0:
         raise ParameterError(f"intra_noise_std must be >= 0, got {intra_noise_std}")
     rng = np.random.default_rng(seed)
-    latents = np.stack([normalize(rng.standard_normal(dim)) for _ in range(n_tasks)])
-    gap = normalize(rng.standard_normal(dim)) * gap_norm
-    offset_v, offset_l = gap / 2.0, -gap / 2.0
+    latents = rng.standard_normal((n_tasks, dim))
+    latents /= row_norms(latents)[:, None]
+    gap = rng.standard_normal(dim)
+    gap = gap / row_norms(gap) * gap_norm
+    ids = tuple(f"task{k:03d}" for k in range(n_tasks) for _ in range(rows_per_task))
 
     def rows(offset):
-        ids, vecs = [], []
-        for k in range(n_tasks):
-            for _ in range(rows_per_task):
-                noisy = latents[k] + rng.normal(0.0, intra_noise_std, size=dim)
-                vecs.append(normalize(noisy) + offset)
-                ids.append(f"task{k:03d}")
-        return ids, np.stack(vecs)
+        noisy = np.repeat(latents, rows_per_task, axis=0) + rng.normal(
+            0.0, intra_noise_std, size=(len(ids), dim)
+        )
+        return noisy / row_norms(noisy)[:, None] + offset
 
-    ids_v, vals_v = rows(offset_v)
-    ids_l, vals_l = rows(offset_l)
     return (
-        EmbeddingBank(Modality.VISUAL, dim, tuple(ids_v), vals_v),
-        EmbeddingBank(Modality.TEXT, dim, tuple(ids_l), vals_l),
+        EmbeddingBank(Modality.VISUAL, dim, ids, rows(gap / 2.0)),
+        EmbeddingBank(Modality.TEXT, dim, ids, rows(-gap / 2.0)),
     )

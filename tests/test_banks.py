@@ -14,15 +14,28 @@ from modalign import (
     IoError,
     Modality,
     ParameterError,
-    cosine_similarity,
     load_bank,
-    normalize,
+    matched_pair_similarity_matrix,
+    row_norms,
     save_bank,
+    unit_rows,
 )
 
 
 def vec(*xs):
     return np.array(xs, dtype=np.float64)
+
+
+def cosine_similarity(a, b):
+    """Cosine of two vectors as matched_pair_similarity_matrix gives it for
+    a visual and a text bank of one row each."""
+    bank_v = EmbeddingBank(Modality.VISUAL, len(a), ("t",), np.array([a]))
+    bank_l = EmbeddingBank(Modality.TEXT, len(b), ("t",), np.array([b]))
+    return float(matched_pair_similarity_matrix(bank_v, bank_l)[0, 0])
+
+
+def normalize(v):
+    return unit_rows(np.array([v]))[0]
 
 
 class TestCosineSimilarity:
@@ -60,6 +73,8 @@ class TestCosineSimilarity:
 
 
 class TestNormalize:
+    """unit_rows on one-row matrices."""
+
     def test_three_four_five(self):
         np.testing.assert_allclose(normalize(vec(3, 4)), vec(0.6, 0.8), atol=1e-12)
 
@@ -85,26 +100,36 @@ class TestNormalize:
             np.testing.assert_allclose(normalize(u), u, atol=1e-9)
 
 
+class TestRowNorms:
+    def test_bit_identical_to_per_row_norm(self):
+        # corrupt_bank, verify --against and synthetic_gap_bank keep the
+        # bits the per-row np.linalg.norm gave them
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3, 16, 17, 512, 513):
+            m = rng.standard_normal((20, dim)) * rng.uniform(0.01, 100, (20, 1))
+            assert np.array_equal(row_norms(m), [np.linalg.norm(row) for row in m])
+            assert row_norms(m[0]) == np.linalg.norm(m[0])
+
+    def test_empty(self):
+        assert row_norms(np.zeros((0, 4))).shape == (0,)
+
+
 class TestBankConstruction:
     def test_row_dim_checked(self):
         with pytest.raises(DimensionError):
-            EmbeddingBank.from_rows(Modality.VISUAL, [("a", [1, 2]), ("b", [1, 2, 3])])
+            EmbeddingBank(Modality.VISUAL, 2, ("a", "b"), np.ones((2, 3)))
 
     def test_empty_task_id_rejected(self):
-        from modalign import ParameterError
-
         with pytest.raises(ParameterError):
-            EmbeddingBank.from_rows(Modality.VISUAL, [("", [1, 2])])
+            EmbeddingBank(Modality.VISUAL, 2, ("",), [[1.0, 2.0]])
 
     def test_duplicate_task_ids_allowed(self):
-        bank = EmbeddingBank.from_rows(Modality.TEXT, [("t", [1, 0]), ("t", [0, 1])])
+        bank = EmbeddingBank(Modality.TEXT, 2, ("t", "t"), [[1.0, 0.0], [0.0, 1.0]])
         assert bank.n == 2
 
     def test_nonfinite_rejected(self):
-        from modalign import ParameterError
-
         with pytest.raises(ParameterError):
-            EmbeddingBank.from_rows(Modality.VISUAL, [("a", [1.0, float("nan")])])
+            EmbeddingBank(Modality.VISUAL, 2, ("a",), [[1.0, float("nan")]])
 
 
 def random_bank(rng, n=None, dim=None, modality=Modality.VISUAL, float32=True):
@@ -221,7 +246,7 @@ class TestBankIo:
 
     @pytest.mark.parametrize("bits", [0x7FC00000, 0x7FA00000, 0xFF800000], ids=["nan", "signalling-nan", "-inf"])
     def test_binary_non_finite_payload_rejected_without_a_cast_warning(self, tmp_path, bits):
-        bank = EmbeddingBank.from_rows(Modality.VISUAL, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        bank = EmbeddingBank(Modality.VISUAL, 2, ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
         path = tmp_path / "b.ebnk"
         save_bank(bank, path, BankFormat.BINARY)
         raw = bytearray(path.read_bytes())
@@ -233,7 +258,7 @@ class TestBankIo:
                 load_bank(path, BankFormat.BINARY)
 
     def test_binary_save_refuses_values_outside_float32(self, tmp_path):
-        bank = EmbeddingBank.from_rows(Modality.VISUAL, [("a", [1.0, 0.0]), ("b", [0.0, 1e39])])
+        bank = EmbeddingBank(Modality.VISUAL, 2, ("a", "b"), [[1.0, 0.0], [0.0, 1e39]])
         path = tmp_path / "b.ebnk"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -250,7 +275,7 @@ class TestBankIo:
         assert np.array_equal(load_bank(pb).values, load_bank(pj).values)
 
     def test_unicode_task_ids(self, tmp_path):
-        bank = EmbeddingBank.from_rows(Modality.VISUAL, [("tâche-1", [1.0, 2.0])])
+        bank = EmbeddingBank(Modality.VISUAL, 2, ("tâche-1",), [[1.0, 2.0]])
         for fmt in BankFormat:
             path = tmp_path / f"u.{fmt.value}"
             save_bank(bank, path, fmt)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalign import BankFormat, load_bank, save_bank
+from modalign import BankFormat, EmbeddingBank, Modality, load_bank, save_bank
 from modalign.bench import subseed
 from modalign.cli import build_parser, main
 from modalign.gridworld import synthetic_gap_bank
@@ -156,6 +156,19 @@ class TestCollapse:
         ]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("refs, flag", [("lv", "--ref-visual"), ("vv", "--ref-text"), ("ll", "--ref-visual")])
+    def test_centralize_refs_must_match_their_flags(self, bank_pair, tmp_path, capsys, refs, flag):
+        # a text bank given as --ref-visual used to be taken as the visual mean
+        paths = dict(zip("vl", bank_pair))
+        out = tmp_path / "collapsed.ebnk"
+        code = run([
+            "collapse", "--kind", "centralize", "--ref-visual", paths[refs[0]],
+            "--ref-text", paths[refs[1]], "--target", paths["v"], "--out", out,
+        ])
+        assert code == 2
+        assert f"error: {flag} needs a" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_without_refs_exits_two(self, bank_pair, tmp_path):
         pv, _ = bank_pair
         code = run(["collapse", "--kind", "centralize", "--target", pv, "--out", tmp_path / "x.ebnk"])
@@ -265,6 +278,76 @@ class TestVerify:
     def test_edge_bounds_accepted(self, bank_pair):
         pv, _ = bank_pair
         assert run(["verify", "--bank", pv, "--alpha", 1, "--tolerance", 0]) == 0
+
+
+def verify_reference(bank, original, alpha, tolerance):
+    """Exit code and stderr of verify --against, checked row by row: the
+    norm of the row, then its cosine to the original row."""
+    for i in range(bank.n):
+        norm = float(np.linalg.norm(bank.values[i]))
+        if abs(norm - 1.0) > tolerance:
+            return 2, f"row {i}: norm {norm!r} is not unit within {tolerance}\n"
+        ref_norm = float(np.linalg.norm(original.values[i]))
+        if norm == 0.0 or ref_norm == 0.0:
+            return 2, f"error: row {i}: cosine similarity of a zero vector is undefined\n"
+        s = float(np.dot(bank.values[i], original.values[i]) / (norm * ref_norm))
+        if not (alpha - tolerance <= s <= 1.0 + tolerance):
+            return 2, f"row {i}: cosine {s!r} outside [{alpha}, 1] within {tolerance}\n"
+    return 0, ""
+
+
+class TestVerifyAgainst:
+    def check(self, tmp_path, capsys, values, against, alpha=0.2, tolerance=1e-6):
+        pb, pa = tmp_path / "b.ebnk", tmp_path / "a.ebnk"
+        for path, vals in ((pb, values), (pa, against)):
+            vals = np.asarray(vals, dtype=np.float32).astype(np.float64)
+            save_bank(EmbeddingBank(Modality.VISUAL, vals.shape[1], ("t",) * len(vals), vals), path, BankFormat.BINARY)
+        bank, original = load_bank(pb), load_bank(pa)
+        code = run(["verify", "--bank", pb, "--against", pa, "--alpha", alpha, "--tolerance", tolerance])
+        out, err = capsys.readouterr()
+        want_code, want_err = verify_reference(bank, original, alpha, tolerance)
+        want_out = f"{pb}: valid visual bank, {bank.n} rows, dim {bank.dim}\n"
+        if want_code == 0:
+            want_out += f"all {bank.n} rows: unit norm and cosine within [{alpha}, 1] (tolerance {tolerance})\n"
+        assert (code, out, err) == (want_code, want_out, want_err)
+        return err
+
+    def test_first_failing_row_is_reported(self, tmp_path, capsys):
+        values = np.tile([1.0, 0.0, 0.0], (6, 1))
+        values[2] = [0.0, 1.0, 0.0]  # cosine 0 < alpha
+        values[4] = [2.0, 0.0, 0.0]  # norm 2
+        err = self.check(tmp_path, capsys, values, np.tile([1.0, 0.0, 0.0], (6, 1)))
+        assert err == "row 2: cosine 0.0 outside [0.2, 1] within 1e-06\n"
+
+    def test_norm_failure_precedes_cosine_failure_in_a_row(self, tmp_path, capsys):
+        values = np.array([[1.0, 0.0], [0.0, 3.0]])
+        err = self.check(tmp_path, capsys, values, [[1.0, 0.0], [1.0, 0.0]])
+        assert err == "row 1: norm 3.0 is not unit within 1e-06\n"
+
+    def test_zero_row_in_against(self, tmp_path, capsys):
+        err = self.check(tmp_path, capsys, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])
+        assert err == "error: row 1: cosine similarity of a zero vector is undefined\n"
+
+    def test_infinite_tolerance_exits_two(self, bank_pair, capsys):
+        pv, pl = bank_pair
+        assert run(["verify", "--bank", pv, "--against", pl, "--tolerance=inf"]) == 2
+        assert capsys.readouterr() == ("", "error: --tolerance must be a finite number >= 0, got inf\n")
+
+    def test_passing_bank(self, tmp_path, capsys):
+        values = [[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]]
+        assert self.check(tmp_path, capsys, values, [[3.0, 4.0], [2.0, 0.5], [0.0, -7.0]]) == ""
+
+    def test_matches_the_per_row_reference_on_random_banks(self, tmp_path, capsys):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n, dim = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            against = rng.standard_normal((n, dim)) * (rng.random((n, 1)) > 0.1)
+            values = rng.standard_normal((n, dim))
+            values /= np.linalg.norm(values, axis=1, keepdims=True) * rng.choice([1.0, 1.0, 0.999], (n, 1))
+            values *= rng.random((n, 1)) > 0.05
+            alpha = float(rng.choice([-0.5, 0.0, 0.2, 0.9, 1.0]))
+            tolerance = float(rng.choice([0.0, 1e-9, 1e-6, 0.01, 0.5, 1.5]))
+            self.check(tmp_path, capsys, values, against, alpha, tolerance)
 
 
 BEYOND_FLOAT = "9" * 309  # an integer of more digits than any finite float has

@@ -11,7 +11,6 @@ from modalign import (
     Modality,
     ParameterError,
     apply_to_bank,
-    cosine_similarity,
     fit_centralize,
     fit_delete,
     gap_report,
@@ -22,7 +21,14 @@ from modalign import (
 
 
 def make_bank(modality, rows):
-    return EmbeddingBank.from_rows(modality, rows)
+    ids, vecs = zip(*rows)
+    values = np.array(vecs, dtype=np.float64)
+    return EmbeddingBank(modality, values.shape[1], ids, values)
+
+
+def cosine_similarity(a, b):
+    """Cosine of two vectors, computed per pair as the oracle."""
+    return float(np.dot(a, b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
 
 
 class TestFitCentralize:
@@ -48,6 +54,17 @@ class TestFitCentralize:
         t = fit_centralize(bank_v, bank_l)
         diff = t.visual_mean - t.text_mean
         assert abs(np.linalg.norm(diff) - 3.0) < 6 * sigma / np.sqrt(bank_v.n)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(Modality.TEXT, Modality.VISUAL), (Modality.VISUAL, Modality.VISUAL), (Modality.TEXT, Modality.TEXT)],
+    )
+    def test_reference_modalities_must_be_visual_then_text(self, first, second):
+        # a swapped pair used to store the text mean as visual_mean
+        bank_a = make_bank(first, [("a", [2, 0])])
+        bank_b = make_bank(second, [("a", [0, 1])])
+        with pytest.raises(ParameterError, match="visual then a text"):
+            fit_centralize(bank_a, bank_b)
 
     def test_empty_bank_rejected(self):
         empty = EmbeddingBank(Modality.VISUAL, 2, (), np.zeros((0, 2)))

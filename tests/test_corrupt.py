@@ -10,15 +10,11 @@ from modalign import (
     EmbeddingBank,
     Modality,
     NoiseKind,
-    ParallelVectorError,
     ParameterError,
     corrupt_bank,
-    cosine_noise,
-    cosine_similarity,
-    gaussian_noise,
-    normalize,
-    orthogonal_component,
 )
+from modalign import corrupt
+from modalign.corrupt import _perpendicular
 
 
 def cosine_cfg(alpha, seed=0):
@@ -27,6 +23,67 @@ def cosine_cfg(alpha, seed=0):
 
 def gaussian_cfg(std, seed=0):
     return CorruptConfig(NoiseKind.GAUSSIAN, std=std, seed=seed)
+
+
+# Per-row reference: the 1-d kernels corrupt_bank replaced, each run on a
+# generator keyed by (cfg.seed, blake2b-8 of task id, NUL, row bytes).
+
+
+def as_row(values):
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise DimensionError(f"expected a non-empty 1-d vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ParameterError("vector entries must be finite")
+    return v
+
+
+def cosine_noise(v, cfg, rng):
+    values = as_row(v)
+    norm = float(np.linalg.norm(values))
+    if norm == 0.0:
+        raise DegenerateVectorError("cannot corrupt a zero vector")
+    if values.size < 2:
+        raise ParameterError("cosine noise needs dim >= 2 for an orthogonal direction")
+    s = float(rng.uniform(cfg.alpha, 1.0))
+    while True:
+        candidate = rng.standard_normal(values.size)
+        perp = candidate - (np.dot(candidate, values) / float(np.dot(values, values))) * values
+        if float(np.linalg.norm(perp)) > 1e-12 * float(np.linalg.norm(candidate)):
+            break
+    perp /= np.linalg.norm(perp)
+    return s * (values / norm) + np.sqrt(max(1.0 - s * s, 0.0)) * perp
+
+
+def gaussian_noise(v, cfg, rng):
+    values = as_row(v)
+    return values + rng.normal(0.0, cfg.std, size=values.size)
+
+
+def row_stream(seed, tid, row):
+    digest = hashlib.blake2b(tid.encode("utf-8") + b"\x00" + row.tobytes(), digest_size=8)
+    return np.random.default_rng([seed, int.from_bytes(digest.digest(), "little")])
+
+
+def reference_values(bank, cfg, stream=row_stream):
+    noise = cosine_noise if cfg.kind is NoiseKind.COSINE else gaussian_noise
+    out = np.empty_like(bank.values)
+    for i, (tid, row) in enumerate(zip(bank.task_ids, bank.values)):
+        out[i] = noise(row, cfg, stream(cfg.seed, tid, row))
+    return out
+
+
+def anchor_bank(anchors, repeats):
+    """Each anchor row repeated, every copy under its own task id, so each
+    copy is corrupted by its own stream."""
+    values = np.repeat(np.atleast_2d(anchors), repeats, axis=0)
+    return EmbeddingBank(
+        Modality.VISUAL, values.shape[1], tuple(f"r{i}" for i in range(len(values))), values
+    )
+
+
+def cosines(out, bank):
+    return np.array([np.dot(o, e) / (np.linalg.norm(o) * np.linalg.norm(e)) for o, e in zip(out, bank)])
 
 
 class TestConfig:
@@ -47,24 +104,28 @@ class TestConfig:
 
 class TestOrthogonalComponent:
     def test_projection_removal(self):
-        out = orthogonal_component([1.0, 1.0], [1.0, 0.0])
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
+        perp, parallel = _perpendicular(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]), np.array([1.0]))
+        np.testing.assert_allclose(perp, [[0.0, 1.0]], atol=1e-12)
+        assert not parallel[0]
 
-    def test_parallel_raises(self):
-        with pytest.raises(ParallelVectorError):
-            orthogonal_component([2.0, 0.0], [1.0, 0.0])
+    def test_parallel_draw_flagged(self):
+        rows = np.array([[1.0, 0.0], [1.0, 0.0]])
+        _, parallel = _perpendicular(np.array([[2.0, 0.0], [2.0, 1.0]]), rows, np.array([1.0, 1.0]))
+        assert parallel.tolist() == [True, False]
 
     def test_zero_reference(self):
+        bank = EmbeddingBank(Modality.VISUAL, 2, ("a", "b", "c"), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateVectorError):
-            orthogonal_component([1.0, 0.0], [0.0, 0.0])
+            corrupt_bank(bank, cosine_cfg(0.2))
 
     def test_orthogonality_over_random_draws(self):
         rng = np.random.default_rng(0)
-        for _ in range(1000):
-            v = rng.standard_normal(16)
-            phi = rng.standard_normal(16)
-            out = orthogonal_component(v, phi)
-            assert abs(np.dot(out, phi)) < 1e-9 * np.linalg.norm(out) * np.linalg.norm(phi)
+        v = rng.standard_normal((1000, 16))
+        phi = rng.standard_normal((1000, 16))
+        out, parallel = _perpendicular(v, phi, np.array([np.dot(p, p) for p in phi]))
+        assert not parallel.any()
+        for o, p in zip(out, phi):
+            assert abs(np.dot(o, p)) < 1e-9 * np.linalg.norm(o) * np.linalg.norm(p)
 
 
 class TestNoiseInput:
@@ -81,55 +142,56 @@ class TestNoiseInput:
         ],
     )
     def test_malformed_vector_rejected(self, noise, cfg, vector, error):
+        # what the per-row kernel refused, the bank path refuses with the
+        # same class, before any noise is drawn
         with pytest.raises(error):
             noise(vector, cfg, np.random.default_rng(0))
+        rows = np.atleast_2d(vector)
+        with pytest.raises(error):
+            corrupt_bank(EmbeddingBank(Modality.VISUAL, rows.shape[1], ("a",), rows), cfg)
 
     def test_input_is_not_modified(self):
-        e = np.array([3.0, 4.0, 0.0])
-        cosine_noise(e, cosine_cfg(0.2), np.random.default_rng(0))
-        gaussian_noise(e, gaussian_cfg(0.5), np.random.default_rng(0))
-        np.testing.assert_array_equal(e, [3.0, 4.0, 0.0])
+        bank = EmbeddingBank(Modality.VISUAL, 3, ("a", "b"), [[3.0, 4.0, 0.0], [0.0, 1.0, 2.0]])
+        corrupt_bank(bank, cosine_cfg(0.2))
+        corrupt_bank(bank, gaussian_cfg(0.5))
+        np.testing.assert_array_equal(bank.values, [[3.0, 4.0, 0.0], [0.0, 1.0, 2.0]])
 
 
 class TestCosineNoise:
     def test_alpha_one_returns_normalized_input(self):
-        rng = np.random.default_rng(1)
-        e = np.array([3.0, 4.0, 0.0])
-        out = cosine_noise(e, cosine_cfg(1.0), rng)
-        np.testing.assert_allclose(out, normalize(e), atol=1e-9)
+        bank = anchor_bank([3.0, 4.0, 0.0], 5)
+        out = corrupt_bank(bank, cosine_cfg(1.0, seed=1))
+        np.testing.assert_allclose(out.values, np.tile([0.6, 0.8, 0.0], (5, 1)), atol=1e-9)
 
     def test_cosine_within_alpha_band(self):
         rng = np.random.default_rng(2)
-        e = rng.standard_normal(12)
-        for _ in range(500):
-            out = cosine_noise(e, cosine_cfg(0.2), rng)
-            s = cosine_similarity(out, e)
-            assert 0.2 - 1e-9 <= s <= 1.0 + 1e-9
-            assert abs(np.linalg.norm(out) - 1.0) <= 1e-9
+        bank = anchor_bank(rng.standard_normal(12), 500)
+        out = corrupt_bank(bank, cosine_cfg(0.2, seed=2)).values
+        s = cosines(out, bank.values)
+        assert np.all((0.2 - 1e-9 <= s) & (s <= 1.0 + 1e-9))
+        assert max(abs(np.linalg.norm(o) - 1.0) for o in out) <= 1e-9
 
     def test_deterministic_given_seed(self):
-        e = np.arange(1.0, 9.0)
-        out1 = cosine_noise(e, cosine_cfg(0.3), np.random.default_rng(77))
-        out2 = cosine_noise(e, cosine_cfg(0.3), np.random.default_rng(77))
-        np.testing.assert_array_equal(out1, out2)
+        bank = anchor_bank(np.arange(1.0, 9.0), 4)
+        out1 = corrupt_bank(bank, cosine_cfg(0.3, seed=77))
+        out2 = corrupt_bank(bank, cosine_cfg(0.3, seed=77))
+        np.testing.assert_array_equal(out1.values, out2.values)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
-            cosine_noise(np.zeros(4), cosine_cfg(0.2), np.random.default_rng(0))
+            corrupt_bank(anchor_bank(np.zeros(4), 1), cosine_cfg(0.2))
 
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ParameterError):
-            cosine_noise(np.array([2.0]), cosine_cfg(0.2), np.random.default_rng(0))
+            corrupt_bank(anchor_bank([2.0], 1), cosine_cfg(0.2))
 
     def test_realized_s_uniform_on_alpha_band(self):
         # KS statistic of realized cosines against U[alpha, 1] must sit
         # below the asymptotic 1% critical value 1.628/sqrt(n)
         alpha, n = 0.2, 10_000
         rng = np.random.default_rng(3)
-        e = rng.standard_normal(16)
-        draws = np.array(
-            [cosine_similarity(cosine_noise(e, cosine_cfg(alpha), rng), e) for _ in range(n)]
-        )
+        bank = anchor_bank(rng.standard_normal(16), n)
+        draws = cosines(corrupt_bank(bank, cosine_cfg(alpha, seed=3)).values, bank.values)
         u = np.sort((draws - alpha) / (1.0 - alpha))
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(grid - u), np.max(u - (grid - 1.0 / n)))
@@ -137,13 +199,10 @@ class TestCosineNoise:
 
     def test_isotropy_in_orthogonal_subspace(self):
         # mean orthogonal component should vanish within 3 standard errors
-        rng = np.random.default_rng(4)
         e = np.eye(8)[0]
         n = 4000
-        residuals = np.empty((n, 8))
-        for i in range(n):
-            out = cosine_noise(e, cosine_cfg(0.2), rng)
-            residuals[i] = out - np.dot(out, e) * e
+        out = corrupt_bank(anchor_bank(e, n), cosine_cfg(0.2, seed=4)).values
+        residuals = np.array([o - np.dot(o, e) * e for o in out])
         mean = residuals.mean(axis=0)
         stderr = residuals.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(mean) <= 3.0 * np.maximum(stderr, 1e-12))
@@ -151,9 +210,9 @@ class TestCosineNoise:
 
 class TestGaussianNoise:
     def test_zero_std_is_identity(self):
-        e = np.array([1.0, -2.0, 3.0])
-        out = gaussian_noise(e, gaussian_cfg(0.0), np.random.default_rng(5))
-        np.testing.assert_array_equal(out, e)
+        bank = anchor_bank([1.0, -2.0, 3.0], 3)
+        out = corrupt_bank(bank, gaussian_cfg(0.0, seed=5))
+        np.testing.assert_array_equal(out.values, bank.values)
 
     def test_large_noise_reverses_direction_sometimes(self):
         # Monte-Carlo oracle for the instability failure mode: with
@@ -161,34 +220,25 @@ class TestGaussianNoise:
         rng = np.random.default_rng(6)
         e = rng.standard_normal(16)
         std = 10.0 * np.linalg.norm(e) / np.sqrt(16)
-        flipped = 0
-        for _ in range(1000):
-            out = gaussian_noise(e, gaussian_cfg(std), rng)
-            if cosine_similarity(out, e) < 0:
-                flipped += 1
-        assert flipped > 0
+        bank = anchor_bank(e, 1000)
+        out = corrupt_bank(bank, gaussian_cfg(std, seed=6)).values
+        assert np.sum(cosines(out, bank.values) < 0) > 0
 
     def test_empirical_std_matches_config(self):
-        rng = np.random.default_rng(7)
-        e = np.zeros(4) + 1.0
         std = 0.7
-        draws = np.stack(
-            [gaussian_noise(e, gaussian_cfg(std), rng) - e for _ in range(10_000)]
-        )
+        bank = anchor_bank(np.zeros(4) + 1.0, 10_000)
+        draws = corrupt_bank(bank, gaussian_cfg(std, seed=7)).values - bank.values
         measured = draws.std()
         assert abs(measured - std) / std < 0.05
 
     def test_small_std_converges_to_identity(self):
         rng = np.random.default_rng(8)
         dim = 16
-        e = rng.standard_normal(dim)
         std = 1e-4
-        inside = 0
         n = 2000
-        for _ in range(n):
-            out = gaussian_noise(e, gaussian_cfg(std), rng)
-            if np.linalg.norm(out - e) <= 5.0 * std * np.sqrt(dim):
-                inside += 1
+        bank = anchor_bank(rng.standard_normal(dim), n)
+        out = corrupt_bank(bank, gaussian_cfg(std, seed=8)).values
+        inside = sum(np.linalg.norm(o - e) <= 5.0 * std * np.sqrt(dim) for o, e in zip(out, bank.values))
         assert inside / n >= 0.99
 
 
@@ -201,8 +251,8 @@ class TestCorruptBank:
     def test_alpha_one_normalizes_rows(self):
         bank = self.bank(np.random.default_rng(9))
         out = corrupt_bank(bank, cosine_cfg(1.0, seed=123))
-        for (_, row), (_, orig) in zip(out.rows(), bank.rows()):
-            np.testing.assert_allclose(row, normalize(orig), atol=1e-9)
+        for row, orig in zip(out.values, bank.values):
+            np.testing.assert_allclose(row, orig / np.linalg.norm(orig), atol=1e-9)
 
     def test_deterministic(self):
         bank = self.bank(np.random.default_rng(10))
@@ -224,15 +274,58 @@ class TestCorruptBank:
 
     @pytest.mark.parametrize("cfg", [cosine_cfg(0.3, seed=4), gaussian_cfg(0.2, seed=4)])
     def test_rows_use_content_keyed_streams(self, cfg):
-        # reference: one kernel call per row on a generator seeded by
-        # (cfg.seed, blake2b-8 of task id, NUL, row bytes)
         bank = self.bank(np.random.default_rng(12))
-        noise = cosine_noise if cfg.kind is NoiseKind.COSINE else gaussian_noise
-        out = corrupt_bank(bank, cfg)
-        for i, (tid, row) in enumerate(bank.rows()):
-            digest = hashlib.blake2b(tid.encode("utf-8") + b"\x00" + row.tobytes(), digest_size=8)
-            rng = np.random.default_rng([cfg.seed, int.from_bytes(digest.digest(), "little")])
-            np.testing.assert_array_equal(out.values[i], noise(row, cfg, rng))
+        np.testing.assert_array_equal(corrupt_bank(bank, cfg).values, reference_values(bank, cfg))
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 512])
+    @pytest.mark.parametrize(
+        "cfg",
+        [cosine_cfg(a, seed=6) for a in (-0.9, 0.2, 1.0)] + [gaussian_cfg(s, seed=6) for s in (0.0, 0.1)],
+        ids=["cosine-0.9", "cosine0.2", "cosine1.0", "gaussian0.0", "gaussian0.1"],
+    )
+    def test_bit_identical_to_per_row_reference(self, dim, cfg):
+        rng = np.random.default_rng(dim)
+        values = rng.standard_normal((40, dim)) * rng.uniform(0.1, 10.0, (40, 1))
+        bank = EmbeddingBank(Modality.TEXT, dim, tuple(f"t{i % 7}" for i in range(40)), values)
+        np.testing.assert_array_equal(corrupt_bank(bank, cfg).values, reference_values(bank, cfg))
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    @pytest.mark.parametrize("cfg", [cosine_cfg(0.2), gaussian_cfg(0.1)])
+    def test_empty_bank(self, dim, cfg):
+        out = corrupt_bank(EmbeddingBank(Modality.VISUAL, dim, (), np.zeros((0, dim))), cfg)
+        assert out.n == 0 and out.dim == dim
+
+    def test_parallel_draw_is_redrawn_from_its_row_stream(self, monkeypatch):
+        class ParallelFirst:
+            """Row t<i>'s content-keyed stream, except that its first i % 3
+            normal draws are replaced by -2 times the row, exactly parallel
+            to it."""
+
+            def __init__(self, seed, tid, row):
+                self.rng = row_stream(seed, tid, row)
+                self.row = row
+                self.parallel = int(tid[1:]) % 3
+
+            def uniform(self, low, high):
+                return self.rng.uniform(low, high)
+
+            def standard_normal(self, size):
+                draw = self.rng.standard_normal(size)
+                if self.parallel:
+                    self.parallel -= 1
+                    return -2.0 * self.row
+                return draw
+
+        bank = self.bank(np.random.default_rng(14), n=9, dim=5)
+        cfg = cosine_cfg(0.2, seed=3)
+        monkeypatch.setattr(corrupt, "_row_stream", ParallelFirst)
+        out = corrupt_bank(bank, cfg).values
+        np.testing.assert_array_equal(out, reference_values(bank, cfg, ParallelFirst))
+        monkeypatch.undo()
+        redrawn = np.arange(9) % 3 != 0
+        assert not np.array_equal(out[redrawn], corrupt_bank(bank, cfg).values[redrawn])
+        s = cosines(out, bank.values)
+        assert np.all((0.2 - 1e-9 <= s) & (s <= 1.0 + 1e-9))
 
     def test_retrieval_degrades_gently_with_alpha(self):
         # Monte-Carlo sweep: stronger corruption (smaller alpha) cannot beat

@@ -10,7 +10,6 @@ from modalign import (
     Modality,
     ParameterError,
     TaskMismatchError,
-    cosine_similarity,
     gap_report,
     gap_vector,
     matched_pair_similarity_matrix,
@@ -24,7 +23,14 @@ from modalign.diagnostics import shared_task_ids
 
 
 def make_bank(modality, rows):
-    return EmbeddingBank.from_rows(modality, rows)
+    ids, vecs = zip(*rows)
+    values = np.array(vecs, dtype=np.float64)
+    return EmbeddingBank(modality, values.shape[1], ids, values)
+
+
+def cosine_similarity(a, b):
+    """Cosine of two vectors, computed per pair as the oracle."""
+    return float(np.dot(a, b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
 
 
 class TestGapVector:

@@ -13,7 +13,6 @@ from modalign import (
     build_dataset,
     build_vocab,
     chance_floor,
-    cosine_similarity,
     encode_goals,
     evaluate_policy,
     expert_trajectory,
@@ -26,6 +25,11 @@ from modalign.gridworld import HELDOUT_TEMPLATE_INDICES, TRAIN_TEMPLATE_INDICES,
 from modalign.nets import dense_forward
 from modalign.policy import build_goal_bank, greedy, rollout, train_policy_from_arrays
 from modalign.trainer import TrainerConfig, train_encoders
+
+
+def cosine_similarity(a, b):
+    """Cosine of two vectors, computed per pair as the oracle."""
+    return float(np.dot(a, b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))))
 
 
 @pytest.fixture(scope="module")
