@@ -59,7 +59,9 @@ from .policy import (
     chance_floor,
     encode_goals,
     evaluate_policy,
-    train_policy,
+    expert_steps,
+    train_policies,
+    training_goals,
 )
 from .trainer import (
     Clip,

@@ -35,7 +35,9 @@ from .policy import (
     chance_floor,
     encode_goals,
     evaluate_policy,
-    train_policy,
+    expert_steps,
+    train_policies,
+    training_goals,
 )
 from .trainer import Clip, TrainerConfig, TrainResult, train_encoders
 
@@ -182,6 +184,8 @@ class BenchConfig(VariantSpec):
                 raise ParameterError(f"{f.name} must be {'positive' if floor else 'non-negative'}, got {value!r}")
         if not self.seeds:
             raise ParameterError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ParameterError(f"seeds must not repeat, got {list(self.seeds)}")
         if not self.eval_modalities:
             raise ParameterError("eval_modalities must name at least one modality")
         if self.schema_version != 1:
@@ -346,15 +350,17 @@ def _fit_transform(
     return fit_delete(ref_v, ref_l, variant.delete_k, fit_reference="bench_reference_banks")
 
 
-def _stage(name: str, fn, *args, **kwargs):
+def _stage(name: str, fn, *args, where: str = ""):
+    """Run one stage; a failure names the stage, then what went wrong, then
+    where: " (seed s)" or " (seed s, variant v)"."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except PipelineError:
         raise
     except DivergenceError as exc:
-        raise DivergenceError(f"stage '{name}': {exc}") from exc
+        raise DivergenceError(f"stage '{name}': {exc}{where}") from exc
     except Exception as exc:
-        raise PipelineError(name, f"{type(exc).__name__}: {exc}") from exc
+        raise PipelineError(name, f"{type(exc).__name__}: {exc}{where}") from exc
 
 
 def train_seed_encoders(
@@ -362,11 +368,12 @@ def train_seed_encoders(
 ) -> tuple[list[tuple[Trajectory, GridTask]], TrainerConfig, TrainResult]:
     """The encoder stage of one bench seed: its gridworld dataset, the
     trainer config derived from the seed, and the trained encoder pair."""
+    where = f" (seed {seed})"
     dataset = _stage(
-        "build_dataset", build_dataset, tasks, config.demos_per_task, subseed(seed, _STAGE_DATA)
+        "build_dataset", build_dataset, tasks, config.demos_per_task, subseed(seed, _STAGE_DATA), where=where
     )
     trainer_config = config.trainer_config(subseed(seed, _STAGE_ENCODER))
-    trained = _stage("train_encoders", train_encoders, clips_from_dataset(dataset), trainer_config)
+    trained = _stage("train_encoders", train_encoders, clips_from_dataset(dataset), trainer_config, where=where)
     return dataset, trainer_config, trained
 
 
@@ -397,30 +404,44 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
 
     for seed in config.seeds:
         dataset, _, trained = train_seed_encoders(config, tasks, seed)
-        encoders = trained.params
+        encoders, at_seed = trained.params, f" (seed {seed})"
         # Reference banks do not depend on the variant: unit visual goals
         # once per seed, each variant adding its own injected gap.
         unit_v, _ = _stage(
             "reference_banks", build_goal_bank, encoders, None, dataset, Modality.VISUAL,
-            subseed(seed, _STAGE_REFBANK),
+            subseed(seed, _STAGE_REFBANK), where=at_seed,
         )
-        ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks)
-        for vi, variant in enumerate(variants):
-            offset = gap_direction * variant.injected_gap_norm if variant.injected_gap_norm > 0.0 else None
+        ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks, where=at_seed)
+        # Stage-major: every variant's collapse fit and training goals, then
+        # all of the seed's policies in one lockstep training, then evaluation.
+        at = [f" (seed {seed}, variant {vi})" for vi in range(len(variants))]
+        offsets = [gap_direction * v.injected_gap_norm if v.injected_gap_norm > 0.0 else None for v in variants]
+        policy_configs = [config.policy_config(subseed(seed, _STAGE_POLICY, vi)) for vi in range(len(variants))]
+        transforms, goals = [], []
+        for vi, (variant, offset) in enumerate(zip(variants, offsets)):
             ref_v = unit_v if offset is None else unit_v.with_values(unit_v.values + offset)
-            transform = _stage("fit_collapse", _fit_transform, variant, ref_v, ref_l)
-            corrupt_cfg = variant.corrupt_config(subseed(seed, _STAGE_CORRUPT, vi))
-            policy = _stage(
-                "train_policy", train_policy, dataset, encoders, transform, corrupt_cfg, train_modality,
-                config.policy_config(subseed(seed, _STAGE_POLICY, vi)), TRAIN_TEMPLATE_INDICES, offset,
-            ).params
+            transforms.append(_stage("fit_collapse", _fit_transform, variant, ref_v, ref_l, where=at[vi]))
+            goals.append(_stage(
+                "training_goals", training_goals, dataset, encoders, transforms[vi],
+                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT, vi)), train_modality,
+                policy_configs[vi].seed, TRAIN_TEMPLATE_INDICES, offset, where=at[vi],
+            ))
+        # The policy stage sets the run's peak memory: it runs without the
+        # dataset, and evaluation without the goals, rows and loss traces.
+        bc_rows = expert_steps(dataset, config.grid_size)
+        del dataset
+        policies = [result.params for result in _stage(
+            "train_policy", train_policies, *bc_rows, goals, config.grid_size, policy_configs, where=at_seed,
+        )]
+        del bc_rows, goals
+        for vi, (variant, policy, transform, offset) in enumerate(zip(variants, policies, transforms, offsets)):
             for eval_name, pool in evals:
                 eval_modality = Modality.TEXT if eval_name.startswith("text") else Modality.VISUAL
                 tag = _STAGE_EVAL_HELDOUT if eval_name == "text_heldout" else _STAGE_EVAL
                 result = _stage(
                     "evaluate_policy", evaluate_policy, policy, tasks, eval_modality, encoders, transform,
                     config.episodes_per_task, config.horizon, subseed(seed, tag, vi), pool,
-                    offset if eval_modality is Modality.VISUAL else None,
+                    offset if eval_modality is Modality.VISUAL else None, where=at[vi],
                 )
                 per_task = np.array(list(result.per_task.values()))
                 row = BenchRow(

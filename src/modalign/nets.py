@@ -1,7 +1,9 @@
 """Tiny dense feedforward nets with hand-written backprop.
 
 Everything is float64 numpy. Hidden layers use tanh; the output layer is
-linear. Inputs are (batch, features); weight matrices are (out, in).
+linear. Inputs are (batch, features); weight matrices are (out, in). A
+stack of same-shaped nets adds a leading axis to every array; the stacked
+matmul runs one gemm per net, so each net gets its own 2-d pass's numbers.
 """
 
 from __future__ import annotations
@@ -58,15 +60,16 @@ def dense_forward(params: DenseParams, x: np.ndarray) -> tuple[np.ndarray, list[
     of hidden layer l and a_L is the linear output.
     """
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != params.weights[0].shape[1]:
+    if a.ndim != params.weights[0].ndim or a.shape[-1] != params.weights[0].shape[-1]:
         raise DimensionError(
-            f"input shape {a.shape} does not match first layer fan-in {params.weights[0].shape[1]}"
+            f"input shape {a.shape} does not match first layer weights {params.weights[0].shape}"
         )
     cache = [a]
     last = params.n_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        a = z if l == last else np.tanh(z)
+        z = a @ w.mT
+        z += b[..., None, :]
+        a = z if l == last else np.tanh(z, out=z)
         cache.append(a)
     return a, cache
 
@@ -75,15 +78,19 @@ def dense_backward(
     params: DenseParams, cache: list[np.ndarray], grad_out: np.ndarray
 ) -> tuple[DenseParams, np.ndarray]:
     """Backprop grad_out (B, out) through the net; returns (param grads,
-    gradient with respect to the input (B, in))."""
+    dL/dz of the first layer (B, sizes[1])). The input gradient is that
+    @ weights[0], left to the callers that need it. The cache is spent:
+    each hidden activation is overwritten by its tanh derivative."""
     weights, biases = [], []
     g = np.asarray(grad_out, dtype=np.float64)  # dL/dz of the linear output
     for l in range(params.n_layers - 1, -1, -1):
-        weights.append(g.T @ cache[l])
-        biases.append(g.sum(axis=0))
-        g = g @ params.weights[l]
+        weights.append(g.mT @ cache[l])
+        biases.append(g.sum(axis=-2))
         if l > 0:
-            g = g * (1.0 - cache[l] ** 2)  # tanh'
+            tanh_grad = np.square(cache[l], out=cache[l])
+            np.subtract(1.0, tanh_grad, out=tanh_grad)
+            g = g @ params.weights[l]
+            g *= tanh_grad
     return DenseParams(weights[::-1], biases[::-1]), g
 
 

@@ -9,7 +9,7 @@ collapsed goals at evaluation time get the same treatment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,9 @@ class PolicyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, values in (("steps", [self.steps]), ("batch_size", [self.batch_size]), ("hidden", self.hidden)):
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+                raise ParameterError(f"{name} must be integral, got {getattr(self, name)!r}")
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
@@ -128,80 +131,112 @@ def _state_onehot(grid_size: int, cells) -> np.ndarray:
     return onehot
 
 
-def train_policy_from_arrays(
-    states: np.ndarray,
-    goals: np.ndarray,
-    actions: np.ndarray,
-    grid_size: int,
-    config: PolicyConfig,
-) -> PolicyResult:
-    """Cross-entropy behavior cloning on explicit (state, goal, action)
-    arrays. Goals are used as given (no normalization here)."""
-    states = np.asarray(states, dtype=np.float64)
-    goals = np.asarray(goals, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.intp)
-    if states.ndim != 2 or goals.ndim != 2 or states.shape[0] != goals.shape[0]:
-        raise DimensionError(f"states {states.shape} and goals {goals.shape} disagree")
-    if actions.shape != (states.shape[0],):
-        raise DimensionError(f"actions shape {actions.shape} does not match rows")
-    if states.shape[0] == 0:
-        raise ParameterError("behavior cloning needs at least one example")
-    inputs = np.concatenate([states, goals], axis=1)
-    rng = np.random.default_rng(config.seed)
-    net = init_dense([inputs.shape[1], *config.hidden, len(Action)], rng)
-    optimizer = MomentumState(net.arrays(), config.learning_rate, config.momentum)
-    trace: list[float] = []
-    n = inputs.shape[0]
-    for step_idx in range(config.steps):
-        batch = rng.integers(0, n, size=min(config.batch_size, n))
-        x = inputs[batch]
-        y = actions[batch]
-        logits, cache = dense_forward(net, x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at step {step_idx}")
-        trace.append(loss)
-        dlogits = probs.copy()
-        dlogits[np.arange(len(y)), y] -= 1.0
-        dlogits /= len(y)
-        grads, _ = dense_backward(net, cache, dlogits)
-        optimizer.step(net.arrays(), grads.arrays())
-    return PolicyResult(PolicyParams(net, grid_size), trace)
+def expert_steps(dataset: Sequence[tuple[Trajectory, GridTask]], grid_size: int):
+    """Every expert step of the trajectories that build_goal_bank keeps, in
+    order: one-hot states (n, grid_size**2), actions (n,), and goal_rows
+    (n,), each step's row in a goal bank of those trajectories."""
+    kept = [traj for traj, _ in dataset if len(traj.states) >= 2]
+    cells = [cell for traj in kept for cell in traj.states[: len(traj.actions)]]
+    actions = np.array([a for traj in kept for a in traj.actions], dtype=np.intp)
+    goal_rows = np.array([row for row, traj in enumerate(kept) for _ in traj.actions], dtype=np.intp)
+    return _state_onehot(grid_size, cells), actions, goal_rows
 
 
-def train_policy(
+def training_goals(
     dataset: Sequence[tuple[Trajectory, GridTask]],
     encoders: EncoderParams,
     transform: CollapseTransform | None,
     corrupt_cfg: CorruptConfig | None,
     train_modality: Modality,
-    config: PolicyConfig,
+    seed: int,
     template_pool: Sequence[int] | None = None,
     visual_offset: np.ndarray | None = None,
-) -> PolicyResult:
-    """Behavior cloning on one modality's collapsed, corrupted goal
-    embeddings; corrupt_cfg None trains on uncorrupted goals."""
-    if not dataset:
-        raise ParameterError("dataset must be non-empty")
-    grid_size = dataset[0][1].grid_size
-    bank, kept = build_goal_bank(
-        encoders, transform, dataset, train_modality, config.seed, template_pool, visual_offset
-    )
-    if corrupt_cfg is not None:
-        bank = corrupt_bank(bank, corrupt_cfg)
-    rows, cells, actions = [], [], []
-    for row, dataset_idx in enumerate(kept):
-        traj, _ = dataset[dataset_idx]
-        rows += [row] * len(traj.actions)
-        cells += traj.states[: len(traj.actions)]
-        actions += traj.actions
-    goals = unit_rows(bank.values, "goal")[rows]
-    return train_policy_from_arrays(
-        _state_onehot(grid_size, cells), goals, np.asarray(actions), grid_size, config
-    )
+) -> np.ndarray:
+    """One policy's unit goal rows, one per trajectory that build_goal_bank
+    keeps: collapsed, then corrupted unless corrupt_cfg is None. Text
+    templates come from a stream seeded by seed."""
+    bank, _ = build_goal_bank(encoders, transform, dataset, train_modality, seed, template_pool, visual_offset)
+    return unit_rows((bank if corrupt_cfg is None else corrupt_bank(bank, corrupt_cfg)).values, "goal")
+
+
+def train_policies(
+    states: np.ndarray,
+    actions: np.ndarray,
+    goal_rows: np.ndarray,
+    goals: Sequence[np.ndarray],
+    grid_size: int,
+    configs: Sequence[PolicyConfig],
+) -> list[PolicyResult]:
+    """Cross-entropy behavior cloning of one policy per (goals[v],
+    configs[v]): expert row i pairs states[i] and goals[v][goal_rows[i]]
+    with actions[i]. Goals are used as given. Results come in input order.
+
+    Policies of equal goal width and config but seed train in lockstep as
+    one stacked net. Each keeps its own default_rng(seed) stream, and the
+    stacked matmuls run one gemm per policy, so each result is bit-identical
+    to training that policy alone.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    actions, goal_rows = np.asarray(actions), np.asarray(goal_rows)
+    goals = [np.asarray(g, dtype=np.float64) for g in goals]
+    if states.ndim != 2 or states.shape[1] != grid_size * grid_size:
+        raise DimensionError(f"states {states.shape} are not one-hot cells of a {grid_size} grid")
+    if len(goals) != len(configs) or any(g.ndim != 2 for g in goals):
+        raise DimensionError(f"goals {[g.shape for g in goals]} are not one matrix per config")
+    rows_bound = min(map(len, goals), default=0)
+    for name, values, bound in (("actions", actions, len(Action)), ("goal_rows", goal_rows, rows_bound)):
+        if values.shape != (len(states),):
+            raise DimensionError(f"{name} shape {values.shape} does not match {len(states)} rows")
+        if values.dtype.kind not in "iu" or not np.all((values >= 0) & (values < bound)):
+            raise ParameterError(f"{name} must be integers in [0, {bound})")
+    if len(states) == 0:
+        raise ParameterError("behavior cloning needs at least one example")
+    groups: dict[tuple, list[int]] = {}
+    for v, (g, config) in enumerate(zip(goals, configs)):
+        groups.setdefault((g.shape[1], replace(config, seed=0)), []).append(v)
+    trained: list = [None] * len(configs)
+    for members in groups.values():
+        for v, result in zip(members, _train_lockstep(states, actions, goal_rows, goals, configs, members)):
+            trained[v] = result
+    # Python-float traces take four times the memory of the arrays: build them after all the training.
+    return [PolicyResult(PolicyParams(net, grid_size), trace.tolist()) for net, trace in trained]
+
+
+def _train_lockstep(states, actions, goal_rows, goals, configs, members):
+    """(net, loss trace array) of each policy in members, all of one goal
+    width and config but seed, trained as one stacked net. Each step gathers
+    its (V, B, in) batch into one buffer, so the inputs are never stacked."""
+    config, rngs = configs[members[0]], [np.random.default_rng(configs[v].seed) for v in members]
+    n, width = states.shape
+    size = min(config.batch_size, n)
+    x = np.empty((len(members), size, width + goals[members[0]].shape[1]))
+    sizes = [x.shape[2], *config.hidden, len(Action)]
+    arrays = [np.stack(a) for a in zip(*(init_dense(sizes, rng).arrays() for rng in rngs))]  # W0, b0, W1, ...
+    net = DenseParams(arrays[0::2], arrays[1::2])
+    optimizer = MomentumState(arrays, config.learning_rate, config.momentum)
+    traces = np.empty((config.steps, len(members)))
+    lanes = np.arange(len(members))[:, None], np.arange(size)
+    for step_idx in range(config.steps):
+        batch = np.stack([rng.integers(0, n, size=size) for rng in rngs])
+        # mode="clip" writes straight into the buffer; every index is in range
+        np.take(states, batch, axis=0, out=x[..., :width], mode="clip")
+        for v, lane, rows in zip(members, x, goal_rows[batch]):
+            np.take(goals[v], rows, axis=0, out=lane[:, width:], mode="clip")
+        logits, cache = dense_forward(net, x)
+        logits -= logits.max(axis=2, keepdims=True)
+        probs = np.exp(logits, out=logits)
+        probs /= probs.sum(axis=2, keepdims=True)
+        picked = lanes + (actions[batch],)
+        losses = -(np.add.reduce(np.log(probs[picked] + 1e-300), axis=1) / size)  # as np.mean
+        finite = np.isfinite(losses)
+        if not finite.all():
+            bad = members[int(np.argmin(finite))]
+            raise DivergenceError(f"variant {bad}: non-finite loss at step {step_idx}")
+        traces[step_idx] = losses
+        probs[picked] -= 1.0
+        probs /= size
+        optimizer.step(arrays, dense_backward(net, cache, probs)[0].arrays())
+    return [(DenseParams(list(w), list(b)), t) for w, b, t in zip(zip(*net.weights), zip(*net.biases), traces.T)]
 
 
 def greedy(policy: PolicyParams, goals: np.ndarray):

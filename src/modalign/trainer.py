@@ -285,7 +285,8 @@ def _gradient_from_internals(params: EncoderParams, state) -> list[np.ndarray]:
     # the output bias cancels in the difference, so its gradient is zero
     visual += [ddiff.T @ state["hidden_diff"], np.zeros_like(params.visual.biases[last])]
 
-    text_grads, dpooled = dense_backward(params.text, state["cache_text"], dtext)
+    text_grads, dz_text = dense_backward(params.text, state["cache_text"], dtext)
+    dpooled = dz_text @ params.text.weights[0]
     # One ordered scatter into the flattened table adds every token's share
     # in the order a per-token loop would; pads land in the dropped last row.
     rows, width = state["rows"], params.token_table.shape[1]

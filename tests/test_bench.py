@@ -2,9 +2,10 @@ import csv
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from modalign import ParameterError, PipelineError
+from modalign import DivergenceError, ParameterError, PipelineError
 from modalign.bench import (
     CSV_COLUMNS,
     BenchConfig,
@@ -152,6 +153,7 @@ class TestBenchConfig:
             ("encoder_temperature", 0),
             ("encoder_momentum", 1.0),
             ("encoder_batch_size", 1),
+            ("seeds", [0, 1, 0]),  # a repeated seed would count twice in the aggregates
         ],
     )
     def test_out_of_range_value_names_its_field(self, field, value):
@@ -306,6 +308,32 @@ class TestAblations:
         with pytest.raises(PipelineError, match="train_encoders") as info:
             run_transfer_experiment(tiny_config())
         assert info.value.stage == "train_encoders"
+        assert str(info.value) == "stage 'train_encoders': ValueError: boom (seed 0)"
+        # per-variant stages name the variant too
+        monkeypatch.undo()
+        monkeypatch.setattr(bench_module, "fit_delete", broken)
+        with pytest.raises(PipelineError) as info:
+            run_transfer_experiment(tiny_config(seeds=(3,), ablations=({"alpha": 0.5}, {"collapse": "delete"})))
+        assert info.value.stage == "fit_collapse"
+        assert str(info.value) == "stage 'fit_collapse': ValueError: boom (seed 3, variant 2)"
+
+    def test_diverging_variant_is_named(self, monkeypatch):
+        import modalign.bench as bench_module
+
+        real = bench_module.training_goals
+        calls = []
+
+        def nan_for_variant_3(*args):
+            goals = real(*args)
+            calls.append(len(calls))
+            return goals * np.nan if len(calls) == 4 else goals
+
+        monkeypatch.setattr(bench_module, "training_goals", nan_for_variant_3)
+        ablations = ({"alpha": 0.5}, {"collapse": "delete"}, {"corrupt_kind": "none"}, {"collapse": "none"})
+        with pytest.raises(DivergenceError) as info:
+            run_transfer_experiment(tiny_config(seeds=(5,), ablations=ablations))
+        assert str(info.value) == "stage 'train_policy': variant 3: non-finite loss at step 0 (seed 5)"
+        assert calls == [0, 1, 2, 3, 4]
 
 
 class TestReportSchema:

@@ -595,6 +595,7 @@ class TestBench:
             ["--ablate", "corrupt=gaussian:-1"],
             ["--seeds", "a,b"],
             ["--seeds", "2.7"],
+            ["--seeds", "0,0"],
         ],
     )
     def test_bad_config_exits_two_before_training(self, monkeypatch, tmp_path, capsys, argv):
@@ -652,6 +653,18 @@ class TestBench:
         config = self.bench_config(tmp_path)
         assert run(["bench", "--config", config, "--out-dir", tmp_path / "x"]) == 3
         assert "stage 'train_encoders': non-finite loss at step 3" in capsys.readouterr().err
+
+    def test_stage_failure_exits_two_naming_seed_and_variant(self, monkeypatch, tmp_path, capsys):
+        import modalign.bench as bench_module
+
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(bench_module, "fit_delete", broken)
+        config = self.bench_config(tmp_path)
+        argv = ["bench", "--config", config, "--out-dir", tmp_path / "x", "--seeds", "4", "--ablate", "collapse=delete"]
+        assert run(argv) == 2
+        assert "stage 'fit_collapse': ValueError: boom (seed 4, variant 1)" in capsys.readouterr().err
 
     def test_bad_seeds_in_config_exits_two(self, tmp_path):
         config = tmp_path / "bench.json"

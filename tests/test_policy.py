@@ -6,6 +6,8 @@ import modalign.policy as policy_module
 from modalign import (
     CorruptConfig,
     DegenerateVectorError,
+    DimensionError,
+    DivergenceError,
     Modality,
     NoiseKind,
     ParameterError,
@@ -15,15 +17,17 @@ from modalign import (
     chance_floor,
     encode_goals,
     evaluate_policy,
+    expert_steps,
     expert_trajectory,
     generate_tasks,
-    train_policy,
+    train_policies,
+    training_goals,
 )
 from modalign.bench import clips_from_dataset, text_reference_bank
 from modalign.collapse import fit_centralize
 from modalign.gridworld import HELDOUT_TEMPLATE_INDICES, TRAIN_TEMPLATE_INDICES, Action, step
-from modalign.nets import dense_forward
-from modalign.policy import build_goal_bank, greedy, rollout, train_policy_from_arrays
+from modalign.nets import dense_forward, init_dense
+from modalign.policy import build_goal_bank, greedy, rollout
 from modalign.trainer import TrainerConfig, train_encoders
 
 
@@ -58,6 +62,19 @@ def off_target_start(task, rng, grid):
         start = (int(rng.integers(grid)), int(rng.integers(grid)))
         if start != task.target:
             return start
+
+
+def train_one(states, goals, actions, grid, config):
+    """One policy on explicit rows: row i's goal is goals[i]."""
+    return train_policies(states, actions, np.arange(len(states)), [goals], grid, [config])[0]
+
+
+def train_on_dataset(world, corrupt_cfg, modality, config, template_pool=None):
+    """One policy on the world's expert steps and its goals of one modality."""
+    goals = training_goals(
+        world["dataset"], world["encoders"], world["transform"], corrupt_cfg, modality, config.seed, template_pool
+    )
+    return train_policies(*expert_steps(world["dataset"], world["grid"]), [goals], world["grid"], [config])[0]
 
 
 class TestGoalEmbedding:
@@ -142,9 +159,7 @@ class TestTrainPolicyFromArrays:
                 goals.append(goal)
                 actions.append(int(action))
         states, goals, actions = np.stack(states), np.stack(goals), np.asarray(actions)
-        result = train_policy_from_arrays(
-            states, goals, actions, grid, PolicyConfig(steps=2500, seed=5)
-        )
+        result = train_one(states, goals, actions, grid, PolicyConfig(steps=2500, seed=5))
         logits, _ = dense_forward(result.params.net, np.concatenate([states, goals], axis=1))
         accuracy = float(np.mean(np.argmax(logits, axis=1) == actions))
         assert accuracy >= 0.99
@@ -154,8 +169,8 @@ class TestTrainPolicyFromArrays:
         states = np.eye(grid * grid)[:4]
         goals = np.ones((4, 3))
         actions = np.array([0, 1, 2, 3])
-        r1 = train_policy_from_arrays(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
-        r2 = train_policy_from_arrays(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
+        r1 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
+        r2 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
         assert r1.loss_trace == []
         for a, b in zip(r1.params.net.arrays(), r2.params.net.arrays()):
             np.testing.assert_array_equal(a, b)
@@ -176,9 +191,8 @@ class TestTrainPolicyFromArrays:
                 states.append(onehot)
                 goals.append(goal)
                 actions.append(int(action))
-        policy = train_policy_from_arrays(
-            np.stack(states), np.stack(goals), np.asarray(actions), grid,
-            PolicyConfig(steps=3000, seed=5),
+        policy = train_one(
+            np.stack(states), np.stack(goals), np.asarray(actions), grid, PolicyConfig(steps=3000, seed=5)
         ).params
         # ten episodes per task; one shared stream draws the start cells in order
         episodes = [task for task in tasks for _ in range(10)]
@@ -194,51 +208,161 @@ class TestTrainPolicy:
     def test_deterministic(self, world):
         cfg = PolicyConfig(steps=50, seed=3)
         corrupt = CorruptConfig(NoiseKind.COSINE, alpha=0.2, seed=1)
-        kwargs = dict(
-            dataset=world["dataset"],
-            encoders=world["encoders"],
-            transform=world["transform"],
-            corrupt_cfg=corrupt,
-            train_modality=Modality.VISUAL,
-            config=cfg,
-        )
-        r1 = train_policy(**kwargs)
-        r2 = train_policy(**kwargs)
+        r1 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
+        r2 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
         assert r1.loss_trace == r2.loss_trace
         for a, b in zip(r1.params.net.arrays(), r2.params.net.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_text_modality_uses_template_pool(self, world):
-        result = train_policy(
-            world["dataset"],
-            world["encoders"],
-            world["transform"],
-            None,
-            Modality.TEXT,
-            PolicyConfig(steps=10, seed=4),
-            template_pool=TRAIN_TEMPLATE_INDICES,
-        )
+        result = train_on_dataset(world, None, Modality.TEXT, PolicyConfig(steps=10, seed=4), TRAIN_TEMPLATE_INDICES)
         assert len(result.loss_trace) == 10
+
+    def test_expert_steps_follow_goal_bank_rows(self, world):
+        # the per-trajectory loop that built the behavior-cloning rows before
+        grid, dataset = world["grid"], world["dataset"]
+        _, kept = build_goal_bank(world["encoders"], None, dataset, Modality.VISUAL, seed=0)
+        rows, cells, actions = [], [], []
+        for row, i in enumerate(kept):
+            traj = dataset[i][0]
+            rows += [row] * len(traj.actions)
+            cells += traj.states[: len(traj.actions)]
+            actions += traj.actions
+        states, got_actions, goal_rows = expert_steps(dataset, grid)
+        np.testing.assert_array_equal(goal_rows, rows)
+        np.testing.assert_array_equal(got_actions, actions)
+        np.testing.assert_array_equal(states, np.eye(grid * grid)[[r * grid + c for r, c in cells]])
 
     def test_empty_dataset_rejected(self, world):
         with pytest.raises(ParameterError):
-            train_policy(
-                [], world["encoders"], world["transform"], None, Modality.VISUAL, PolicyConfig()
-            )
+            training_goals([], world["encoders"], world["transform"], None, Modality.VISUAL, 0)
+        states, actions, goal_rows = expert_steps([], world["grid"])
+        with pytest.raises(ParameterError):
+            train_policies(states, actions, goal_rows, [np.zeros((0, 3))], world["grid"], [PolicyConfig()])
+
+
+def reference_forward(net, x):
+    """The plain 2-d pass: x @ w.T + b, tanh on hidden layers."""
+    cache, last = [x], net.n_layers - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = x @ w.T + b
+        x = z if l == last else np.tanh(z)
+        cache.append(x)
+    return x, cache
+
+
+def reference_backward(net, cache, g):
+    weights, biases = [], []
+    for l in range(net.n_layers - 1, -1, -1):
+        weights.append(g.T @ cache[l])
+        biases.append(g.sum(axis=0))
+        g = g @ net.weights[l]
+        if l > 0:
+            g = g * (1.0 - cache[l] ** 2)
+    return weights[::-1], biases[::-1]
+
+
+def reference_train_policy(states, goals, actions, config):
+    """Per-policy behavior cloning, the loop that train_policies replaced,
+    with its own 2-d forward, backward and momentum step."""
+    inputs = np.concatenate([states, goals], axis=1)
+    rng = np.random.default_rng(config.seed)
+    net = init_dense([inputs.shape[1], *config.hidden, len(Action)], rng)
+    velocities = [np.zeros_like(a) for a in net.arrays()]
+    trace, n = [], inputs.shape[0]
+    for _ in range(config.steps):
+        batch = rng.integers(0, n, size=min(config.batch_size, n))
+        x, y = inputs[batch], actions[batch]
+        logits, cache = reference_forward(net, x)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        trace.append(float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300))))
+        dlogits = probs.copy()
+        dlogits[np.arange(len(y)), y] -= 1.0
+        dlogits /= len(y)
+        weights, biases = reference_backward(net, cache, dlogits)
+        grads = [a for pair in zip(weights, biases) for a in pair]
+        for a, g, v in zip(net.arrays(), grads, velocities):
+            v *= config.momentum
+            v -= config.learning_rate * g
+            a += v
+    return net, trace
+
+
+def bc_rows(n, grid, seed):
+    """n random one-hot states and actions, and the stream that made them."""
+    rng = np.random.default_rng(seed)
+    return np.eye(grid * grid)[rng.integers(0, grid * grid, n)], rng.integers(0, len(Action), n), rng
+
+
+class TestTrainPolicies:
+    @pytest.mark.parametrize(
+        "n, widths, configs",
+        [
+            (40, [6], [dict(steps=30, seed=1)]),
+            (40, [6, 6, 6], [dict(steps=30, seed=s) for s in (1, 2, 3)]),
+            (41, [6, 5, 6, 3, 6], [dict(steps=30, seed=s) for s in (4, 5, 6, 7, 8)]),
+            (40, [6, 6, 6], [dict(steps=30, batch_size=b, seed=s) for s, b in ((1, 8), (2, 5), (3, 8))]),
+            (40, [6, 6], [dict(steps=0, seed=s) for s in (1, 2)]),
+            (7, [6, 6], [dict(steps=30, batch_size=64, seed=s) for s in (1, 2)]),
+            (40, [6, 6], [dict(steps=30, hidden=(), seed=s) for s in (1, 2)]),
+            (40, [6, 6], [dict(steps=30, hidden=(32, 16), seed=s) for s in (1, 2)]),
+        ],
+        ids=["one", "three-seeds", "mixed-widths", "batch-sizes", "zero-steps", "batch-over-n", "no-hidden", "two-hidden"],
+    )
+    def test_bit_identical_to_per_policy_reference(self, n, widths, configs):
+        grid = 3
+        states, actions, rng = bc_rows(n, grid, 0)
+        goal_rows = rng.integers(0, 9, n)  # several expert rows share a goal row
+        goals = [rng.standard_normal((9, w)) for w in widths]
+        configs = [PolicyConfig(**c) for c in configs]
+        results = train_policies(states, actions, goal_rows, goals, grid, configs)
+        assert len(results) == len(configs)
+        # results in input order: each matches its own policy trained alone
+        for goal, config, result in zip(goals, configs, results):
+            net, trace = reference_train_policy(states, goal[goal_rows], actions, config)
+            assert result.loss_trace == trace
+            assert result.params.net.sizes == net.sizes and result.params.grid_size == grid
+            for got, want in zip(result.params.net.arrays(), net.arrays()):
+                np.testing.assert_array_equal(got, want)
+
+    def test_divergence_names_the_variant_and_step(self):
+        states, actions, rng = bc_rows(20, 3, 1)
+        goals = [rng.standard_normal((20, 4)) for _ in range(3)]
+        goals[1][:] = np.nan
+        with pytest.raises(DivergenceError, match="variant 1: non-finite loss at step 0"):
+            train_policies(states, actions, np.arange(20), goals, 3, [PolicyConfig(steps=5, seed=s) for s in range(3)])
+
+    @pytest.mark.parametrize("field", ["actions", "goal_rows"])
+    @pytest.mark.parametrize("bad", [-1, 0.5, 5])
+    def test_actions_and_goal_rows_must_be_indices(self, field, bad):
+        states, actions, rng = bc_rows(10, 3, 2)
+        rows = {"actions": actions, "goal_rows": rng.integers(0, 5, 10)}
+        rows[field] = rows[field].astype(type(bad))
+        rows[field][3] = bad
+        with pytest.raises(ParameterError, match=field):
+            train_policies(states, rows["actions"], rows["goal_rows"], [rng.standard_normal((5, 4))], 3, [PolicyConfig()])
+
+    @pytest.mark.parametrize("width", [8, 10])
+    def test_states_must_be_grid_cells(self, width):
+        _, actions, rng = bc_rows(10, 3, 3)
+        with pytest.raises(DimensionError, match="states"):
+            train_policies(np.zeros((10, width)), actions, np.arange(10), [rng.standard_normal((10, 4))], 3, [PolicyConfig()])
+
+    @pytest.mark.parametrize(
+        "field, value", [("steps", 2.5), ("batch_size", 8.0), ("hidden", (63.9,)), ("steps", True)]
+    )
+    def test_config_sizes_must_be_integers(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            PolicyConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
 def trained(world):
     corrupt = CorruptConfig(NoiseKind.COSINE, alpha=0.2, seed=1)
-    return train_policy(
-        world["dataset"],
-        world["encoders"],
-        world["transform"],
-        corrupt,
-        Modality.VISUAL,
-        PolicyConfig(steps=2500, seed=3),
-        template_pool=TRAIN_TEMPLATE_INDICES,
-    ).params
+    config = PolicyConfig(steps=2500, seed=3)
+    return train_on_dataset(world, corrupt, Modality.VISUAL, config, TRAIN_TEMPLATE_INDICES).params
 
 
 class TestEvaluatePolicy:
