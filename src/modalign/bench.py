@@ -8,9 +8,7 @@ Everything is seeded; re-running a config reproduces every output byte.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +16,7 @@ import numpy as np
 from .banks import EmbeddingBank, Modality, row_norms
 from .collapse import CollapseTransform, fit_centralize, fit_delete
 from .corrupt import CorruptConfig, NoiseKind
-from .errors import DivergenceError, ParameterError, PipelineError
+from .errors import DivergenceError, ParameterError, PipelineError, is_finite, is_integer
 from .fileio import csv_text, json_text, write_atomic
 from .gridworld import (
     HELDOUT_TEMPLATE_INDICES,
@@ -62,15 +60,6 @@ def subseed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    # not math.isfinite, which raises on an integer beyond the float range
-    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
 @dataclass(frozen=True)
 class VariantSpec:
     """One ablation cell: collapse kind, corruption, and injected gap."""
@@ -84,13 +73,13 @@ class VariantSpec:
 
     def __post_init__(self):
         for name in ("alpha", "std", "injected_gap_norm"):
-            if not _is_finite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ParameterError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.collapse not in ("centralize", "delete", "none"):
             raise ParameterError(f"unknown collapse kind {self.collapse!r}")
         if self.corrupt_kind not in ("cosine", "gaussian", "none"):
             raise ParameterError(f"unknown corrupt kind {self.corrupt_kind!r}")
-        if not _is_integer(self.delete_k) or self.delete_k < 1:
+        if not is_integer(self.delete_k) or self.delete_k < 1:
             raise ParameterError(f"delete_k must be a positive integer, got {self.delete_k!r}")
         if not -1.0 < self.alpha <= 1.0:
             raise ParameterError(f"alpha must be in (-1, 1], got {self.alpha}")
@@ -170,12 +159,12 @@ class BenchConfig(VariantSpec):
             if value is None and f.type == "int | None":
                 continue
             if f.type == "tuple[int, ...]":
-                if not isinstance(value, (list, tuple)) or not all(_is_integer(v) for v in value):
+                if not isinstance(value, (list, tuple)) or not all(is_integer(v) for v in value):
                     raise ParameterError(f"{f.name} must be a list of integers, got {value!r}")
                 object.__setattr__(self, f.name, tuple(int(v) for v in value))
-            elif f.type in ("int", "int | None") and not _is_integer(value):
+            elif f.type in ("int", "int | None") and not is_integer(value):
                 raise ParameterError(f"{f.name} must be an integer, got {value!r}")
-            elif f.type == "float" and not _is_finite(value):
+            elif f.type == "float" and not is_finite(value):
                 raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
             elif f.type == "bool" and not isinstance(value, bool):
                 raise ParameterError(f"{f.name} must be true or false, got {value!r}")

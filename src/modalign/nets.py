@@ -2,8 +2,10 @@
 
 Everything is float64 numpy. Hidden layers use tanh; the output layer is
 linear. Inputs are (batch, features); weight matrices are (out, in). A
-stack of same-shaped nets adds a leading axis to every array; the stacked
-matmul runs one gemm per net, so each net gets its own 2-d pass's numbers.
+stack of same-shaped nets adds a leading axis to every array, and a leading
+axis on the input alone runs one net on several batches at once; either way
+the stacked matmul runs one gemm per slice, so each slice gets its own 2-d
+pass's numbers.
 """
 
 from __future__ import annotations
@@ -32,11 +34,7 @@ class DenseParams:
         return DenseParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for layer in zip(self.weights, self.biases) for a in layer]
 
 
 def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseParams:
@@ -53,20 +51,24 @@ def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseParams:
     return DenseParams(weights, biases)
 
 
-def dense_forward(params: DenseParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def dense_forward(
+    params: DenseParams, x: np.ndarray, hidden_only: bool = False
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass; returns (output (B, out), per-layer activations).
 
     The returned cache is [x, a_1, ..., a_L] where a_l is the tanh output
-    of hidden layer l and a_L is the linear output.
+    of hidden layer l and a_L is the linear output. hidden_only stops
+    before the output layer: it returns a_{L-1} (x itself for a net with
+    no hidden layer) and the cache [x, a_1, ..., a_{L-1}].
     """
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != params.weights[0].ndim or a.shape[-1] != params.weights[0].shape[-1]:
+    if a.ndim < params.weights[0].ndim or a.shape[-1] != params.weights[0].shape[-1]:
         raise DimensionError(
             f"input shape {a.shape} does not match first layer weights {params.weights[0].shape}"
         )
     cache = [a]
     last = params.n_layers - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for l, (w, b) in enumerate(zip(params.weights[: last if hidden_only else None], params.biases)):
         z = a @ w.mT
         z += b[..., None, :]
         a = z if l == last else np.tanh(z, out=z)
@@ -79,8 +81,10 @@ def dense_backward(
 ) -> tuple[DenseParams, np.ndarray]:
     """Backprop grad_out (B, out) through the net; returns (param grads,
     dL/dz of the first layer (B, sizes[1])). The input gradient is that
-    @ weights[0], left to the callers that need it. The cache is spent:
-    each hidden activation is overwritten by its tanh derivative."""
+    @ weights[0], left to the callers that need it. A leading axis on the
+    input of an unstacked net gives each slice's gradients along that axis.
+    The cache is spent: each hidden activation is overwritten by its tanh
+    derivative."""
     weights, biases = [], []
     g = np.asarray(grad_out, dtype=np.float64)  # dL/dz of the linear output
     for l in range(params.n_layers - 1, -1, -1):

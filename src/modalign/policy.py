@@ -17,7 +17,7 @@ import numpy as np
 from .banks import EmbeddingBank, Modality, unit_rows
 from .collapse import CollapseTransform, apply_to_bank
 from .corrupt import CorruptConfig, corrupt_bank
-from .errors import DimensionError, DivergenceError, ParameterError
+from .errors import DimensionError, DivergenceError, ParameterError, check_fields
 from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
 from .trainer import EncoderParams, frame_differences, text_forward
@@ -33,9 +33,7 @@ class PolicyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, values in (("steps", [self.steps]), ("batch_size", [self.batch_size]), ("hidden", self.hidden)):
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
-                raise ParameterError(f"{name} must be integral, got {getattr(self, name)!r}")
+        check_fields(self, ("steps", "batch_size"), ("hidden",), ("learning_rate",))
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:

@@ -26,6 +26,7 @@ from .errors import (
     DivergenceError,
     FormatError,
     ParameterError,
+    check_fields,
 )
 from .fileio import float32_bytes, float32_values, json_number, read_bytes, read_json, write_atomic
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
@@ -124,8 +125,12 @@ class TrainerConfig:
     freeze_text_after: int | None = None
 
     def __post_init__(self):
+        integral = ("obs_dim", "vocab_size", "dim", "token_dim", "steps", "batch_size")
+        if self.freeze_text_after is not None:
+            integral += ("freeze_text_after",)
+        check_fields(self, integral, ("visual_hidden", "text_hidden"), ("temperature", "learning_rate"))
         for name in ("obs_dim", "vocab_size", "dim", "token_dim"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.temperature <= 0.0:
             raise ParameterError(f"temperature must be positive, got {self.temperature}")
@@ -205,27 +210,31 @@ def frame_differences(params: EncoderParams, starts, ends) -> np.ndarray:
     return encoded[len(starts) :] - encoded[: len(starts)]
 
 
-def _loss_internals(params: EncoderParams, batch: PairBatch):
-    _, cache_start = dense_forward(params.visual, batch.o_start)
-    _, cache_end = dense_forward(params.visual, batch.o_end)
-    # The output-layer bias cancels in the frame difference; computing the
-    # difference before the last matmul keeps that cancellation exact.
-    last = params.visual.n_layers - 1
-    hidden_diff = cache_end[last] - cache_start[last]
-    diff = hidden_diff @ params.visual.weights[last].T  # (B, D)
+def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
+    """The InfoNCE loss and, when asked, its gradient: the one path behind
+    infonce_loss and infonce_loss_and_gradient."""
     rows = batch.tokens
     if rows.vocab != params.vocab_size:
         # a pad index of another vocabulary would select a real token row
         raise DimensionError(f"batch tokens are compiled for vocab {rows.vocab}, not {params.vocab_size}")
+    # One pass of the stacked (start, end) frames through the hidden layers.
+    # The output-layer bias cancels in the frame difference; computing the
+    # difference before the last matmul keeps that cancellation exact.
+    visual, last = params.visual, params.visual.n_layers - 1
+    hidden, cache = dense_forward(visual, np.stack([batch.o_start, batch.o_end]), hidden_only=True)
+    hidden_diff = hidden[1] - hidden[0]
+    diff = hidden_diff @ visual.weights[last].T  # (B, D)
     text, cache_text = dense_forward(params.text, rows.pool(params.token_table))
 
-    norm_f = np.linalg.norm(diff, axis=1)
-    norm_t = np.linalg.norm(text, axis=1)
-    if np.any(norm_f == 0.0):
+    # np.linalg.norm and np.mean compute exactly these, behind Python-level
+    # wrappers that cost more than the arithmetic at this size
+    norm_f = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    norm_t = np.sqrt(np.add.reduce(text * text, axis=1))
+    if not norm_f.all():
         raise DegenerateVectorError(
             f"frame-difference embedding {int(np.flatnonzero(norm_f == 0.0)[0])} is zero"
         )
-    if np.any(norm_t == 0.0):
+    if not norm_t.all():
         raise DegenerateVectorError(
             f"text embedding {int(np.flatnonzero(norm_t == 0.0)[0])} is zero"
         )
@@ -237,71 +246,57 @@ def _loss_internals(params: EncoderParams, batch: PairBatch):
     exp = np.exp(logits - colmax)
     denom = exp.sum(axis=0)
     lse = colmax + np.log(denom)
-    loss = float(np.mean(lse - np.diag(logits)))
-    return {
-        "loss": loss,
-        "softmax": exp / denom,
-        "fn": fn,
-        "tn": tn,
-        "norm_f": norm_f,
-        "norm_t": norm_t,
-        "hidden_diff": hidden_diff,
-        "cache_start": cache_start,
-        "cache_end": cache_end,
-        "cache_text": cache_text,
-        "rows": rows,
-    }
+    size = len(lse)
+    loss = float(np.add.reduce(lse - logits.diagonal()) / size)
+    if not gradient:
+        return loss
+
+    dlogits = exp / denom  # the softmax, less one on the diagonal, over B
+    dlogits.flat[:: size + 1] -= 1.0
+    dlogits /= size
+    dsims = dlogits / params.temperature
+    g_fn = dsims @ tn  # (B, D), gradient on the normalized frame-diffs
+    g_tn = dsims.T @ fn
+    # through x -> x / ||x||
+    ddiff = (g_fn - (np.sum(g_fn * fn, axis=1, keepdims=True)) * fn) / norm_f[:, None]
+    dtext = (g_tn - (np.sum(g_tn * tn, axis=1, keepdims=True)) * tn) / norm_t[:, None]
+
+    grads = []
+    if last > 0:
+        # One backward of both frame sets through the hidden layers: the
+        # start frames carry -g, and each gradient is end slice + start slice.
+        g = ddiff @ visual.weights[last]
+        grad_out = np.square(hidden, out=hidden)
+        np.subtract(1.0, grad_out, out=grad_out)
+        grad_out *= g
+        np.negative(grad_out[0], out=grad_out[0])
+        sub = DenseParams(visual.weights[:last], visual.biases[:last])
+        stacked, _ = dense_backward(sub, cache, grad_out)
+        grads = [a[1] + a[0] for a in stacked.arrays()]
+    # the output bias cancels in the difference, so its gradient is zero
+    grads += [ddiff.T @ hidden_diff, np.zeros_like(visual.biases[last])]
+
+    text_grads, dz_text = dense_backward(params.text, cache_text, dtext)
+    dpooled = dz_text @ params.text.weights[0]
+    # One weighted count over the flattened table adds every token's share
+    # in the order a per-token loop would; pads land in the dropped last row.
+    width = params.token_table.shape[1]
+    share = np.repeat(dpooled / rows.lengths[:, None], rows.padded.shape[1], axis=0)
+    cells = rows.padded.reshape(-1, 1) * width + np.arange(width)
+    table = np.bincount(cells.ravel(), share.ravel(), (rows.vocab + 1) * width)
+    return loss, grads + text_grads.arrays() + [table.reshape(-1, width)[: rows.vocab]]
 
 
 def infonce_loss(params: EncoderParams, batch: PairBatch) -> float:
     """Mean over instructions of -log softmax(cos / temperature) mass on
     the matched frame-difference; exactly 0 at batch size 1."""
-    return _loss_internals(params, batch)["loss"]
-
-
-def _gradient_from_internals(params: EncoderParams, state) -> list[np.ndarray]:
-    p = state["softmax"]
-    dlogits = (p - np.eye(len(p))) / len(p)
-    dsims = dlogits / params.temperature
-
-    fn, tn = state["fn"], state["tn"]
-    g_fn = dsims @ tn  # (B, D), gradient on the normalized frame-diffs
-    g_tn = dsims.T @ fn
-    # through x -> x / ||x||
-    ddiff = (g_fn - (np.sum(g_fn * fn, axis=1, keepdims=True)) * fn) / state["norm_f"][:, None]
-    dtext = (g_tn - (np.sum(g_tn * tn, axis=1, keepdims=True)) * tn) / state["norm_t"][:, None]
-
-    visual = []
-    last = params.visual.n_layers - 1
-    if last > 0:
-        g = ddiff @ params.visual.weights[last]
-        sub = DenseParams(params.visual.weights[:last], params.visual.biases[:last])
-        h_end, h_start = state["cache_end"][last], state["cache_start"][last]
-        grads_end, _ = dense_backward(sub, state["cache_end"][: last + 1], g * (1.0 - h_end**2))
-        grads_start, _ = dense_backward(
-            sub, state["cache_start"][: last + 1], -g * (1.0 - h_start**2)
-        )
-        visual = [e + s for e, s in zip(grads_end.arrays(), grads_start.arrays())]
-    # the output bias cancels in the difference, so its gradient is zero
-    visual += [ddiff.T @ state["hidden_diff"], np.zeros_like(params.visual.biases[last])]
-
-    text_grads, dz_text = dense_backward(params.text, state["cache_text"], dtext)
-    dpooled = dz_text @ params.text.weights[0]
-    # One ordered scatter into the flattened table adds every token's share
-    # in the order a per-token loop would; pads land in the dropped last row.
-    rows, width = state["rows"], params.token_table.shape[1]
-    share = np.repeat(dpooled / rows.lengths[:, None], rows.padded.shape[1], axis=0)
-    cells = rows.padded.reshape(-1, 1) * width + np.arange(width)
-    table = np.zeros((rows.vocab + 1) * width)
-    np.add.at(table, cells.ravel(), share.ravel())
-    return visual + text_grads.arrays() + [table.reshape(-1, width)[: rows.vocab]]
+    return _infonce(params, batch, gradient=False)
 
 
 def infonce_loss_and_gradient(params: EncoderParams, batch: PairBatch) -> tuple[float, list[np.ndarray]]:
     """infonce_loss and its analytic gradient, one array per entry of
     params.arrays(), in that order."""
-    state = _loss_internals(params, batch)
-    return state["loss"], _gradient_from_internals(params, state)
+    return _infonce(params, batch, gradient=True)
 
 
 def finite_difference_check(params: EncoderParams, batch: PairBatch, epsilon: float = 1e-5) -> float:
@@ -334,82 +329,136 @@ class TrainResult:
     loss_trace: list[float] = field(default_factory=list)
 
 
-class _WordStream:
-    """Scalar Generator.integers(n) draws for 1 <= n <= 2**32, taken from one
-    bulk random_raw fetch of a PCG64 generator by numpy's own rule: Lemire's
-    multiply-shift with rejection on 32-bit halves of the 64-bit outputs, the
-    low half first and the high half carried (the state's has_uint32 and
-    uinteger) to the next draw; n == 1 takes no word. finish() leaves the
-    generator exactly where the scalar calls would have left it."""
+# Rows drawn per chunk of training steps: the vectorized draw's arrays stay
+# a few kilobytes while its per-call overhead spreads over several steps.
+_CHUNK_ROWS = 256
 
-    def __init__(self, rng: np.random.Generator, prefetch: int):
-        self.bitgen = rng.bit_generator
-        self.saved = self.bitgen.state
-        self.pending = bool(self.saved["has_uint32"])
-        # the last high half stored; numpy keeps it after the half is used
-        self.high = self.saved["uinteger"]
-        self.prefetch = prefetch
-        self.words = self.bitgen.random_raw(prefetch).tolist()
-        self.used = 0
 
-    def below(self, n: int) -> int:
-        if n == 1:
-            return 0
-        while True:
-            if self.pending:
-                self.pending = False
-                m = self.high * n
-            else:
-                if self.used == len(self.words):
-                    self.words += self.bitgen.random_raw(self.prefetch).tolist()
-                word = self.words[self.used]
-                self.used += 1
-                self.high, self.pending = word >> 32, True
-                m = (word & 0xFFFFFFFF) * n
-            low = m & 0xFFFFFFFF
-            if low >= n or low >= (0x100000000 - n) % n:
-                return m >> 32
+def _fetch_halves(bitgen, saved: dict, words: int) -> np.ndarray:
+    """The 32-bit halves that scalar draws from state `saved` of a PCG64
+    generator would take, in order: the carried high half if the state
+    holds one, then the low and high halves of the next `words` outputs."""
+    bitgen.state = saved
+    raw = bitgen.random_raw(words)
+    carry = int(saved["has_uint32"])
+    halves = np.empty(carry + 2 * words, dtype=np.uint64)
+    halves[:carry] = saved["uinteger"]
+    halves[carry::2] = raw & 0xFFFFFFFF
+    halves[carry + 1 :: 2] = raw >> 32
+    return halves
 
-    def finish(self) -> None:
-        """Rewind the bulk fetches, advance by the outputs used and restore
-        the carried half, which advance clears."""
-        self.bitgen.state = self.saved
-        self.bitgen.advance(self.used)
-        state = self.bitgen.state
-        state["has_uint32"], state["uinteger"] = int(self.pending), self.high
-        self.bitgen.state = state
+
+def _settle(bitgen, saved: dict, halves: np.ndarray, used: int) -> None:
+    """Leave the generator where scalar draws taking the first `used`
+    halves would: rewind to `saved`, advance by the outputs they took and
+    restore the carried half, which advance clears. numpy keeps the last
+    high half in the state after it is used."""
+    carry = int(saved["has_uint32"])
+    words = max(0, used - carry + 1) // 2
+    bitgen.state = saved
+    bitgen.advance(words)
+    state = bitgen.state
+    state["has_uint32"] = (used - carry) % 2
+    state["uinteger"] = int(halves[carry + 2 * words - 1]) if carry or words else saved["uinteger"]
+    bitgen.state = state
+
+
+def _below(halves: np.ndarray, pos: int, n: int) -> tuple[int, int]:
+    """Generator.integers(n) for 1 <= n <= 2**32 by numpy's rule on the
+    halves from pos: Lemire's multiply-shift, redrawing while the low half
+    of the product is under 2**32 mod n; n == 1 takes no half. Returns the
+    value and the next position; IndexError when the halves run out."""
+    if n == 1:
+        return 0, pos
+    threshold = (0x100000000 - n) % n
+    while True:
+        m = int(halves[pos]) * n
+        pos += 1
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32, pos
 
 
 class _CompiledClips:
     """Clips compiled once for sampling: every observation in one array, every
-    template as token rows, and per clip its first frame row, horizon, first
-    template row and template count."""
+    template as token rows, and a (4, clips) table of each clip's first frame
+    row, horizon, first template row and template count."""
 
     def __init__(self, clips: Sequence[Clip], vocab: int):
         self.observations = np.concatenate([clip.observations for clip in clips])
         self.rows = compile_tokens([tpl for clip in clips for tpl in clip.templates], vocab)
-        frame, first, self.spans = 0, 0, []
-        for clip in clips:
-            self.spans.append((frame, len(clip.observations), first, len(clip.templates)))
-            frame, first = frame + len(clip.observations), first + len(clip.templates)
+        sizes = np.array([[len(clip.observations), len(clip.templates)] for clip in clips], dtype=np.uint64)
+        firsts = np.cumsum(sizes, axis=0) - sizes
+        self.spans = np.stack([firsts[:, 0], sizes[:, 0], firsts[:, 1], sizes[:, 1]])
+
+    def draw_rows(self, halves: np.ndarray, count: int) -> tuple[np.ndarray, int] | None:
+        """Frame start, frame end and template rows, shape (3, count), of
+        `count` rows drawn from the halves, and how many halves they take;
+        None when the halves run out first.
+
+        A row draws a clip, a start frame n, a segment length m over the
+        valid suffix and a template, each by _below. One vectorized pass
+        finds the row starting at every position and the position after it;
+        a pointer chase from 0 then picks the rows actually drawn. A row that
+        may meet a rejection, or would read past the end, takes the scalar
+        rule instead."""
+        size = len(halves)
+        padded = np.concatenate([halves, np.zeros(4, dtype=np.uint64)])
+        pos = np.arange(size + 1)  # a row taking no half may start at the end
+        scalar = np.zeros(size + 1, dtype=bool)
+
+        def below(n):
+            # a low product half under n may be under its threshold 2**32 mod n
+            nonlocal pos
+            m = padded[pos] * n
+            scalar[...] |= (m & 0xFFFFFFFF) < n
+            pos = pos + (n > 1)
+            return m >> 32
+
+        frame, horizon, first, templates = self.spans[:, below(np.uint64(self.spans.shape[1]))]
+        start = frame + below(horizon - 1)
+        end = start + 1 + below(frame + horizon - start - 1)
+        table = np.stack([start, end, first + below(templates)]).astype(np.intp)
+        after = np.where(scalar | (pos > size), -1, pos).tolist()
+        at, p = [0] * count, 0
+        for i in range(count):
+            at[i], p = p, after[p]
+            if p < 0:
+                try:
+                    table[:, at[i]], p = self._scalar_row(halves, at[i])
+                except IndexError:  # the halves ran out
+                    return None
+        return table[:, at], p
+
+    def _scalar_row(self, halves: np.ndarray, pos: int) -> tuple[tuple[int, int, int], int]:
+        """The row starting at pos by four _below calls, and the next position."""
+        clip, pos = _below(halves, pos, self.spans.shape[1])
+        frame, horizon, first, templates = self.spans[:, clip].tolist()
+        n, pos = _below(halves, pos, horizon - 1)
+        m, pos = _below(halves, pos, horizon - n - 1)
+        t, pos = _below(halves, pos, templates)
+        return (frame + n, frame + n + 1 + m, first + t), pos
+
+    def batches(self, steps: int, batch_size: int, rng: np.random.Generator):
+        """`steps` batches of B rows, drawn by draw_rows about _CHUNK_ROWS
+        rows at a time. The rows, and the state rng is left in, are those of
+        four scalar rng.integers calls a row, so a seed fixes every batch."""
+        bitgen, per_chunk = rng.bit_generator, max(1, _CHUNK_ROWS // batch_size)
+        for first in range(0, steps, per_chunk):
+            count = min(per_chunk, steps - first) * batch_size
+            saved, words = bitgen.state, 2 * count  # 4 halves a row, unless rejected
+            while (drawn := self.draw_rows(halves := _fetch_halves(bitgen, saved, words), count)) is None:
+                words *= 2
+            _settle(bitgen, saved, halves, drawn[1])
+            starts, ends, picks = drawn[0]
+            o_start, o_end = self.observations[starts], self.observations[ends]
+            padded, lengths = self.rows.padded[picks], self.rows.lengths[picks]
+            for lo in range(0, count, batch_size):
+                rows = slice(lo, lo + batch_size)
+                yield PairBatch(o_start[rows], o_end[rows], TokenRows(padded[rows], lengths[rows], self.rows.vocab))
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> PairBatch:
-        """Draw B rows: a random clip, a random start frame n, a random segment
-        length m over the valid suffix, and a random template. Each row draws
-        these four in this order, exactly as four scalar rng.integers calls
-        would, and leaves rng in the same state, so a seed fixes every batch."""
-        words = _WordStream(rng, 2 * batch_size)  # 4 half-words a row, unless rejected
-        below, spans = words.below, self.spans
-        starts, ends, picks = [], [], []
-        for _ in range(batch_size):
-            frame, horizon, first, count = spans[below(len(spans))]
-            n = below(horizon - 1)
-            starts.append(frame + n)
-            ends.append(frame + n + 1 + below(horizon - n - 1))
-            picks.append(first + below(count))
-        words.finish()
-        rows = TokenRows(self.rows.padded[picks], self.rows.lengths[picks], self.rows.vocab)
-        return PairBatch(self.observations[starts], self.observations[ends], rows)
+        """One batch of B rows: the one-step case of batches."""
+        return next(self.batches(1, batch_size, rng))
 
 
 def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
@@ -434,8 +483,7 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
     # keep their values and their velocities.
     visual = arrays[: len(params.visual.arrays())]
     trace: list[float] = []
-    for step in range(config.steps):
-        batch = compiled.sample(config.batch_size, rng)
+    for step, batch in enumerate(compiled.batches(config.steps, config.batch_size, rng)):
         loss, grads = infonce_loss_and_gradient(params, batch)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at step {step}")

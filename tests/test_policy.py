@@ -144,6 +144,21 @@ class TestGoalEmbedding:
                 np.testing.assert_allclose(batch.values[i], one.values[0], rtol=0, atol=1e-12)
 
 
+class TestPolicyConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("steps", 2.5), ("batch_size", 2.0), ("batch_size", True), ("hidden", (63.9,)), ("hidden", (8, False))],
+    )
+    def test_non_integral_size_names_its_field(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be integral"):
+            PolicyConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "0.3", True])
+    def test_learning_rate_must_be_a_finite_number(self, value):
+        with pytest.raises(ParameterError, match="learning_rate must be a finite number"):
+            PolicyConfig(learning_rate=value)
+
+
 class TestTrainPolicyFromArrays:
     def test_oracle_goals_reach_99_percent(self, world):
         # sanity oracle: with one-hot target goals the task is learnable

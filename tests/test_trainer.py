@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from modalign import (
+    BenchConfig,
     Clip,
     DegenerateVectorError,
     DimensionError,
@@ -24,11 +26,15 @@ from modalign import (
     save_encoder_params,
     train_encoders,
 )
+from modalign.bench import train_seed_encoders
+from modalign.gridworld import generate_tasks
 from modalign.nets import DenseParams
 from modalign.trainer import (
     TokenRows,
+    _below,
     _CompiledClips,
-    _WordStream,
+    _fetch_halves,
+    _settle,
     compile_tokens,
     infonce_loss_and_gradient,
     init_encoder_params,
@@ -65,6 +71,35 @@ def random_batch(rng, b=3, obs_dim=6, vocab=7):
     return PairBatch(
         rng.standard_normal((b, obs_dim)), rng.standard_normal((b, obs_dim)), compile_tokens(tokens, vocab)
     )
+
+
+class TestTrainerConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", 2.5),
+            ("batch_size", 2.0),
+            ("obs_dim", 6.0),
+            ("dim", True),
+            ("token_dim", np.float64(4)),
+            ("freeze_text_after", 1.5),
+            ("visual_hidden", (63.9,)),
+            ("text_hidden", (4, 2.0)),
+        ],
+    )
+    def test_non_integral_size_names_its_field(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be integral"):
+            tiny_config(**{field: value})
+
+    def test_numpy_integers_are_sizes(self):
+        cfg = tiny_config(steps=np.int64(3), visual_hidden=[np.int32(5)])
+        assert cfg.visual_hidden == (5,) and type(cfg.visual_hidden[0]) is int
+
+    @pytest.mark.parametrize("field", ["temperature", "learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "0.5", None])
+    def test_non_finite_float_names_its_field(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be a finite number"):
+            tiny_config(**{field: value})
 
 
 class TestEncoderForward:
@@ -459,7 +494,31 @@ def generator_after(draws: int) -> np.random.Generator:
     return rng
 
 
+def draw_below(rng, bounds, words):
+    """Draws below each bound by the half-word core on one fetch of `words`
+    outputs, fetched again at twice the size whenever the halves run out, as
+    the sampler does; then rng is settled. Returns the draws and the number
+    of half-words they used."""
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    while True:
+        halves = _fetch_halves(bitgen, saved, words)
+        got, pos = [], 0
+        try:
+            for n in bounds:
+                value, pos = _below(halves, pos, n)
+                got.append(value)
+            break
+        except IndexError:
+            words *= 2
+    _settle(bitgen, saved, halves, pos)
+    return got, pos
+
+
 class TestWordStream:
+    """The scalar half-word rule, _fetch_halves, _below and _settle, against
+    scalar Generator.integers calls."""
+
     # 2**31 + 1 and 3 * 2**30 reject about half and a quarter of all words
     BOUNDS = [1, 2, 3, 483, 2**31 + 1, 3 * 2**30, 2**32]
 
@@ -467,29 +526,185 @@ class TestWordStream:
     @pytest.mark.parametrize("draws", [0, 1, 2], ids=["fresh", "carried-half", "stale-half"])
     def test_matches_scalar_integers(self, n, draws):
         rng, ref_rng = generator_after(draws), generator_after(draws)
-        words = _WordStream(rng, 8)
-        got = [words.below(n) for _ in range(100)]
-        words.finish()
+        got, _ = draw_below(rng, [n] * 100, 8)
         assert got == [int(ref_rng.integers(n)) for _ in range(100)]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_rejections_refill_the_prefetched_words(self):
         rng, ref_rng = generator_after(1), generator_after(1)
-        words = _WordStream(rng, 4)
-        got = [words.below(3 * 2**30) for _ in range(200)]
-        assert words.used > 100  # rejected words made it fetch more than 4
-        words.finish()
+        got, used = draw_below(rng, [3 * 2**30] * 200, 4)
+        assert used > 200  # 200 draws use 200 halves unless some are rejected
         assert got == [int(ref_rng.integers(3 * 2**30)) for _ in range(200)]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_mixed_bounds_match_scalar_integers(self):
         bounds = np.random.default_rng(38).choice(self.BOUNDS, size=300).tolist()
         rng, ref_rng = generator_after(3), generator_after(3)
-        words = _WordStream(rng, 16)
-        got = [words.below(n) for n in bounds]
-        words.finish()
+        got, _ = draw_below(rng, bounds, 16)
         assert got == [int(ref_rng.integers(n)) for n in bounds]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("draws", [0, 1, 2], ids=["fresh", "carried-half", "stale-half"])
+    def test_fetch_puts_the_carried_half_first(self, draws):
+        bitgen = generator_after(draws).bit_generator
+        saved = bitgen.state
+        halves = _fetch_halves(bitgen, saved, 3)
+        words = type(bitgen)()
+        words.state = saved
+        raw = words.random_raw(3)
+        carried = [saved["uinteger"]] if saved["has_uint32"] else []
+        assert halves.tolist() == carried + [h for w in raw.tolist() for h in (w & 0xFFFFFFFF, w >> 32)]
+
+
+def half_for(value: int, n: int) -> int:
+    """A half-word that draws `value` below n with no rejection: its low
+    product half is about 2**31, above every threshold 2**32 mod n < n."""
+    return (value * 2**32 + 2**31) // n
+
+
+def scalar_rows(compiled, halves, count):
+    """Reference rows: four _below calls a row, as four rng.integers calls."""
+    rows, pos = [], 0
+    spans = compiled.spans.T.tolist()
+    for _ in range(count):
+        clip, pos = _below(halves, pos, len(spans))
+        frame, horizon, first, templates = spans[clip]
+        n, pos = _below(halves, pos, horizon - 1)
+        m, pos = _below(halves, pos, horizon - n - 1)
+        t, pos = _below(halves, pos, templates)
+        rows.append((frame + n, frame + n + 1 + m, first + t))
+    return np.array(rows).T.reshape(3, count), pos
+
+
+class TestDrawRows:
+    """The vectorized row draw against the scalar rule on crafted half-words."""
+
+    @staticmethod
+    def three_clips():
+        # every bound of a row starting at frame 0 is 3, not a power of two,
+        # so a zero half-word is rejected in each of the four draws
+        rng = np.random.default_rng(50)
+        return _CompiledClips([Clip(rng.standard_normal((4, 2)), ((0,), (1,), (2,))) for _ in range(3)], 3)
+
+    @pytest.mark.parametrize("draw", range(4), ids=["clip", "start", "length", "template"])
+    def test_rejection_in_each_draw(self, draw):
+        compiled = self.three_clips()
+        row = [half_for(1, 3), half_for(0, 3), half_for(1, 3), half_for(2, 3)]
+        rejected = row[:draw] + [0] + row[draw:]
+        halves = np.array(row * 3 + rejected + row * 4, dtype=np.uint64)
+        got, used = compiled.draw_rows(halves, 8)
+        want, want_used = scalar_rows(compiled, halves, 8)
+        np.testing.assert_array_equal(got, want)
+        assert used == want_used == len(halves)
+        assert tuple(got[:, 3]) == (4, 6, 5)  # clip 1: frames 4 -> 6, template row 3 + 2
+
+    def test_random_halves_with_many_rejections(self):
+        # one half in four is zero, so most rows meet a rejection somewhere
+        compiled = _CompiledClips(varied_clips(np.random.default_rng(30)), 9)
+        rng = np.random.default_rng(51)
+        for _ in range(20):
+            halves = rng.integers(0, 2**32, size=400, dtype=np.uint64)
+            halves[rng.random(400) < 0.25] = 0
+            want, used = scalar_rows(compiled, halves, 60)
+            got, got_used = compiled.draw_rows(halves, 60)
+            np.testing.assert_array_equal(got, want)
+            assert got_used == used
+
+    def test_running_out_returns_none(self):
+        compiled = self.three_clips()
+        row = [half_for(2, 3), half_for(0, 3), half_for(0, 3), half_for(1, 3)]
+        halves = np.array(row * 2 + row[:3], dtype=np.uint64)
+        assert compiled.draw_rows(halves, 3) is None
+        # a rejection in the last row's final draw runs out just the same
+        halves = np.array(row * 2 + row[:3] + [0], dtype=np.uint64)
+        assert compiled.draw_rows(halves, 3) is None
+        got, used = compiled.draw_rows(np.append(halves, row[3]).astype(np.uint64), 3)
+        assert used == 13 and got[:, 2].tolist() == [8, 9, 7]
+
+    def test_bounds_of_one_take_no_half(self):
+        # horizon-2 and one-template clips next to a wider one
+        rng = np.random.default_rng(52)
+        clips = [
+            Clip(rng.standard_normal((2, 2)), ((0,),)),
+            Clip(rng.standard_normal((5, 2)), ((1,), (2,))),
+            Clip(rng.standard_normal((2, 2)), ((2,), (0,), (1,))),
+        ]
+        compiled = _CompiledClips(clips, 3)
+        halves = rng.integers(0, 2**32, size=300, dtype=np.uint64)
+        want, used = scalar_rows(compiled, halves, 100)
+        got, got_used = compiled.draw_rows(halves, 100)
+        np.testing.assert_array_equal(got, want)
+        assert got_used == used < 400
+        # one such clip alone: every row is the same and takes no half
+        single = _CompiledClips(clips[:1], 3)
+        got, used = single.draw_rows(np.zeros(0, dtype=np.uint64), 5)
+        assert used == 0 and got.tolist() == [[0] * 5, [1] * 5, [0] * 5]
+
+    def test_carried_half_starts_the_draw(self):
+        clips = varied_clips(np.random.default_rng(30))
+        compiled = _CompiledClips(clips, 9)
+        rng, ref_rng = generator_after(1), generator_after(1)
+        carried = rng.bit_generator.state["uinteger"]
+        first_clip = (carried * len(clips)) >> 32
+        batch = compiled.sample(10, rng)
+        ref_start, _, _ = reference_sample(clips, 10, ref_rng)
+        np.testing.assert_array_equal(batch.o_start, ref_start)
+        frame, horizon = compiled.spans[:2, first_clip].tolist()
+        assert any(np.array_equal(batch.o_start[0], row) for row in compiled.observations[frame : frame + horizon])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("draws", [0, 1, 2], ids=["fresh", "carried-half", "stale-half"])
+    @pytest.mark.parametrize("batch_size", [2, 7, 300])
+    def test_chunked_batches_match_per_step_samples(self, draws, batch_size):
+        # 256 // 7 = 36 steps a chunk: 80 steps are chunks of 36, 36 and 8
+        clips = varied_clips(np.random.default_rng(31))
+        compiled = _CompiledClips(clips, 9)
+        rng, step_rng, ref_rng = generator_after(draws), generator_after(draws), generator_after(draws)
+        steps = 80 if batch_size < 300 else 3
+        for batch in compiled.batches(steps, batch_size, rng):
+            single = compiled.sample(batch_size, step_rng)
+            start, end, tokens = reference_sample(clips, batch_size, ref_rng)
+            np.testing.assert_array_equal(batch.o_start, start)
+            np.testing.assert_array_equal(batch.o_end, end)
+            np.testing.assert_array_equal(batch.tokens.padded, single.tokens.padded)
+            np.testing.assert_array_equal(batch.tokens.lengths, [len(seq) for seq in tokens])
+        assert rng.bit_generator.state == step_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def pin_digest(result) -> str:
+    """blake2b of the final parameter bytes and the loss trace's reprs."""
+    h = hashlib.blake2b(digest_size=16)
+    for arr in result.params.arrays():
+        h.update(arr.tobytes())
+    h.update(repr(result.loss_trace).encode())
+    return h.hexdigest()
+
+
+class TestBitPins:
+    """Digests recorded from the per-row scalar sampler and the separate
+    start/end visual passes: every rewrite of the encoder step must keep
+    each bit, at every tower depth."""
+
+    def test_default_bench_shape(self):
+        cfg = BenchConfig(seeds=(0,), encoder_steps=300)
+        _, _, result = train_seed_encoders(cfg, generate_tasks(cfg.grid_size, cfg.world_seed), 0)
+        assert pin_digest(result) == "5e27a669a322be9ae82c45dc1b1032d2"
+
+    def test_two_visual_hidden_layers_and_a_linear_text_tower(self):
+        cfg = TrainerConfig(
+            obs_dim=6, vocab_size=9, dim=4, visual_hidden=(5, 3), text_hidden=(), token_dim=3,
+            steps=100, batch_size=6, seed=3,
+        )
+        result = train_encoders(varied_clips(np.random.default_rng(30)), cfg)
+        assert pin_digest(result) == "f210632c5e9a546cdd19ac12b343c372"
+
+    def test_freeze_text_after_with_a_linear_visual_tower(self):
+        clips, _ = synthetic_clips(np.random.default_rng(22), n_tasks=3, clips_per_task=3)
+        cfg = TrainerConfig(
+            obs_dim=12, vocab_size=11, dim=4, visual_hidden=(), text_hidden=(6, 4),
+            steps=120, batch_size=5, seed=5, freeze_text_after=50,
+        )
+        assert pin_digest(train_encoders(clips, cfg)) == "c7ae4273138315ba04fc6777dc17fcb5"
 
 
 class TestTokenRows:
