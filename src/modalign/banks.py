@@ -15,12 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateVectorError,
-    DimensionError,
-    FormatError,
-    ParameterError,
-)
+from .errors import DegenerateVectorError, DimensionError, FormatError, ParameterError, is_integer
 from .fileio import float32_bytes, float32_values, json_int, read_bytes, read_json, write_atomic
 
 BINARY_MAGIC = b"EBNK"
@@ -55,8 +50,8 @@ class EmbeddingBank:
     def __post_init__(self):
         if not isinstance(self.modality, Modality):
             raise ParameterError(f"modality must be a Modality, got {self.modality!r}")
-        if int(self.dim) < 1:
-            raise DimensionError(f"bank dim must be >= 1, got {self.dim}")
+        if not is_integer(self.dim) or self.dim < 1:
+            raise DimensionError(f"bank dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         ids = tuple(self.task_ids)
         for i, tid in enumerate(ids):

@@ -16,7 +16,16 @@ import numpy as np
 from .banks import EmbeddingBank, Modality, row_norms
 from .collapse import CollapseTransform, fit_centralize, fit_delete
 from .corrupt import CorruptConfig, NoiseKind
-from .errors import DivergenceError, ParameterError, PipelineError, is_finite, is_integer
+from .errors import (
+    COSINE_FLOOR,
+    NON_NEGATIVE,
+    POSITIVE,
+    DivergenceError,
+    ParameterError,
+    PipelineError,
+    check_fields,
+    one_of,
+)
 from .fileio import csv_text, json_text, write_atomic
 from .gridworld import (
     HELDOUT_TEMPLATE_INDICES,
@@ -64,29 +73,14 @@ def subseed(*keys: int) -> int:
 class VariantSpec:
     """One ablation cell: collapse kind, corruption, and injected gap."""
 
-    collapse: str = "centralize"  # centralize | delete | none
-    delete_k: int = 1
-    corrupt_kind: str = "cosine"  # cosine | gaussian | none
-    alpha: float = 0.2
-    std: float = 0.1
-    injected_gap_norm: float = 0.0
+    collapse: str = field(default="centralize", metadata=one_of("centralize", "delete", "none"))
+    delete_k: int = field(default=1, metadata=POSITIVE)
+    corrupt_kind: str = field(default="cosine", metadata=one_of("cosine", "gaussian", "none"))
+    alpha: float = field(default=0.2, metadata=COSINE_FLOOR)
+    std: float = field(default=0.1, metadata=NON_NEGATIVE)
+    injected_gap_norm: float = field(default=0.0, metadata=NON_NEGATIVE)
 
-    def __post_init__(self):
-        for name in ("alpha", "std", "injected_gap_norm"):
-            if not is_finite(getattr(self, name)):
-                raise ParameterError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.collapse not in ("centralize", "delete", "none"):
-            raise ParameterError(f"unknown collapse kind {self.collapse!r}")
-        if self.corrupt_kind not in ("cosine", "gaussian", "none"):
-            raise ParameterError(f"unknown corrupt kind {self.corrupt_kind!r}")
-        if not is_integer(self.delete_k) or self.delete_k < 1:
-            raise ParameterError(f"delete_k must be a positive integer, got {self.delete_k!r}")
-        if not -1.0 < self.alpha <= 1.0:
-            raise ParameterError(f"alpha must be in (-1, 1], got {self.alpha}")
-        if not self.std >= 0.0:
-            raise ParameterError(f"std must be non-negative, got {self.std}")
-        if not self.injected_gap_norm >= 0.0:
-            raise ParameterError("injected_gap_norm must be >= 0")
+    __post_init__ = check_fields
 
     @property
     def alpha_or_std(self) -> float | None:
@@ -99,9 +93,7 @@ class VariantSpec:
     def corrupt_config(self, seed: int) -> CorruptConfig | None:
         if self.corrupt_kind == "none":
             return None
-        if self.corrupt_kind == "cosine":
-            return CorruptConfig(NoiseKind.COSINE, alpha=self.alpha, seed=seed)
-        return CorruptConfig(NoiseKind.GAUSSIAN, std=self.std, seed=seed)
+        return CorruptConfig(NoiseKind(self.corrupt_kind), self.alpha, self.std, seed)
 
     def report_fields(self) -> dict:
         """The variant's cells of a report row; alpha and std report as alpha_or_std."""
@@ -110,8 +102,7 @@ class VariantSpec:
 
 
 _VARIANT_KEYS = {f.name for f in fields(VariantSpec)}
-# Lower bounds of integer config fields (of every entry of an integer list).
-_POSITIVE, _NON_NEGATIVE = {"floor": 1}, {"floor": 0}
+_MODALITY = one_of("visual", "text")
 
 
 @dataclass(frozen=True)
@@ -119,30 +110,30 @@ class BenchConfig(VariantSpec):
     """Every bench setting; the base variant's fields come from VariantSpec."""
 
     schema_version: int = 1
-    grid_size: int = field(default=5, metadata=_POSITIVE)
-    demos_per_task: int = field(default=20, metadata=_POSITIVE)
-    dim: int = field(default=16, metadata=_POSITIVE)
-    world_seed: int = field(default=0, metadata=_NON_NEGATIVE)
-    seeds: tuple[int, ...] = field(default=(0, 1, 2), metadata=_NON_NEGATIVE)
-    train_modality: str = "visual"
-    eval_modalities: tuple[str, ...] = ("visual", "text")
+    grid_size: int = field(default=5, metadata=POSITIVE)
+    demos_per_task: int = field(default=20, metadata=POSITIVE)
+    dim: int = field(default=16, metadata=POSITIVE)
+    world_seed: int = field(default=0, metadata=NON_NEGATIVE)
+    seeds: tuple[int, ...] = field(default=(0, 1, 2), metadata=NON_NEGATIVE)
+    train_modality: str = field(default="visual", metadata=_MODALITY)
+    eval_modalities: tuple[str, ...] = field(default=("visual", "text"), metadata=_MODALITY)
     eval_heldout_text: bool = True
-    episodes_per_task: int = field(default=10, metadata=_POSITIVE)
-    horizon: int = field(default=8, metadata=_POSITIVE)
-    encoder_steps: int = field(default=4000, metadata=_NON_NEGATIVE)
-    encoder_batch_size: int = field(default=32, metadata=_POSITIVE)
+    episodes_per_task: int = field(default=10, metadata=POSITIVE)
+    horizon: int = field(default=8, metadata=POSITIVE)
+    encoder_steps: int = 4000
+    encoder_batch_size: int = 32
     encoder_learning_rate: float = 0.1
     encoder_momentum: float = 0.9
-    encoder_visual_hidden: tuple[int, ...] = field(default=(64,), metadata=_POSITIVE)
-    encoder_text_hidden: tuple[int, ...] = field(default=(64,), metadata=_POSITIVE)
-    encoder_token_dim: int = field(default=32, metadata=_POSITIVE)
+    encoder_visual_hidden: tuple[int, ...] = (64,)
+    encoder_text_hidden: tuple[int, ...] = (64,)
+    encoder_token_dim: int = 32
     encoder_temperature: float = 0.5
-    encoder_freeze_text_after: int | None = field(default=None, metadata=_NON_NEGATIVE)
-    policy_steps: int = field(default=3000, metadata=_NON_NEGATIVE)
-    policy_batch_size: int = field(default=64, metadata=_POSITIVE)
+    encoder_freeze_text_after: int | None = None
+    policy_steps: int = 3000
+    policy_batch_size: int = 64
     policy_learning_rate: float = 0.3
     policy_momentum: float = 0.9
-    policy_hidden: tuple[int, ...] = field(default=(64,), metadata=_POSITIVE)
+    policy_hidden: tuple[int, ...] = (64,)
     ablations: tuple[dict, ...] = ()
 
     def __post_init__(self):
@@ -152,25 +143,8 @@ class BenchConfig(VariantSpec):
             raise ParameterError(f"invalid bench config value: {exc}") from None
 
     def _validate(self):
-        """Check every field's type (its annotation) and every variant
-        before any work."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.type == "int | None":
-                continue
-            if f.type == "tuple[int, ...]":
-                if not isinstance(value, (list, tuple)) or not all(is_integer(v) for v in value):
-                    raise ParameterError(f"{f.name} must be a list of integers, got {value!r}")
-                object.__setattr__(self, f.name, tuple(int(v) for v in value))
-            elif f.type in ("int", "int | None") and not is_integer(value):
-                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
-            elif f.type == "float" and not is_finite(value):
-                raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
-            elif f.type == "bool" and not isinstance(value, bool):
-                raise ParameterError(f"{f.name} must be true or false, got {value!r}")
-            floor = f.metadata.get("floor")
-            if floor is not None and min(np.atleast_1d(value), default=floor) < floor:
-                raise ParameterError(f"{f.name} must be {'positive' if floor else 'non-negative'}, got {value!r}")
+        """Check every field and every variant before any work."""
+        check_fields(self)
         if not self.seeds:
             raise ParameterError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -179,23 +153,17 @@ class BenchConfig(VariantSpec):
             raise ParameterError("eval_modalities must name at least one modality")
         if self.schema_version != 1:
             raise ParameterError(f"unsupported schema_version {self.schema_version!r}")
-        if self.train_modality not in ("visual", "text"):
-            raise ParameterError(f"train_modality must be visual or text, got {self.train_modality!r}")
-        for m in self.eval_modalities:
-            if m not in ("visual", "text"):
-                raise ParameterError(f"eval modality must be visual or text, got {m!r}")
         if self.horizon < 2 * (self.grid_size - 1):
             raise ParameterError(
                 f"horizon {self.horizon} cannot reach every cell of a {self.grid_size} grid"
             )
-        # Each stage config checks its own ranges and starts its message
+        # Each stage config checks its own fields and starts its message
         # with the field name; the prefix makes that the config key.
         for prefix, stage_config in (("encoder_", self.trainer_config), ("policy_", self.policy_config)):
             try:
                 stage_config(0)
             except ParameterError as exc:
                 raise ParameterError(f"{prefix}{exc}") from None
-        object.__setattr__(self, "eval_modalities", tuple(self.eval_modalities))
         object.__setattr__(self, "ablations", tuple(dict(a) for a in self.ablations))
         for abl in self.ablations:
             unknown = set(abl) - _VARIANT_KEYS

@@ -87,15 +87,11 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    cfg = CorruptConfig(NoiseKind(args.kind), args.alpha, args.std, args.seed)
     bank = load_bank(args.bank)
-    kind = NoiseKind(args.kind)
-    if kind is NoiseKind.COSINE:
-        cfg = CorruptConfig(kind, alpha=args.alpha, seed=args.seed)
-    else:
-        cfg = CorruptConfig(kind, std=args.std, seed=args.seed)
     corrupted = corrupt_bank(bank, cfg)
     save_bank(corrupted, args.out, BankFormat(args.out_format))
-    print(f"corrupted {bank.n} rows with {kind.value} noise; wrote {args.out}")
+    print(f"corrupted {bank.n} rows with {args.kind} noise; wrote {args.out}")
     return 0
 
 

@@ -15,12 +15,7 @@ import numpy as np
 
 from .banks import EmbeddingBank, Modality
 from .diagnostics import per_dimension_mean_gap
-from .errors import (
-    DimensionError,
-    EmptyBankError,
-    FormatError,
-    ParameterError,
-)
+from .errors import DimensionError, EmptyBankError, FormatError, ParameterError, is_integer
 from .fileio import json_int, json_number, json_text, read_bytes, read_json, write_atomic
 
 
@@ -41,8 +36,9 @@ class CollapseTransform:
     fit_reference: str | None = None  # provenance of the fitting banks
 
     def __post_init__(self):
-        if self.source_dim < 1:
-            raise DimensionError(f"source_dim must be >= 1, got {self.source_dim}")
+        if not is_integer(self.source_dim) or self.source_dim < 1:
+            raise DimensionError(f"source_dim must be a positive integer, got {self.source_dim!r}")
+        object.__setattr__(self, "source_dim", int(self.source_dim))
         if self.kind is CollapseKind.CENTRALIZE:
             if self.visual_mean is None or self.text_mean is None:
                 raise ParameterError("centralize transform needs both modality means")
@@ -162,7 +158,7 @@ def fit_delete(
 ) -> CollapseTransform:
     """Mark the k dimensions with the largest per-dimension mean gap for
     deletion; ties go to the lower index."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not is_integer(k) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
     gap = per_dimension_mean_gap(reference_v, reference_l)
     dim = reference_v.dim

@@ -9,14 +9,13 @@ the baseline: additive iid noise with no such guarantee.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .banks import EmbeddingBank, row_norms
-from .errors import DegenerateVectorError, ParameterError
+from .errors import COSINE_FLOOR, NON_NEGATIVE, DegenerateVectorError, ParameterError, check_fields, one_of
 
 
 class NoiseKind(Enum):
@@ -26,23 +25,15 @@ class NoiseKind(Enum):
 
 @dataclass(frozen=True)
 class CorruptConfig:
-    """Noise kind plus its strength parameter and the stream seed."""
+    """Noise kind plus its strength parameters and the stream seed; cosine
+    noise reads alpha and Gaussian noise std, and both are always checked."""
 
-    kind: NoiseKind
-    alpha: float = 0.2
-    std: float = 0.0
-    seed: int = 0
+    kind: NoiseKind = field(metadata=one_of(*NoiseKind))
+    alpha: float = field(default=0.2, metadata=COSINE_FLOOR)
+    std: float = field(default=0.0, metadata=NON_NEGATIVE)
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
-    def __post_init__(self):
-        if not isinstance(self.kind, NoiseKind):
-            raise ParameterError(f"kind must be a NoiseKind, got {self.kind!r}")
-        if self.kind is NoiseKind.COSINE:
-            if not (-1.0 < self.alpha <= 1.0):
-                raise ParameterError(f"alpha must be in (-1, 1], got {self.alpha}")
-        elif not (self.std >= 0.0 and math.isfinite(self.std)):
-            raise ParameterError(f"std must be a finite non-negative number, got {self.std}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+    __post_init__ = check_fields
 
 
 def _row_stream(seed: int, task_id: str, row: np.ndarray) -> np.random.Generator:

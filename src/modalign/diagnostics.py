@@ -13,12 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .banks import EmbeddingBank, Modality, unit_rows
-from .errors import (
-    DimensionError,
-    EmptyBankError,
-    ParameterError,
-    TaskMismatchError,
-)
+from .errors import DimensionError, EmptyBankError, ParameterError, TaskMismatchError, is_integer
 from .fileio import csv_text, json_text, write_atomic
 
 # The heatmap aggregates multiple rows per task as the per-task mean; this
@@ -129,7 +124,7 @@ def retrieval_topk_accuracy(query_bank: EmbeddingBank, gallery_bank: EmbeddingBa
     Ties are broken lexicographically by gallery task_id and then by row
     index, so the result is deterministic.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not is_integer(k) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
     if k > gallery_bank.n:
         raise ParameterError(f"k={k} exceeds gallery size {gallery_bank.n}")

@@ -2,6 +2,7 @@
 value checks that configs raise them from."""
 
 import sys
+from dataclasses import fields
 from numbers import Integral, Real
 
 
@@ -58,13 +59,47 @@ def is_finite(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def check_fields(config, integral=(), integral_lists=(), finite=()) -> None:
-    """ParameterError naming the first field of a config that is not an
-    integer, holds a non-integer entry, or is not a finite number."""
-    for name in (*integral, *integral_lists):
-        value = getattr(config, name)
-        if not all(map(is_integer, value if name in integral_lists else [value])):
-            raise ParameterError(f"{name} must be integral, got {value!r}")
-    for name in finite:
-        if not is_finite(getattr(config, name)):
-            raise ParameterError(f"{name} must be a finite number, got {getattr(config, name)!r}")
+# Field metadata: the one range rule check_fields applies to a field.
+POSITIVE = {"rule": (lambda v: v > 0, "positive")}
+NON_NEGATIVE = {"rule": (lambda v: v >= 0, "non-negative")}
+UNIT_INTERVAL = {"rule": (lambda v: 0 <= v < 1, "in [0, 1)")}
+COSINE_FLOOR = {"rule": (lambda v: -1 < v <= 1, "in (-1, 1]")}
+
+
+def one_of(*choices) -> dict:
+    return {"rule": (lambda v: v in choices, f"one of {', '.join(map(str, choices))}")}
+
+
+_ANY = (lambda v: True, "")
+_TYPES = {
+    "int": (is_integer, "integral"),
+    "float": (is_finite, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "a mapping"),
+}
+
+
+def check_fields(config) -> None:
+    """Check each field of a config dataclass against its annotation (a
+    _TYPES name, a tuple[<name>, ...], either of them | None; any other
+    annotation is not type-checked) and then its declared rule, entry by
+    entry for a tuple. ParameterError names the first field that fails.
+    Integers are stored as plain ints and tuple fields as tuples."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        is_tuple = kind.startswith("tuple[")
+        if is_tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ParameterError(f"{f.name} must be a list, got {value!r}")
+            kind = kind[len("tuple[") : -len(", ...]")]
+        entries = list(value) if is_tuple else [value]
+        for test, text in (_TYPES.get(kind, _ANY), f.metadata.get("rule", _ANY)):
+            if not all(map(test, entries)):
+                raise ParameterError(f"{f.name} must be {text}, got {value!r}")
+        if kind == "int":
+            entries = [int(v) for v in entries]
+        object.__setattr__(config, f.name, tuple(entries) if is_tuple else entries[0])

@@ -17,7 +17,15 @@ import numpy as np
 from .banks import EmbeddingBank, Modality, unit_rows
 from .collapse import CollapseTransform, apply_to_bank
 from .corrupt import CorruptConfig, corrupt_bank
-from .errors import DimensionError, DivergenceError, ParameterError, check_fields
+from .errors import (
+    NON_NEGATIVE,
+    POSITIVE,
+    UNIT_INTERVAL,
+    DimensionError,
+    DivergenceError,
+    ParameterError,
+    check_fields,
+)
 from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
 from .trainer import EncoderParams, frame_differences, text_forward
@@ -25,24 +33,14 @@ from .trainer import EncoderParams, frame_differences, text_forward
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    steps: int = 3000
-    batch_size: int = 64
-    learning_rate: float = 0.3
-    momentum: float = 0.9
-    hidden: tuple[int, ...] = (64,)
-    seed: int = 0
+    steps: int = field(default=3000, metadata=NON_NEGATIVE)
+    batch_size: int = field(default=64, metadata=POSITIVE)
+    learning_rate: float = field(default=0.3, metadata=POSITIVE)
+    momentum: float = field(default=0.9, metadata=UNIT_INTERVAL)
+    hidden: tuple[int, ...] = field(default=(64,), metadata=POSITIVE)
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
-    def __post_init__(self):
-        check_fields(self, ("steps", "batch_size"), ("hidden",), ("learning_rate",))
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0.0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+    __post_init__ = check_fields
 
 
 @dataclass

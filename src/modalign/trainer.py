@@ -21,6 +21,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    NON_NEGATIVE,
+    POSITIVE,
+    UNIT_INTERVAL,
     DegenerateVectorError,
     DimensionError,
     DivergenceError,
@@ -110,42 +113,24 @@ class PairBatch:
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    obs_dim: int
-    vocab_size: int
-    dim: int = 16
-    visual_hidden: tuple[int, ...] = (64,)
-    text_hidden: tuple[int, ...] = (64,)
-    token_dim: int = 32
-    temperature: float = 1.0
-    steps: int = 2000
-    batch_size: int = 32
-    learning_rate: float = 0.3
-    momentum: float = 0.9
-    seed: int = 0
-    freeze_text_after: int | None = None
+    obs_dim: int = field(metadata=POSITIVE)
+    vocab_size: int = field(metadata=POSITIVE)
+    dim: int = field(default=16, metadata=POSITIVE)
+    visual_hidden: tuple[int, ...] = field(default=(64,), metadata=POSITIVE)
+    text_hidden: tuple[int, ...] = field(default=(64,), metadata=POSITIVE)
+    token_dim: int = field(default=32, metadata=POSITIVE)
+    temperature: float = field(default=1.0, metadata=POSITIVE)
+    steps: int = field(default=2000, metadata=NON_NEGATIVE)
+    batch_size: int = field(default=32, metadata=POSITIVE)
+    learning_rate: float = field(default=0.3, metadata=POSITIVE)
+    momentum: float = field(default=0.9, metadata=UNIT_INTERVAL)
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
+    freeze_text_after: int | None = field(default=None, metadata=NON_NEGATIVE)
 
     def __post_init__(self):
-        integral = ("obs_dim", "vocab_size", "dim", "token_dim", "steps", "batch_size")
-        if self.freeze_text_after is not None:
-            integral += ("freeze_text_after",)
-        check_fields(self, integral, ("visual_hidden", "text_hidden"), ("temperature", "learning_rate"))
-        for name in ("obs_dim", "vocab_size", "dim", "token_dim"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.temperature <= 0.0:
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
+        check_fields(self)
         if self.steps > 0 and self.batch_size < 2:
             raise ParameterError(f"batch_size must be >= 2 for contrastive training, got {self.batch_size}")
-        if self.learning_rate <= 0.0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.freeze_text_after is not None and self.freeze_text_after < 0:
-            raise ParameterError("freeze_text_after must be >= 0 or None")
-        object.__setattr__(self, "visual_hidden", tuple(int(h) for h in self.visual_hidden))
-        object.__setattr__(self, "text_hidden", tuple(int(h) for h in self.text_hidden))
 
 
 @dataclass

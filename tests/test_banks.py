@@ -131,6 +131,16 @@ class TestBankConstruction:
         with pytest.raises(ParameterError):
             EmbeddingBank(Modality.VISUAL, 2, ("a",), [[1.0, float("nan")]])
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])
+    def test_non_integral_dim_rejected(self, dim):
+        # a float dim used to be cut to an int: 2.5 built a dim-2 bank
+        with pytest.raises(DimensionError, match="bank dim must be a positive integer"):
+            EmbeddingBank(Modality.VISUAL, dim, ("a",), [[1.0, 2.0]])
+
+    def test_numpy_integer_dim_stored_as_int(self):
+        bank = EmbeddingBank(Modality.VISUAL, np.int64(2), ("a",), [[1.0, 2.0]])
+        assert bank.dim == 2 and type(bank.dim) is int
+
 
 def random_bank(rng, n=None, dim=None, modality=Modality.VISUAL, float32=True):
     n = int(rng.integers(0, 7)) if n is None else n

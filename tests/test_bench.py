@@ -5,12 +5,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from modalign import DivergenceError, ParameterError, PipelineError
+from modalign import DivergenceError, NoiseKind, ParameterError, PipelineError, synthetic_gap_bank
 from modalign.bench import (
     CSV_COLUMNS,
     BenchConfig,
     BenchRow,
     VariantSpec,
+    _fit_transform,
     run_transfer_experiment,
     subseed,
 )
@@ -78,11 +79,60 @@ class TestBenchConfig:
             {"delete_k": 0},
             {"delete_k": 1.5},
             {"delete_k": True},
+            {"alpha": "x"},
+            {"corrupt_kind": None},
         ],
     )
     def test_out_of_domain_variant_rejected(self, fields):
         with pytest.raises(ParameterError):
             VariantSpec(**fields)
+
+    @pytest.mark.parametrize(
+        "field, inside, outside",
+        [
+            ("collapse", "none", "None"),
+            ("delete_k", 1, 0),
+            ("corrupt_kind", "gaussian", "Gaussian"),
+            ("alpha", 1.0, np.nextafter(1.0, 2.0)),
+            ("alpha", np.nextafter(-1.0, 0.0), -1.0),
+            ("std", 0.0, -5e-324),
+            ("injected_gap_norm", 0.0, -5e-324),
+        ],
+    )
+    def test_variant_rule_boundary_names_its_field(self, field, inside, outside):
+        assert getattr(VariantSpec(**{field: inside}), field) == inside
+        with pytest.raises(ParameterError, match=f"^{field} must be "):
+            VariantSpec(**{field: outside})
+
+    @pytest.mark.parametrize(
+        "field, inside, outside",
+        [
+            ("grid_size", 1, 0),
+            ("demos_per_task", 1, 0),
+            ("dim", 1, 0),
+            ("world_seed", 0, -1),
+            ("seeds", (0,), (3, -1)),
+            ("train_modality", "text", "audio"),
+            ("eval_modalities", ("text",), ("visual", "audio")),
+            ("episodes_per_task", 1, 0),
+        ],
+    )
+    def test_bench_rule_boundary_names_its_field(self, field, inside, outside):
+        assert getattr(tiny_config(**{field: inside}), field) == inside
+        with pytest.raises(ParameterError, match=f"^{field} must be "):
+            tiny_config(**{field: outside})
+
+    def test_numpy_integer_delete_k_fits_its_delete_transform(self):
+        cfg = BenchConfig(collapse="delete", delete_k=np.int64(2))
+        assert type(cfg.delete_k) is int
+        bank_v, bank_l = synthetic_gap_bank(4, cfg.dim, gap_norm=1.0, intra_noise_std=0.1, seed=0)
+        transform = _fit_transform(cfg.base_variant(), bank_v, bank_l)
+        assert len(transform.deleted_dims) == 2 and transform.output_dim == cfg.dim - 2
+
+    def test_corrupt_config_carries_both_strengths(self):
+        cfg = VariantSpec(corrupt_kind="gaussian", alpha=0.5, std=0.3).corrupt_config(7)
+        assert (cfg.kind, cfg.alpha, cfg.std, cfg.seed) == (NoiseKind.GAUSSIAN, 0.5, 0.3, 7)
+        assert VariantSpec(corrupt_kind="none").corrupt_config(7) is None
 
     @pytest.mark.parametrize(
         "ablation", [{"alpha": 2.0}, {"std": -1.0}, {"collapse": "delete", "delete_k": 8}]
@@ -154,6 +204,8 @@ class TestBenchConfig:
             ("encoder_momentum", 1.0),
             ("encoder_batch_size", 1),
             ("seeds", [0, 1, 0]),  # a repeated seed would count twice in the aggregates
+            ("eval_modalities", ["visual", "audio"]),
+            ("encoder_momentum", -0.1),
         ],
     )
     def test_out_of_range_value_names_its_field(self, field, value):

@@ -216,6 +216,14 @@ class TestCorrupt:
         assert code == 2
         assert "std must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, flag, value", [("gaussian", "--alpha", "5"), ("cosine", "--std", "-1")])
+    def test_unused_strength_is_still_checked(self, bank_pair, tmp_path, capsys, kind, flag, value):
+        pv, _ = bank_pair
+        out = tmp_path / "c.ebnk"
+        assert run(["corrupt", "--bank", pv, "--kind", kind, flag, value, "--out", out]) == 2
+        assert f"{flag[2:]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_confirms_cosine_bounds(self, bank_pair, tmp_path):
         pv, _ = bank_pair
         out = tmp_path / "c.ebnk"

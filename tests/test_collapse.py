@@ -159,11 +159,28 @@ class TestFitDelete:
             fit_delete(bank_v, bank_l, k=2)
         with pytest.raises(ParameterError):
             fit_delete(bank_v, bank_l, k=0)
+        with pytest.raises(ParameterError, match="k must be a positive integer"):
+            fit_delete(bank_v, bank_l, k=1.0)
+
+    def test_numpy_integer_k(self):
+        bank_v = make_bank(Modality.VISUAL, [("a", [3.0, 3.0, 1.0])])
+        bank_l = make_bank(Modality.TEXT, [("a", [0.0, 0.0, 0.0])])
+        assert fit_delete(bank_v, bank_l, k=np.int64(2)).deleted_dims == (0, 1)
 
 
 class TestApplyDelete:
     def _delete(self, dims, source_dim):
         return CollapseTransform(CollapseKind.DELETE, source_dim=source_dim, deleted_dims=dims)
+
+    @pytest.mark.parametrize("source_dim", [3.5, 3.0, True])
+    def test_non_integral_source_dim_rejected(self, source_dim):
+        # 3.5 used to be accepted, with output_dim 2.5
+        with pytest.raises(DimensionError, match="source_dim must be a positive integer"):
+            self._delete((0,), source_dim)
+
+    def test_numpy_integer_source_dim_stored_as_int(self):
+        t = self._delete((0,), np.int64(3))
+        assert t.output_dim == 2 and type(t.source_dim) is int
 
     def test_single_coordinate_removal(self):
         t = self._delete((1,), 3)

@@ -101,6 +101,28 @@ class TestConfig:
             with pytest.raises(ParameterError, match="std"):
                 gaussian_cfg(std)
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize(
+        "field, inside, outside",
+        [
+            ("alpha", 1.0, np.nextafter(1.0, 2.0)),
+            ("alpha", np.nextafter(-1.0, 0.0), -1.0),
+            ("alpha", 0, "x"),
+            ("std", 0.0, -5e-324),
+            ("std", 1e300, float("nan")),
+            ("seed", 0, -1),
+            ("seed", np.int64(3), 2.5),
+        ],
+    )
+    def test_every_field_checked_whatever_the_kind(self, kind, field, inside, outside):
+        assert getattr(CorruptConfig(kind, **{field: inside}), field) == inside
+        with pytest.raises(ParameterError, match=f"^{field} must be "):
+            CorruptConfig(kind, **{field: outside})
+
+    def test_kind_must_be_a_noise_kind(self):
+        with pytest.raises(ParameterError, match="^kind must be one of"):
+            CorruptConfig("cosine")
+
 
 class TestOrthogonalComponent:
     def test_projection_removal(self):

@@ -170,6 +170,13 @@ class TestRetrieval:
         bank_v, bank_l = synthetic_gap_bank(10, 8, gap_norm=0.0, intra_noise_std=0.0, seed=9)
         assert retrieval_topk_accuracy(bank_v, bank_l, 1) == 1.0
 
+    def test_numpy_integer_k(self):
+        bank_v, bank_l = synthetic_gap_bank(6, 4, gap_norm=1.0, intra_noise_std=0.5, seed=2)
+        for k in (1, 2, 5):
+            assert retrieval_topk_accuracy(bank_v, bank_l, np.int64(k)) == retrieval_topk_accuracy(bank_v, bank_l, k)
+        with pytest.raises(ParameterError, match="k must be a positive integer"):
+            retrieval_topk_accuracy(bank_v, bank_l, 2.0)
+
     def test_monotone_in_k(self):
         rng = np.random.default_rng(8)
         ids = tuple(f"t{i % 4}" for i in range(12))

@@ -147,11 +147,32 @@ class TestGoalEmbedding:
 class TestPolicyConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("steps", 2.5), ("batch_size", 2.0), ("batch_size", True), ("hidden", (63.9,)), ("hidden", (8, False))],
+        [
+            ("steps", 2.5), ("batch_size", 2.0), ("batch_size", True), ("hidden", (63.9,)), ("hidden", (8, False)),
+            ("seed", 2.5), ("seed", True),
+        ],
     )
     def test_non_integral_size_names_its_field(self, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be integral"):
             PolicyConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, inside, outside",
+        [
+            ("steps", 0, -1),
+            ("batch_size", 1, 0),
+            ("learning_rate", 5e-324, 0.0),
+            ("momentum", 0.0, -5e-324),
+            ("momentum", np.nextafter(1.0, 0.0), 1.0),
+            ("hidden", (1,), (64, 0)),
+            ("hidden", (), (-1,)),
+            ("seed", 0, -1),
+        ],
+    )
+    def test_field_rule_boundary_names_its_field(self, field, inside, outside):
+        assert getattr(PolicyConfig(**{field: inside}), field) == inside
+        with pytest.raises(ParameterError, match=f"^{field} must be "):
+            PolicyConfig(**{field: outside})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "0.3", True])
     def test_learning_rate_must_be_a_finite_number(self, value):

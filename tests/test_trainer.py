@@ -85,11 +85,44 @@ class TestTrainerConfig:
             ("freeze_text_after", 1.5),
             ("visual_hidden", (63.9,)),
             ("text_hidden", (4, 2.0)),
+            ("seed", 2.5),
+            ("seed", True),
         ],
     )
     def test_non_integral_size_names_its_field(self, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be integral"):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, inside, outside",
+        [
+            ("obs_dim", 1, 0),
+            ("vocab_size", 1, 0),
+            ("dim", 1, 0),
+            ("token_dim", 1, 0),
+            ("visual_hidden", (1,), (5, 0)),
+            ("text_hidden", (1,), (-1,)),
+            ("temperature", 5e-324, 0.0),
+            ("steps", 0, -1),
+            ("batch_size", 1, 0),
+            ("learning_rate", 5e-324, 0),
+            ("momentum", 0.0, -5e-324),
+            ("momentum", np.nextafter(1.0, 0.0), 1.0),
+            ("seed", 0, -1),
+            ("freeze_text_after", 0, -1),
+            ("freeze_text_after", None, -1),
+        ],
+    )
+    def test_field_rule_boundary_names_its_field(self, field, inside, outside):
+        assert getattr(tiny_config(**{field: inside}), field) == inside
+        with pytest.raises(ParameterError, match=f"^{field} must be "):
+            tiny_config(**{field: outside})
+
+    def test_contrastive_batch_needs_two_rows_only_when_training(self):
+        assert tiny_config(steps=0, batch_size=1).batch_size == 1
+        tiny_config(steps=1, batch_size=2)
+        with pytest.raises(ParameterError, match="batch_size must be >= 2"):
+            tiny_config(steps=1, batch_size=1)
 
     def test_numpy_integers_are_sizes(self):
         cfg = tiny_config(steps=np.int64(3), visual_hidden=[np.int32(5)])
