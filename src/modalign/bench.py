@@ -147,8 +147,10 @@ class BenchConfig(VariantSpec):
         check_fields(self)
         if not self.seeds:
             raise ParameterError("seeds must not be empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ParameterError(f"seeds must not repeat, got {list(self.seeds)}")
+        for name in ("seeds", "eval_modalities"):  # a repeat would count twice in the aggregates
+            values = list(getattr(self, name))
+            if len(set(values)) != len(values):
+                raise ParameterError(f"{name} must not repeat, got {values}")
         if not self.eval_modalities:
             raise ParameterError("eval_modalities must name at least one modality")
         if self.schema_version != 1:
@@ -164,12 +166,15 @@ class BenchConfig(VariantSpec):
                 stage_config(0)
             except ParameterError as exc:
                 raise ParameterError(f"{prefix}{exc}") from None
-        object.__setattr__(self, "ablations", tuple(dict(a) for a in self.ablations))
         for abl in self.ablations:
             unknown = set(abl) - _VARIANT_KEYS
             if unknown:
                 raise ParameterError(f"unknown ablation keys: {sorted(unknown)}")
-        for variant in self.variants():
+        variants = self.variants()
+        # each ablation keeps the checked plain values its variant stores
+        ablations = tuple({key: getattr(v, key) for key in abl} for abl, v in zip(self.ablations, variants[1:]))
+        object.__setattr__(self, "ablations", ablations)
+        for variant in variants:
             if variant.collapse == "delete" and variant.delete_k >= self.dim:
                 raise ParameterError(
                     f"delete_k={variant.delete_k} would delete all of {self.dim} dimensions"

@@ -5,6 +5,8 @@ import sys
 from dataclasses import fields
 from numbers import Integral, Real
 
+import numpy as np
+
 
 class ModalignError(Exception):
     """Base class for all errors raised by this package."""
@@ -55,7 +57,9 @@ def is_integer(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    # not math.isfinite, which raises on an integer beyond the float range
+    # not math.isfinite, which raises on an integer beyond the float range;
+    # a numpy scalar compares as its Python value, as float max overflows a float32
+    value = value.item() if isinstance(value, np.generic) else value
     return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
@@ -85,7 +89,7 @@ def check_fields(config) -> None:
     _TYPES name, a tuple[<name>, ...], either of them | None; any other
     annotation is not type-checked) and then its declared rule, entry by
     entry for a tuple. ParameterError names the first field that fails.
-    Integers are stored as plain ints and tuple fields as tuples."""
+    Numbers are stored as plain Python ints and floats, tuples as tuples."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind = f.type.removesuffix(" | None")
@@ -102,4 +106,6 @@ def check_fields(config) -> None:
                 raise ParameterError(f"{f.name} must be {text}, got {value!r}")
         if kind == "int":
             entries = [int(v) for v in entries]
+        elif kind == "float":  # JSON cannot encode a numpy float; a plain int still echoes as an int
+            entries = [v if type(v) is int else float(v) for v in entries]
         object.__setattr__(config, f.name, tuple(entries) if is_tuple else entries[0])

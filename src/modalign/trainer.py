@@ -348,21 +348,6 @@ def _settle(bitgen, saved: dict, halves: np.ndarray, used: int) -> None:
     bitgen.state = state
 
 
-def _below(halves: np.ndarray, pos: int, n: int) -> tuple[int, int]:
-    """Generator.integers(n) for 1 <= n <= 2**32 by numpy's rule on the
-    halves from pos: Lemire's multiply-shift, redrawing while the low half
-    of the product is under 2**32 mod n; n == 1 takes no half. Returns the
-    value and the next position; IndexError when the halves run out."""
-    if n == 1:
-        return 0, pos
-    threshold = (0x100000000 - n) % n
-    while True:
-        m = int(halves[pos]) * n
-        pos += 1
-        if m & 0xFFFFFFFF >= threshold:
-            return m >> 32, pos
-
-
 class _CompiledClips:
     """Clips compiled once for sampling: every observation in one array, every
     template as token rows, and a (4, clips) table of each clip's first frame
@@ -381,21 +366,26 @@ class _CompiledClips:
         None when the halves run out first.
 
         A row draws a clip, a start frame n, a segment length m over the
-        valid suffix and a template, each by _below. One vectorized pass
-        finds the row starting at every position and the position after it;
-        a pointer chase from 0 then picks the rows actually drawn. A row that
-        may meet a rejection, or would read past the end, takes the scalar
-        rule instead."""
+        valid suffix and a template, each as Generator.integers(bound) does:
+        Lemire's multiply-shift on the next half, redrawing while the low
+        product half is under 2**32 mod bound; a bound of 1 takes no half.
+        One vectorized pass finds the row starting at every position and the
+        position after it; a pointer chase from 0 then picks the rows
+        actually drawn. No bound rejects the all-ones padding, so a row that
+        reads past the end just ends past it."""
         size = len(halves)
-        padded = np.concatenate([halves, np.zeros(4, dtype=np.uint64)])
+        padded = np.concatenate([halves, np.full(4, 0xFFFFFFFF, dtype=np.uint64)])
         pos = np.arange(size + 1)  # a row taking no half may start at the end
-        scalar = np.zeros(size + 1, dtype=bool)
 
         def below(n):
-            # a low product half under n may be under its threshold 2**32 mod n
             nonlocal pos
             m = padded[pos] * n
-            scalar[...] |= (m & 0xFFFFFFFF) < n
+            # 2**32 mod n is under n, so most draws need not compute it
+            if ((m & 0xFFFFFFFF) < n).any():
+                threshold = (0x100000000 - n) % n
+                while (redraw := (m & 0xFFFFFFFF) < threshold).any():
+                    pos = pos + redraw
+                    m = padded[pos] * n
             pos = pos + (n > 1)
             return m >> 32
 
@@ -403,25 +393,13 @@ class _CompiledClips:
         start = frame + below(horizon - 1)
         end = start + 1 + below(frame + horizon - start - 1)
         table = np.stack([start, end, first + below(templates)]).astype(np.intp)
-        after = np.where(scalar | (pos > size), -1, pos).tolist()
+        after = np.where(pos > size, -1, pos).tolist()
         at, p = [0] * count, 0
         for i in range(count):
             at[i], p = p, after[p]
-            if p < 0:
-                try:
-                    table[:, at[i]], p = self._scalar_row(halves, at[i])
-                except IndexError:  # the halves ran out
-                    return None
+            if p < 0:  # the halves ran out
+                return None
         return table[:, at], p
-
-    def _scalar_row(self, halves: np.ndarray, pos: int) -> tuple[tuple[int, int, int], int]:
-        """The row starting at pos by four _below calls, and the next position."""
-        clip, pos = _below(halves, pos, self.spans.shape[1])
-        frame, horizon, first, templates = self.spans[:, clip].tolist()
-        n, pos = _below(halves, pos, horizon - 1)
-        m, pos = _below(halves, pos, horizon - n - 1)
-        t, pos = _below(halves, pos, templates)
-        return (frame + n, frame + n + 1 + m, first + t), pos
 
     def batches(self, steps: int, batch_size: int, rng: np.random.Generator):
         """`steps` batches of B rows, drawn by draw_rows about _CHUNK_ROWS
@@ -440,10 +418,6 @@ class _CompiledClips:
             for lo in range(0, count, batch_size):
                 rows = slice(lo, lo + batch_size)
                 yield PairBatch(o_start[rows], o_end[rows], TokenRows(padded[rows], lengths[rows], self.rows.vocab))
-
-    def sample(self, batch_size: int, rng: np.random.Generator) -> PairBatch:
-        """One batch of B rows: the one-step case of batches."""
-        return next(self.batches(1, batch_size, rng))
 
 
 def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:

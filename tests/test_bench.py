@@ -16,6 +16,7 @@ from modalign.bench import (
     subseed,
 )
 from modalign.cli import main
+from modalign.fileio import json_text
 
 
 def tiny_config(**overrides):
@@ -129,6 +130,27 @@ class TestBenchConfig:
         transform = _fit_transform(cfg.base_variant(), bank_v, bank_l)
         assert len(transform.deleted_dims) == 2 and transform.output_dim == cfg.dim - 2
 
+    @pytest.mark.parametrize(
+        "numpy_fields, plain_fields",
+        [
+            ({"alpha": np.float32(0.5)}, {"alpha": 0.5}),
+            ({"std": np.float16(0.25), "encoder_learning_rate": np.float64(0.1)},
+             {"std": 0.25, "encoder_learning_rate": 0.1}),
+            ({"ablations": ({"collapse": "delete", "delete_k": np.int64(2)},)},
+             {"ablations": ({"collapse": "delete", "delete_k": 2},)}),
+            ({"ablations": ({"alpha": np.float32(0.5), "injected_gap_norm": np.int64(1)},)},
+             {"ablations": ({"alpha": 0.5, "injected_gap_norm": 1.0},)}),
+        ],
+    )
+    def test_numpy_scalars_are_stored_as_plain_values(self, numpy_fields, plain_fields):
+        # the report echoes the config, and JSON cannot encode a numpy scalar
+        got = json_text(BenchConfig(**numpy_fields).to_dict())
+        assert got == json_text(BenchConfig(**plain_fields).to_dict())
+
+    def test_plain_int_in_a_float_field_echoes_as_an_int(self):
+        cfg = BenchConfig(alpha=0, ablations=({"std": 1},))
+        assert type(cfg.alpha) is int and type(cfg.ablations[0]["std"]) is int
+
     def test_corrupt_config_carries_both_strengths(self):
         cfg = VariantSpec(corrupt_kind="gaussian", alpha=0.5, std=0.3).corrupt_config(7)
         assert (cfg.kind, cfg.alpha, cfg.std, cfg.seed) == (NoiseKind.GAUSSIAN, 0.5, 0.3, 7)
@@ -206,6 +228,7 @@ class TestBenchConfig:
             ("seeds", [0, 1, 0]),  # a repeated seed would count twice in the aggregates
             ("eval_modalities", ["visual", "audio"]),
             ("encoder_momentum", -0.1),
+            ("eval_modalities", ["visual", "visual"]),  # would pool the same rows twice, as seeds above
         ],
     )
     def test_out_of_range_value_names_its_field(self, field, value):

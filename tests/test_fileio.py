@@ -1,6 +1,7 @@
 import ast
 import os
 import stat
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,21 @@ def test_only_fileio_reads_decodes_and_writes_files():
     assert len(file_calls(SRC / "fileio.py")) == 3  # the guard sees the calls it bans
     offenders = [c for p in sorted(SRC.glob("*.py")) if p.name != "fileio.py" for c in file_calls(p)]
     assert offenders == []
+
+
+def referenced_name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_private_function_is_used_in_src():
+    # a private helper that only tests call is a second path; it belongs in the tests
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    refs = Counter(referenced_name(n) for tree in trees for n in ast.walk(tree))
+    defs = [
+        n for tree in trees for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name.startswith("_") and not n.name.startswith("__")
+    ]
+    assert any(d.name == "_settle" for d in defs)  # the guard sees private helpers
+    # a reference inside a function's own body (recursion) does not count
+    unused = [d.name for d in defs if refs[d.name] == sum(referenced_name(n) == d.name for n in ast.walk(d))]
+    assert unused == []

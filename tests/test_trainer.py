@@ -31,7 +31,6 @@ from modalign.gridworld import generate_tasks
 from modalign.nets import DenseParams
 from modalign.trainer import (
     TokenRows,
-    _below,
     _CompiledClips,
     _fetch_halves,
     _settle,
@@ -424,6 +423,11 @@ def reference_sample(clips, batch_size, rng):
     return np.stack(o_start), np.stack(o_end), tuple(tokens)
 
 
+def sample(compiled, batch_size, rng):
+    """One batch of B rows: the one-step case of batches."""
+    return next(compiled.batches(1, batch_size, rng))
+
+
 def varied_clips(rng, n_clips=7, obs_dim=6, vocab=9):
     """Clips of different horizons with different numbers and lengths of templates."""
     clips = []
@@ -443,7 +447,7 @@ class TestBatchSampling:
         compiled = _CompiledClips(clips, 11)
         rng = np.random.default_rng(24)
         for _ in range(50):
-            batch = compiled.sample(8, rng)
+            batch = sample(compiled, 8, rng)
             assert not np.array_equal(batch.o_start, batch.o_end)
 
     def test_matches_per_row_reference_sampler(self):
@@ -452,7 +456,7 @@ class TestBatchSampling:
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(20):
-                batch = compiled.sample(9, rng)
+                batch = sample(compiled, 9, rng)
                 start, end, tokens = reference_sample(clips, 9, ref_rng)
                 np.testing.assert_array_equal(batch.o_start, start)
                 np.testing.assert_array_equal(batch.o_end, end)
@@ -471,7 +475,7 @@ class TestBatchSampling:
         params = init_encoder_params(cfg, np.random.default_rng(32))
         rng = np.random.default_rng(33)
         for _ in range(10):
-            batch = compiled.sample(6, rng)
+            batch = sample(compiled, 6, rng)
             assert batch.tokens.padded.shape[1] == widest
             own = [tuple(row[:n]) for row, n in zip(batch.tokens.padded.tolist(), batch.tokens.lengths)]
             plain = PairBatch(batch.o_start, batch.o_end, compile_tokens(own, cfg.vocab_size))
@@ -489,7 +493,7 @@ class TestBatchSampling:
         compiled = _CompiledClips(clips, 4)
         rng, ref_rng = np.random.default_rng(36), np.random.default_rng(36)
         for _ in range(5):
-            batch = compiled.sample(7, rng)
+            batch = sample(compiled, 7, rng)
             start, end, tokens = reference_sample(clips, 7, ref_rng)
             np.testing.assert_array_equal(batch.o_start, start)
             np.testing.assert_array_equal(batch.o_end, end)
@@ -497,7 +501,7 @@ class TestBatchSampling:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         # with a single such clip no draw takes a word
         before = rng.bit_generator.state
-        _CompiledClips(clips[:1], 4).sample(5, rng)
+        sample(_CompiledClips(clips[:1], 4), 5, rng)
         assert rng.bit_generator.state == before
 
     def test_first_batches_match_recorded_rows(self):
@@ -511,7 +515,7 @@ class TestBatchSampling:
         ]
         rng = np.random.default_rng(40)
         for starts, ends, picks in recorded:
-            batch = compiled.sample(6, rng)
+            batch = sample(compiled, 6, rng)
             np.testing.assert_array_equal(batch.o_start, compiled.observations[starts])
             np.testing.assert_array_equal(batch.o_end, compiled.observations[ends])
             np.testing.assert_array_equal(batch.tokens.padded, compiled.rows.padded[picks])
@@ -525,6 +529,22 @@ def generator_after(draws: int) -> np.random.Generator:
     for _ in range(draws):
         rng.integers(7)
     return rng
+
+
+def _below(halves: np.ndarray, pos: int, n: int) -> tuple[int, int]:
+    """Generator.integers(n) for 1 <= n <= 2**32 by numpy's rule on the
+    halves from pos: Lemire's multiply-shift, redrawing while the low half
+    of the product is under 2**32 mod n; n == 1 takes no half. Returns the
+    value and the next position; IndexError when the halves run out. The
+    scalar reference for the sampler's vectorized draw."""
+    if n == 1:
+        return 0, pos
+    threshold = (0x100000000 - n) % n
+    while True:
+        m = int(halves[pos]) * n
+        pos += 1
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32, pos
 
 
 def draw_below(rng, bounds, words):
@@ -679,7 +699,7 @@ class TestDrawRows:
         rng, ref_rng = generator_after(1), generator_after(1)
         carried = rng.bit_generator.state["uinteger"]
         first_clip = (carried * len(clips)) >> 32
-        batch = compiled.sample(10, rng)
+        batch = sample(compiled, 10, rng)
         ref_start, _, _ = reference_sample(clips, 10, ref_rng)
         np.testing.assert_array_equal(batch.o_start, ref_start)
         frame, horizon = compiled.spans[:2, first_clip].tolist()
@@ -695,7 +715,7 @@ class TestDrawRows:
         rng, step_rng, ref_rng = generator_after(draws), generator_after(draws), generator_after(draws)
         steps = 80 if batch_size < 300 else 3
         for batch in compiled.batches(steps, batch_size, rng):
-            single = compiled.sample(batch_size, step_rng)
+            single = sample(compiled, batch_size, step_rng)
             start, end, tokens = reference_sample(clips, batch_size, ref_rng)
             np.testing.assert_array_equal(batch.o_start, start)
             np.testing.assert_array_equal(batch.o_end, end)
