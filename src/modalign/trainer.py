@@ -30,6 +30,7 @@ from .errors import (
     FormatError,
     ParameterError,
     check_fields,
+    is_integer,
 )
 from .fileio import float32_bytes, float32_values, json_number, read_bytes, read_json, write_atomic
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
@@ -79,6 +80,8 @@ def compile_tokens(token_seqs: Sequence[Sequence[int]], vocab: int) -> TokenRows
     for i, seq in enumerate(token_seqs):
         if len(seq) == 0:
             raise ParameterError(f"row {i}: empty token sequence")
+        if not all(map(is_integer, seq)):
+            raise ParameterError(f"row {i}: token ids must be integers, got {list(seq)!r}")
         if min(seq) < 0 or max(seq) >= vocab:
             raise DimensionError(f"row {i}: token index out of range for vocab {vocab}")
         padded[i, : len(seq)] = seq
@@ -286,9 +289,10 @@ def infonce_loss_and_gradient(params: EncoderParams, batch: PairBatch) -> tuple[
 
 def finite_difference_check(params: EncoderParams, batch: PairBatch, epsilon: float = 1e-5) -> float:
     """Max relative error between the analytic gradient and central finite
-    differences, parameter by parameter."""
-    if epsilon <= 0.0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    differences, parameter by parameter; inf when any entry of either is
+    not finite."""
+    if not 0.0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     work = params.copy()
     _, analytic = infonce_loss_and_gradient(work, batch)
     worst = 0.0
@@ -303,6 +307,8 @@ def finite_difference_check(params: EncoderParams, batch: PairBatch, epsilon: fl
             minus = infonce_loss(work, batch)
             flat[i] = saved
             numeric = (plus - minus) / (2.0 * epsilon)
+            if not (math.isfinite(numeric) and math.isfinite(gflat[i])):
+                return math.inf
             denom = max(abs(gflat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(numeric - gflat[i]) / denom)
     return worst
@@ -314,38 +320,9 @@ class TrainResult:
     loss_trace: list[float] = field(default_factory=list)
 
 
-# Rows drawn per chunk of training steps: the vectorized draw's arrays stay
-# a few kilobytes while its per-call overhead spreads over several steps.
+# Rows drawn per chunk of training steps. A chunk takes four array
+# rng.integers calls, so this size is part of the draw stream a seed fixes.
 _CHUNK_ROWS = 256
-
-
-def _fetch_halves(bitgen, saved: dict, words: int) -> np.ndarray:
-    """The 32-bit halves that scalar draws from state `saved` of a PCG64
-    generator would take, in order: the carried high half if the state
-    holds one, then the low and high halves of the next `words` outputs."""
-    bitgen.state = saved
-    raw = bitgen.random_raw(words)
-    carry = int(saved["has_uint32"])
-    halves = np.empty(carry + 2 * words, dtype=np.uint64)
-    halves[:carry] = saved["uinteger"]
-    halves[carry::2] = raw & 0xFFFFFFFF
-    halves[carry + 1 :: 2] = raw >> 32
-    return halves
-
-
-def _settle(bitgen, saved: dict, halves: np.ndarray, used: int) -> None:
-    """Leave the generator where scalar draws taking the first `used`
-    halves would: rewind to `saved`, advance by the outputs they took and
-    restore the carried half, which advance clears. numpy keeps the last
-    high half in the state after it is used."""
-    carry = int(saved["has_uint32"])
-    words = max(0, used - carry + 1) // 2
-    bitgen.state = saved
-    bitgen.advance(words)
-    state = bitgen.state
-    state["has_uint32"] = (used - carry) % 2
-    state["uinteger"] = int(halves[carry + 2 * words - 1]) if carry or words else saved["uinteger"]
-    bitgen.state = state
 
 
 class _CompiledClips:
@@ -356,63 +333,21 @@ class _CompiledClips:
     def __init__(self, clips: Sequence[Clip], vocab: int):
         self.observations = np.concatenate([clip.observations for clip in clips])
         self.rows = compile_tokens([tpl for clip in clips for tpl in clip.templates], vocab)
-        sizes = np.array([[len(clip.observations), len(clip.templates)] for clip in clips], dtype=np.uint64)
+        sizes = np.array([[len(clip.observations), len(clip.templates)] for clip in clips], dtype=np.intp)
         firsts = np.cumsum(sizes, axis=0) - sizes
         self.spans = np.stack([firsts[:, 0], sizes[:, 0], firsts[:, 1], sizes[:, 1]])
 
-    def draw_rows(self, halves: np.ndarray, count: int) -> tuple[np.ndarray, int] | None:
-        """Frame start, frame end and template rows, shape (3, count), of
-        `count` rows drawn from the halves, and how many halves they take;
-        None when the halves run out first.
-
-        A row draws a clip, a start frame n, a segment length m over the
-        valid suffix and a template, each as Generator.integers(bound) does:
-        Lemire's multiply-shift on the next half, redrawing while the low
-        product half is under 2**32 mod bound; a bound of 1 takes no half.
-        One vectorized pass finds the row starting at every position and the
-        position after it; a pointer chase from 0 then picks the rows
-        actually drawn. No bound rejects the all-ones padding, so a row that
-        reads past the end just ends past it."""
-        size = len(halves)
-        padded = np.concatenate([halves, np.full(4, 0xFFFFFFFF, dtype=np.uint64)])
-        pos = np.arange(size + 1)  # a row taking no half may start at the end
-
-        def below(n):
-            nonlocal pos
-            m = padded[pos] * n
-            # 2**32 mod n is under n, so most draws need not compute it
-            if ((m & 0xFFFFFFFF) < n).any():
-                threshold = (0x100000000 - n) % n
-                while (redraw := (m & 0xFFFFFFFF) < threshold).any():
-                    pos = pos + redraw
-                    m = padded[pos] * n
-            pos = pos + (n > 1)
-            return m >> 32
-
-        frame, horizon, first, templates = self.spans[:, below(np.uint64(self.spans.shape[1]))]
-        start = frame + below(horizon - 1)
-        end = start + 1 + below(frame + horizon - start - 1)
-        table = np.stack([start, end, first + below(templates)]).astype(np.intp)
-        after = np.where(pos > size, -1, pos).tolist()
-        at, p = [0] * count, 0
-        for i in range(count):
-            at[i], p = p, after[p]
-            if p < 0:  # the halves ran out
-                return None
-        return table[:, at], p
-
     def batches(self, steps: int, batch_size: int, rng: np.random.Generator):
-        """`steps` batches of B rows, drawn by draw_rows about _CHUNK_ROWS
-        rows at a time. The rows, and the state rng is left in, are those of
-        four scalar rng.integers calls a row, so a seed fixes every batch."""
-        bitgen, per_chunk = rng.bit_generator, max(1, _CHUNK_ROWS // batch_size)
-        for first in range(0, steps, per_chunk):
-            count = min(per_chunk, steps - first) * batch_size
-            saved, words = bitgen.state, 2 * count  # 4 halves a row, unless rejected
-            while (drawn := self.draw_rows(halves := _fetch_halves(bitgen, saved, words), count)) is None:
-                words *= 2
-            _settle(bitgen, saved, halves, drawn[1])
-            starts, ends, picks = drawn[0]
+        """`steps` batches of B rows, drawn about _CHUNK_ROWS rows at a time
+        by four rng.integers calls: every row's clip, then every start frame,
+        every segment length over the valid suffix and every template."""
+        per_chunk = max(1, _CHUNK_ROWS // batch_size)
+        for done in range(0, steps, per_chunk):
+            count = min(per_chunk, steps - done) * batch_size
+            frame, horizon, first, templates = self.spans[:, rng.integers(0, self.spans.shape[1], count)]
+            starts = frame + rng.integers(0, horizon - 1)
+            ends = starts + rng.integers(1, frame + horizon - starts)
+            picks = first + rng.integers(0, templates)
             o_start, o_end = self.observations[starts], self.observations[ends]
             padded, lengths = self.rows.padded[picks], self.rows.lengths[picks]
             for lo in range(0, count, batch_size):

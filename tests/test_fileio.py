@@ -104,7 +104,7 @@ def test_every_private_function_is_used_in_src():
         n for tree in trees for n in ast.walk(tree)
         if isinstance(n, ast.FunctionDef) and n.name.startswith("_") and not n.name.startswith("__")
     ]
-    assert any(d.name == "_settle" for d in defs)  # the guard sees private helpers
+    assert any(d.name == "_stage" for d in defs)  # the guard sees private helpers
     # a reference inside a function's own body (recursion) does not count
     unused = [d.name for d in defs if refs[d.name] == sum(referenced_name(n) == d.name for n in ast.walk(d))]
     assert unused == []
