@@ -66,8 +66,6 @@ def cmd_collapse(args) -> int:
     else:
         if not args.ref_visual or not args.ref_text:
             raise ParameterError("fitting a transform needs --ref-visual and --ref-text")
-        if not args.kind:
-            raise ParameterError("fitting a transform needs --kind")
         ref_v = load_bank(args.ref_visual)
         ref_l = load_bank(args.ref_text)
         reference = f"visual={args.ref_visual};text={args.ref_text}"
@@ -170,10 +168,9 @@ def cmd_bench(args) -> int:
         doc["seeds"] = [_flag_number("--seeds", s, int) for s in args.seeds.split(",") if s]
     if args.train_modality is not None:
         doc["train_modality"] = args.train_modality
-    if args.ablate:
-        doc["ablations"] = list(doc.get("ablations", [])) + [
-            _parse_ablation(spec) for spec in args.ablate
-        ]
+    ablations = doc.get("ablations", [])
+    if args.ablate and isinstance(ablations, list):  # the config check refuses any other value
+        doc["ablations"] = ablations + [_parse_ablation(spec) for spec in args.ablate]
     cfg = BenchConfig.from_dict(doc)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

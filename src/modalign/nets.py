@@ -2,39 +2,44 @@
 
 Everything is float64 numpy. Hidden layers use tanh; the output layer is
 linear. Inputs are (batch, features); weight matrices are (out, in). A
-stack of same-shaped nets adds a leading axis to every array, and a leading
-axis on the input alone runs one net on several batches at once; either way
-the stacked matmul runs one gemm per slice, so each slice gets its own 2-d
-pass's numbers.
+net is views into one flat buffer, and a (V, P) buffer is V stacked nets. A
+leading axis on the input alone runs one net on several batches at once;
+either way the stacked matmul runs one gemm per slice, so each slice gets
+its own 2-d pass's numbers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 
 
-@dataclass
+def dense_count(sizes) -> int:
+    """Parameters of a dense net with these layer sizes."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
 class DenseParams:
-    weights: list[np.ndarray]  # layer l: (sizes[l+1], sizes[l])
-    biases: list[np.ndarray]  # layer l: (sizes[l+1],)
+    """Views W0, b0, W1, b1, ... on the last axis of flat: layer l's weights
+    (..., sizes[l+1], sizes[l]), then its biases (..., sizes[l+1])."""
+
+    def __init__(self, sizes, flat: np.ndarray):
+        count = dense_count(sizes)
+        if flat.shape[-1:] != (count,):
+            raise DimensionError(f"layer sizes {list(sizes)} need {count} parameters, got shape {flat.shape}")
+        self.sizes, self.flat = list(sizes), flat
+        self.weights, self.biases = [], []
+        at, lead = 0, flat.shape[:-1]
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            self.weights.append(flat[..., at : at + fan_out * fan_in].reshape(*lead, fan_out, fan_in))
+            at += fan_out * fan_in
+            self.biases.append(flat[..., at : at + fan_out])
+            at += fan_out
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    @property
-    def sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    def copy(self) -> "DenseParams":
-        return DenseParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def arrays(self) -> list[np.ndarray]:
-        return [a for layer in zip(self.weights, self.biases) for a in layer]
 
 
 def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseParams:
@@ -43,12 +48,12 @@ def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseParams:
         raise ParameterError(f"need at least input and output sizes, got {layer_sizes}")
     if any(int(s) < 1 for s in layer_sizes):
         raise ParameterError(f"layer sizes must be positive, got {layer_sizes}")
-    weights, biases = [], []
+    layers = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return DenseParams(weights, biases)
+        # one draw fills the weights, then the bias, as two draws would
+        layers.append(rng.uniform(-bound, bound, size=fan_out * (fan_in + 1)))
+    return DenseParams(layer_sizes, np.concatenate(layers))
 
 
 def dense_forward(
@@ -78,39 +83,40 @@ def dense_forward(
 
 def dense_backward(
     params: DenseParams, cache: list[np.ndarray], grad_out: np.ndarray
-) -> tuple[DenseParams, np.ndarray]:
-    """Backprop grad_out (B, out) through the net; returns (param grads,
-    dL/dz of the first layer (B, sizes[1])). The input gradient is that
-    @ weights[0], left to the callers that need it. A leading axis on the
-    input of an unstacked net gives each slice's gradients along that axis.
-    The cache is spent: each hidden activation is overwritten by its tanh
-    derivative."""
-    weights, biases = [], []
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backprop grad_out (B, out) through the net; returns (flat param
+    grads aligned with params.flat, dL/dz of the first layer (B, sizes[1])).
+    The input gradient is that @ weights[0], left to the callers that need
+    it. A leading axis on the input of an unstacked net gives each slice's
+    gradients along that axis. The cache is spent: each hidden activation
+    is overwritten by its tanh derivative."""
     g = np.asarray(grad_out, dtype=np.float64)  # dL/dz of the linear output
+    grads = DenseParams(params.sizes, np.empty(g.shape[:-2] + params.flat.shape[-1:]))
     for l in range(params.n_layers - 1, -1, -1):
-        weights.append(g.mT @ cache[l])
-        biases.append(g.sum(axis=-2))
+        np.matmul(g.mT, cache[l], out=grads.weights[l])
+        np.sum(g, axis=-2, out=grads.biases[l])
         if l > 0:
             tanh_grad = np.square(cache[l], out=cache[l])
             np.subtract(1.0, tanh_grad, out=tanh_grad)
             g = g @ params.weights[l]
             g *= tanh_grad
-    return DenseParams(weights[::-1], biases[::-1]), g
+    return grads.flat, g
 
 
 class MomentumState:
-    """Classic SGD-with-momentum over a flat list of parameter arrays. The
+    """Classic SGD-with-momentum, in place, on one flat parameter buffer. The
     learning rate and momentum come from a config that has checked them."""
 
-    def __init__(self, arrays: list[np.ndarray], learning_rate: float, momentum: float):
+    def __init__(self, flat: np.ndarray, learning_rate: float, momentum: float):
+        self.flat = flat
         self.lr = learning_rate
         self.momentum = momentum
-        self.velocities = [np.zeros_like(a) for a in arrays]
+        self.velocity = np.zeros_like(flat)
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """In-place update of each array by its gradient; a shorter arrays
-        list steps only that prefix and leaves the rest untouched."""
-        for a, g, v in zip(arrays, grads, self.velocities):
-            v *= self.momentum
-            v -= self.lr * g
-            a += v
+    def step(self, grad: np.ndarray) -> None:
+        """Update the buffer by grad; a grad shorter on the last axis steps
+        only that prefix and leaves the rest and its velocity untouched."""
+        v = self.velocity[..., : grad.shape[-1]]
+        v *= self.momentum
+        v -= self.lr * grad
+        self.flat[..., : grad.shape[-1]] += v

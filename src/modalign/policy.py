@@ -200,16 +200,15 @@ def train_policies(
 
 def _train_lockstep(states, actions, goal_rows, goals, configs, members):
     """(net, loss trace array) of each policy in members, all of one goal
-    width and config but seed, trained as one stacked net. Each step gathers
-    its (V, B, in) batch into one buffer, so the inputs are never stacked."""
+    width and config but seed: the rows of one stacked (V, P) net. Each step
+    gathers its (V, B, in) batch into one buffer; inputs are never stacked."""
     config, rngs = configs[members[0]], [np.random.default_rng(configs[v].seed) for v in members]
     n, width = states.shape
     size = min(config.batch_size, n)
     x = np.empty((len(members), size, width + goals[members[0]].shape[1]))
     sizes = [x.shape[2], *config.hidden, len(Action)]
-    arrays = [np.stack(a) for a in zip(*(init_dense(sizes, rng).arrays() for rng in rngs))]  # W0, b0, W1, ...
-    net = DenseParams(arrays[0::2], arrays[1::2])
-    optimizer = MomentumState(arrays, config.learning_rate, config.momentum)
+    net = DenseParams(sizes, np.stack([init_dense(sizes, rng).flat for rng in rngs]))
+    optimizer = MomentumState(net.flat, config.learning_rate, config.momentum)
     traces = np.empty((config.steps, len(members)))
     lanes = np.arange(len(members))[:, None], np.arange(size)
     for step_idx in range(config.steps):
@@ -231,8 +230,8 @@ def _train_lockstep(states, actions, goal_rows, goals, configs, members):
         traces[step_idx] = losses
         probs[picked] -= 1.0
         probs /= size
-        optimizer.step(arrays, dense_backward(net, cache, probs)[0].arrays())
-    return [(DenseParams(list(w), list(b)), t) for w, b, t in zip(zip(*net.weights), zip(*net.biases), traces.T)]
+        optimizer.step(dense_backward(net, cache, probs)[0])
+    return [(DenseParams(sizes, flat), t) for flat, t in zip(net.flat, traces.T)]
 
 
 def greedy(policy: PolicyParams, goals: np.ndarray):

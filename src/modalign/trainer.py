@@ -33,7 +33,7 @@ from .errors import (
     is_integer,
 )
 from .fileio import float32_bytes, float32_values, json_number, read_bytes, read_json, write_atomic
-from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
+from .nets import DenseParams, MomentumState, dense_backward, dense_count, dense_forward, init_dense
 
 PARAMS_MAGIC = b"EPRM"
 PARAMS_VERSION = 1
@@ -136,22 +136,25 @@ class TrainerConfig:
             raise ParameterError(f"batch_size must be >= 2 for contrastive training, got {self.batch_size}")
 
 
-@dataclass
 class EncoderParams:
-    """Weights of the visual and text encoders.
+    """Weights of the visual and text encoders: views into one flat buffer
+    of the visual net, the text net, then the (vocab, token_dim) table.
 
     The text encoder embeds tokens via a learned lookup table, mean-pools
     them, and passes the result through its dense layers.
     """
 
-    visual: DenseParams
-    text: DenseParams
-    token_table: np.ndarray  # (vocab, token_dim)
-    temperature: float = 1.0
+    def __init__(self, visual_sizes, text_sizes, vocab: int, flat: np.ndarray, temperature: float = 1.0):
+        n_visual, n_text = dense_count(visual_sizes), dense_count(text_sizes)
+        self.flat = flat
+        self.visual = DenseParams(visual_sizes, flat[:n_visual])
+        self.text = DenseParams(text_sizes, flat[n_visual : n_visual + n_text])
+        self.token_table = flat[n_visual + n_text :].reshape(vocab, text_sizes[0])
+        self.temperature = temperature
 
     @property
     def dim(self) -> int:
-        return self.visual.weights[-1].shape[0]
+        return self.visual.sizes[-1]
 
     @property
     def vocab_size(self) -> int:
@@ -159,20 +162,17 @@ class EncoderParams:
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(
-            self.visual.copy(), self.text.copy(), self.token_table.copy(), self.temperature
+            self.visual.sizes, self.text.sizes, self.vocab_size, self.flat.copy(), self.temperature
         )
-
-    def arrays(self) -> list[np.ndarray]:
-        """All parameter arrays in declaration order (visual, text, table)."""
-        return self.visual.arrays() + self.text.arrays() + [self.token_table]
 
 
 def init_encoder_params(config: TrainerConfig, rng: np.random.Generator) -> EncoderParams:
     visual = init_dense([config.obs_dim, *config.visual_hidden, config.dim], rng)
     text = init_dense([config.token_dim, *config.text_hidden, config.dim], rng)
     bound = 1.0 / np.sqrt(config.token_dim)
-    table = rng.uniform(-bound, bound, size=(config.vocab_size, config.token_dim))
-    return EncoderParams(visual, text, table, config.temperature)
+    table = rng.uniform(-bound, bound, size=config.vocab_size * config.token_dim)
+    flat = np.concatenate([visual.flat, text.flat, table])
+    return EncoderParams(visual.sizes, text.sizes, config.vocab_size, flat, config.temperature)
 
 
 def visual_forward(params: EncoderParams, observations: np.ndarray) -> np.ndarray:
@@ -258,11 +258,11 @@ def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
         np.subtract(1.0, grad_out, out=grad_out)
         grad_out *= g
         np.negative(grad_out[0], out=grad_out[0])
-        sub = DenseParams(visual.weights[:last], visual.biases[:last])
+        sub = DenseParams(visual.sizes[:-1], visual.flat[: dense_count(visual.sizes[:-1])])
         stacked, _ = dense_backward(sub, cache, grad_out)
-        grads = [a[1] + a[0] for a in stacked.arrays()]
+        grads = [stacked[1] + stacked[0]]
     # the output bias cancels in the difference, so its gradient is zero
-    grads += [ddiff.T @ hidden_diff, np.zeros_like(visual.biases[last])]
+    grads += [(ddiff.T @ hidden_diff).ravel(), np.zeros_like(visual.biases[last])]
 
     text_grads, dz_text = dense_backward(params.text, cache_text, dtext)
     dpooled = dz_text @ params.text.weights[0]
@@ -272,7 +272,7 @@ def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
     share = np.repeat(dpooled / rows.lengths[:, None], rows.padded.shape[1], axis=0)
     cells = rows.padded.reshape(-1, 1) * width + np.arange(width)
     table = np.bincount(cells.ravel(), share.ravel(), (rows.vocab + 1) * width)
-    return loss, grads + text_grads.arrays() + [table.reshape(-1, width)[: rows.vocab]]
+    return loss, np.concatenate([*grads, text_grads, table[: rows.vocab * width]])
 
 
 def infonce_loss(params: EncoderParams, batch: PairBatch) -> float:
@@ -281,9 +281,9 @@ def infonce_loss(params: EncoderParams, batch: PairBatch) -> float:
     return _infonce(params, batch, gradient=False)
 
 
-def infonce_loss_and_gradient(params: EncoderParams, batch: PairBatch) -> tuple[float, list[np.ndarray]]:
-    """infonce_loss and its analytic gradient, one array per entry of
-    params.arrays(), in that order."""
+def infonce_loss_and_gradient(params: EncoderParams, batch: PairBatch) -> tuple[float, np.ndarray]:
+    """infonce_loss and its analytic gradient, one flat array aligned with
+    params.flat."""
     return _infonce(params, batch, gradient=True)
 
 
@@ -295,22 +295,19 @@ def finite_difference_check(params: EncoderParams, batch: PairBatch, epsilon: fl
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     work = params.copy()
     _, analytic = infonce_loss_and_gradient(work, batch)
-    worst = 0.0
-    for arr, grad in zip(work.arrays(), analytic):
-        flat = arr.ravel()
-        gflat = grad.ravel()
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + epsilon
-            plus = infonce_loss(work, batch)
-            flat[i] = saved - epsilon
-            minus = infonce_loss(work, batch)
-            flat[i] = saved
-            numeric = (plus - minus) / (2.0 * epsilon)
-            if not (math.isfinite(numeric) and math.isfinite(gflat[i])):
-                return math.inf
-            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(numeric - gflat[i]) / denom)
+    flat, worst = work.flat, 0.0
+    for i, grad in enumerate(analytic):
+        saved = flat[i]
+        flat[i] = saved + epsilon
+        plus = infonce_loss(work, batch)
+        flat[i] = saved - epsilon
+        minus = infonce_loss(work, batch)
+        flat[i] = saved
+        numeric = (plus - minus) / (2.0 * epsilon)
+        if not (math.isfinite(numeric) and math.isfinite(grad)):
+            return math.inf
+        denom = max(abs(grad), abs(numeric), 1e-8)
+        worst = max(worst, abs(numeric - grad) / denom)
     return worst
 
 
@@ -371,26 +368,25 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
     compiled = _CompiledClips(clips, config.vocab_size)
     rng = np.random.default_rng(config.seed)
     params = init_encoder_params(config, rng)
-    arrays = params.arrays()
-    optimizer = MomentumState(arrays, config.learning_rate, config.momentum)
-    # Freezing steps only the visual prefix; the text tower and token table
-    # keep their values and their velocities.
-    visual = arrays[: len(params.visual.arrays())]
+    optimizer = MomentumState(params.flat, config.learning_rate, config.momentum)
     trace: list[float] = []
     for step, batch in enumerate(compiled.batches(config.steps, config.batch_size, rng)):
-        loss, grads = infonce_loss_and_gradient(params, batch)
+        loss, grad = infonce_loss_and_gradient(params, batch)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at step {step}")
         trace.append(loss)
-        frozen = config.freeze_text_after is not None and step >= config.freeze_text_after
-        optimizer.step(visual if frozen else arrays, grads)
+        # Freezing steps only the visual prefix; the text tower and token
+        # table keep their values and their velocities.
+        if config.freeze_text_after is not None and step >= config.freeze_text_after:
+            grad = grad[: params.visual.flat.size]
+        optimizer.step(grad)
     return TrainResult(params, trace)
 
 
 # ---------------------------------------------------------------------------
 # Parameter file: magic "EPRM", u8 version, u32 LE metadata length, JSON
 # metadata (shapes, temperature, free-form config echo), then every
-# parameter array as LE float32 in declaration order.
+# parameter buffer (EncoderParams.flat) as LE float32.
 # ---------------------------------------------------------------------------
 
 
@@ -411,10 +407,9 @@ def save_encoder_params(params: EncoderParams, path, extra_metadata: dict | None
     buf += struct.pack("<B", PARAMS_VERSION)
     buf += struct.pack("<I", len(blob))
     buf += blob
-    for k, arr in enumerate(params.arrays()):
-        buf += float32_bytes(arr, lambda i: (
-            f"parameter array {k}, entry {i}: value {float(arr.flat[i])!r} is outside float32 range"
-        ))
+    buf += float32_bytes(params.flat, lambda i: (
+        f"parameter entry {i}: value {float(params.flat[i])!r} is outside float32 range"
+    ))
     write_atomic(path, bytes(buf))
 
 
@@ -440,19 +435,6 @@ def load_encoder_params(path) -> EncoderParams:
     if temperature <= 0.0:
         raise FormatError(f"{path}: temperature must be positive, got {temperature!r}")
 
-    offset = 9 + meta_len
-
-    def take(shape) -> np.ndarray:
-        nonlocal offset
-        count = math.prod(shape)
-        if offset + 4 * count > len(raw):
-            raise FormatError(f"{path}: truncated payload at offset {offset}")
-        arr = float32_values(
-            raw, offset, count, lambda i: f"{path}: non-finite parameter at offset {offset + 4 * i}"
-        )
-        offset += 4 * count
-        return arr.reshape(shape)
-
     for key in ("visual_sizes", "text_sizes", "token_table_shape"):
         sizes = meta[key]
         if not isinstance(sizes, list) or len(sizes) < 2 or not all(type(s) is int and s > 0 for s in sizes):
@@ -466,18 +448,14 @@ def load_encoder_params(path) -> EncoderParams:
         raise FormatError(
             f"{path}: token_table_shape {table_shape!r} must be [vocab, text_sizes[0] = {text_sizes[0]}]"
         )
-    # Declaration order interleaves each layer's weight and bias.
-    visual = _take_interleaved(take, visual_sizes)
-    text = _take_interleaved(take, text_sizes)
-    table = take(tuple(table_shape))
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return EncoderParams(visual, text, table, temperature)
-
-
-def _take_interleaved(take, sizes) -> DenseParams:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(take((fan_out, fan_in)))
-        biases.append(take((fan_out,)))
-    return DenseParams(weights, biases)
+    offset = 9 + meta_len
+    # exact in Python ints: a declared size past the file is refused before anything is allocated
+    count = dense_count(visual_sizes) + dense_count(text_sizes) + math.prod(table_shape)
+    if offset + 4 * count > len(raw):
+        raise FormatError(f"{path}: truncated payload: {4 * count} bytes of parameters at offset {offset}")
+    if offset + 4 * count < len(raw):
+        raise FormatError(f"{path}: {len(raw) - offset - 4 * count} trailing bytes")
+    flat = float32_values(
+        raw, offset, count, lambda i: f"{path}: non-finite parameter at offset {offset + 4 * i}"
+    )
+    return EncoderParams(visual_sizes, text_sizes, table_shape[0], flat, temperature)

@@ -32,7 +32,6 @@ from modalign import (
 from modalign.bench import BenchConfig, clips_from_dataset, run_transfer_experiment, subseed
 from modalign.collapse import apply_to_bank
 from modalign.gridworld import HELDOUT_TEMPLATE_INDICES, build_dataset, generate_tasks
-from modalign.nets import DenseParams
 from modalign.policy import build_goal_bank
 from modalign.trainer import EncoderParams, init_encoder_params, text_forward
 
@@ -169,11 +168,8 @@ def test_criterion_04_infonce_correctness():
     start = time.monotonic()
 
     def identity_params(table):
-        return EncoderParams(
-            visual=DenseParams([np.eye(2)], [np.zeros(2)]),
-            text=DenseParams([np.eye(2)], [np.zeros(2)]),
-            token_table=np.asarray(table, dtype=np.float64),
-        )
+        layer = [*np.eye(2).ravel(), 0.0, 0.0]
+        return EncoderParams([2, 2], [2, 2], 2, np.array([*layer, *layer, *np.ravel(table)]))
 
     one_row = PairBatch(np.zeros((1, 2)), np.array([[1.0, 0.0]]), compile_tokens(((0,),), 2))
     loss_b1 = infonce_loss(identity_params(np.eye(2)), one_row)

@@ -498,8 +498,7 @@ class TestTrainEncoder:
             "--out", tmp_path / "enc.eprm", "--loss-csv", tmp_path / "loss.csv",
         ]) == 0
         saved = load_encoder_params(tmp_path / "enc.eprm")
-        for got, want in zip(saved.arrays(), trained[1].arrays(), strict=True):
-            np.testing.assert_array_equal(got, want.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(saved.flat, trained[1].flat.astype(np.float32).astype(np.float64))
         assert len((tmp_path / "loss.csv").read_text().splitlines()) == 1 + 80
 
     def test_default_config_is_the_bench_default(self, monkeypatch, tmp_path):
@@ -691,6 +690,14 @@ class TestBench:
         assert run(["bench", "--config", config, "--out-dir", tmp_path / "x", "--ablate", spec]) == 2
         key, value = spec.split("=")
         assert f"--ablate {key} expects a finite number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, None, True, "collapse=none", {"collapse": "none"}], ids=repr)
+    def test_ablations_that_are_not_a_list_exit_two_with_or_without_ablate(self, tmp_path, capsys, value):
+        config = self.bench_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "ablations": value}))
+        for extra in ([], ["--ablate", "collapse=delete"]):
+            assert run(["bench", "--config", config, "--out-dir", tmp_path / "x", *extra]) == 2
+            assert f"error: ablations must be a list, got {value!r}" in capsys.readouterr().err
 
     def test_seed_beyond_float_exits_two(self, tmp_path, capsys):
         # an integer beyond float range used to escape as OverflowError (exit 1)

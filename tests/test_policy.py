@@ -208,8 +208,7 @@ class TestTrainPolicyFromArrays:
         r1 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
         r2 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
         assert r1.loss_trace == []
-        for a, b in zip(r1.params.net.arrays(), r2.params.net.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(r1.params.net.flat, r2.params.net.flat)
 
     def test_oracle_goal_rollouts_exceed_95_percent_on_default_grid(self):
         # isolates policy learning from embedding quality: one-hot target
@@ -247,8 +246,7 @@ class TestTrainPolicy:
         r1 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
         r2 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
         assert r1.loss_trace == r2.loss_trace
-        for a, b in zip(r1.params.net.arrays(), r2.params.net.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(r1.params.net.flat, r2.params.net.flat)
 
     def test_text_modality_uses_template_pool(self, world):
         result = train_on_dataset(world, None, Modality.TEXT, PolicyConfig(steps=10, seed=4), TRAIN_TEMPLATE_INDICES)
@@ -304,7 +302,8 @@ def reference_train_policy(states, goals, actions, config):
     inputs = np.concatenate([states, goals], axis=1)
     rng = np.random.default_rng(config.seed)
     net = init_dense([inputs.shape[1], *config.hidden, len(Action)], rng)
-    velocities = [np.zeros_like(a) for a in net.arrays()]
+    arrays = [a for pair in zip(net.weights, net.biases) for a in pair]  # views that step net.flat
+    velocities = [np.zeros_like(a) for a in arrays]
     trace, n = [], inputs.shape[0]
     for _ in range(config.steps):
         batch = rng.integers(0, n, size=min(config.batch_size, n))
@@ -319,7 +318,7 @@ def reference_train_policy(states, goals, actions, config):
         dlogits /= len(y)
         weights, biases = reference_backward(net, cache, dlogits)
         grads = [a for pair in zip(weights, biases) for a in pair]
-        for a, g, v in zip(net.arrays(), grads, velocities):
+        for a, g, v in zip(arrays, grads, velocities):
             v *= config.momentum
             v -= config.learning_rate * g
             a += v
@@ -360,8 +359,7 @@ class TestTrainPolicies:
             net, trace = reference_train_policy(states, goal[goal_rows], actions, config)
             assert result.loss_trace == trace
             assert result.params.net.sizes == net.sizes and result.params.grid_size == grid
-            for got, want in zip(result.params.net.arrays(), net.arrays()):
-                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(result.params.net.flat, net.flat)
 
     def test_divergence_names_the_variant_and_step(self):
         states, actions, rng = bc_rows(20, 3, 1)

@@ -29,7 +29,7 @@ from modalign import (
 from modalign.bench import train_seed_encoders
 from modalign.gridworld import generate_tasks
 from modalign import trainer
-from modalign.nets import DenseParams
+from modalign.nets import DenseParams, MomentumState
 from modalign.trainer import (
     TokenRows,
     _CompiledClips,
@@ -43,14 +43,12 @@ from modalign.trainer import (
 
 def linear_identity_params(dim: int, table: np.ndarray | None = None) -> EncoderParams:
     """Single linear identity layers for both encoders; token table given or identity."""
-    if table is None:
-        table = np.eye(dim)
-    return EncoderParams(
-        visual=DenseParams([np.eye(dim)], [np.zeros(dim)]),
-        text=DenseParams([np.eye(table.shape[1])], [np.zeros(table.shape[1])]),
-        token_table=np.asarray(table, dtype=np.float64),
-        temperature=1.0,
+    table = np.eye(dim) if table is None else np.asarray(table, dtype=np.float64)
+    width = table.shape[1]
+    flat = np.concatenate(
+        [np.eye(dim).ravel(), np.zeros(dim), np.eye(width).ravel(), np.zeros(width), table.ravel()]
     )
+    return EncoderParams([dim, dim], [width, width], len(table), flat)
 
 
 def tiny_config(**overrides) -> TrainerConfig:
@@ -274,18 +272,15 @@ class TestInfonceGradient:
     def test_batch_of_one_gradient_is_zero(self):
         params = init_encoder_params(tiny_config(), np.random.default_rng(11))
         batch = random_batch(np.random.default_rng(12), b=1)
-        _, grads = infonce_loss_and_gradient(params, batch)
-        for arr in grads:
-            np.testing.assert_array_equal(arr, np.zeros_like(arr))
+        _, grad = infonce_loss_and_gradient(params, batch)
+        np.testing.assert_array_equal(grad, np.zeros_like(params.flat))
 
     def test_structure_matches_params(self):
         for hidden in ((), (5,), (4, 3)):
             cfg = tiny_config(visual_hidden=hidden, text_hidden=hidden)
             params = init_encoder_params(cfg, np.random.default_rng(13))
-            _, grads = infonce_loss_and_gradient(params, random_batch(np.random.default_rng(14)))
-            assert len(grads) == len(params.arrays())
-            for g, p in zip(grads, params.arrays()):
-                assert g.shape == p.shape
+            _, grad = infonce_loss_and_gradient(params, random_batch(np.random.default_rng(14)))
+            assert grad.shape == params.flat.shape
 
     def test_matches_finite_differences(self):
         for seed in range(10):
@@ -299,11 +294,7 @@ class TestFiniteDifferenceCheck:
     def test_linear_one_parameter_toy(self):
         # 1x1 linear encoders: loss at B=1 is constant zero, so both the
         # analytic and numeric gradients vanish identically
-        params = EncoderParams(
-            visual=DenseParams([np.array([[2.0]])], [np.zeros(1)]),
-            text=DenseParams([np.array([[1.0]])], [np.zeros(1)]),
-            token_table=np.array([[1.0]]),
-        )
+        params = EncoderParams([1, 1], [1, 1], 1, np.array([2.0, 0.0, 1.0, 0.0, 1.0]))
         batch = PairBatch(np.array([[0.0]]), np.array([[1.0]]), compile_tokens(((0,),), 1))
         assert finite_difference_check(params, batch, 1e-5) < 1e-8
 
@@ -319,9 +310,9 @@ class TestFiniteDifferenceCheck:
         # the numeric side stays finite; a NaN must not vanish in the maximum
         params = init_encoder_params(tiny_config(), np.random.default_rng(17))
         batch = random_batch(np.random.default_rng(18))
-        loss, grads = infonce_loss_and_gradient(params, batch)
-        nan_grads = [np.full_like(g, math.nan) for g in grads]
-        monkeypatch.setattr(trainer, "infonce_loss_and_gradient", lambda p, b: (loss, nan_grads))
+        loss, grad = infonce_loss_and_gradient(params, batch)
+        nan_grad = np.full_like(grad, math.nan)
+        monkeypatch.setattr(trainer, "infonce_loss_and_gradient", lambda p, b: (loss, nan_grad))
         assert finite_difference_check(params, batch) == math.inf
 
     def test_nan_parameter_scores_inf(self):
@@ -349,8 +340,7 @@ class TestTrainEncoders:
         cfg = TrainerConfig(obs_dim=12, vocab_size=11, dim=4, steps=0, seed=42)
         result = train_encoders(clips, cfg)
         reference = init_encoder_params(cfg, np.random.default_rng(42))
-        for a, b in zip(result.params.arrays(), reference.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(result.params.flat, reference.flat)
         assert result.loss_trace == []
 
     def test_deterministic_per_seed(self):
@@ -359,8 +349,7 @@ class TestTrainEncoders:
         r1 = train_encoders(clips, cfg)
         r2 = train_encoders(clips, cfg)
         assert r1.loss_trace == r2.loss_trace
-        for a, b in zip(r1.params.arrays(), r2.params.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(r1.params.flat, r2.params.flat)
 
     def test_divergence_reported_with_step(self, monkeypatch):
         # cosine-bounded logits make real divergence unreachable, so drive
@@ -416,13 +405,9 @@ class TestTrainEncoders:
         result = train_encoders(clips, cfg)
         frozen = init_encoder_params(cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(result.params.token_table, frozen.token_table)
-        for a, b in zip(result.params.text.arrays(), frozen.text.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(result.params.text.flat, frozen.text.flat)
         # while the visual tower moved
-        assert any(
-            not np.array_equal(a, b)
-            for a, b in zip(result.params.visual.arrays(), frozen.visual.arrays())
-        )
+        assert not np.array_equal(result.params.visual.flat, frozen.visual.flat)
 
 
 def chunk_rows(clips, count, rng):
@@ -561,11 +546,10 @@ class TestBatchSampling:
             assert batch.tokens.padded.shape[1] == widest
             own = [tuple(row[:n]) for row, n in zip(batch.tokens.padded.tolist(), batch.tokens.lengths)]
             plain = PairBatch(batch.o_start, batch.o_end, compile_tokens(own, cfg.vocab_size))
-            loss, grads = infonce_loss_and_gradient(params, batch)
-            plain_loss, plain_grads = infonce_loss_and_gradient(params, plain)
+            loss, grad = infonce_loss_and_gradient(params, batch)
+            plain_loss, plain_grad = infonce_loss_and_gradient(params, plain)
             assert loss == plain_loss
-            for a, b in zip(grads, plain_grads):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(grad, plain_grad)
 
     def test_range_one_draws_take_no_word(self):
         # horizon 2 and one template: the start, length and template draws
@@ -607,8 +591,7 @@ class TestBatchSampling:
 def pin_digest(result) -> str:
     """blake2b of the final parameter bytes and the loss trace's reprs."""
     h = hashlib.blake2b(digest_size=16)
-    for arr in result.params.arrays():
-        h.update(arr.tobytes())
+    h.update(result.params.flat.tobytes())
     h.update(repr(result.loss_trace).encode())
     return h.hexdigest()
 
@@ -707,14 +690,12 @@ class TestSerialization:
         cfg = tiny_config(visual_hidden=(5, 3), text_hidden=(4,))
         params = init_encoder_params(cfg, np.random.default_rng(25))
         # float32-representable weights round-trip bit-exactly
-        for arr in params.arrays():
-            arr[:] = arr.astype(np.float32).astype(np.float64)
+        params.flat[:] = params.flat.astype(np.float32).astype(np.float64)
         path = tmp_path / "enc.eprm"
         save_encoder_params(params, path, extra_metadata={"note": "unit-test"})
         loaded = load_encoder_params(path)
         assert loaded.temperature == params.temperature
-        for a, b in zip(loaded.arrays(), params.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
 
     def test_deterministic_bytes(self, tmp_path):
         params = init_encoder_params(tiny_config(), np.random.default_rng(26))
@@ -754,12 +735,34 @@ class TestSerialization:
     def test_save_refuses_values_outside_float32(self, tmp_path, bad):
         params = init_encoder_params(tiny_config(), np.random.default_rng(27))
         params.token_table[3, 1] = bad
+        # the message names the entry of params.flat: the table comes last
+        entry = params.flat.size - params.token_table.size + 3 * params.token_table.shape[1] + 1
         path = tmp_path / "bad.eprm"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="outside float32 range"):
+            with pytest.raises(ParameterError, match=f"^parameter entry {entry}: value .* is outside float32 range"):
                 save_encoder_params(params, path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda raw: raw[:-4], "truncated payload"), (lambda raw: raw + raw[-4:], "4 trailing bytes")],
+        ids=["one-float-short", "one-float-over"],
+    )
+    def test_payload_must_hold_exactly_the_declared_parameters(self, tmp_path, edit, message):
+        params = init_encoder_params(tiny_config(), np.random.default_rng(28))
+        path = tmp_path / "enc.eprm"
+        save_encoder_params(params, path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError, match=message):
+            load_encoder_params(path)
+
+    def test_huge_declared_layer_refused_before_allocation(self, tmp_path):
+        # a 10**12-entry first visual layer: refused from the sizes alone,
+        # not by a MemoryError or by np.frombuffer's ValueError
+        path = saved_with_metadata(tmp_path, lambda meta: json.dumps({**meta, "visual_sizes": [10**6, 10**6, 4]}))
+        with pytest.raises(FormatError, match="truncated payload"):
+            load_encoder_params(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.eprm"
@@ -826,6 +829,47 @@ class TestSerialization:
         path = saved_with_metadata(tmp_path, lambda meta: blob)
         with pytest.raises(FormatError, match=message):
             load_encoder_params(path)
+
+
+class TestFlatBuffer:
+    def test_encoder_views_share_the_buffer_in_declaration_order(self):
+        params = init_encoder_params(tiny_config(visual_hidden=(5, 3)), np.random.default_rng(29))
+        views = [a for net in (params.visual, params.text) for layer in zip(net.weights, net.biases) for a in layer]
+        views.append(params.token_table)
+        assert all(np.shares_memory(view, params.flat) for view in views)
+        np.testing.assert_array_equal(np.concatenate([view.ravel() for view in views]), params.flat)
+
+    def test_copy_shares_no_memory(self):
+        params = init_encoder_params(tiny_config(), np.random.default_rng(30))
+        copy = params.copy()
+        np.testing.assert_array_equal(copy.flat, params.flat)
+        assert copy.temperature == params.temperature
+        for view in (copy.flat, *copy.visual.weights, *copy.text.biases, copy.token_table):
+            assert not np.shares_memory(view, params.flat)
+
+    def test_stacked_nets_are_rows_of_a_2d_buffer(self):
+        sizes = [4, 3, 2]
+        flat = np.arange(3 * 23, dtype=np.float64).reshape(3, 23)
+        net = DenseParams(sizes, flat)
+        assert [w.shape for w in net.weights] == [(3, 3, 4), (3, 2, 3)]
+        assert [b.shape for b in net.biases] == [(3, 3), (3, 2)]
+        assert all(np.shares_memory(a, flat) for a in (*net.weights, *net.biases))
+        for v in range(3):
+            row = DenseParams(sizes, flat[v])
+            for got, want in zip((*net.weights, *net.biases), (*row.weights, *row.biases)):
+                np.testing.assert_array_equal(got[v], want)
+
+    def test_buffer_of_another_size_refused(self):
+        with pytest.raises(DimensionError, match="need 23 parameters"):
+            DenseParams([4, 3, 2], np.zeros(22))
+
+    def test_momentum_steps_only_the_prefix_a_short_gradient_covers(self):
+        flat = np.ones(5)
+        optimizer = MomentumState(flat, 0.5, 0.5)
+        optimizer.step(np.full(5, 2.0))
+        optimizer.step(np.full(2, 4.0))
+        np.testing.assert_array_equal(flat, [-2.5, -2.5, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(optimizer.velocity, [-2.5, -2.5, -1.0, -1.0, -1.0])
 
 
 def saved_with_metadata(tmp_path, edit):
