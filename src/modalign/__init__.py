@@ -55,13 +55,13 @@ from .gridworld import (
 )
 from .policy import (
     PolicyConfig,
-    PolicyParams,
     chance_floor,
     encode_goals,
     evaluate_policy,
     expert_steps,
     train_policies,
     training_goals,
+    variant_goals,
 )
 from .trainer import (
     Clip,

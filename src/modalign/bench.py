@@ -45,6 +45,7 @@ from .policy import (
     expert_steps,
     train_policies,
     training_goals,
+    variant_goals,
 )
 from .trainer import Clip, TrainerConfig, TrainResult, train_encoders
 
@@ -299,7 +300,7 @@ def text_reference_bank(encoders, tasks: Sequence[GridTask]) -> EmbeddingBank:
     ordered = sorted(tasks, key=lambda t: t.task_id)
     ids = [task.task_id for task in ordered for _ in TRAIN_TEMPLATE_INDICES]
     seqs = [task.templates[i] for task in ordered for i in TRAIN_TEMPLATE_INDICES]
-    return encode_goals(encoders, None, Modality.TEXT, ids, seqs)
+    return encode_goals(encoders, Modality.TEXT, ids, seqs)
 
 
 def _fit_transform(
@@ -370,7 +371,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
         # Reference banks do not depend on the variant: unit visual goals
         # once per seed, each variant adding its own injected gap.
         unit_v, _ = _stage(
-            "reference_banks", build_goal_bank, encoders, None, dataset, Modality.VISUAL,
+            "reference_banks", build_goal_bank, encoders, dataset, Modality.VISUAL,
             subseed(seed, _STAGE_REFBANK), where=at_seed,
         )
         ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks, where=at_seed)
@@ -381,18 +382,21 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
         policy_configs = [config.policy_config(subseed(seed, _STAGE_POLICY, vi)) for vi in range(len(variants))]
         transforms, goals = [], []
         for vi, (variant, offset) in enumerate(zip(variants, offsets)):
-            ref_v = unit_v if offset is None else unit_v.with_values(unit_v.values + offset)
+            ref_v = variant_goals(unit_v, None, offset)
             transforms.append(_stage("fit_collapse", _fit_transform, variant, ref_v, ref_l, where=at[vi]))
+            unit_train, _ = _stage(
+                "training_goals", build_goal_bank, encoders, dataset, train_modality,
+                policy_configs[vi].seed, TRAIN_TEMPLATE_INDICES, where=at[vi],
+            )
             goals.append(_stage(
-                "training_goals", training_goals, dataset, encoders, transforms[vi],
-                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT, vi)), train_modality,
-                policy_configs[vi].seed, TRAIN_TEMPLATE_INDICES, offset, where=at[vi],
+                "training_goals", training_goals, variant_goals(unit_train, transforms[vi], offset),
+                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT, vi)), where=at[vi],
             ))
         # The policy stage sets the run's peak memory: it runs without the
         # dataset, and evaluation without the goals, rows and loss traces.
         bc_rows = expert_steps(dataset, config.grid_size)
         del dataset
-        policies = [result.params for result in _stage(
+        policies = [result.net for result in _stage(
             "train_policy", train_policies, *bc_rows, goals, config.grid_size, policy_configs, where=at_seed,
         )]
         del bc_rows, goals
@@ -402,8 +406,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
                 tag = _STAGE_EVAL_HELDOUT if eval_name == "text_heldout" else _STAGE_EVAL
                 result = _stage(
                     "evaluate_policy", evaluate_policy, policy, tasks, eval_modality, encoders, transform,
-                    config.episodes_per_task, config.horizon, subseed(seed, tag, vi), pool,
-                    offset if eval_modality is Modality.VISUAL else None, where=at[vi],
+                    config.episodes_per_task, config.horizon, subseed(seed, tag, vi), pool, offset, where=at[vi],
                 )
                 per_task = np.array(list(result.per_task.values()))
                 row = BenchRow(

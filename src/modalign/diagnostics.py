@@ -128,6 +128,8 @@ def retrieval_topk_accuracy(query_bank: EmbeddingBank, gallery_bank: EmbeddingBa
         raise ParameterError(f"k must be a positive integer, got {k!r}")
     if k > gallery_bank.n:
         raise ParameterError(f"k={k} exceeds gallery size {gallery_bank.n}")
+    if query_bank.n == 0:
+        raise EmptyBankError("query bank must be non-empty")
     if query_bank.dim != gallery_bank.dim:
         raise DimensionError(f"dimension mismatch: {query_bank.dim} vs {gallery_bank.dim}")
     missing = query_bank.task_set() - gallery_bank.task_set()

@@ -44,14 +44,8 @@ class PolicyConfig:
 
 
 @dataclass
-class PolicyParams:
-    net: DenseParams
-    grid_size: int
-
-
-@dataclass
 class PolicyResult:
-    params: PolicyParams
+    net: DenseParams
     loss_trace: list[float] = field(default_factory=list)
 
 
@@ -63,30 +57,34 @@ class EvalReport:
 
 
 def encode_goals(
-    encoders: EncoderParams,
-    transform: CollapseTransform | None,
-    modality: Modality,
-    task_ids: Sequence[str],
-    items: Sequence,
-    visual_offset: np.ndarray | None = None,
+    encoders: EncoderParams, modality: Modality, task_ids: Sequence[str], items: Sequence
 ) -> EmbeddingBank:
-    """Collapsed goal bank, one row per item: a Trajectory (visual) or a
-    token sequence (text), all encoded in one batch.
+    """Unit goal bank, one row per item: a Trajectory (visual) or a token
+    sequence (text), all encoded in one batch.
 
-    Raw encoder outputs are unit-normalized first (the contrastive objective
-    only constrains directions), so corruption strengths and injected gap
-    norms are scale-free. A visual goal is the frame difference of the
-    first and last observations; a zero transition has no direction and
-    raises DegenerateVectorError. visual_offset, when set, is added to the
-    unit visual rows before collapsing (a synthetic modality gap).
+    Raw encoder outputs are unit-normalized (the contrastive objective only
+    constrains directions), so corruption strengths and injected gap norms
+    are scale-free. A visual goal is the frame difference of the first and
+    last observations; a zero transition has no direction and raises
+    DegenerateVectorError.
     """
     if modality is Modality.VISUAL:
         starts, ends = [t.observations[0] for t in items], [t.observations[-1] for t in items]
         rows = unit_rows(frame_differences(encoders, starts, ends), "visual goal", 1e-12)
-        rows = rows if visual_offset is None else rows + visual_offset
     else:
         rows = unit_rows(text_forward(encoders, items), "text goal")
-    return apply_to_bank(transform, EmbeddingBank(modality, rows.shape[1], tuple(task_ids), rows))
+    return EmbeddingBank(modality, rows.shape[1], tuple(task_ids), rows)
+
+
+def variant_goals(
+    bank: EmbeddingBank, transform: CollapseTransform | None, visual_offset: np.ndarray | None = None
+) -> EmbeddingBank:
+    """One variant's goals from unit goals: visual_offset (a synthetic
+    modality gap) is added to a visual bank's rows, never a text bank's,
+    then the rows are collapsed by transform (None is the identity)."""
+    if visual_offset is not None and bank.modality is Modality.VISUAL:
+        bank = bank.with_values(bank.values + visual_offset)
+    return apply_to_bank(transform, bank)
 
 
 def _draw_template(task: GridTask, pool: Sequence[int] | None, rng: np.random.Generator):
@@ -97,14 +95,12 @@ def _draw_template(task: GridTask, pool: Sequence[int] | None, rng: np.random.Ge
 
 def build_goal_bank(
     encoders: EncoderParams,
-    transform: CollapseTransform | None,
     dataset: Sequence[tuple[Trajectory, GridTask]],
     modality: Modality,
     seed: int,
     template_pool: Sequence[int] | None = None,
-    visual_offset: np.ndarray | None = None,
 ) -> tuple[EmbeddingBank, list[int]]:
-    """Per-trajectory goal embeddings as a bank, plus the dataset indices
+    """Per-trajectory unit goals as a bank, plus the dataset indices
     that produced each row (zero-transition trajectories are excluded).
     Text rows draw their templates in row order from a stream seeded by seed."""
     kept = [i for i, (traj, _) in enumerate(dataset) if len(traj.states) >= 2]
@@ -116,7 +112,7 @@ def build_goal_bank(
     else:
         items = [_draw_template(dataset[i][1], template_pool, rng) for i in kept]
     ids = [dataset[i][1].task_id for i in kept]
-    return encode_goals(encoders, transform, modality, ids, items, visual_offset), kept
+    return encode_goals(encoders, modality, ids, items), kept
 
 
 def _state_onehot(grid_size: int, cells) -> np.ndarray:
@@ -138,21 +134,10 @@ def expert_steps(dataset: Sequence[tuple[Trajectory, GridTask]], grid_size: int)
     return _state_onehot(grid_size, cells), actions, goal_rows
 
 
-def training_goals(
-    dataset: Sequence[tuple[Trajectory, GridTask]],
-    encoders: EncoderParams,
-    transform: CollapseTransform | None,
-    corrupt_cfg: CorruptConfig | None,
-    train_modality: Modality,
-    seed: int,
-    template_pool: Sequence[int] | None = None,
-    visual_offset: np.ndarray | None = None,
-) -> np.ndarray:
-    """One policy's unit goal rows, one per trajectory that build_goal_bank
-    keeps: collapsed, then corrupted unless corrupt_cfg is None. Text
-    templates come from a stream seeded by seed."""
-    bank, _ = build_goal_bank(encoders, transform, dataset, train_modality, seed, template_pool, visual_offset)
-    return unit_rows((bank if corrupt_cfg is None else corrupt_bank(bank, corrupt_cfg)).values, "goal")
+def training_goals(goals: EmbeddingBank, corrupt_cfg: CorruptConfig | None) -> np.ndarray:
+    """One policy's unit goal rows from its variant's goals: corrupted
+    unless corrupt_cfg is None, then normalized."""
+    return unit_rows((goals if corrupt_cfg is None else corrupt_bank(goals, corrupt_cfg)).values, "goal")
 
 
 def train_policies(
@@ -195,7 +180,7 @@ def train_policies(
         for v, result in zip(members, _train_lockstep(states, actions, goal_rows, goals, configs, members)):
             trained[v] = result
     # Python-float traces take four times the memory of the arrays: build them after all the training.
-    return [PolicyResult(PolicyParams(net, grid_size), trace.tolist()) for net, trace in trained]
+    return [PolicyResult(net, trace.tolist()) for net, trace in trained]
 
 
 def _train_lockstep(states, actions, goal_rows, goals, configs, members):
@@ -234,13 +219,13 @@ def _train_lockstep(states, actions, goal_rows, goals, configs, members):
     return [(DenseParams(sizes, flat), t) for flat, t in zip(net.flat, traces.T)]
 
 
-def greedy(policy: PolicyParams, goals: np.ndarray):
-    """The rollout chooser of the policy's greedy actions, episode i
-    conditioned on goals[i]; argmax breaks ties at the lowest action index."""
+def greedy(net: DenseParams, grid_size: int, goals: np.ndarray):
+    """The rollout chooser of net's greedy actions on a grid_size grid, episode
+    i conditioned on goals[i]; argmax breaks ties at the lowest action index."""
 
     def choose(active: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        x = np.concatenate([_state_onehot(policy.grid_size, cells), goals[active]], axis=1)
-        return np.argmax(dense_forward(policy.net, x)[0], axis=1)
+        x = np.concatenate([_state_onehot(grid_size, cells), goals[active]], axis=1)
+        return np.argmax(dense_forward(net, x)[0], axis=1)
 
     return choose
 
@@ -268,7 +253,9 @@ def rollout(tasks: Sequence[GridTask], streams, horizon: int, choose) -> np.ndar
 
 def _episodes(tasks: Sequence[GridTask], episodes_per_task: int, seed: int):
     """Tasks sorted by id, each episode's task, and each episode's stream
-    default_rng([seed, task index, episode])."""
+    default_rng([seed, task index, episode]). No episode is a ParameterError."""
+    if not tasks or episodes_per_task < 1:
+        raise ParameterError(f"no episodes: {len(tasks)} tasks, {episodes_per_task} episodes per task")
     ordered = sorted(tasks, key=lambda t: t.task_id)
     pairs = [(ti, episode) for ti in range(len(ordered)) for episode in range(episodes_per_task)]
     streams = [np.random.default_rng([seed, ti, episode]) for ti, episode in pairs]
@@ -284,7 +271,7 @@ def _prompt(task: GridTask, rng: np.random.Generator) -> Trajectory:
 
 
 def evaluate_policy(
-    policy: PolicyParams,
+    net: DenseParams,
     tasks: Sequence[GridTask],
     eval_modality: Modality,
     encoders: EncoderParams,
@@ -298,7 +285,7 @@ def evaluate_policy(
     """Greedy rollouts from seeded random starts; success means the agent
     sits on the target at or before the horizon.
 
-    Evaluation goals are collapsed but never corrupted. Visual goals come
+    Evaluation goals are variant_goals, never corrupted. Visual goals come
     from a fresh prompt demonstration per episode (its own start cell and
     distractors), so they never match the rollout's own observations.
     """
@@ -308,8 +295,9 @@ def evaluate_policy(
     else:
         items = [_draw_template(task, template_pool, rng) for task, rng in zip(episodes, streams)]
     ids = [task.task_id for task in episodes]
-    goals = encode_goals(encoders, transform, eval_modality, ids, items, visual_offset)
-    reached = rollout(episodes, streams, horizon, greedy(policy, unit_rows(goals.values, "goal")))
+    goals = variant_goals(encode_goals(encoders, eval_modality, ids, items), transform, visual_offset)
+    choose = greedy(net, ordered[0].grid_size, unit_rows(goals.values, "goal"))
+    reached = rollout(episodes, streams, horizon, choose)
     wins = reached.reshape(len(ordered), episodes_per_task).sum(axis=1)
     return EvalReport(
         success_rate=int(reached.sum()) / reached.size,

@@ -153,10 +153,6 @@ class EncoderParams:
         self.temperature = temperature
 
     @property
-    def dim(self) -> int:
-        return self.visual.sizes[-1]
-
-    @property
     def vocab_size(self) -> int:
         return self.token_table.shape[0]
 

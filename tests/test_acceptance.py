@@ -217,7 +217,7 @@ def test_criterion_05_alignment_at_toy_scale():
     ).params
 
     visual_bank, _ = build_goal_bank(
-        encoders, None, build_dataset(tasks, 4, subseed(0, 50)), Modality.VISUAL, seed=subseed(0, 51)
+        encoders, build_dataset(tasks, 4, subseed(0, 50)), Modality.VISUAL, seed=subseed(0, 51)
     )
     ids, seqs = [], []
     for task in sorted(tasks, key=lambda t: t.task_id):

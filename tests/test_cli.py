@@ -428,7 +428,7 @@ class TestTrainEncoder:
         from modalign import load_encoder_params
 
         params = load_encoder_params(tmp_path / "enc.eprm")
-        assert params.dim == 16
+        assert params.visual.sizes[-1] == params.text.sizes[-1] == 16
         assert (tmp_path / "loss.csv").read_text().splitlines() == ["step,loss"]
 
     def test_short_run_loss_below_ln_b(self, tmp_path):

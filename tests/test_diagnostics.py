@@ -218,6 +218,12 @@ class TestRetrieval:
         with pytest.raises(TaskMismatchError, match="b"):
             retrieval_topk_accuracy(bank_q, bank_g, 1)
 
+    def test_empty_query_bank_rejected(self):
+        gallery = make_bank(Modality.TEXT, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        empty = EmbeddingBank(Modality.VISUAL, 2, (), np.zeros((0, 2)))
+        with pytest.raises(EmptyBankError, match="query bank"):
+            retrieval_topk_accuracy(empty, gallery, 1)
+
     def test_ties_break_by_task_id_then_index(self):
         # all gallery rows identical, so similarity ties everywhere and the
         # lexicographically smallest task id must win top-1

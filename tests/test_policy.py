@@ -22,9 +22,10 @@ from modalign import (
     generate_tasks,
     train_policies,
     training_goals,
+    variant_goals,
 )
 from modalign.bench import clips_from_dataset, text_reference_bank
-from modalign.collapse import fit_centralize
+from modalign.collapse import apply_to_bank, fit_centralize, fit_delete
 from modalign.gridworld import HELDOUT_TEMPLATE_INDICES, TRAIN_TEMPLATE_INDICES, Action, step
 from modalign.nets import dense_forward, init_dense
 from modalign.policy import build_goal_bank, greedy, rollout
@@ -51,10 +52,12 @@ def world():
         seed=7,
     )
     encoders = train_encoders(clips_from_dataset(dataset), cfg).params
-    ref_v, _ = build_goal_bank(encoders, None, dataset, Modality.VISUAL, seed=2)
+    ref_v, _ = build_goal_bank(encoders, dataset, Modality.VISUAL, seed=2)
     ref_l = text_reference_bank(encoders, tasks)
     transform = fit_centralize(ref_v, ref_l)
-    return dict(grid=grid, tasks=tasks, dataset=dataset, encoders=encoders, transform=transform)
+    return dict(
+        grid=grid, tasks=tasks, dataset=dataset, encoders=encoders, transform=transform, ref_v=ref_v, ref_l=ref_l
+    )
 
 
 def off_target_start(task, rng, grid):
@@ -71,9 +74,8 @@ def train_one(states, goals, actions, grid, config):
 
 def train_on_dataset(world, corrupt_cfg, modality, config, template_pool=None):
     """One policy on the world's expert steps and its goals of one modality."""
-    goals = training_goals(
-        world["dataset"], world["encoders"], world["transform"], corrupt_cfg, modality, config.seed, template_pool
-    )
+    unit, _ = build_goal_bank(world["encoders"], world["dataset"], modality, config.seed, template_pool)
+    goals = training_goals(variant_goals(unit, world["transform"]), corrupt_cfg)
     return train_policies(*expert_steps(world["dataset"], world["grid"]), [goals], world["grid"], [config])[0]
 
 
@@ -84,30 +86,22 @@ class TestGoalEmbedding:
         good = expert_trajectory(other, (0, 0) if other.target != (0, 0) else (1, 1), seed=2)
         traj = expert_trajectory(task, task.target, seed=3)
         with pytest.raises(DegenerateVectorError):
-            encode_goals(
-                world["encoders"], world["transform"], Modality.VISUAL,
-                [other.task_id, task.task_id], [good, traj],
-            )
+            encode_goals(world["encoders"], Modality.VISUAL, [other.task_id, task.task_id], [good, traj])
 
     def test_visual_goal_is_pure(self, world):
         task = world["tasks"][1]
         start = (0, 0) if task.target != (0, 0) else (1, 1)
         traj = expert_trajectory(task, start, seed=4)
-        args = (world["encoders"], world["transform"], Modality.VISUAL, [task.task_id], [traj])
+        args = (world["encoders"], Modality.VISUAL, [task.task_id], [traj])
         e1 = encode_goals(*args)
         e2 = encode_goals(*args)
         np.testing.assert_array_equal(e1.values, e2.values)
 
     def test_text_template_selection(self, world):
         task = world["tasks"][2]
-        explicit = encode_goals(
-            world["encoders"], world["transform"], Modality.TEXT, [task.task_id], [task.templates[1]]
-        )
+        explicit = encode_goals(world["encoders"], Modality.TEXT, [task.task_id], [task.templates[1]])
         traj = expert_trajectory(task, off_target_start(task, np.random.default_rng(0), world["grid"]), 1)
-        sampled, _ = build_goal_bank(
-            world["encoders"], world["transform"], [(traj, task)], Modality.TEXT, seed=0,
-            template_pool=(1,),
-        )
+        sampled, _ = build_goal_bank(world["encoders"], [(traj, task)], Modality.TEXT, seed=0, template_pool=(1,))
         np.testing.assert_array_equal(explicit.values, sampled.values)
 
     def test_trained_goals_align_across_modalities(self, world):
@@ -115,15 +109,15 @@ class TestGoalEmbedding:
         # beats the average mismatched cosine
         tasks = sorted(world["tasks"], key=lambda t: t.task_id)
         ids = [t.task_id for t in tasks]
-        text_goals = encode_goals(
-            world["encoders"], world["transform"], Modality.TEXT, ids, [t.templates[0] for t in tasks]
+        text_goals = variant_goals(
+            encode_goals(world["encoders"], Modality.TEXT, ids, [t.templates[0] for t in tasks]), world["transform"]
         ).values
         rng = np.random.default_rng(5)
         trajs = []
         for task in tasks:
             start = off_target_start(task, rng, world["grid"])
             trajs.append(expert_trajectory(task, start, seed=int(rng.integers(1 << 40))))
-        vis = encode_goals(world["encoders"], world["transform"], Modality.VISUAL, ids, trajs).values
+        vis = variant_goals(encode_goals(world["encoders"], Modality.VISUAL, ids, trajs), world["transform"]).values
         matched, mismatched = [], []
         for i in range(len(tasks)):
             for j in range(len(tasks)):
@@ -138,10 +132,35 @@ class TestGoalEmbedding:
         seqs = [t.templates[i % 3] for i, t in enumerate(tasks)]
         for modality, items in ((Modality.VISUAL, trajs), (Modality.TEXT, seqs)):
             ids = [t.task_id for t in tasks]
-            batch = encode_goals(world["encoders"], world["transform"], modality, ids, items)
+            batch = encode_goals(world["encoders"], modality, ids, items)
             for i in range(len(tasks)):
-                one = encode_goals(world["encoders"], world["transform"], modality, ids[i : i + 1], items[i : i + 1])
+                one = encode_goals(world["encoders"], modality, ids[i : i + 1], items[i : i + 1])
                 np.testing.assert_allclose(batch.values[i], one.values[0], rtol=0, atol=1e-12)
+
+    def test_variant_offset_moves_visual_rows_only(self, world):
+        offset = np.random.default_rng(8).standard_normal(world["ref_v"].dim)
+        moved = variant_goals(world["ref_v"], None, offset)
+        np.testing.assert_array_equal(moved.values, world["ref_v"].values + offset)
+        assert moved.task_ids == world["ref_v"].task_ids and moved.modality is Modality.VISUAL
+        assert variant_goals(world["ref_l"], None, offset) is world["ref_l"]
+
+    @pytest.mark.parametrize("bank", ["ref_v", "ref_l"])
+    def test_no_variant_is_the_identity(self, world, bank):
+        assert variant_goals(world[bank], None, None) is world[bank]
+
+    @pytest.mark.parametrize("kind", ["centralize", "delete"])
+    def test_variant_is_offset_then_collapse(self, world, kind):
+        offset = np.random.default_rng(9).standard_normal(world["ref_v"].dim)
+        ref_v = world["ref_v"].with_values(world["ref_v"].values + offset)
+        fit = fit_centralize if kind == "centralize" else lambda v, l: fit_delete(v, l, 2)
+        transform = fit(ref_v, world["ref_l"])
+        bank = world["ref_v"]
+        expected = apply_to_bank(transform, bank.with_values(bank.values + offset))
+        got = variant_goals(bank, transform, offset)
+        np.testing.assert_array_equal(got.values, expected.values)
+        np.testing.assert_array_equal(
+            variant_goals(world["ref_l"], transform, offset).values, apply_to_bank(transform, world["ref_l"]).values
+        )
 
 
 class TestPolicyConfig:
@@ -196,7 +215,7 @@ class TestTrainPolicyFromArrays:
                 actions.append(int(action))
         states, goals, actions = np.stack(states), np.stack(goals), np.asarray(actions)
         result = train_one(states, goals, actions, grid, PolicyConfig(steps=2500, seed=5))
-        logits, _ = dense_forward(result.params.net, np.concatenate([states, goals], axis=1))
+        logits, _ = dense_forward(result.net, np.concatenate([states, goals], axis=1))
         accuracy = float(np.mean(np.argmax(logits, axis=1) == actions))
         assert accuracy >= 0.99
 
@@ -208,7 +227,7 @@ class TestTrainPolicyFromArrays:
         r1 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
         r2 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
         assert r1.loss_trace == []
-        np.testing.assert_array_equal(r1.params.net.flat, r2.params.net.flat)
+        np.testing.assert_array_equal(r1.net.flat, r2.net.flat)
 
     def test_oracle_goal_rollouts_exceed_95_percent_on_default_grid(self):
         # isolates policy learning from embedding quality: one-hot target
@@ -226,16 +245,16 @@ class TestTrainPolicyFromArrays:
                 states.append(onehot)
                 goals.append(goal)
                 actions.append(int(action))
-        policy = train_one(
+        net = train_one(
             np.stack(states), np.stack(goals), np.asarray(actions), grid, PolicyConfig(steps=3000, seed=5)
-        ).params
+        ).net
         # ten episodes per task; one shared stream draws the start cells in order
         episodes = [task for task in tasks for _ in range(10)]
         goals = np.zeros((len(episodes), grid * grid))
         for i, task in enumerate(episodes):
             goals[i, task.target[0] * grid + task.target[1]] = 1.0
         rng = np.random.default_rng(3)
-        reached = rollout(episodes, [rng] * len(episodes), 2 * (grid - 1), greedy(policy, goals))
+        reached = rollout(episodes, [rng] * len(episodes), 2 * (grid - 1), greedy(net, grid, goals))
         assert reached.mean() >= 0.95
 
 
@@ -246,7 +265,7 @@ class TestTrainPolicy:
         r1 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
         r2 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
         assert r1.loss_trace == r2.loss_trace
-        np.testing.assert_array_equal(r1.params.net.flat, r2.params.net.flat)
+        np.testing.assert_array_equal(r1.net.flat, r2.net.flat)
 
     def test_text_modality_uses_template_pool(self, world):
         result = train_on_dataset(world, None, Modality.TEXT, PolicyConfig(steps=10, seed=4), TRAIN_TEMPLATE_INDICES)
@@ -255,7 +274,7 @@ class TestTrainPolicy:
     def test_expert_steps_follow_goal_bank_rows(self, world):
         # the per-trajectory loop that built the behavior-cloning rows before
         grid, dataset = world["grid"], world["dataset"]
-        _, kept = build_goal_bank(world["encoders"], None, dataset, Modality.VISUAL, seed=0)
+        _, kept = build_goal_bank(world["encoders"], dataset, Modality.VISUAL, seed=0)
         rows, cells, actions = [], [], []
         for row, i in enumerate(kept):
             traj = dataset[i][0]
@@ -269,7 +288,7 @@ class TestTrainPolicy:
 
     def test_empty_dataset_rejected(self, world):
         with pytest.raises(ParameterError):
-            training_goals([], world["encoders"], world["transform"], None, Modality.VISUAL, 0)
+            build_goal_bank(world["encoders"], [], Modality.VISUAL, 0)
         states, actions, goal_rows = expert_steps([], world["grid"])
         with pytest.raises(ParameterError):
             train_policies(states, actions, goal_rows, [np.zeros((0, 3))], world["grid"], [PolicyConfig()])
@@ -358,8 +377,8 @@ class TestTrainPolicies:
         for goal, config, result in zip(goals, configs, results):
             net, trace = reference_train_policy(states, goal[goal_rows], actions, config)
             assert result.loss_trace == trace
-            assert result.params.net.sizes == net.sizes and result.params.grid_size == grid
-            np.testing.assert_array_equal(result.params.net.flat, net.flat)
+            assert result.net.sizes == net.sizes
+            np.testing.assert_array_equal(result.net.flat, net.flat)
 
     def test_divergence_names_the_variant_and_step(self):
         states, actions, rng = bc_rows(20, 3, 1)
@@ -396,7 +415,7 @@ class TestTrainPolicies:
 def trained(world):
     corrupt = CorruptConfig(NoiseKind.COSINE, alpha=0.2, seed=1)
     config = PolicyConfig(steps=2500, seed=3)
-    return train_on_dataset(world, corrupt, Modality.VISUAL, config, TRAIN_TEMPLATE_INDICES).params
+    return train_on_dataset(world, corrupt, Modality.VISUAL, config, TRAIN_TEMPLATE_INDICES).net
 
 
 class TestEvaluatePolicy:
@@ -453,10 +472,19 @@ class TestEvaluatePolicy:
         expected = 1.0 / (world["grid"] ** 2)
         assert 0.0 < report.success_rate < 3 * expected
 
+    @pytest.mark.parametrize("modality", [Modality.TEXT, Modality.VISUAL])
+    @pytest.mark.parametrize("n_tasks, episodes", [(0, 2), (3, 0), (3, -1)])
+    def test_no_episode_rejected(self, world, trained, modality, n_tasks, episodes):
+        with pytest.raises(ParameterError, match="no episodes"):
+            evaluate_policy(
+                trained, world["tasks"][:n_tasks], modality, world["encoders"], world["transform"], episodes, 4, 0
+            )
 
-def reference_evaluate(policy, tasks, modality, encoders, transform, episodes, horizon, seed, pool=None):
+
+def reference_evaluate(net, tasks, modality, encoders, transform, episodes, horizon, seed, pool=None, offset=None):
     """Per-episode loop: goal draws, then the start cell, then one policy
-    forward per step, all from stream [seed, task index, episode]."""
+    forward per step, all from stream [seed, task index, episode]. The
+    offset moves visual goals only, before the collapse."""
     ordered = sorted(tasks, key=lambda t: t.task_id)
     per_task, goals, total = {}, [], 0
     for ti, task in enumerate(ordered):
@@ -469,7 +497,10 @@ def reference_evaluate(policy, tasks, modality, encoders, transform, episodes, h
             else:
                 options = pool if pool is not None else range(len(task.templates))
                 item = task.templates[options[int(rng.integers(len(options)))]]
-            goal = encode_goals(encoders, transform, modality, [task.task_id], [item]).values[0]
+            goal = encode_goals(encoders, modality, [task.task_id], [item])
+            if offset is not None and modality is Modality.VISUAL:
+                goal = goal.with_values(goal.values + offset)
+            goal = apply_to_bank(transform, goal).values[0]
             goal = goal / np.linalg.norm(goal)
             goals.append(goal)
             cell = (int(rng.integers(grid)), int(rng.integers(grid)))
@@ -479,7 +510,7 @@ def reference_evaluate(policy, tasks, modality, encoders, transform, episodes, h
                     break
                 onehot = np.zeros(grid * grid)
                 onehot[cell[0] * grid + cell[1]] = 1.0
-                logits, _ = dense_forward(policy.net, np.concatenate([onehot, goal])[None, :])
+                logits, _ = dense_forward(net, np.concatenate([onehot, goal])[None, :])
                 cell = step(grid, cell, Action(int(np.argmax(logits[0]))))
                 reached = cell == task.target
             wins += int(reached)
@@ -496,17 +527,19 @@ class TestLockstepRollout:
         used = []
         real_greedy = policy_module.greedy
 
-        def recording_greedy(policy, goals):
+        def recording_greedy(net, grid_size, goals):
             used.append(goals)
-            return real_greedy(policy, goals)
+            return real_greedy(net, grid_size, goals)
 
         monkeypatch.setattr(policy_module, "greedy", recording_greedy)
         args = (trained, world["tasks"], modality, world["encoders"], world["transform"], 5, 6, 31)
-        report = evaluate_policy(*args, template_pool=pool)
-        per_task, success_rate, goals = reference_evaluate(*args, pool=pool)
-        np.testing.assert_allclose(used[0], goals, rtol=0, atol=1e-12)
-        assert report.per_task == per_task
-        assert report.success_rate == success_rate
+        # without and with an injected gap, which moves visual goals only
+        for offset in (None, np.full(world["transform"].source_dim, 0.5)):
+            report = evaluate_policy(*args, template_pool=pool, visual_offset=offset)
+            per_task, success_rate, goals = reference_evaluate(*args, pool=pool, offset=offset)
+            np.testing.assert_allclose(used.pop(), goals, rtol=0, atol=1e-12)
+            assert report.per_task == per_task
+            assert report.success_rate == success_rate
 
 
 class TestChanceFloor:
@@ -541,3 +574,8 @@ class TestChanceFloor:
     def test_deterministic(self):
         tasks = generate_tasks(4, 0)
         assert chance_floor(tasks, 5, 6, seed=29) == chance_floor(tasks, 5, 6, seed=29)
+
+    @pytest.mark.parametrize("n_tasks, episodes", [(0, 2), (3, 0), (3, -1)])
+    def test_no_episode_rejected(self, n_tasks, episodes):
+        with pytest.raises(ParameterError, match="no episodes"):
+            chance_floor(generate_tasks(4, 0)[:n_tasks], episodes, 4, 0)
