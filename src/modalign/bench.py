@@ -51,7 +51,7 @@ from .trainer import Clip, TrainerConfig, TrainResult, train_encoders
 
 _STAGE_DATA = 0
 _STAGE_ENCODER = 1
-_STAGE_REFBANK = 2
+_STAGE_GOALS = 2
 _STAGE_POLICY = 3
 _STAGE_EVAL = 4
 _STAGE_EVAL_HELDOUT = 5
@@ -176,10 +176,11 @@ class BenchConfig(VariantSpec):
         ablations = tuple({key: getattr(v, key) for key in abl} for abl, v in zip(self.ablations, variants[1:]))
         object.__setattr__(self, "ablations", ablations)
         for variant in variants:
-            if variant.collapse == "delete" and variant.delete_k >= self.dim:
-                raise ParameterError(
-                    f"delete_k={variant.delete_k} would delete all of {self.dim} dimensions"
-                )
+            width = self.dim - (variant.delete_k if variant.collapse == "delete" else 0)
+            if width < 1:
+                raise ParameterError(f"delete_k={variant.delete_k} would delete all of {self.dim} dimensions")
+            if width < 2 and variant.corrupt_kind == "cosine":
+                raise ParameterError(f"cosine corruption needs a goal width of at least 2, got {width}")
 
     def base_variant(self) -> VariantSpec:
         return VariantSpec(**{f.name: getattr(self, f.name) for f in fields(VariantSpec)})
@@ -368,36 +369,36 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
     for seed in config.seeds:
         dataset, _, trained = train_seed_encoders(config, tasks, seed)
         encoders, at_seed = trained.params, f" (seed {seed})"
-        # Reference banks do not depend on the variant: unit visual goals
-        # once per seed, each variant adding its own injected gap.
+        # Every stream is keyed by (seed, stage), never by the variant: the
+        # variants of a seed share every draw but the fields their ablation sets.
         unit_v, _ = _stage(
             "reference_banks", build_goal_bank, encoders, dataset, Modality.VISUAL,
-            subseed(seed, _STAGE_REFBANK), where=at_seed,
+            subseed(seed, _STAGE_GOALS), where=at_seed,
         )
         ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks, where=at_seed)
+        unit_train, _ = _stage(
+            "training_goals", build_goal_bank, encoders, dataset, train_modality,
+            subseed(seed, _STAGE_GOALS), TRAIN_TEMPLATE_INDICES, where=at_seed,
+        )
         # Stage-major: every variant's collapse fit and training goals, then
         # all of the seed's policies in one lockstep training, then evaluation.
         at = [f" (seed {seed}, variant {vi})" for vi in range(len(variants))]
         offsets = [gap_direction * v.injected_gap_norm if v.injected_gap_norm > 0.0 else None for v in variants]
-        policy_configs = [config.policy_config(subseed(seed, _STAGE_POLICY, vi)) for vi in range(len(variants))]
         transforms, goals = [], []
         for vi, (variant, offset) in enumerate(zip(variants, offsets)):
             ref_v = variant_goals(unit_v, None, offset)
             transforms.append(_stage("fit_collapse", _fit_transform, variant, ref_v, ref_l, where=at[vi]))
-            unit_train, _ = _stage(
-                "training_goals", build_goal_bank, encoders, dataset, train_modality,
-                policy_configs[vi].seed, TRAIN_TEMPLATE_INDICES, where=at[vi],
-            )
             goals.append(_stage(
                 "training_goals", training_goals, variant_goals(unit_train, transforms[vi], offset),
-                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT, vi)), where=at[vi],
+                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT)), where=at[vi],
             ))
         # The policy stage sets the run's peak memory: it runs without the
         # dataset, and evaluation without the goals, rows and loss traces.
         bc_rows = expert_steps(dataset, config.grid_size)
         del dataset
         policies = [result.net for result in _stage(
-            "train_policy", train_policies, *bc_rows, goals, config.grid_size, policy_configs, where=at_seed,
+            "train_policy", train_policies, *bc_rows, goals, config.grid_size,
+            config.policy_config(subseed(seed, _STAGE_POLICY)), where=at_seed,
         )]
         del bc_rows, goals
         for vi, (variant, policy, transform, offset) in enumerate(zip(variants, policies, transforms, offsets)):
@@ -406,7 +407,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
                 tag = _STAGE_EVAL_HELDOUT if eval_name == "text_heldout" else _STAGE_EVAL
                 result = _stage(
                     "evaluate_policy", evaluate_policy, policy, tasks, eval_modality, encoders, transform,
-                    config.episodes_per_task, config.horizon, subseed(seed, tag, vi), pool, offset, where=at[vi],
+                    config.episodes_per_task, config.horizon, subseed(seed, tag), pool, offset, where=at[vi],
                 )
                 per_task = np.array(list(result.per_task.values()))
                 row = BenchRow(

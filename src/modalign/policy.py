@@ -9,7 +9,7 @@ collapsed goals at evaluation time get the same treatment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -146,62 +146,61 @@ def train_policies(
     goal_rows: np.ndarray,
     goals: Sequence[np.ndarray],
     grid_size: int,
-    configs: Sequence[PolicyConfig],
+    config: PolicyConfig,
 ) -> list[PolicyResult]:
-    """Cross-entropy behavior cloning of one policy per (goals[v],
-    configs[v]): expert row i pairs states[i] and goals[v][goal_rows[i]]
-    with actions[i]. Goals are used as given. Results come in input order.
+    """Cross-entropy behavior cloning of one policy per goals[v], all under
+    config: expert row i pairs states[i] and goals[v][goal_rows[i]] with
+    actions[i]. Goals are used as given. Results come in input order.
 
-    Policies of equal goal width and config but seed train in lockstep as
-    one stacked net. Each keeps its own default_rng(seed) stream, and the
-    stacked matmuls run one gemm per policy, so each result is bit-identical
-    to training that policy alone.
+    Policies of equal goal width train in lockstep as one stacked net on one
+    default_rng(config.seed) stream: one init draw and one batch of rows per
+    step serve them all, and the stacked matmuls run one gemm per policy, so
+    each result is bit-identical to training that policy alone.
     """
     states = np.asarray(states, dtype=np.float64)
     actions, goal_rows = np.asarray(actions), np.asarray(goal_rows)
     goals = [np.asarray(g, dtype=np.float64) for g in goals]
     if states.ndim != 2 or states.shape[1] != grid_size * grid_size:
         raise DimensionError(f"states {states.shape} are not one-hot cells of a {grid_size} grid")
-    if len(goals) != len(configs) or any(g.ndim != 2 for g in goals):
-        raise DimensionError(f"goals {[g.shape for g in goals]} are not one matrix per config")
-    rows_bound = min(map(len, goals), default=0)
-    for name, values, bound in (("actions", actions, len(Action)), ("goal_rows", goal_rows, rows_bound)):
+    if len({g.shape[:1] for g in goals}) != 1 or any(g.ndim != 2 for g in goals):
+        raise DimensionError(f"goals {[g.shape for g in goals]} are not matrices of one row count")
+    for name, values, bound in (("actions", actions, len(Action)), ("goal_rows", goal_rows, len(goals[0]))):
         if values.shape != (len(states),):
             raise DimensionError(f"{name} shape {values.shape} does not match {len(states)} rows")
         if values.dtype.kind not in "iu" or not np.all((values >= 0) & (values < bound)):
             raise ParameterError(f"{name} must be integers in [0, {bound})")
     if len(states) == 0:
         raise ParameterError("behavior cloning needs at least one example")
-    groups: dict[tuple, list[int]] = {}
-    for v, (g, config) in enumerate(zip(goals, configs)):
-        groups.setdefault((g.shape[1], replace(config, seed=0)), []).append(v)
-    trained: list = [None] * len(configs)
+    groups: dict[int, list[int]] = {}
+    for v, g in enumerate(goals):
+        groups.setdefault(g.shape[1], []).append(v)
+    trained: list = [None] * len(goals)
     for members in groups.values():
-        for v, result in zip(members, _train_lockstep(states, actions, goal_rows, goals, configs, members)):
+        stacked = np.stack([goals[v] for v in members])
+        for v, result in zip(members, _train_lockstep(states, actions, goal_rows, stacked, config, members)):
             trained[v] = result
     # Python-float traces take four times the memory of the arrays: build them after all the training.
     return [PolicyResult(net, trace.tolist()) for net, trace in trained]
 
 
-def _train_lockstep(states, actions, goal_rows, goals, configs, members):
-    """(net, loss trace array) of each policy in members, all of one goal
-    width and config but seed: the rows of one stacked (V, P) net. Each step
-    gathers its (V, B, in) batch into one buffer; inputs are never stacked."""
-    config, rngs = configs[members[0]], [np.random.default_rng(configs[v].seed) for v in members]
+def _train_lockstep(states, actions, goal_rows, goals, config, members):
+    """(net, loss trace array) of each policy in members, whose (V, rows,
+    width) goals are stacked: the rows of one stacked (V, P) net. Each step
+    gathers its (V, B, in) batch into one buffer; states are never stacked."""
+    rng = np.random.default_rng(config.seed)
     n, width = states.shape
     size = min(config.batch_size, n)
-    x = np.empty((len(members), size, width + goals[members[0]].shape[1]))
+    x = np.empty((len(members), size, width + goals.shape[2]))
     sizes = [x.shape[2], *config.hidden, len(Action)]
-    net = DenseParams(sizes, np.stack([init_dense(sizes, rng).flat for rng in rngs]))
+    net = DenseParams(sizes, np.tile(init_dense(sizes, rng).flat, (len(members), 1)))
     optimizer = MomentumState(net.flat, config.learning_rate, config.momentum)
     traces = np.empty((config.steps, len(members)))
     lanes = np.arange(len(members))[:, None], np.arange(size)
     for step_idx in range(config.steps):
-        batch = np.stack([rng.integers(0, n, size=size) for rng in rngs])
+        batch = rng.integers(0, n, size=size)
+        x[..., :width] = states[batch]
         # mode="clip" writes straight into the buffer; every index is in range
-        np.take(states, batch, axis=0, out=x[..., :width], mode="clip")
-        for v, lane, rows in zip(members, x, goal_rows[batch]):
-            np.take(goals[v], rows, axis=0, out=lane[:, width:], mode="clip")
+        np.take(goals, goal_rows[batch], axis=1, out=x[..., width:], mode="clip")
         logits, cache = dense_forward(net, x)
         logits -= logits.max(axis=2, keepdims=True)
         probs = np.exp(logits, out=logits)

@@ -17,6 +17,7 @@ from modalign.bench import (
 )
 from modalign.cli import main
 from modalign.fileio import json_text
+from modalign.gridworld import HELDOUT_TEMPLATE_INDICES
 
 
 def tiny_config(**overrides):
@@ -119,9 +120,22 @@ class TestBenchConfig:
         ],
     )
     def test_bench_rule_boundary_names_its_field(self, field, inside, outside):
-        assert getattr(tiny_config(**{field: inside}), field) == inside
+        # without corruption, since cosine corruption also needs dim >= 2
+        assert getattr(tiny_config(corrupt_kind="none", **{field: inside}), field) == inside
         with pytest.raises(ParameterError, match=f"^{field} must be "):
-            tiny_config(**{field: outside})
+            tiny_config(corrupt_kind="none", **{field: outside})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"dim": 1}, {"collapse": "delete", "delete_k": 7}, {"ablations": ({"collapse": "delete", "delete_k": 7},)}],
+        ids=["dim-1", "delete-to-1", "ablation-deletes-to-1"],
+    )
+    def test_cosine_corruption_needs_a_goal_width_of_two(self, fields):
+        # dim is 8, so delete_k=7 leaves one dimension; cosine noise needs an orthogonal one
+        with pytest.raises(ParameterError, match="^cosine corruption needs a goal width of at least 2, got 1$"):
+            tiny_config(**fields)
+        for kind in ("gaussian", "none"):
+            tiny_config(corrupt_kind=kind, **fields)
 
     def test_numpy_integer_delete_k_fits_its_delete_transform(self):
         cfg = BenchConfig(collapse="delete", delete_k=np.int64(2))
@@ -302,6 +316,57 @@ class TestRunTransferExperiment:
         run_transfer_experiment(tiny_config()).write_csv(p1)
         run_transfer_experiment(tiny_config()).write_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestStageStreams:
+    def test_every_stage_has_its_own_stream_and_every_variant_shares_it(self, monkeypatch):
+        import modalign.bench as bench_module
+
+        streams: dict[str, list[int]] = {}
+
+        def record(name, stage_and_seed):
+            real = getattr(bench_module, name)
+
+            def recording(*args):
+                stage, seed = stage_and_seed(*args)
+                streams.setdefault(stage, []).append(seed)
+                return real(*args)
+
+            monkeypatch.setattr(bench_module, name, recording)
+
+        record("build_dataset", lambda tasks, demos, seed: ("dataset", seed))
+        record("train_encoders", lambda clips, config: ("encoder", config.seed))
+        record("build_goal_bank", lambda encoders, dataset, modality, seed, *pool: (f"goals_{modality.value}", seed))
+        record("train_policies", lambda *args: ("policy", args[5].seed))
+        record("training_goals", lambda goals, corrupt: ("corrupt", corrupt.seed))
+        record("evaluate_policy", lambda *args: ("eval_heldout" if args[8] == HELDOUT_TEMPLATE_INDICES else "eval", args[7]))
+        ablations = ({"alpha": 0.5}, {"collapse": "delete"}, {"corrupt_kind": "gaussian", "injected_gap_norm": 1.0})
+        run_transfer_experiment(tiny_config(
+            seeds=(4,), train_modality="text", encoder_steps=20, policy_steps=20, ablations=ablations,
+        ))
+        counts = {stage: len(seeds) for stage, seeds in streams.items()}
+        assert counts == {
+            "dataset": 1, "encoder": 1, "goals_visual": 1, "goals_text": 1, "policy": 1,
+            "corrupt": 4, "eval": 8, "eval_heldout": 4,
+        }
+        # every variant draws from the same stream per stage
+        seed_of = {stage: set(seeds) for stage, seeds in streams.items()}
+        assert all(len(seeds) == 1 for seeds in seed_of.values()), seed_of
+        seed_of = {stage: seeds.pop() for stage, seeds in seed_of.items()}
+        # the visual reference bank draws nothing from the goals stream the text templates use
+        assert seed_of.pop("goals_visual") == seed_of["goals_text"]
+        # and no two stages share a stream: the templates are not the policy's init and batches
+        assert seed_of["goals_text"] != seed_of["policy"]
+        assert len(set(seed_of.values())) == len(seed_of) == 7
+
+    @pytest.mark.parametrize("train_modality", ["visual", "text"])
+    def test_a_variant_that_repeats_the_base_reports_the_same_success(self, train_modality):
+        report = run_transfer_experiment(tiny_config(
+            train_modality=train_modality, encoder_steps=60, policy_steps=60, ablations=({"alpha": 0.2},),
+        ))
+        base, again = report.rows[:3], report.rows[3:]
+        assert [r.eval_modality for r in base] == [r.eval_modality for r in again] == ["visual", "text", "text_heldout"]
+        assert [r.success_mean for r in base] == [r.success_mean for r in again]
 
 
 class TestAblations:

@@ -600,6 +600,7 @@ class TestBench:
         [
             ["--ablate", "alpha=2"],
             ["--ablate", "corrupt=gaussian:-1"],
+            ["--ablate", "collapse=delete,delete_k=7"],  # leaves one of 8 dimensions for cosine noise
             ["--seeds", "a,b"],
             ["--seeds", "2.7"],
             ["--seeds", "0,0"],
