@@ -57,6 +57,7 @@ from .policy import (
     PolicyConfig,
     chance_floor,
     encode_goals,
+    eval_episodes,
     evaluate_policy,
     expert_steps,
     train_policies,

@@ -41,6 +41,7 @@ from .policy import (
     build_goal_bank,
     chance_floor,
     encode_goals,
+    eval_episodes,
     evaluate_policy,
     expert_steps,
     train_policies,
@@ -346,11 +347,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
     across seeds per (variant, eval modality)."""
     tasks = _stage("generate_tasks", generate_tasks, config.grid_size, config.world_seed)
     floor = _stage(
-        "chance_floor",
-        chance_floor,
-        tasks,
-        config.episodes_per_task,
-        config.horizon,
+        "chance_floor", chance_floor, tasks, config.episodes_per_task, config.horizon,
         subseed(config.world_seed, _CHANCE_TAG),
     )
     gap_rng = np.random.default_rng(subseed(config.world_seed, _GAP_TAG))
@@ -360,11 +357,9 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
     variants = config.variants()
     report = TransferReport(config=config.to_dict(), chance_floor=floor)
     cells: dict[tuple[int, str], list[BenchRow]] = {}
-    evals: list[tuple[str, Sequence[int] | None]] = [
-        (m, TRAIN_TEMPLATE_INDICES if m == "text" else None) for m in config.eval_modalities
-    ]
+    evals = [(m, TRAIN_TEMPLATE_INDICES if m == "text" else None, _STAGE_EVAL) for m in config.eval_modalities]
     if config.eval_heldout_text and "text" in config.eval_modalities:
-        evals.append(("text_heldout", HELDOUT_TEMPLATE_INDICES))
+        evals.append(("text_heldout", HELDOUT_TEMPLATE_INDICES, _STAGE_EVAL_HELDOUT))
 
     for seed in config.seeds:
         dataset, _, trained = train_seed_encoders(config, tasks, seed)
@@ -401,13 +396,15 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
             config.policy_config(subseed(seed, _STAGE_POLICY)), where=at_seed,
         )]
         del bc_rows, goals
+        # Each evaluation's episodes and goals are built once, for every variant.
+        episodes = [_stage(
+            "eval_episodes", eval_episodes, tasks, Modality(name.removesuffix("_heldout")), encoders,
+            config.episodes_per_task, subseed(seed, tag), pool, where=at_seed,
+        ) for name, pool, tag in evals]
         for vi, (variant, policy, transform, offset) in enumerate(zip(variants, policies, transforms, offsets)):
-            for eval_name, pool in evals:
-                eval_modality = Modality.TEXT if eval_name.startswith("text") else Modality.VISUAL
-                tag = _STAGE_EVAL_HELDOUT if eval_name == "text_heldout" else _STAGE_EVAL
+            for (eval_name, *_), shared in zip(evals, episodes):
                 result = _stage(
-                    "evaluate_policy", evaluate_policy, policy, tasks, eval_modality, encoders, transform,
-                    config.episodes_per_task, config.horizon, subseed(seed, tag), pool, offset, where=at[vi],
+                    "evaluate_policy", evaluate_policy, policy, shared, config.horizon, transform, offset, where=at[vi]
                 )
                 per_task = np.array(list(result.per_task.values()))
                 row = BenchRow(

@@ -229,17 +229,13 @@ def greedy(net: DenseParams, grid_size: int, goals: np.ndarray):
     return choose
 
 
-def rollout(tasks: Sequence[GridTask], streams, horizon: int, choose) -> np.ndarray:
-    """Lockstep episodes, episode i on tasks[i] with stream streams[i], which
-    draws its start cell here (after any goal draws of the caller). Every
-    time step makes one choose(active, cells) call for the episodes not yet
-    on their target. Returns which episodes reach it by the horizon."""
+def rollout(tasks: Sequence[GridTask], starts: np.ndarray, horizon: int, choose) -> np.ndarray:
+    """Lockstep episodes, episode i on tasks[i] from start cell starts[i] (left
+    as given). Every time step makes one choose(active, cells) call for the
+    episodes not yet on their target. Returns which reach it by the horizon."""
     grids = np.array([task.grid_size for task in tasks], dtype=np.intp)
     targets = np.array([task.target for task in tasks], dtype=np.intp).reshape(-1, 2)
-    cells = np.array(
-        [(rng.integers(t.grid_size), rng.integers(t.grid_size)) for rng, t in zip(streams, tasks)],
-        dtype=np.intp,
-    ).reshape(-1, 2)
+    cells = np.array(starts, dtype=np.intp).reshape(-1, 2)  # a copy: the episodes move it in place
     reached = np.all(cells == targets, axis=1)
     for _ in range(horizon):
         active = np.flatnonzero(~reached)
@@ -261,6 +257,12 @@ def _episodes(tasks: Sequence[GridTask], episodes_per_task: int, seed: int):
     return ordered, [ordered[ti] for ti, _ in pairs], streams
 
 
+def _start_cells(episodes: Sequence[GridTask], streams) -> np.ndarray:
+    """(n, 2) start cells: episode i draws its row, then its column, from streams[i]."""
+    cells = [(rng.integers(t.grid_size), rng.integers(t.grid_size)) for rng, t in zip(streams, episodes)]
+    return np.array(cells, dtype=np.intp)
+
+
 def _prompt(task: GridTask, rng: np.random.Generator) -> Trajectory:
     """A fresh demonstration from a random start off the target."""
     while True:
@@ -269,45 +271,45 @@ def _prompt(task: GridTask, rng: np.random.Generator) -> Trajectory:
             return expert_trajectory(task, start, int(rng.integers(0, 2**63 - 1)))
 
 
-def evaluate_policy(
-    net: DenseParams,
-    tasks: Sequence[GridTask],
-    eval_modality: Modality,
-    encoders: EncoderParams,
-    transform: CollapseTransform | None,
-    episodes_per_task: int,
-    horizon: int,
-    seed: int,
-    template_pool: Sequence[int] | None = None,
-    visual_offset: np.ndarray | None = None,
-) -> EvalReport:
-    """Greedy rollouts from seeded random starts; success means the agent
-    sits on the target at or before the horizon.
-
-    Evaluation goals are variant_goals, never corrupted. Visual goals come
-    from a fresh prompt demonstration per episode (its own start cell and
-    distractors), so they never match the rollout's own observations.
-    """
+def eval_episodes(
+    tasks: Sequence[GridTask], eval_modality: Modality, encoders: EncoderParams, episodes_per_task: int,
+    seed: int, template_pool: Sequence[int] | None = None,
+):
+    """What every variant's evaluation shares: tasks sorted by id, each
+    episode's task, unit goal bank row and start cell. Episode i draws its
+    goal, then its start cell, from stream default_rng([seed, task index,
+    episode]). A visual goal is a fresh prompt demonstration (its own start cell
+    and distractors), so it never matches the rollout's own observations."""
     ordered, episodes, streams = _episodes(tasks, episodes_per_task, seed)
     if eval_modality is Modality.VISUAL:
         items = [_prompt(task, rng) for task, rng in zip(episodes, streams)]
     else:
         items = [_draw_template(task, template_pool, rng) for task, rng in zip(episodes, streams)]
-    ids = [task.task_id for task in episodes]
-    goals = variant_goals(encode_goals(encoders, eval_modality, ids, items), transform, visual_offset)
+    goals = encode_goals(encoders, eval_modality, [task.task_id for task in episodes], items)
+    return ordered, episodes, goals, _start_cells(episodes, streams)
+
+
+def evaluate_policy(
+    net: DenseParams, episodes, horizon: int, transform: CollapseTransform | None = None,
+    visual_offset: np.ndarray | None = None,
+) -> EvalReport:
+    """Greedy rollouts of net on eval_episodes' episodes, which it leaves as
+    they are; success means the agent sits on the target at or before the
+    horizon. Goals are variant_goals of the episodes' goals, never corrupted."""
+    ordered, episode_tasks, goals, starts = episodes
+    goals = variant_goals(goals, transform, visual_offset)
     choose = greedy(net, ordered[0].grid_size, unit_rows(goals.values, "goal"))
-    reached = rollout(episodes, streams, horizon, choose)
-    wins = reached.reshape(len(ordered), episodes_per_task).sum(axis=1)
+    reached = rollout(episode_tasks, starts, horizon, choose)
+    per_task = reached.size // len(ordered)
+    wins = reached.reshape(len(ordered), per_task).sum(axis=1)
     return EvalReport(
         success_rate=int(reached.sum()) / reached.size,
-        per_task={task.task_id: int(w) / episodes_per_task for task, w in zip(ordered, wins)},
-        episodes_per_task=episodes_per_task,
+        per_task={task.task_id: int(w) / per_task for task, w in zip(ordered, wins)},
+        episodes_per_task=per_task,
     )
 
 
-def chance_floor(
-    tasks: Sequence[GridTask], episodes_per_task: int, horizon: int, seed: int
-) -> float:
+def chance_floor(tasks: Sequence[GridTask], episodes_per_task: int, horizon: int, seed: int) -> float:
     """Success rate of a uniformly random policy under the same protocol:
     each active episode draws its action from its own stream every step."""
     _, episodes, streams = _episodes(tasks, episodes_per_task, seed)
@@ -315,5 +317,5 @@ def chance_floor(
     def uniform(active: np.ndarray, cells: np.ndarray) -> np.ndarray:
         return np.array([streams[i].integers(len(Action)) for i in active], dtype=np.intp)
 
-    reached = rollout(episodes, streams, horizon, uniform)
+    reached = rollout(episodes, _start_cells(episodes, streams), horizon, uniform)
     return int(reached.sum()) / reached.size

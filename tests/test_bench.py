@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -339,7 +339,7 @@ class TestStageStreams:
         record("build_goal_bank", lambda encoders, dataset, modality, seed, *pool: (f"goals_{modality.value}", seed))
         record("train_policies", lambda *args: ("policy", args[5].seed))
         record("training_goals", lambda goals, corrupt: ("corrupt", corrupt.seed))
-        record("evaluate_policy", lambda *args: ("eval_heldout" if args[8] == HELDOUT_TEMPLATE_INDICES else "eval", args[7]))
+        record("eval_episodes", lambda *args: ("eval_heldout" if args[5] == HELDOUT_TEMPLATE_INDICES else "eval", args[4]))
         ablations = ({"alpha": 0.5}, {"collapse": "delete"}, {"corrupt_kind": "gaussian", "injected_gap_norm": 1.0})
         run_transfer_experiment(tiny_config(
             seeds=(4,), train_modality="text", encoder_steps=20, policy_steps=20, ablations=ablations,
@@ -347,7 +347,7 @@ class TestStageStreams:
         counts = {stage: len(seeds) for stage, seeds in streams.items()}
         assert counts == {
             "dataset": 1, "encoder": 1, "goals_visual": 1, "goals_text": 1, "policy": 1,
-            "corrupt": 4, "eval": 8, "eval_heldout": 4,
+            "corrupt": 4, "eval": 2, "eval_heldout": 1,
         }
         # every variant draws from the same stream per stage
         seed_of = {stage: set(seeds) for stage, seeds in streams.items()}
@@ -367,6 +367,54 @@ class TestStageStreams:
         base, again = report.rows[:3], report.rows[3:]
         assert [r.eval_modality for r in base] == [r.eval_modality for r in again] == ["visual", "text", "text_heldout"]
         assert [r.success_mean for r in base] == [r.success_mean for r in again]
+
+
+LOCALITY_ABLATIONS = ({"alpha": 0.5}, {"collapse": "delete"}, {"corrupt_kind": "gaussian", "injected_gap_norm": 1.0})
+
+
+def rows_by_cell(report):
+    """Every row keyed by its seed, variant and eval modality."""
+    values = ("success_mean", "success_std", "chance_floor")
+    return {tuple(v for k, v in asdict(row).items() if k not in values): asdict(row) for row in report.rows}
+
+
+@pytest.fixture(scope="module", params=["visual", "text"])
+def locality_run(request):
+    """A tiny config of each train modality and its rows over seeds 0, 1 and 2."""
+
+    def config(**overrides):
+        return tiny_config(
+            train_modality=request.param, encoder_steps=60, policy_steps=60,
+            **{"ablations": LOCALITY_ABLATIONS, **overrides},
+        )
+
+    return config, rows_by_cell(run_transfer_experiment(config(seeds=(0, 1, 2))))
+
+
+class TestLocality:
+    """A row depends on the world settings, its seed and its variant only:
+    not on the run's other seeds and variants or their order."""
+
+    def test_variant_rows_do_not_depend_on_the_other_variants(self, locality_run):
+        config, together = locality_run
+        gaussian = LOCALITY_ABLATIONS[2]
+        subset = config(seeds=(0,), ablations=(gaussian, LOCALITY_ABLATIONS[0]))
+        # the delete variant as the base, and the base as an ablation
+        rebased = config(
+            seeds=(0,), collapse="delete",
+            ablations=({"collapse": "centralize"}, {**gaussian, "collapse": "centralize"}),
+        )
+        for cfg in (subset, rebased):
+            rows = rows_by_cell(run_transfer_experiment(cfg))
+            assert len(rows) == 9 and rows.keys() < together.keys()
+            assert rows == {cell: together[cell] for cell in rows}
+
+    def test_seed_rows_do_not_depend_on_the_other_seeds(self, locality_run):
+        config, together = locality_run
+        alone = {}
+        for seed in (0, 1, 2):
+            alone.update(rows_by_cell(run_transfer_experiment(config(seeds=(seed,)))))
+        assert alone == together
 
 
 class TestAblations:

@@ -16,6 +16,7 @@ from modalign import (
     build_vocab,
     chance_floor,
     encode_goals,
+    eval_episodes,
     evaluate_policy,
     expert_steps,
     expert_trajectory,
@@ -254,7 +255,8 @@ class TestTrainPolicyFromArrays:
         for i, task in enumerate(episodes):
             goals[i, task.target[0] * grid + task.target[1]] = 1.0
         rng = np.random.default_rng(3)
-        reached = rollout(episodes, [rng] * len(episodes), 2 * (grid - 1), greedy(net, grid, goals))
+        starts = [(rng.integers(grid), rng.integers(grid)) for _ in episodes]
+        reached = rollout(episodes, starts, 2 * (grid - 1), greedy(net, grid, goals))
         assert reached.mean() >= 0.95
 
 
@@ -426,54 +428,50 @@ def trained(world):
 class TestEvaluatePolicy:
 
     def test_deterministic_repeat(self, world, trained):
-        kwargs = dict(
-            tasks=world["tasks"],
-            eval_modality=Modality.TEXT,
-            encoders=world["encoders"],
-            transform=world["transform"],
-            episodes_per_task=4,
-            horizon=6,
-            seed=11,
-            template_pool=TRAIN_TEMPLATE_INDICES,
+        r1, r2 = (
+            evaluate_policy(
+                trained, eval_episodes(world["tasks"], Modality.TEXT, world["encoders"], 4, 11, TRAIN_TEMPLATE_INDICES),
+                6, world["transform"],
+            )
+            for _ in range(2)
         )
-        r1 = evaluate_policy(trained, **kwargs)
-        r2 = evaluate_policy(trained, **kwargs)
         assert r1.success_rate == r2.success_rate
         assert r1.per_task == r2.per_task
+
+    @pytest.mark.parametrize("modality, pool", [(Modality.VISUAL, None), (Modality.TEXT, TRAIN_TEMPLATE_INDICES)])
+    def test_leaves_the_shared_episodes_as_they_are(self, world, trained, modality, pool):
+        # every variant of a bench seed rolls out from one eval_episodes result
+        episodes = eval_episodes(world["tasks"], modality, world["encoders"], 5, seed=37, template_pool=pool)
+        _, episode_tasks, goals, starts = episodes
+        before = (list(episode_tasks), goals.values.copy(), starts.copy())
+        other = init_dense([world["grid"] ** 2 + goals.dim, 8, len(Action)], np.random.default_rng(4))
+        first = evaluate_policy(trained, episodes, 6, world["transform"])
+        evaluate_policy(other, episodes, 6, None, np.full(goals.dim, 0.5))
+        assert evaluate_policy(trained, episodes, 6, world["transform"]) == first
+        assert episode_tasks == before[0]
+        np.testing.assert_array_equal(goals.values, before[1])
+        np.testing.assert_array_equal(starts, before[2])
 
     def test_beats_chance_on_both_modalities(self, world, trained):
         floor = chance_floor(world["tasks"], 6, 6, seed=13)
         for modality, pool in ((Modality.VISUAL, None), (Modality.TEXT, TRAIN_TEMPLATE_INDICES)):
-            report = evaluate_policy(
-                trained,
-                world["tasks"],
-                modality,
-                world["encoders"],
-                world["transform"],
-                6,
-                6,
-                seed=13,
-                template_pool=pool,
-            )
+            episodes = eval_episodes(world["tasks"], modality, world["encoders"], 6, seed=13, template_pool=pool)
+            report = evaluate_policy(trained, episodes, 6, world["transform"])
             assert report.success_rate > floor + 0.2
 
     def test_heldout_templates_close_to_seen(self, world, trained):
-        seen = evaluate_policy(
-            trained, world["tasks"], Modality.TEXT, world["encoders"], world["transform"],
-            6, 6, seed=17, template_pool=TRAIN_TEMPLATE_INDICES,
-        )
-        heldout = evaluate_policy(
-            trained, world["tasks"], Modality.TEXT, world["encoders"], world["transform"],
-            6, 6, seed=17, template_pool=HELDOUT_TEMPLATE_INDICES,
-        )
-        assert abs(seen.success_rate - heldout.success_rate) <= 0.15
+        rates = []
+        for pool in (TRAIN_TEMPLATE_INDICES, HELDOUT_TEMPLATE_INDICES):
+            episodes = eval_episodes(world["tasks"], Modality.TEXT, world["encoders"], 6, seed=17, template_pool=pool)
+            rates.append(evaluate_policy(trained, episodes, 6, world["transform"]).success_rate)
+        assert abs(rates[0] - rates[1]) <= 0.15
 
     def test_horizon_zero_start_on_target(self, world, trained):
         # with horizon 0 the only successes are episodes starting on target
-        report = evaluate_policy(
-            trained, world["tasks"], Modality.TEXT, world["encoders"], world["transform"],
-            episodes_per_task=50, horizon=0, seed=19, template_pool=TRAIN_TEMPLATE_INDICES,
+        episodes = eval_episodes(
+            world["tasks"], Modality.TEXT, world["encoders"], 50, seed=19, template_pool=TRAIN_TEMPLATE_INDICES
         )
+        report = evaluate_policy(trained, episodes, 0, world["transform"])
         expected = 1.0 / (world["grid"] ** 2)
         assert 0.0 < report.success_rate < 3 * expected
 
@@ -482,7 +480,8 @@ class TestEvaluatePolicy:
     def test_no_episode_rejected(self, world, trained, modality, n_tasks, episodes):
         with pytest.raises(ParameterError, match="no episodes"):
             evaluate_policy(
-                trained, world["tasks"][:n_tasks], modality, world["encoders"], world["transform"], episodes, 4, 0
+                trained, eval_episodes(world["tasks"][:n_tasks], modality, world["encoders"], episodes, 0), 4,
+                world["transform"],
             )
 
 
@@ -538,9 +537,10 @@ class TestLockstepRollout:
 
         monkeypatch.setattr(policy_module, "greedy", recording_greedy)
         args = (trained, world["tasks"], modality, world["encoders"], world["transform"], 5, 6, 31)
+        episodes = eval_episodes(world["tasks"], modality, world["encoders"], 5, 31, pool)
         # without and with an injected gap, which moves visual goals only
         for offset in (None, np.full(world["transform"].source_dim, 0.5)):
-            report = evaluate_policy(*args, template_pool=pool, visual_offset=offset)
+            report = evaluate_policy(trained, episodes, 6, world["transform"], offset)
             per_task, success_rate, goals = reference_evaluate(*args, pool=pool, offset=offset)
             np.testing.assert_allclose(used.pop(), goals, rtol=0, atol=1e-12)
             assert report.per_task == per_task
