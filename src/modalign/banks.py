@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateVectorError, DimensionError, FormatError, ParameterError, is_integer
+from .errors import DegenerateVectorError, DimensionError, FormatError, ParameterError
 from .fileio import float32_bytes, float32_values, json_int, read_bytes, read_json, write_atomic
 
 BINARY_MAGIC = b"EBNK"
@@ -36,33 +36,28 @@ class BankFormat(Enum):
 
 @dataclass(frozen=True)
 class EmbeddingBank:
-    """N same-dimension embeddings of one modality, each labelled by a task id.
+    """N embeddings of one modality, each labelled by a task id; the bank's
+    dim is the width of its (N, dim) values.
 
     Task ids need not be unique (several goals may share a task) but must
     be non-empty strings.
     """
 
     modality: Modality
-    dim: int
     task_ids: tuple[str, ...]
     values: np.ndarray  # (N, dim)
 
     def __post_init__(self):
         if not isinstance(self.modality, Modality):
             raise ParameterError(f"modality must be a Modality, got {self.modality!r}")
-        if not is_integer(self.dim) or self.dim < 1:
-            raise DimensionError(f"bank dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
         ids = tuple(self.task_ids)
         for i, tid in enumerate(ids):
             if not isinstance(tid, str) or not tid:
                 raise ParameterError(f"row {i}: task_id must be a non-empty string")
         object.__setattr__(self, "task_ids", ids)
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape != (len(ids), self.dim):
-            raise DimensionError(
-                f"values shape {vals.shape} does not match {len(ids)} rows of dim {self.dim}"
-            )
+        if vals.ndim != 2 or vals.shape[0] != len(ids) or vals.shape[1] < 1:
+            raise DimensionError(f"values shape {vals.shape} is not {len(ids)} rows of at least one column")
         if not np.all(np.isfinite(vals)):
             raise ParameterError("bank entries must be finite")
         vals.setflags(write=False)
@@ -72,15 +67,13 @@ class EmbeddingBank:
     def n(self) -> int:
         return len(self.task_ids)
 
-    def task_set(self) -> set[str]:
-        return set(self.task_ids)
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
 
-    def with_values(self, values: np.ndarray, dim: int | None = None) -> "EmbeddingBank":
+    def with_values(self, values: np.ndarray) -> "EmbeddingBank":
         """Same task ids and modality over a replacement value matrix."""
-        values = np.asarray(values, dtype=np.float64)
-        if dim is None:
-            dim = int(values.shape[1]) if values.ndim == 2 else self.dim
-        return EmbeddingBank(self.modality, dim, self.task_ids, values)
+        return EmbeddingBank(self.modality, self.task_ids, values)
 
 
 def row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -91,12 +84,17 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
 
 def unit_rows(matrix: np.ndarray, what: str = "row", floor: float = 0.0) -> np.ndarray:
     """Scale every row of a matrix to unit length; a row whose norm is at
-    most floor has no direction and raises DegenerateVectorError. The norm is
+    most floor has no direction and raises DegenerateVectorError, and one
+    whose norm overflows (or is NaN) raises ParameterError. The norm is
     np.linalg.norm(axis=1), whose bits every goal and retrieval bank keeps."""
-    norms = np.linalg.norm(matrix, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        norms = np.linalg.norm(matrix, axis=1)
     zero = np.flatnonzero(norms <= floor)
     if zero.size:
         raise DegenerateVectorError(f"{what} {int(zero[0])} is a zero vector")
+    huge = np.flatnonzero(~np.isfinite(norms))
+    if huge.size:
+        raise ParameterError(f"{what} {int(huge[0])} has no finite norm")
     return matrix / norms[:, None]
 
 
@@ -127,16 +125,13 @@ def save_bank(bank: EmbeddingBank, path, format: BankFormat) -> None:
     write_atomic(path, payload)
 
 
-def load_bank(path, format: BankFormat | None = None) -> EmbeddingBank:
-    """Read a bank from disk; format is sniffed from the file when omitted."""
+def load_bank(path) -> EmbeddingBank:
+    """Read a bank from disk: a file that starts with the binary magic is a
+    binary bank, and any other file is read as JSON lines."""
     raw = read_bytes(path)
-    if format is None:
-        format = BankFormat.BINARY if raw[:4] == BINARY_MAGIC else BankFormat.JSON_LINES
-    if format is BankFormat.JSON_LINES:
-        return _decode_jsonl(raw, str(path))
-    if format is BankFormat.BINARY:
+    if raw[:4] == BINARY_MAGIC:
         return _decode_binary(raw, str(path))
-    raise ParameterError(f"unknown bank format {format!r}")
+    return _decode_jsonl(raw, str(path))
 
 
 def _encode_jsonl(bank: EmbeddingBank) -> bytes:
@@ -210,7 +205,7 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
         ids.append(tid)
         rows.append(row)
     values = np.array(rows, dtype=np.float64).reshape(len(ids), dim)
-    return EmbeddingBank(modality, dim, tuple(ids), values)
+    return EmbeddingBank(modality, tuple(ids), values)
 
 
 def _encode_binary(bank: EmbeddingBank) -> bytes:
@@ -238,9 +233,6 @@ def _decode_binary(raw: bytes, name: str) -> EmbeddingBank:
         if offset + count > len(raw):
             raise FormatError(f"{name}: truncated at offset {offset}: expected {what}")
 
-    need(0, 4, "magic")
-    if raw[:4] != BINARY_MAGIC:
-        raise FormatError(f"{name}: offset 0: bad magic {raw[:4]!r}, expected {BINARY_MAGIC!r}")
     need(4, 2, "version and modality bytes")
     version, modality_code = struct.unpack_from("<BB", raw, 4)
     if version != BINARY_VERSION:
@@ -274,4 +266,4 @@ def _decode_binary(raw: bytes, name: str) -> EmbeddingBank:
         offset += length
     if offset != len(raw):
         raise FormatError(f"{name}: {len(raw) - offset} trailing bytes at offset {offset}")
-    return EmbeddingBank(_CODE_MODALITY[modality_code], dim, tuple(ids), values)
+    return EmbeddingBank(_CODE_MODALITY[modality_code], tuple(ids), values)

@@ -35,6 +35,7 @@ from .gridworld import (
     build_dataset,
     build_vocab,
     generate_tasks,
+    usable_trajectories,
 )
 from .policy import (
     PolicyConfig,
@@ -281,16 +282,12 @@ class TransferReport:
 
 
 def clips_from_dataset(dataset: Sequence[tuple[Trajectory, GridTask]]) -> list[Clip]:
-    """Trajectories with at least one transition become encoder clips,
-    paired with their task's training templates."""
-    clips = []
-    for traj, task in dataset:
-        if len(traj.states) < 2:
-            continue
-        clips.append(
-            Clip(traj.observations, tuple(task.templates[i] for i in TRAIN_TEMPLATE_INDICES))
-        )
-    return clips
+    """The usable trajectories as encoder clips, each paired with its task's
+    training templates."""
+    return [
+        Clip(traj.observations, tuple(task.templates[t] for t in TRAIN_TEMPLATE_INDICES))
+        for traj, task in (dataset[i] for i in usable_trajectories(dataset))
+    ]
 
 
 def text_reference_bank(encoders, tasks: Sequence[GridTask]) -> EmbeddingBank:
@@ -306,10 +303,12 @@ def text_reference_bank(encoders, tasks: Sequence[GridTask]) -> EmbeddingBank:
 
 
 def _fit_transform(
-    variant: VariantSpec, ref_v: EmbeddingBank, ref_l: EmbeddingBank
+    variant: VariantSpec, ref_v: EmbeddingBank, ref_l: EmbeddingBank, visual_offset: np.ndarray | None
 ) -> CollapseTransform | None:
+    """The variant's collapse transform, fit on variant_goals(ref_v, None, visual_offset) and ref_l."""
     if variant.collapse == "none":
         return None
+    ref_v = variant_goals(ref_v, None, visual_offset)
     if variant.collapse == "centralize":
         return fit_centralize(ref_v, ref_l, fit_reference="bench_reference_banks")
     return fit_delete(ref_v, ref_l, variant.delete_k, fit_reference="bench_reference_banks")
@@ -381,15 +380,14 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
         offsets = [gap_direction * v.injected_gap_norm if v.injected_gap_norm > 0.0 else None for v in variants]
         transforms, goals = [], []
         for vi, (variant, offset) in enumerate(zip(variants, offsets)):
-            ref_v = variant_goals(unit_v, None, offset)
-            transforms.append(_stage("fit_collapse", _fit_transform, variant, ref_v, ref_l, where=at[vi]))
+            transforms.append(_stage("fit_collapse", _fit_transform, variant, unit_v, ref_l, offset, where=at[vi]))
             goals.append(_stage(
-                "training_goals", training_goals, variant_goals(unit_train, transforms[vi], offset),
-                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT)), where=at[vi],
+                "training_goals", training_goals, unit_train,
+                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT)), transforms[vi], offset, where=at[vi],
             ))
         # The policy stage sets the run's peak memory: it runs without the
         # dataset, and evaluation without the goals, rows and loss traces.
-        bc_rows = expert_steps(dataset, config.grid_size)
+        bc_rows = _stage("expert_steps", expert_steps, dataset, config.grid_size, where=at_seed)
         del dataset
         policies = [result.net for result in _stage(
             "train_policy", train_policies, *bc_rows, goals, config.grid_size,

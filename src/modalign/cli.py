@@ -52,7 +52,7 @@ def cmd_diagnose(args) -> int:
     tasks = shared_task_ids(bank_v, bank_l)
     export_similarity_matrix(tasks, report.similarity_matrix, out / "simmatrix.csv")
     export_per_dim_gap(report.gap_vector, out / "perdim_gap.csv")
-    export_pca_points(pca_project_2d([bank_v, bank_l]), out / "pca2d.csv")
+    export_pca_points([bank_v, bank_l], pca_project_2d([bank_v, bank_l]), out / "pca2d.csv")
     print(f"gap_norm={report.gap_norm!r} matched_pair_mean_cosine={report.matched_pair_mean_cosine!r}")
     print(f"retrieval_top1_v2t={report.retrieval_top1_v2t!r} retrieval_top1_t2v={report.retrieval_top1_t2v!r}")
     print(f"wrote gap_report.json, simmatrix.csv, perdim_gap.csv, pca2d.csv to {out}")

@@ -46,6 +46,8 @@ class CollapseTransform:
                 m = np.asarray(mean, dtype=np.float64)
                 if m.shape != (self.source_dim,):
                     raise DimensionError(f"{name} has shape {m.shape}, expected ({self.source_dim},)")
+                if not np.all(np.isfinite(m)):
+                    raise ParameterError(f"{name} must be finite")
                 m = m.copy()
                 m.setflags(write=False)
                 object.__setattr__(self, name, m)
@@ -141,13 +143,14 @@ def fit_centralize(
         raise EmptyBankError("reference banks must be non-empty")
     if reference_v.dim != reference_l.dim:
         raise DimensionError(f"dimension mismatch: {reference_v.dim} vs {reference_l.dim}")
-    return CollapseTransform(
-        kind=CollapseKind.CENTRALIZE,
-        source_dim=reference_v.dim,
-        visual_mean=reference_v.values.mean(axis=0),
-        text_mean=reference_l.values.mean(axis=0),
-        fit_reference=fit_reference,
-    )
+    with np.errstate(over="ignore"):  # CollapseTransform refuses an overflowed mean
+        return CollapseTransform(
+            kind=CollapseKind.CENTRALIZE,
+            source_dim=reference_v.dim,
+            visual_mean=reference_v.values.mean(axis=0),
+            text_mean=reference_l.values.mean(axis=0),
+            fit_reference=fit_reference,
+        )
 
 
 def fit_delete(
@@ -189,7 +192,7 @@ def apply_to_bank(transform: CollapseTransform | None, bank: EmbeddingBank) -> E
         return bank.with_values(bank.values - mean)
     keep = np.ones(transform.source_dim, dtype=bool)
     keep[list(transform.deleted_dims)] = False
-    return bank.with_values(bank.values[:, keep], dim=transform.output_dim)
+    return bank.with_values(bank.values[:, keep])
 
 
 def save_transform(transform: CollapseTransform, path) -> None:

@@ -67,9 +67,13 @@ def corrupt_bank(bank: EmbeddingBank, cfg: CorruptConfig) -> EmbeddingBank:
         for i, rng in enumerate(streams):
             noise[i] = rng.normal(0.0, cfg.std, size=bank.dim)
         return bank.with_values(values + noise)
-    sq_norms = np.vecdot(values, values)
+    with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        sq_norms = np.vecdot(values, values)
     if np.any(sq_norms == 0.0):
         raise DegenerateVectorError("cannot corrupt a zero vector")
+    huge = np.flatnonzero(~np.isfinite(sq_norms))
+    if huge.size:
+        raise ParameterError(f"cannot corrupt row {int(huge[0])}: its squared norm overflows float64")
     if bank.n and bank.dim < 2:  # an empty bank passes at any dim
         raise ParameterError("cosine noise needs dim >= 2 for an orthogonal direction")
     s = np.empty(bank.n)

@@ -8,11 +8,11 @@ CSV/JSON export of all of the above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality, unit_rows
+from .banks import EmbeddingBank, unit_rows
 from .errors import DimensionError, EmptyBankError, ParameterError, TaskMismatchError, is_integer
 from .fileio import csv_text, json_text, write_atomic
 
@@ -77,8 +77,8 @@ def shared_task_ids(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> list[str]:
     Raises TaskMismatchError listing the symmetric difference when the two
     banks do not cover the same task set.
     """
-    tasks_v = bank_v.task_set()
-    tasks_l = bank_l.task_set()
+    tasks_v = set(bank_v.task_ids)
+    tasks_l = set(bank_l.task_ids)
     if tasks_v != tasks_l:
         diff = sorted(tasks_v.symmetric_difference(tasks_l))
         raise TaskMismatchError(f"task sets differ; symmetric difference: {diff}")
@@ -132,7 +132,7 @@ def retrieval_topk_accuracy(query_bank: EmbeddingBank, gallery_bank: EmbeddingBa
         raise EmptyBankError("query bank must be non-empty")
     if query_bank.dim != gallery_bank.dim:
         raise DimensionError(f"dimension mismatch: {query_bank.dim} vs {gallery_bank.dim}")
-    missing = query_bank.task_set() - gallery_bank.task_set()
+    missing = set(query_bank.task_ids) - set(gallery_bank.task_ids)
     if missing:
         raise TaskMismatchError(f"query tasks missing from gallery: {sorted(missing)}")
     queries = unit_rows(query_bank.values, "query row")
@@ -153,16 +153,9 @@ def retrieval_topk_accuracy(query_bank: EmbeddingBank, gallery_bank: EmbeddingBa
     return hits / query_bank.n
 
 
-class PcaPoint(NamedTuple):
-    modality: Modality
-    task_id: str
-    x: float
-    y: float
-
-
-def pca_project_2d(banks: Sequence[EmbeddingBank]) -> list[PcaPoint]:
-    """Project all rows of all banks onto the top-2 principal components
-    of the pooled, mean-centered data.
+def pca_project_2d(banks: Sequence[EmbeddingBank]) -> np.ndarray:
+    """(rows, 2) coordinates of all rows of all banks, in bank then row
+    order, on the top-2 principal components of the pooled, mean-centered data.
 
     Deterministic: the sign of each component is fixed so that its first
     loading of non-negligible magnitude is positive.
@@ -186,14 +179,7 @@ def pca_project_2d(banks: Sequence[EmbeddingBank]) -> list[PcaPoint]:
         big = np.flatnonzero(np.abs(comp) > 1e-12 * max(np.abs(comp).max(), 1e-300))
         if big.size and comp[big[0]] < 0:
             components[c] = -comp
-    coords = centered @ components.T
-    points = []
-    i = 0
-    for b in banks:
-        for tid in b.task_ids:
-            points.append(PcaPoint(b.modality, tid, float(coords[i, 0]), float(coords[i, 1])))
-            i += 1
-    return points
+    return centered @ components.T
 
 
 def gap_report(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> GapReport:
@@ -234,6 +220,10 @@ def export_per_dim_gap(gap: np.ndarray, path) -> None:
     write_atomic(path, csv_text(["dim", "gap", "abs_gap"], rows))
 
 
-def export_pca_points(points: Sequence[PcaPoint], path) -> None:
-    rows = [[p.modality.value, p.task_id, repr(p.x), repr(p.y)] for p in points]
+def export_pca_points(banks: Sequence[EmbeddingBank], coords: np.ndarray, path) -> None:
+    """One CSV row per pca_project_2d(banks) coordinate row, labelled by its bank's modality and task id."""
+    labels = [(b.modality.value, tid) for b in banks for tid in b.task_ids]
+    if coords.shape != (len(labels), 2):
+        raise DimensionError(f"coordinates of shape {coords.shape} do not match {len(labels)} bank rows")
+    rows = [[m, tid, repr(x), repr(y)] for (m, tid), (x, y) in zip(labels, coords.tolist())]
     write_atomic(path, csv_text(["modality", "task_id", "x", "y"], rows))

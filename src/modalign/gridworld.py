@@ -160,6 +160,12 @@ def build_dataset(
     return dataset
 
 
+def usable_trajectories(dataset: list[tuple[Trajectory, GridTask]]) -> list[int]:
+    """Indices of the dataset's trajectories with at least one transition (two
+    states), in order: the only ones that give goals, expert steps and clips."""
+    return [i for i, (traj, _) in enumerate(dataset) if len(traj.states) >= 2]
+
+
 def step(grid_size: int, cell: tuple[int, int], action: Action) -> tuple[int, int]:
     """Grid dynamics: moves clamp at the walls."""
     dr, dc = _MOVES[Action(action)]
@@ -214,6 +220,6 @@ def synthetic_gap_bank(
         return noisy / row_norms(noisy)[:, None] + offset
 
     return (
-        EmbeddingBank(Modality.VISUAL, dim, ids, rows(gap / 2.0)),
-        EmbeddingBank(Modality.TEXT, dim, ids, rows(-gap / 2.0)),
+        EmbeddingBank(Modality.VISUAL, ids, rows(gap / 2.0)),
+        EmbeddingBank(Modality.TEXT, ids, rows(-gap / 2.0)),
     )

@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     check_fields,
 )
-from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells
+from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells, usable_trajectories
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
 from .trainer import EncoderParams, frame_differences, text_forward
 
@@ -73,7 +73,7 @@ def encode_goals(
         rows = unit_rows(frame_differences(encoders, starts, ends), "visual goal", 1e-12)
     else:
         rows = unit_rows(text_forward(encoders, items), "text goal")
-    return EmbeddingBank(modality, rows.shape[1], tuple(task_ids), rows)
+    return EmbeddingBank(modality, tuple(task_ids), rows)
 
 
 def variant_goals(
@@ -100,10 +100,10 @@ def build_goal_bank(
     seed: int,
     template_pool: Sequence[int] | None = None,
 ) -> tuple[EmbeddingBank, list[int]]:
-    """Per-trajectory unit goals as a bank, plus the dataset indices
-    that produced each row (zero-transition trajectories are excluded).
-    Text rows draw their templates in row order from a stream seeded by seed."""
-    kept = [i for i, (traj, _) in enumerate(dataset) if len(traj.states) >= 2]
+    """Unit goals of the usable trajectories as a bank, plus the dataset index
+    of each row. Text rows draw their templates in row order from a stream
+    seeded by seed."""
+    kept = usable_trajectories(dataset)
     if not kept:
         raise ParameterError("no usable trajectories in the dataset")
     rng = np.random.default_rng(seed)
@@ -124,19 +124,23 @@ def _state_onehot(grid_size: int, cells) -> np.ndarray:
 
 
 def expert_steps(dataset: Sequence[tuple[Trajectory, GridTask]], grid_size: int):
-    """Every expert step of the trajectories that build_goal_bank keeps, in
-    order: one-hot states (n, grid_size**2), actions (n,), and goal_rows
-    (n,), each step's row in a goal bank of those trajectories."""
-    kept = [traj for traj, _ in dataset if len(traj.states) >= 2]
+    """Every expert step of the usable trajectories, in order: one-hot states
+    (n, grid_size**2), actions (n,), and goal_rows (n,), each step's row in
+    build_goal_bank's bank of the dataset."""
+    kept = [dataset[i][0] for i in usable_trajectories(dataset)]
     cells = [cell for traj in kept for cell in traj.states[: len(traj.actions)]]
     actions = np.array([a for traj in kept for a in traj.actions], dtype=np.intp)
     goal_rows = np.array([row for row, traj in enumerate(kept) for _ in traj.actions], dtype=np.intp)
     return _state_onehot(grid_size, cells), actions, goal_rows
 
 
-def training_goals(goals: EmbeddingBank, corrupt_cfg: CorruptConfig | None) -> np.ndarray:
-    """One policy's unit goal rows from its variant's goals: corrupted
-    unless corrupt_cfg is None, then normalized."""
+def training_goals(
+    goals: EmbeddingBank, corrupt_cfg: CorruptConfig | None, transform: CollapseTransform | None = None,
+    visual_offset: np.ndarray | None = None,
+) -> np.ndarray:
+    """One policy's unit goal rows from unit goals: variant_goals of them,
+    corrupted unless corrupt_cfg is None, then normalized."""
+    goals = variant_goals(goals, transform, visual_offset)
     return unit_rows((goals if corrupt_cfg is None else corrupt_bank(goals, corrupt_cfg)).values, "goal")
 
 

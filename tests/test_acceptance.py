@@ -78,7 +78,7 @@ def test_criterion_01_corrupt_anchor_property():
     # so that every row is corrupted by its own stream
     anchors = np.stack([rng.standard_normal(16) * rng.uniform(0.1, 10.0) for _ in range(20)])
     values = np.repeat(anchors, 500, axis=0)
-    bank = EmbeddingBank(Modality.VISUAL, 16, tuple(f"r{i}" for i in range(10_000)), values)
+    bank = EmbeddingBank(Modality.VISUAL, tuple(f"r{i}" for i in range(10_000)), values)
     out = corrupt_bank(bank, cfg).values
     worst_low, worst_high, worst_norm = 1.0, -1.0, 0.0
     for row, base in zip(out, values):
@@ -112,8 +112,8 @@ def test_criterion_02_centralize_exactness():
         n_l = int(2 ** rng.integers(1, 6))
         vals_v = rng.integers(-(2**24), 2**24, size=(n_v, dim)).astype(np.float64) * 2.0**-20
         vals_l = rng.integers(-(2**24), 2**24, size=(n_l, dim)).astype(np.float64) * 2.0**-20
-        bank_v = EmbeddingBank(Modality.VISUAL, dim, tuple(f"v{i}" for i in range(n_v)), vals_v)
-        bank_l = EmbeddingBank(Modality.TEXT, dim, tuple(f"l{i}" for i in range(n_l)), vals_l)
+        bank_v = EmbeddingBank(Modality.VISUAL, tuple(f"v{i}" for i in range(n_v)), vals_v)
+        bank_l = EmbeddingBank(Modality.TEXT, tuple(f"l{i}" for i in range(n_l)), vals_l)
         transform = fit_centralize(bank_v, bank_l)
         out_v = apply_to_bank(transform, bank_v)
         out_l = apply_to_bank(transform, bank_l)
@@ -148,8 +148,8 @@ def test_criterion_03_delete_effectiveness():
         noise = 0.05
         base = rng.standard_normal((n, dim)) * noise
         ids = tuple(f"t{i}" for i in range(n))
-        bank_v = EmbeddingBank(Modality.VISUAL, dim, ids, base + gap)
-        bank_l = EmbeddingBank(Modality.TEXT, dim, ids, rng.standard_normal((n, dim)) * noise)
+        bank_v = EmbeddingBank(Modality.VISUAL, ids, base + gap)
+        bank_l = EmbeddingBank(Modality.TEXT, ids, rng.standard_normal((n, dim)) * noise)
         transform = fit_delete(bank_v, bank_l, k=1)
         before = gap_report(bank_v, bank_l).gap_norm
         after = gap_report(apply_to_bank(transform, bank_v), apply_to_bank(transform, bank_l)).gap_norm
@@ -225,7 +225,7 @@ def test_criterion_05_alignment_at_toy_scale():
         seqs.append(task.templates[HELDOUT_TEMPLATE_INDICES[0]])
     text_values = text_forward(encoders, seqs)
     text_values = text_values / np.linalg.norm(text_values, axis=1, keepdims=True)
-    heldout_bank = EmbeddingBank(Modality.TEXT, config.dim, tuple(ids), text_values)
+    heldout_bank = EmbeddingBank(Modality.TEXT, tuple(ids), text_values)
 
     retrieval = retrieval_topk_accuracy(heldout_bank, visual_bank, 1)
     matrix = matched_pair_similarity_matrix(visual_bank, heldout_bank)

@@ -141,7 +141,7 @@ class TestBenchConfig:
         cfg = BenchConfig(collapse="delete", delete_k=np.int64(2))
         assert type(cfg.delete_k) is int
         bank_v, bank_l = synthetic_gap_bank(4, cfg.dim, gap_norm=1.0, intra_noise_std=0.1, seed=0)
-        transform = _fit_transform(cfg.base_variant(), bank_v, bank_l)
+        transform = _fit_transform(cfg.base_variant(), bank_v, bank_l, None)
         assert len(transform.deleted_dims) == 2 and transform.output_dim == cfg.dim - 2
 
     @pytest.mark.parametrize(
@@ -338,7 +338,7 @@ class TestStageStreams:
         record("train_encoders", lambda clips, config: ("encoder", config.seed))
         record("build_goal_bank", lambda encoders, dataset, modality, seed, *pool: (f"goals_{modality.value}", seed))
         record("train_policies", lambda *args: ("policy", args[5].seed))
-        record("training_goals", lambda goals, corrupt: ("corrupt", corrupt.seed))
+        record("training_goals", lambda goals, corrupt, *rule: ("corrupt", corrupt.seed))
         record("eval_episodes", lambda *args: ("eval_heldout" if args[5] == HELDOUT_TEMPLATE_INDICES else "eval", args[4]))
         ablations = ({"alpha": 0.5}, {"collapse": "delete"}, {"corrupt_kind": "gaussian", "injected_gap_norm": 1.0})
         run_transfer_experiment(tiny_config(
@@ -504,6 +504,38 @@ class TestAblations:
             run_transfer_experiment(tiny_config(seeds=(3,), ablations=({"alpha": 0.5}, {"collapse": "delete"})))
         assert info.value.stage == "fit_collapse"
         assert str(info.value) == "stage 'fit_collapse': ValueError: boom (seed 3, variant 2)"
+
+    @pytest.mark.parametrize("collapse, stage", [("centralize", "fit_collapse"), ("none", "training_goals")])
+    def test_goal_rule_fails_inside_the_stage_that_uses_it(self, monkeypatch, collapse, stage):
+        # the bench used to apply the goal rule outside every stage, so a
+        # failure there named no stage, seed or variant
+        import modalign.bench as bench_module
+        import modalign.policy as policy_module
+
+        real = policy_module.variant_goals
+
+        def broken_with_offset(bank, transform, visual_offset=None):
+            if visual_offset is not None:
+                raise ValueError("boom")
+            return real(bank, transform, visual_offset)
+
+        monkeypatch.setattr(bench_module, "variant_goals", broken_with_offset)
+        monkeypatch.setattr(policy_module, "variant_goals", broken_with_offset)
+        config = tiny_config(collapse=collapse, encoder_steps=20, policy_steps=20, ablations=({"injected_gap_norm": 1.0},))
+        with pytest.raises(PipelineError) as info:
+            run_transfer_experiment(config)
+        assert str(info.value) == f"stage '{stage}': ValueError: boom (seed 0, variant 1)"
+
+    def test_expert_steps_fail_inside_their_stage(self, monkeypatch):
+        import modalign.bench as bench_module
+
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(bench_module, "expert_steps", broken)
+        with pytest.raises(PipelineError) as info:
+            run_transfer_experiment(tiny_config(encoder_steps=20, policy_steps=20))
+        assert str(info.value) == "stage 'expert_steps': ValueError: boom (seed 0)"
 
     def test_diverging_variant_is_named(self, monkeypatch):
         import modalign.bench as bench_module

@@ -309,7 +309,7 @@ class TestVerifyAgainst:
         pb, pa = tmp_path / "b.ebnk", tmp_path / "a.ebnk"
         for path, vals in ((pb, values), (pa, against)):
             vals = np.asarray(vals, dtype=np.float32).astype(np.float64)
-            save_bank(EmbeddingBank(Modality.VISUAL, vals.shape[1], ("t",) * len(vals), vals), path, BankFormat.BINARY)
+            save_bank(EmbeddingBank(Modality.VISUAL, ("t",) * len(vals), vals), path, BankFormat.BINARY)
         bank, original = load_bank(pb), load_bank(pa)
         code = run(["verify", "--bank", pb, "--against", pa, "--alpha", alpha, "--tolerance", tolerance])
         out, err = capsys.readouterr()
@@ -537,6 +537,56 @@ class TestTrainEncoder:
         assert run(["train-encoder", "--config", config]) == 3
         err = capsys.readouterr().err
         assert "step 3" in err and "train_encoders" in err
+
+
+class TestOverflowingNorms:
+    """Finite values whose norms overflow float64 exit 2 naming a row or a
+    mean, not 0 with zero vectors or infinite statistics."""
+
+    def huge_pair(self, tmp_path, scale):
+        """A 32-row, dim-6 JSON-lines pair scaled by scale; every value stays finite."""
+        paths = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
+        banks = synthetic_gap_bank(8, 6, gap_norm=2.0, intra_noise_std=0.1, seed=3, rows_per_task=4)
+        for bank, path in zip(banks, paths):
+            save_bank(bank.with_values(bank.values * scale), path, BankFormat.JSON_LINES)
+        return paths
+
+    def test_diagnose(self, tmp_path, capsys):
+        pv, pl = self.huge_pair(tmp_path, 1e200)
+        assert run(["diagnose", "--bank-v", pv, "--bank-l", pl, "--out", tmp_path / "d"]) == 2
+        assert capsys.readouterr().err == "error: visual task mean 0 has no finite norm\n"
+        assert not (tmp_path / "d" / "gap_report.json").exists()
+
+    def test_cosine_corrupt(self, tmp_path, capsys):
+        pv, _ = self.huge_pair(tmp_path, 1e200)
+        assert run(["corrupt", "--bank", pv, "--kind", "cosine", "--out", tmp_path / "c.ebnk"]) == 2
+        assert capsys.readouterr().err == "error: cannot corrupt row 0: its squared norm overflows float64\n"
+        assert not (tmp_path / "c.ebnk").exists()
+
+    def test_centralize_fit(self, tmp_path, capsys):
+        pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1e308, 1.0], [1e308, -1.0]]), pv, BankFormat.JSON_LINES)
+        save_bank(EmbeddingBank(Modality.TEXT, ("a", "b"), [[0.0, 1.0], [1.0, 0.0]]), pl, BankFormat.JSON_LINES)
+        argv = ["collapse", "--ref-visual", pv, "--ref-text", pl, "--target", pl, "--out", tmp_path / "o.ebnk",
+                "--transform-out", tmp_path / "t.json"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: visual_mean must be finite\n"
+        assert not (tmp_path / "o.ebnk").exists() and not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("corrupt=gaussian:1e200", "stage 'training_goals': ParameterError: goal 0 has no finite norm"),
+        # an infinite mean used to fail outside every stage, naming no seed or variant
+        ("gap=1e308", "stage 'fit_collapse': ParameterError: visual_mean must be finite"),
+    ])
+    def test_bench_names_stage_seed_and_variant(self, tmp_path, capsys, spec, message):
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "schema_version": 1, "grid_size": 3, "horizon": 4, "demos_per_task": 4, "seeds": [0],
+            "encoder_steps": 30, "policy_steps": 30, "episodes_per_task": 2,
+        }))
+        assert run(["bench", "--config", config, "--out-dir", tmp_path / "x", "--ablate", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message} (seed 0, variant 1)\n"
+        assert not (tmp_path / "x" / "transfer_report.json").exists()
 
 
 class TestBench:

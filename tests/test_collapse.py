@@ -23,7 +23,7 @@ from modalign import (
 def make_bank(modality, rows):
     ids, vecs = zip(*rows)
     values = np.array(vecs, dtype=np.float64)
-    return EmbeddingBank(modality, values.shape[1], ids, values)
+    return EmbeddingBank(modality, ids, values)
 
 
 def cosine_similarity(a, b):
@@ -66,15 +66,24 @@ class TestFitCentralize:
         with pytest.raises(ParameterError, match="visual then a text"):
             fit_centralize(bank_a, bank_b)
 
+    def test_overflowing_mean_rejected(self):
+        # the inf mean used to be stored and saved to a file load_transform refuses
+        bank_v = make_bank(Modality.VISUAL, [("a", [1e308, 1.0]), ("b", [1e308, -1.0])])
+        bank_l = make_bank(Modality.TEXT, [("a", [0, 1]), ("b", [0, 3])])
+        with pytest.raises(ParameterError, match="^visual_mean must be finite$"):
+            fit_centralize(bank_v, bank_l)
+        with pytest.raises(ParameterError, match="^text_mean must be finite$"):
+            CollapseTransform(CollapseKind.CENTRALIZE, 2, np.zeros(2), np.array([0.0, np.inf]))
+
     def test_empty_bank_rejected(self):
-        empty = EmbeddingBank(Modality.VISUAL, 2, (), np.zeros((0, 2)))
+        empty = EmbeddingBank(Modality.VISUAL, (), np.zeros((0, 2)))
         full = make_bank(Modality.TEXT, [("a", [1, 2])])
         with pytest.raises(EmptyBankError):
             fit_centralize(empty, full)
 
 
 def one_row(values, modality):
-    return EmbeddingBank(modality, len(values), ("a",), np.array([values], dtype=np.float64))
+    return EmbeddingBank(modality, ("a",), np.array([values], dtype=np.float64))
 
 
 class TestApplyCentralize:
@@ -208,8 +217,8 @@ class TestApplyDelete:
         base_v = rng.standard_normal((n, dim)) * 0.1
         base_l = rng.standard_normal((n, dim)) * 0.1
         ids = tuple(f"t{i}" for i in range(n))
-        bank_v = EmbeddingBank(Modality.VISUAL, dim, ids, base_v + gap)
-        bank_l = EmbeddingBank(Modality.TEXT, dim, ids, base_l)
+        bank_v = EmbeddingBank(Modality.VISUAL, ids, base_v + gap)
+        bank_l = EmbeddingBank(Modality.TEXT, ids, base_l)
         t = fit_delete(bank_v, bank_l, k=1)
         assert t.deleted_dims == (3,)
         before = gap_report(bank_v, bank_l).gap_norm
@@ -228,11 +237,11 @@ class TestInvariants:
         for _ in range(20):
             n_v, n_l, dim = rng.integers(1, 30), rng.integers(1, 30), rng.integers(2, 10)
             bank_v = EmbeddingBank(
-                Modality.VISUAL, int(dim), tuple(f"v{i}" for i in range(n_v)),
+                Modality.VISUAL, tuple(f"v{i}" for i in range(n_v)),
                 rng.standard_normal((n_v, dim)) * 5,
             )
             bank_l = EmbeddingBank(
-                Modality.TEXT, int(dim), tuple(f"l{i}" for i in range(n_l)),
+                Modality.TEXT, tuple(f"l{i}" for i in range(n_l)),
                 rng.standard_normal((n_l, dim)) * 5,
             )
             t = fit_centralize(bank_v, bank_l)
@@ -253,9 +262,9 @@ class TestInvariants:
         # preservation must hold bitwise.
         rng = np.random.default_rng(23)
         values = rng.integers(-(2**24), 2**24, size=(16, 6)).astype(np.float64) * 2.0**-20
-        bank = EmbeddingBank(Modality.VISUAL, 6, tuple(f"t{i}" for i in range(16)), values)
+        bank = EmbeddingBank(Modality.VISUAL, tuple(f"t{i}" for i in range(16)), values)
         other_vals = rng.integers(-(2**24), 2**24, size=(8, 6)).astype(np.float64) * 2.0**-20
-        other = EmbeddingBank(Modality.TEXT, 6, tuple(f"x{i}" for i in range(8)), other_vals)
+        other = EmbeddingBank(Modality.TEXT, tuple(f"x{i}" for i in range(8)), other_vals)
         t = fit_centralize(bank, other)
         out = apply_to_bank(t, bank)
         for i in range(bank.n):
@@ -269,10 +278,10 @@ class TestInvariants:
         # rounding per coordinate.
         rng = np.random.default_rng(24)
         bank = EmbeddingBank(
-            Modality.VISUAL, 6, tuple(f"t{i}" for i in range(10)),
+            Modality.VISUAL, tuple(f"t{i}" for i in range(10)),
             rng.standard_normal((10, 6)) * 3,
         )
-        other = EmbeddingBank(Modality.TEXT, 6, ("x",), rng.standard_normal((1, 6)))
+        other = EmbeddingBank(Modality.TEXT, ("x",), rng.standard_normal((1, 6)))
         out = apply_to_bank(fit_centralize(bank, other), bank)
         for i in range(bank.n):
             for j in range(bank.n):
@@ -286,11 +295,11 @@ class TestInvariants:
         rng = np.random.default_rng(29)
         values = rng.standard_normal((8, 5))
         ids = tuple(f"t{i}" for i in range(8))
-        bank = EmbeddingBank(Modality.VISUAL, 5, ids, values)
-        ref_l = EmbeddingBank(Modality.TEXT, 5, ids, rng.standard_normal((8, 5)))
+        bank = EmbeddingBank(Modality.VISUAL, ids, values)
+        ref_l = EmbeddingBank(Modality.TEXT, ids, rng.standard_normal((8, 5)))
         t = fit_delete(bank, ref_l, k=2)
         perm = rng.permutation(8)
-        permuted = EmbeddingBank(Modality.VISUAL, 5, tuple(ids[i] for i in perm), values[perm])
+        permuted = EmbeddingBank(Modality.VISUAL, tuple(ids[i] for i in perm), values[perm])
         np.testing.assert_array_equal(
             apply_to_bank(t, permuted).values, apply_to_bank(t, bank).values[perm]
         )

@@ -25,7 +25,7 @@ from modalign.diagnostics import shared_task_ids
 def make_bank(modality, rows):
     ids, vecs = zip(*rows)
     values = np.array(vecs, dtype=np.float64)
-    return EmbeddingBank(modality, values.shape[1], ids, values)
+    return EmbeddingBank(modality, ids, values)
 
 
 def cosine_similarity(a, b):
@@ -47,20 +47,20 @@ class TestGapVector:
         rng = np.random.default_rng(0)
         base = rng.standard_normal((6, 4))
         offset = np.array([1.5, -2.0, 0.25, 7.0])
-        bank_v = EmbeddingBank(Modality.VISUAL, 4, tuple("abcdef"), base + offset)
-        bank_l = EmbeddingBank(Modality.TEXT, 4, tuple("abcdef"), base)
+        bank_v = EmbeddingBank(Modality.VISUAL, tuple("abcdef"), base + offset)
+        bank_l = EmbeddingBank(Modality.TEXT, tuple("abcdef"), base)
         np.testing.assert_allclose(gap_vector(bank_v, bank_l), offset, atol=1e-12)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(1)
-        bank_v = EmbeddingBank(Modality.VISUAL, 5, ("a", "b"), rng.standard_normal((2, 5)))
-        bank_l = EmbeddingBank(Modality.TEXT, 5, ("a", "b", "c"), rng.standard_normal((3, 5)))
+        bank_v = EmbeddingBank(Modality.VISUAL, ("a", "b"), rng.standard_normal((2, 5)))
+        bank_l = EmbeddingBank(Modality.TEXT, ("a", "b", "c"), rng.standard_normal((3, 5)))
         np.testing.assert_allclose(
             gap_vector(bank_v, bank_l), -gap_vector(bank_l, bank_v), atol=1e-12
         )
 
     def test_empty_bank(self):
-        empty = EmbeddingBank(Modality.VISUAL, 3, (), np.zeros((0, 3)))
+        empty = EmbeddingBank(Modality.VISUAL, (), np.zeros((0, 3)))
         full = make_bank(Modality.TEXT, [("a", [1, 2, 3])])
         with pytest.raises(EmptyBankError):
             gap_vector(empty, full)
@@ -139,7 +139,7 @@ class TestSimilarityMatrix:
             rng.shuffle(ids)
             values = rng.standard_normal((len(ids), dim)) * 10.0 ** rng.uniform(-6, 6, size=(len(ids), 1))
             values[:, 0] = np.where(rng.random(len(ids)) < 0.5, -0.0, values[:, 0])
-            bank = EmbeddingBank(Modality.VISUAL, dim, ids, values)
+            bank = EmbeddingBank(Modality.VISUAL, ids, values)
             expected = np.stack([np.mean(values[[t == task for t in ids]], axis=0) for task in tasks])
             assert diagnostics._per_task_means(bank, tasks).tobytes() == expected.tobytes()
 
@@ -155,15 +155,15 @@ class TestRetrieval:
     def test_self_retrieval(self):
         rng = np.random.default_rng(6)
         bank = EmbeddingBank(
-            Modality.VISUAL, 4, tuple(f"t{i}" for i in range(5)), rng.standard_normal((5, 4))
+            Modality.VISUAL, tuple(f"t{i}" for i in range(5)), rng.standard_normal((5, 4))
         )
         assert retrieval_topk_accuracy(bank, bank, 1) == 1.0
 
     def test_permuted_wrong_assignment(self):
         # oracle: brute-force nearest neighbour is the wrong task for all rows
         eye = np.eye(3)
-        bank_v = EmbeddingBank(Modality.VISUAL, 3, ("a", "b", "c"), eye)
-        bank_l = EmbeddingBank(Modality.TEXT, 3, ("b", "c", "a"), eye)
+        bank_v = EmbeddingBank(Modality.VISUAL, ("a", "b", "c"), eye)
+        bank_l = EmbeddingBank(Modality.TEXT, ("b", "c", "a"), eye)
         assert retrieval_topk_accuracy(bank_v, bank_l, 1) == 0.0
 
     def test_aligned_synthetic_banks(self):
@@ -180,8 +180,8 @@ class TestRetrieval:
     def test_monotone_in_k(self):
         rng = np.random.default_rng(8)
         ids = tuple(f"t{i % 4}" for i in range(12))
-        bank_v = EmbeddingBank(Modality.VISUAL, 5, ids, rng.standard_normal((12, 5)))
-        bank_l = EmbeddingBank(Modality.TEXT, 5, ids, rng.standard_normal((12, 5)))
+        bank_v = EmbeddingBank(Modality.VISUAL, ids, rng.standard_normal((12, 5)))
+        bank_l = EmbeddingBank(Modality.TEXT, ids, rng.standard_normal((12, 5)))
         accs = [retrieval_topk_accuracy(bank_v, bank_l, k) for k in range(1, 13)]
         assert all(a <= b for a, b in zip(accs, accs[1:]))
         assert accs[-1] == 1.0
@@ -190,8 +190,8 @@ class TestRetrieval:
         rng = np.random.default_rng(12)
         ids_q = tuple(f"t{i % 3}" for i in range(8))
         ids_g = tuple(f"t{i % 3}" for i in range(9))
-        bank_q = EmbeddingBank(Modality.VISUAL, 4, ids_q, rng.standard_normal((8, 4)))
-        bank_g = EmbeddingBank(Modality.TEXT, 4, ids_g, rng.standard_normal((9, 4)))
+        bank_q = EmbeddingBank(Modality.VISUAL, ids_q, rng.standard_normal((8, 4)))
+        bank_g = EmbeddingBank(Modality.TEXT, ids_g, rng.standard_normal((9, 4)))
         for k in (1, 2, 5):
             hits = 0
             for q in range(bank_q.n):
@@ -220,7 +220,7 @@ class TestRetrieval:
 
     def test_empty_query_bank_rejected(self):
         gallery = make_bank(Modality.TEXT, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
-        empty = EmbeddingBank(Modality.VISUAL, 2, (), np.zeros((0, 2)))
+        empty = EmbeddingBank(Modality.VISUAL, (), np.zeros((0, 2)))
         with pytest.raises(EmptyBankError, match="query bank"):
             retrieval_topk_accuracy(empty, gallery, 1)
 
@@ -247,8 +247,8 @@ class TestRetrieval:
         g_vals = axes[rng.integers(0, 4, size=30)] * rng.integers(1, 4, size=(30, 1))
         q_ids = tuple(g_ids[i] for i in rng.integers(0, 30, size=12))
         q_vals = axes[rng.integers(0, 4, size=12)]
-        gallery = EmbeddingBank(Modality.TEXT, 3, g_ids, g_vals)
-        query = EmbeddingBank(Modality.VISUAL, 3, q_ids, q_vals)
+        gallery = EmbeddingBank(Modality.TEXT, g_ids, g_vals)
+        query = EmbeddingBank(Modality.VISUAL, q_ids, q_vals)
         for k in (1, 2, 3, 7):
             hits = 0
             for q in range(query.n):
@@ -283,8 +283,8 @@ def tie_heavy_pair(rng, n_query, n_gallery, dim=3):
         vals[~vals.any(axis=1), 0] = 1.0
         return vals
     return (
-        EmbeddingBank(Modality.VISUAL, dim, q_ids, rows(n_query)),
-        EmbeddingBank(Modality.TEXT, dim, g_ids, rows(n_gallery)),
+        EmbeddingBank(Modality.VISUAL, q_ids, rows(n_query)),
+        EmbeddingBank(Modality.TEXT, g_ids, rows(n_gallery)),
     )
 
 
@@ -313,8 +313,8 @@ class TestBlockedRetrieval:
     def test_all_rows_tied(self):
         # every similarity is 1, so only the id order decides the ranks
         ids = ("m", "c", "z", "c", "a")
-        gallery = EmbeddingBank(Modality.TEXT, 2, ids, np.ones((5, 2)))
-        query = EmbeddingBank(Modality.VISUAL, 2, ("z",), np.ones((1, 2)))
+        gallery = EmbeddingBank(Modality.TEXT, ids, np.ones((5, 2)))
+        query = EmbeddingBank(Modality.VISUAL, ("z",), np.ones((1, 2)))
         assert [retrieval_topk_accuracy(query, gallery, k) for k in range(1, 6)] == [0, 0, 0, 0, 1]
 
 
@@ -327,9 +327,9 @@ class TestPca:
         flat = np.zeros((n, 5))
         flat[:, 1] = rng.standard_normal(n) * 3
         flat[:, 3] = rng.standard_normal(n) * 2
-        bank = EmbeddingBank(Modality.VISUAL, 5, tuple(f"t{i}" for i in range(n)), flat)
-        points = pca_project_2d([bank])
-        coords = np.array([[p.x, p.y] for p in points])
+        bank = EmbeddingBank(Modality.VISUAL, tuple(f"t{i}" for i in range(n)), flat)
+        coords = pca_project_2d([bank])
+        assert coords.shape == (n, 2)
         for i in range(n):
             for j in range(n):
                 original = np.linalg.norm(flat[i] - flat[j])
@@ -338,16 +338,11 @@ class TestPca:
 
     def test_identical_rows_map_to_origin(self):
         bank = make_bank(Modality.TEXT, [("a", [2.0, 3.0, 4.0]), ("a", [2.0, 3.0, 4.0])])
-        points = pca_project_2d([bank])
-        for p in points:
-            assert p.x == pytest.approx(0.0, abs=1e-12)
-            assert p.y == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(pca_project_2d([bank]), np.zeros((2, 2)), atol=1e-12)
 
     def test_gap_separates_clusters(self):
         bank_v, bank_l = synthetic_gap_bank(8, 6, gap_norm=6.0, intra_noise_std=0.05, seed=2)
-        points = pca_project_2d([bank_v, bank_l])
-        vis = np.array([[p.x, p.y] for p in points if p.modality is Modality.VISUAL])
-        txt = np.array([[p.x, p.y] for p in points if p.modality is Modality.TEXT])
+        vis, txt = np.split(pca_project_2d([bank_v, bank_l]), [bank_v.n])
         centroid_gap = np.linalg.norm(vis.mean(axis=0) - txt.mean(axis=0))
         radius_v = np.linalg.norm(vis - vis.mean(axis=0), axis=1).mean()
         radius_l = np.linalg.norm(txt - txt.mean(axis=0), axis=1).mean()
@@ -357,16 +352,13 @@ class TestPca:
         rng = np.random.default_rng(30)
         values = rng.standard_normal((10, 6))
         ids = tuple(f"t{i}" for i in range(10))
-        bank = EmbeddingBank(Modality.VISUAL, 6, ids, values)
+        bank = EmbeddingBank(Modality.VISUAL, ids, values)
         perm = rng.permutation(10)
         shuffled = EmbeddingBank(
-            Modality.VISUAL, 6, tuple(ids[i] for i in perm), values[perm]
+            Modality.VISUAL, tuple(ids[i] for i in perm), values[perm]
         )
-        base = {p.task_id: (p.x, p.y) for p in pca_project_2d([bank])}
-        other = {p.task_id: (p.x, p.y) for p in pca_project_2d([shuffled])}
-        for tid in base:
-            assert base[tid][0] == pytest.approx(other[tid][0], abs=1e-9)
-            assert base[tid][1] == pytest.approx(other[tid][1], abs=1e-9)
+        # shuffled row k is row perm[k] of the bank
+        np.testing.assert_allclose(pca_project_2d([shuffled]), pca_project_2d([bank])[perm], atol=1e-9)
 
     def test_too_few_rows(self):
         bank = make_bank(Modality.VISUAL, [("a", [1, 2])])
@@ -406,10 +398,17 @@ class TestExport:
         assert len(gap_lines) == 1 + bank_v.dim
         assert "," in gap_lines[1] and ";" not in gap_lines[1]  # '.' decimals
 
-        export_pca_points(pca_project_2d([bank_v, bank_l]), tmp_path / "pca.csv")
+        coords = pca_project_2d([bank_v, bank_l])
+        export_pca_points([bank_v, bank_l], coords, tmp_path / "pca.csv")
         pca_lines = (tmp_path / "pca.csv").read_text().splitlines()
         assert pca_lines[0] == "modality,task_id,x,y"
         assert len(pca_lines) == 1 + bank_v.n + bank_l.n
+        # rows follow the banks in order, each labelled by its own bank
+        (x0, y0), (x1, y1) = coords[0].tolist(), coords[-1].tolist()
+        assert pca_lines[1] == f"visual,{bank_v.task_ids[0]},{x0!r},{y0!r}"
+        assert pca_lines[-1] == f"text,{bank_l.task_ids[-1]},{x1!r},{y1!r}"
+        with pytest.raises(DimensionError):
+            export_pca_points([bank_v], coords, tmp_path / "pca.csv")
 
 
 class TestGapReport:
@@ -417,8 +416,8 @@ class TestGapReport:
         rng = np.random.default_rng(31)
         ids = tuple(f"t{i}" for i in range(4))
         values = rng.standard_normal((4, 5))
-        bank_v = EmbeddingBank(Modality.VISUAL, 5, ids, values)
-        bank_l = EmbeddingBank(Modality.TEXT, 5, ids, values)
+        bank_v = EmbeddingBank(Modality.VISUAL, ids, values)
+        bank_l = EmbeddingBank(Modality.TEXT, ids, values)
         report = gap_report(bank_v, bank_l)
         assert report.gap_norm == pytest.approx(0.0, abs=1e-12)
         assert report.matched_pair_mean_cosine == pytest.approx(1.0, abs=1e-12)

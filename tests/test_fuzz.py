@@ -87,7 +87,7 @@ def check_bank(bank):
 def small_bank(modality=Modality.VISUAL):
     rng = np.random.default_rng(5)
     values = rng.standard_normal((3, 2)).astype(np.float32)
-    return EmbeddingBank(modality, 2, ("a", "b", "a"), values)
+    return EmbeddingBank(modality, ("a", "b", "a"), values)
 
 
 @pytest.mark.parametrize("fmt", list(BankFormat))
@@ -95,7 +95,7 @@ def test_bank_formats(tmp_path, fmt):
     source = tmp_path / "bank"
     save_bank(small_bank(), source, fmt)
     fuzz(
-        tmp_path, source.read_bytes(), 11, lambda p: load_bank(p, fmt), check_bank,
+        tmp_path, source.read_bytes(), 11, load_bank, check_bank,
         lambda p: ["verify", "--bank", p],
     )
 

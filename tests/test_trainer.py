@@ -389,9 +389,9 @@ class TestTrainEncoders:
                 enc = visual_forward(result.params, np.stack([base, base + patterns[k]]))
                 rows.append(enc[1] - enc[0])
                 ids.append(f"t{k:02d}")
-        bank_v = EmbeddingBank(Modality.VISUAL, 16, tuple(ids), np.stack(rows))
+        bank_v = EmbeddingBank(Modality.VISUAL, tuple(ids), np.stack(rows))
         txt = text_forward(result.params, [(k,) for k in range(10)])
-        bank_l = EmbeddingBank(Modality.TEXT, 16, tuple(f"t{k:02d}" for k in range(10)), txt)
+        bank_l = EmbeddingBank(Modality.TEXT, tuple(f"t{k:02d}" for k in range(10)), txt)
         matrix = matched_pair_similarity_matrix(bank_v, bank_l)
         diag = float(np.mean(np.diag(matrix)))
         off = float(np.mean(matrix[~np.eye(10, dtype=bool)]))
