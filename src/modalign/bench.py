@@ -61,11 +61,6 @@ _STAGE_CORRUPT = 6
 _CHANCE_TAG = 97
 _GAP_TAG = 98
 
-CSV_COLUMNS = (
-    "collapse", "corrupt_kind", "alpha_or_std", "train_modality", "eval_modality",
-    "success_mean", "success_std", "chance_floor", "seed", "delete_k", "injected_gap_norm",
-)
-
 
 def subseed(*keys: int) -> int:
     """Deterministic derived seed for a pipeline stage."""
@@ -223,25 +218,28 @@ class BenchConfig(VariantSpec):
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One report cell: a variant's report fields plus the run fields."""
+    """One report cell: a variant's report fields plus the run fields, in
+    the order of the CSV columns."""
 
     collapse: str
-    delete_k: int
     corrupt_kind: str
     alpha_or_std: float | None
-    injected_gap_norm: float
     train_modality: str
     eval_modality: str  # visual | text | text_heldout
-    seed: int
     success_mean: float
     success_std: float
     chance_floor: float
+    seed: int
+    delete_k: int
+    injected_gap_norm: float
 
     def csv_values(self) -> list[str]:
-        """CSV_COLUMNS cells, formatted by each field's declared type, so an
+        """The CSV cells, formatted by each field's declared type, so an
         integer-valued float field still writes as a float."""
-        types = {f.name: f.type for f in fields(self)}
-        return [_csv_cell(getattr(self, c), types[c].startswith("float")) for c in CSV_COLUMNS]
+        return [_csv_cell(getattr(self, f.name), f.type.startswith("float")) for f in fields(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def _csv_cell(value, is_float: bool) -> str:
@@ -267,12 +265,7 @@ class TransferReport:
         raise KeyError(f"no aggregate for {eval_modality} {variant_fields}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "chance_floor": self.chance_floor,
-            "rows": [asdict(r) for r in self.rows],
-            "aggregates": self.aggregates,
-        }
+        return asdict(self)
 
     def write_json(self, path) -> None:
         write_atomic(path, json_text(self.to_json_dict()))
@@ -370,10 +363,11 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
             subseed(seed, _STAGE_GOALS), where=at_seed,
         )
         ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks, where=at_seed)
-        unit_train, _ = _stage(
+        # visual goals draw no templates, so visual training goals are unit_v
+        unit_train = unit_v if train_modality is Modality.VISUAL else _stage(
             "training_goals", build_goal_bank, encoders, dataset, train_modality,
             subseed(seed, _STAGE_GOALS), TRAIN_TEMPLATE_INDICES, where=at_seed,
-        )
+        )[0]
         # Stage-major: every variant's collapse fit and training goals, then
         # all of the seed's policies in one lockstep training, then evaluation.
         at = [f" (seed {seed}, variant {vi})" for vi in range(len(variants))]

@@ -8,7 +8,7 @@ serialized to JSON so a transform fit offline ships with a policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -36,26 +36,32 @@ class CollapseTransform:
     fit_reference: str | None = None  # provenance of the fitting banks
 
     def __post_init__(self):
+        if not isinstance(self.kind, CollapseKind):
+            raise ParameterError(f"unknown collapse kind {self.kind!r}")
         if not is_integer(self.source_dim) or self.source_dim < 1:
             raise DimensionError(f"source_dim must be a positive integer, got {self.source_dim!r}")
         object.__setattr__(self, "source_dim", int(self.source_dim))
+        # each kind sets its own fields and leaves the other kind's None
+        uses = ("visual_mean", "text_mean") if self.kind is CollapseKind.CENTRALIZE else ("deleted_dims",)
+        for name in ("visual_mean", "text_mean", "deleted_dims"):
+            if (getattr(self, name) is None) == (name in uses):
+                verb = "needs" if name in uses else "does not use"
+                raise ParameterError(f"a {self.kind.value} transform {verb} {name}")
         if self.kind is CollapseKind.CENTRALIZE:
-            if self.visual_mean is None or self.text_mean is None:
-                raise ParameterError("centralize transform needs both modality means")
-            for name, mean in (("visual_mean", self.visual_mean), ("text_mean", self.text_mean)):
-                m = np.asarray(mean, dtype=np.float64)
+            for name in uses:
+                m = np.array(getattr(self, name), dtype=np.float64)
                 if m.shape != (self.source_dim,):
                     raise DimensionError(f"{name} has shape {m.shape}, expected ({self.source_dim},)")
                 if not np.all(np.isfinite(m)):
                     raise ParameterError(f"{name} must be finite")
-                m = m.copy()
                 m.setflags(write=False)
                 object.__setattr__(self, name, m)
-        elif self.kind is CollapseKind.DELETE:
-            dims = self.deleted_dims
+        else:
+            if not all(map(is_integer, self.deleted_dims)):
+                raise ParameterError(f"deleted_dims must be integers, got {self.deleted_dims!r}")
+            dims = tuple(int(d) for d in self.deleted_dims)
             if not dims:
                 raise ParameterError("delete transform needs at least one dimension")
-            dims = tuple(int(d) for d in dims)
             if list(dims) != sorted(set(dims)):
                 raise ParameterError(f"deleted_dims must be unique and ascending, got {dims}")
             if dims[0] < 0 or dims[-1] >= self.source_dim:
@@ -63,8 +69,6 @@ class CollapseTransform:
             if len(dims) >= self.source_dim:
                 raise ParameterError("cannot delete every dimension")
             object.__setattr__(self, "deleted_dims", dims)
-        else:
-            raise ParameterError(f"unknown collapse kind {self.kind!r}")
 
     @property
     def output_dim(self) -> int:
@@ -73,61 +77,43 @@ class CollapseTransform:
         return self.source_dim
 
     def to_json_dict(self) -> dict:
-        doc = {"kind": self.kind.value, "source_dim": self.source_dim}
-        if self.kind is CollapseKind.CENTRALIZE:
-            doc["visual_mean"] = [float(x) for x in self.visual_mean]
-            doc["text_mean"] = [float(x) for x in self.text_mean]
-        else:
-            doc["deleted_dims"] = list(self.deleted_dims)
-        if self.fit_reference is not None:
-            doc["fit_reference"] = self.fit_reference
-        return doc
+        """Every field that is set, the kind as its name and means as lists."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
+        doc["kind"] = self.kind.value
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in doc.items()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CollapseTransform":
+        """The transform a decoded JSON document holds. Here a field of the
+        wrong JSON type is a FormatError; __post_init__ checks the values and
+        which fields the kind uses."""
         if not isinstance(doc, dict) or "kind" not in doc:
             raise FormatError("transform document must be an object with a 'kind' field")
         try:
             kind = CollapseKind(doc["kind"])
         except ValueError:
             raise FormatError(f"unknown transform kind {doc['kind']!r}") from None
-        known = {"kind", "source_dim", "visual_mean", "text_mean", "deleted_dims", "fit_reference"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise FormatError(f"unknown transform fields: {sorted(unknown)}")
         if "source_dim" not in doc:
             raise FormatError("transform document is missing 'source_dim'")
-        source_dim = json_int(doc["source_dim"], "source_dim")
-        fit_reference = doc.get("fit_reference")
-        if "fit_reference" in doc and not isinstance(fit_reference, str):
-            raise FormatError(f"fit_reference must be a string, got {fit_reference!r}")
-        if kind is CollapseKind.CENTRALIZE:
-            if "visual_mean" not in doc or "text_mean" not in doc:
-                raise FormatError("centralize transform needs visual_mean and text_mean")
-            return cls(
-                kind=kind,
-                source_dim=source_dim,
-                visual_mean=_json_means(doc["visual_mean"], "visual_mean"),
-                text_mean=_json_means(doc["text_mean"], "text_mean"),
-                fit_reference=fit_reference,
-            )
-        if "deleted_dims" not in doc:
-            raise FormatError("delete transform needs deleted_dims")
-        dims = doc["deleted_dims"]
-        if not isinstance(dims, list):
-            raise FormatError(f"deleted_dims must be a list, got {dims!r}")
-        return cls(
-            kind=kind,
-            source_dim=source_dim,
-            deleted_dims=tuple(json_int(d, "deleted_dims entry") for d in dims),
-            fit_reference=fit_reference,
-        )
+        return cls(kind, **{name: _json_field(name, value) for name, value in doc.items() if name != "kind"})
 
 
-def _json_means(values, what: str) -> np.ndarray:
-    if not isinstance(values, list):
-        raise FormatError(f"{what} must be a list of finite numbers")
-    return np.array([json_number(x, f"{what} entry") for x in values], dtype=np.float64)
+def _json_field(name: str, value):
+    """A transform document's field as a Python value: source_dim an int,
+    fit_reference a string, and the others lists of numbers."""
+    if name == "source_dim":
+        return json_int(value, name)
+    if name == "fit_reference":
+        if not isinstance(value, str):
+            raise FormatError(f"fit_reference must be a string, got {value!r}")
+        return value
+    if not isinstance(value, list):
+        raise FormatError(f"{name} must be a list, got {value!r}")
+    read = json_int if name == "deleted_dims" else json_number
+    return [read(x, f"{name} entry") for x in value]
 
 
 def fit_centralize(

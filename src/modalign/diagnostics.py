@@ -7,12 +7,12 @@ CSV/JSON export of all of the above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .banks import EmbeddingBank, unit_rows
+from .banks import EmbeddingBank, row_norms, unit_rows
 from .errors import DimensionError, EmptyBankError, ParameterError, TaskMismatchError, is_integer
 from .fileio import csv_text, json_text, write_atomic
 
@@ -39,18 +39,10 @@ class GapReport:
     n_text: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "gap_vector": [float(x) for x in self.gap_vector],
-            "per_dim_abs_mean_gap": [float(x) for x in self.per_dim_abs_mean_gap],
-            "gap_norm": self.gap_norm,
-            "matched_pair_mean_cosine": self.matched_pair_mean_cosine,
-            "retrieval_top1_v2t": self.retrieval_top1_v2t,
-            "retrieval_top1_t2v": self.retrieval_top1_t2v,
-            "n_visual": self.n_visual,
-            "n_text": self.n_text,
-            "aggregation": TASK_AGGREGATION,
-        }
+        """Every field but the similarity matrix, arrays as lists, and the aggregation tag."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "similarity_matrix"}
+        doc = {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in doc.items()}
+        return {**doc, "aggregation": TASK_AGGREGATION}
 
 
 def _check_pair(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> None:
@@ -182,6 +174,17 @@ def pca_project_2d(banks: Sequence[EmbeddingBank]) -> np.ndarray:
     return centered @ components.T
 
 
+def _norm(vector: np.ndarray) -> float:
+    """The Euclidean norm, with the bits of np.linalg.norm; when the sum of
+    squares overflows, it is taken again over vector scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        norm = float(row_norms(vector))
+    if not np.isfinite(norm):
+        scale = np.abs(vector).max()
+        norm = float(scale * row_norms(vector / scale))
+    return norm
+
+
 def gap_report(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> GapReport:
     """All gap statistics for a bank pair in one report."""
     gap = gap_vector(bank_v, bank_l)
@@ -191,7 +194,7 @@ def gap_report(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> GapReport:
         gap_vector=gap,
         per_dim_abs_mean_gap=np.abs(gap),
         similarity_matrix=matrix,
-        gap_norm=float(np.linalg.norm(gap)),
+        gap_norm=_norm(gap),
         matched_pair_mean_cosine=float(np.mean(np.diag(matrix))),
         retrieval_top1_v2t=retrieval_topk_accuracy(bank_v, bank_l, 1),
         retrieval_top1_t2v=retrieval_topk_accuracy(bank_l, bank_v, 1),

@@ -359,6 +359,20 @@ class TestStageStreams:
         assert seed_of["goals_text"] != seed_of["policy"]
         assert len(set(seed_of.values())) == len(seed_of) == 7
 
+    def test_visual_training_goals_reuse_the_reference_bank(self, monkeypatch):
+        # visual goals draw no templates, so one visual bank serves both stages
+        import modalign.bench as bench_module
+
+        calls, real = [], bench_module.build_goal_bank
+
+        def recording(encoders, dataset, modality, *args):
+            calls.append(modality.value)
+            return real(encoders, dataset, modality, *args)
+
+        monkeypatch.setattr(bench_module, "build_goal_bank", recording)
+        run_transfer_experiment(tiny_config(encoder_steps=20, policy_steps=20, ablations=({"alpha": 0.5},)))
+        assert calls == ["visual"]
+
     @pytest.mark.parametrize("train_modality", ["visual", "text"])
     def test_a_variant_that_repeats_the_base_reports_the_same_success(self, train_modality):
         report = run_transfer_experiment(tiny_config(

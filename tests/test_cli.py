@@ -174,6 +174,23 @@ class TestCollapse:
         code = run(["collapse", "--kind", "centralize", "--target", pv, "--out", tmp_path / "x.ebnk"])
         assert code == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        (
+            {"kind": "centralize", "source_dim": 2, "visual_mean": [0, 1], "text_mean": [1, 0], "deleted_dims": [0]},
+            "a centralize transform does not use deleted_dims",
+        ),
+        ({"kind": "delete", "source_dim": 2}, "a delete transform needs deleted_dims"),
+    ], ids=["other-kind", "missing"])
+    def test_transform_fields_must_be_those_of_its_kind(self, tmp_path, capsys, doc, message):
+        target = tmp_path / "v.jsonl"
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a",), [[1.0, 2.0]]), target, BankFormat.JSON_LINES)
+        transform = tmp_path / "t.json"
+        transform.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["collapse", "--transform-in", transform, "--target", target, "--out", tmp_path / "x.ebnk"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.ebnk").exists()
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -541,7 +558,8 @@ class TestTrainEncoder:
 
 class TestOverflowingNorms:
     """Finite values whose norms overflow float64 exit 2 naming a row or a
-    mean, not 0 with zero vectors or infinite statistics."""
+    mean, not 0 with zero vectors or infinite statistics. A finite gap whose
+    squared norm alone overflows is reported with its finite norm."""
 
     def huge_pair(self, tmp_path, scale):
         """A 32-row, dim-6 JSON-lines pair scaled by scale; every value stays finite."""
@@ -556,6 +574,23 @@ class TestOverflowingNorms:
         assert run(["diagnose", "--bank-v", pv, "--bank-l", pl, "--out", tmp_path / "d"]) == 2
         assert capsys.readouterr().err == "error: visual task mean 0 has no finite norm\n"
         assert not (tmp_path / "d" / "gap_report.json").exists()
+
+    def test_diagnose_gap_whose_square_overflows(self, tmp_path):
+        # rows near +1e154 e1 and -1e154 e1 with the same offsets: every row
+        # norm is finite, the gap is 2e154 e1, and its squared norm overflows
+        directions = ((1e153, 0), (-1e153, 0), (0, 1e153), (0, -1e153))
+        offsets = np.array([[0, a, b, c] for a, b in directions for c in (1e152, -1e152)])
+        ids = tuple(f"t{i // 2}" for i in range(8))
+        pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
+        for modality, first, path in ((Modality.VISUAL, 1e154, pv), (Modality.TEXT, -1e154, pl)):
+            save_bank(EmbeddingBank(modality, ids, offsets + [first, 0, 0, 0]), path, BankFormat.JSON_LINES)
+        assert run(["diagnose", "--bank-v", pv, "--bank-l", pl, "--out", tmp_path / "d"]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "d" / "gap_report.json").read_text(), parse_constant=refuse)
+        assert report["gap_norm"] == pytest.approx(2e154, rel=1e-12)
 
     def test_cosine_corrupt(self, tmp_path, capsys):
         pv, _ = self.huge_pair(tmp_path, 1e200)

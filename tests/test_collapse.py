@@ -8,6 +8,7 @@ from modalign import (
     EmbeddingBank,
     EmptyBankError,
     FormatError,
+    ModalignError,
     Modality,
     ParameterError,
     apply_to_bank,
@@ -187,6 +188,12 @@ class TestApplyDelete:
         with pytest.raises(DimensionError, match="source_dim must be a positive integer"):
             self._delete((0,), source_dim)
 
+    @pytest.mark.parametrize("dims", [(1.7,), (True,), (0, 2.0)])
+    def test_non_integral_deleted_dims_rejected(self, dims):
+        # (1.7,) used to be truncated to (1,)
+        with pytest.raises(ParameterError, match="deleted_dims must be integers"):
+            self._delete(dims, 4)
+
     def test_numpy_integer_source_dim_stored_as_int(self):
         t = self._delete((0,), np.int64(3))
         assert t.output_dim == 2 and type(t.source_dim) is int
@@ -354,6 +361,33 @@ class TestSerialization:
     )
     def test_non_integral_or_non_finite_values_rejected(self, doc):
         with pytest.raises(FormatError):
+            CollapseTransform.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param(
+                {"kind": "centralize", "source_dim": 2, "visual_mean": [0, 1], "text_mean": [1, 0], "deleted_dims": [0]},
+                "a centralize transform does not use deleted_dims", id="centralize-with-deleted_dims",
+            ),
+            pytest.param(
+                {"kind": "delete", "source_dim": 2, "deleted_dims": [0], "text_mean": [1, 0]},
+                "a delete transform does not use text_mean", id="delete-with-text_mean",
+            ),
+            pytest.param(
+                {"kind": "centralize", "source_dim": 2, "text_mean": [1, 0]},
+                "a centralize transform needs visual_mean", id="no-visual_mean",
+            ),
+            pytest.param(
+                {"kind": "centralize", "source_dim": 2, "visual_mean": [0, 1]},
+                "a centralize transform needs text_mean", id="no-text_mean",
+            ),
+            pytest.param({"kind": "delete", "source_dim": 2}, "a delete transform needs deleted_dims", id="no-deleted_dims"),
+        ],
+    )
+    def test_fields_must_be_those_of_the_kind(self, doc, message):
+        # a centralize file with deleted_dims used to load, ignoring them
+        with pytest.raises(ModalignError, match=message):
             CollapseTransform.from_json_dict(doc)
 
     def test_integral_values_still_load(self):
