@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateVectorError, DimensionError, FormatError, ParameterError
-from .fileio import float32_bytes, float32_values, json_int, read_bytes, read_json, write_atomic
+from .errors import (
+    POSITIVE, DegenerateVectorError, DimensionError, FormatError, ParameterError, check_fields, from_json, one_of,
+)
+from .fileio import float32_bytes, float32_values, read_bytes, read_json, write_atomic
 
 BINARY_MAGIC = b"EBNK"
 BINARY_VERSION = 1
@@ -114,6 +116,18 @@ _MODALITY_CODE = {Modality.VISUAL: 0, Modality.TEXT: 1}
 _CODE_MODALITY = {v: k for k, v in _MODALITY_CODE.items()}
 
 
+@dataclass(frozen=True)
+class _JsonlHeader:
+    """Line 1 of a JSON-lines bank."""
+
+    format: str = field(metadata=one_of("ebank"))
+    version: int = field(metadata=one_of(JSONL_VERSION))
+    modality: str = field(metadata=one_of(*(m.value for m in Modality)))
+    dim: int = field(metadata=POSITIVE)
+
+    __post_init__ = check_fields
+
+
 def save_bank(bank: EmbeddingBank, path, format: BankFormat) -> None:
     """Write a bank to disk; deterministic (same bank -> same bytes)."""
     if format is BankFormat.JSON_LINES:
@@ -135,12 +149,7 @@ def load_bank(path) -> EmbeddingBank:
 
 
 def _encode_jsonl(bank: EmbeddingBank) -> bytes:
-    header = {
-        "format": "ebank",
-        "version": JSONL_VERSION,
-        "modality": bank.modality.value,
-        "dim": bank.dim,
-    }
+    header = asdict(_JsonlHeader("ebank", JSONL_VERSION, bank.modality.value, bank.dim))
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for tid, row in zip(bank.task_ids, bank.values):
         lines.append(
@@ -159,25 +168,7 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
         lines.pop()
     if not lines:
         raise FormatError(f"{name}: empty file, expected an ebank header on line 1")
-    header = read_json(lines[0], f"{name}: line 1")
-    if not isinstance(header, dict):
-        raise FormatError(f"{name}: line 1: header must be a JSON object")
-    expected_keys = {"format", "version", "modality", "dim"}
-    if set(header) != expected_keys:
-        raise FormatError(
-            f"{name}: line 1: header keys {sorted(header)} != {sorted(expected_keys)}"
-        )
-    if header["format"] != "ebank":
-        raise FormatError(f"{name}: line 1: format is {header['format']!r}, expected 'ebank'")
-    if json_int(header["version"], f"{name}: line 1: version") != JSONL_VERSION:
-        raise FormatError(f"{name}: line 1: unsupported version {header['version']!r}")
-    if header["modality"] not in ("visual", "text"):
-        raise FormatError(f"{name}: line 1: bad modality {header['modality']!r}")
-    dim = json_int(header["dim"], f"{name}: line 1: dim")
-    if dim < 1:
-        raise FormatError(f"{name}: line 1: dim must be a positive integer, got {dim!r}")
-    modality = Modality(header["modality"])
-
+    header = from_json(_JsonlHeader, read_json(lines[0], f"{name}: line 1"), f"{name}: line 1")
     ids = []
     rows = []
     for row_idx, line in enumerate(lines[1:], start=1):
@@ -192,9 +183,9 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
         # json gives exact types, and a bool is not an int here
         if not isinstance(vec, list) or not set(map(type, vec)) <= _NUMBER_TYPES:
             raise FormatError(f"{name}: line {lineno}: v must be a list of numbers")
-        if len(vec) != dim:
+        if len(vec) != header.dim:
             raise DimensionError(
-                f"{name}: row {row_idx} (line {lineno}): expected {dim} values, got {len(vec)}"
+                f"{name}: row {row_idx} (line {lineno}): expected {header.dim} values, got {len(vec)}"
             )
         try:
             row = np.array(vec, dtype=np.float64)
@@ -204,8 +195,8 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
             raise FormatError(f"{name}: line {lineno}: non-finite value")
         ids.append(tid)
         rows.append(row)
-    values = np.array(rows, dtype=np.float64).reshape(len(ids), dim)
-    return EmbeddingBank(modality, tuple(ids), values)
+    values = np.array(rows, dtype=np.float64).reshape(len(ids), header.dim)
+    return EmbeddingBank(Modality(header.modality), tuple(ids), values)
 
 
 def _encode_binary(bank: EmbeddingBank) -> bytes:

@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
     PipelineError,
     check_fields,
+    check_keys,
     one_of,
 )
 from .fileio import csv_text, json_text, write_atomic
@@ -188,12 +189,7 @@ class BenchConfig(VariantSpec):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchConfig":
-        if not isinstance(doc, dict):
-            raise ParameterError("config must be a JSON object")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(doc) - known
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        check_keys(cls, doc, "config", ParameterError)
         if "schema_version" not in doc:
             raise ParameterError("config is missing schema_version")
         return cls(**doc)

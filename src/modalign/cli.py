@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .banks import BankFormat, load_bank, row_norms, save_bank
+from .banks import BINARY_MAGIC, BankFormat, EmbeddingBank, load_bank, row_norms, save_bank
 from .bench import BenchConfig, run_transfer_experiment, train_seed_encoders
 from .collapse import (
     CollapseKind,
@@ -36,10 +36,10 @@ from .diagnostics import (
     pca_project_2d,
     shared_task_ids,
 )
-from .errors import DegenerateVectorError, DivergenceError, ModalignError, ParameterError
+from .errors import DegenerateVectorError, DivergenceError, FormatError, ModalignError, ParameterError
 from .fileio import csv_text, read_bytes, read_json, write_atomic
 from .gridworld import generate_tasks
-from .trainer import save_encoder_params
+from .trainer import PARAMS_MAGIC, load_encoder_params, save_encoder_params
 
 
 def cmd_diagnose(args) -> int:
@@ -93,22 +93,18 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def _load_json_config(path) -> dict:
-    doc = read_json(read_bytes(path), str(path))
-    if not isinstance(doc, dict):
-        raise ParameterError(f"{path}: config must be a JSON object")
-    return doc
+def _config(path, **flags) -> BenchConfig:
+    """The config document at path (the defaults without one), with each
+    flag that is given replacing its field."""
+    config = BenchConfig.from_dict(read_json(read_bytes(path), path)) if path else BenchConfig()
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def cmd_train_encoder(args) -> int:
-    doc = _load_json_config(args.config) if args.config else {"schema_version": 1}
-    if args.seed is not None:
-        doc["seeds"] = [args.seed]
-    if args.steps is not None:
-        doc["encoder_steps"] = args.steps
-    if args.freeze_text_after is not None:
-        doc["encoder_freeze_text_after"] = args.freeze_text_after
-    cfg = BenchConfig.from_dict(doc)
+    cfg = _config(
+        args.config, seeds=None if args.seed is None else [args.seed], encoder_steps=args.steps,
+        encoder_freeze_text_after=args.freeze_text_after,
+    )
     tasks = generate_tasks(cfg.grid_size, cfg.world_seed)
     _, trainer_cfg, result = train_seed_encoders(cfg, tasks, cfg.seeds[0])
     save_encoder_params(result.params, args.out, extra_metadata=asdict(trainer_cfg))
@@ -163,15 +159,10 @@ def _parse_ablation(spec: str) -> dict:
 
 
 def cmd_bench(args) -> int:
-    doc = _load_json_config(args.config) if args.config else {"schema_version": 1}
-    if args.seeds is not None:
-        doc["seeds"] = [_flag_number("--seeds", s, int) for s in args.seeds.split(",") if s]
-    if args.train_modality is not None:
-        doc["train_modality"] = args.train_modality
-    ablations = doc.get("ablations", [])
-    if args.ablate and isinstance(ablations, list):  # the config check refuses any other value
-        doc["ablations"] = ablations + [_parse_ablation(spec) for spec in args.ablate]
-    cfg = BenchConfig.from_dict(doc)
+    seeds = None if args.seeds is None else [_flag_number("--seeds", s, int) for s in args.seeds.split(",") if s]
+    cfg = _config(args.config, seeds=seeds, train_modality=args.train_modality)
+    if args.ablate:
+        cfg = replace(cfg, ablations=cfg.ablations + tuple(_parse_ablation(spec) for spec in args.ablate))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = run_transfer_experiment(cfg)
@@ -189,13 +180,41 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _load_any(path) -> tuple[EmbeddingBank | None, str]:
+    """The bank at path (None for an encoder parameter or transform file) and
+    what it holds: a file that starts with the parameter magic is read as
+    encoder parameters, a JSON object with a kind as a transform, and any
+    other file as a bank. Loading checks every invariant of the format."""
+    raw = read_bytes(path)
+    if raw[:4] == PARAMS_MAGIC:
+        params = load_encoder_params(path)
+        sizes = f"visual sizes {params.visual.sizes}, text sizes {params.text.sizes}"
+        return None, f"valid encoder parameters, {sizes}, vocab {params.vocab_size}"
+    if raw[:4] != BINARY_MAGIC and _is_transform(raw, path):
+        t = load_transform(path)
+        return None, f"valid {t.kind.value} transform, dim {t.source_dim} -> {t.output_dim}"
+    bank = load_bank(path)
+    return bank, f"valid {bank.modality.value} bank, {bank.n} rows, dim {bank.dim}"
+
+
+def _is_transform(raw: bytes, path) -> bool:
+    """Whether raw is one JSON object with a kind; a JSON-lines bank is several objects."""
+    try:
+        doc = read_json(raw, path)
+    except FormatError:
+        return False
+    return isinstance(doc, dict) and "kind" in doc
+
+
 def cmd_verify(args) -> int:
     if not 0.0 <= args.tolerance < math.inf:
         raise ParameterError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     if not -1.0 < args.alpha <= 1.0:
         raise ParameterError(f"--alpha must be in (-1, 1], got {args.alpha}")
-    bank = load_bank(args.bank)  # loading enforces all bank invariants
-    print(f"{args.bank}: valid {bank.modality.value} bank, {bank.n} rows, dim {bank.dim}")
+    bank, summary = _load_any(args.bank)
+    if bank is None and args.against is not None:
+        raise ParameterError(f"--against checks a bank against its original; {args.bank} is not a bank")
+    print(f"{args.bank}: {summary}")
     if args.against is None:
         return 0
     original = load_bank(args.against)
@@ -204,7 +223,12 @@ def cmd_verify(args) -> int:
             f"banks disagree: {bank.n}x{bank.dim} vs {original.n}x{original.dim}"
         )
     tolerance = args.tolerance
-    norms, ref_norms = row_norms(bank.values), row_norms(original.values)
+    with np.errstate(over="ignore"):  # an overflowed square is refused below
+        norms, ref_norms = row_norms(bank.values), row_norms(original.values)
+    for flag, row_norm in (("--bank", norms), ("--against", ref_norms)):
+        huge = np.flatnonzero(~np.isfinite(row_norm))
+        if huge.size:
+            raise ParameterError(f"{flag} row {int(huge[0])}: its squared norm overflows float64")
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero row is reported below
         cosines = np.vecdot(bank.values, original.values) / (norms * ref_norms)
     off_norm = np.abs(norms - 1.0) > tolerance
@@ -293,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("verify", help="re-check bank invariants and corruption cosine bounds")
-    p.add_argument("--bank", required=True, help="bank file to validate")
+    p = sub.add_parser("verify", help="re-check a bank, .eprm or transform file, and corruption cosine bounds")
+    p.add_argument("--bank", required=True, help="bank, .eprm or transform file to validate")
     p.add_argument("--against", help="original bank for cosine-bound checks")
     p.add_argument("--alpha", type=float, default=0.2, help="expected cosine floor")
     p.add_argument(

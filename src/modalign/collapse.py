@@ -15,8 +15,8 @@ import numpy as np
 
 from .banks import EmbeddingBank, Modality
 from .diagnostics import per_dimension_mean_gap
-from .errors import DimensionError, EmptyBankError, FormatError, ParameterError, is_integer
-from .fileio import json_int, json_number, json_text, read_bytes, read_json, write_atomic
+from .errors import DimensionError, EmptyBankError, FormatError, ParameterError, check_keys, is_finite, is_integer
+from .fileio import json_text, read_bytes, read_json, write_atomic
 
 
 class CollapseKind(Enum):
@@ -83,37 +83,33 @@ class CollapseTransform:
         return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in doc.items()}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "CollapseTransform":
-        """The transform a decoded JSON document holds. Here a field of the
-        wrong JSON type is a FormatError; __post_init__ checks the values and
-        which fields the kind uses."""
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise FormatError("transform document must be an object with a 'kind' field")
+    def from_json_dict(cls, doc: dict, where: str = "transform") -> "CollapseTransform":
+        """The transform a decoded JSON document holds. Here a missing or
+        unknown key or a field of the wrong JSON type is a FormatError naming
+        where; __post_init__ checks the values and which fields the kind uses."""
+        check_keys(cls, doc, where, FormatError)
         try:
             kind = CollapseKind(doc["kind"])
         except ValueError:
-            raise FormatError(f"unknown transform kind {doc['kind']!r}") from None
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise FormatError(f"unknown transform fields: {sorted(unknown)}")
-        if "source_dim" not in doc:
-            raise FormatError("transform document is missing 'source_dim'")
-        return cls(kind, **{name: _json_field(name, value) for name, value in doc.items() if name != "kind"})
+            raise FormatError(f"{where}: unknown transform kind {doc['kind']!r}") from None
+        return cls(kind, **{name: _json_field(name, value, where) for name, value in doc.items() if name != "kind"})
 
 
-def _json_field(name: str, value):
-    """A transform document's field as a Python value: source_dim an int,
-    fit_reference a string, and the others lists of numbers."""
-    if name == "source_dim":
-        return json_int(value, name)
+def _json_field(name: str, value, where: str):
+    """A transform document's field as a Python value: fit_reference a
+    string, source_dim an integer, deleted_dims a list of integers and the
+    means lists of finite numbers."""
     if name == "fit_reference":
         if not isinstance(value, str):
-            raise FormatError(f"fit_reference must be a string, got {value!r}")
+            raise FormatError(f"{where}: fit_reference must be a string, got {value!r}")
         return value
-    if not isinstance(value, list):
-        raise FormatError(f"{name} must be a list, got {value!r}")
-    read = json_int if name == "deleted_dims" else json_number
-    return [read(x, f"{name} entry") for x in value]
+    entries = [value] if name == "source_dim" else value
+    if not isinstance(entries, list):
+        raise FormatError(f"{where}: {name} must be a list, got {value!r}")
+    test, text = (is_finite, "a finite number") if name.endswith("_mean") else (is_integer, "integral")
+    if not all(map(test, entries)):
+        raise FormatError(f"{where}: {name} must be {text}, got {value!r}")
+    return value
 
 
 def fit_centralize(
@@ -186,4 +182,4 @@ def save_transform(transform: CollapseTransform, path) -> None:
 
 
 def load_transform(path) -> CollapseTransform:
-    return CollapseTransform.from_json_dict(read_json(read_bytes(path), str(path)))
+    return CollapseTransform.from_json_dict(read_json(read_bytes(path), str(path)), str(path))

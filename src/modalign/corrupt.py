@@ -66,7 +66,8 @@ def corrupt_bank(bank: EmbeddingBank, cfg: CorruptConfig) -> EmbeddingBank:
         noise = np.empty_like(values)
         for i, rng in enumerate(streams):
             noise[i] = rng.normal(0.0, cfg.std, size=bank.dim)
-        return bank.with_values(values + noise)
+        with np.errstate(over="ignore"):  # EmbeddingBank refuses an overflowed sum
+            return bank.with_values(values + noise)
     with np.errstate(over="ignore"):  # an overflowed norm is reported below
         sq_norms = np.vecdot(values, values)
     if np.any(sq_norms == 0.0):

@@ -53,9 +53,17 @@ def _check_pair(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> None:
 
 
 def gap_vector(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> np.ndarray:
-    """Componentwise mean(visual rows) - mean(text rows)."""
+    """Componentwise mean(visual rows) - mean(text rows). A mean or a gap
+    entry that overflows float64 is a ParameterError naming its dimension."""
     _check_pair(bank_v, bank_l)
-    return bank_v.values.mean(axis=0) - bank_l.values.mean(axis=0)
+    with np.errstate(over="ignore"):  # an overflowed entry is reported below
+        mean_v, mean_l = bank_v.values.mean(axis=0), bank_l.values.mean(axis=0)
+        gap = mean_v - mean_l
+    for what, vector in (("visual mean", mean_v), ("text mean", mean_l), ("gap", gap)):
+        huge = np.flatnonzero(~np.isfinite(vector))
+        if huge.size:
+            raise ParameterError(f"{what} overflows float64 at dim {int(huge[0])}")
+    return gap
 
 
 def per_dimension_mean_gap(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> np.ndarray:
@@ -91,7 +99,8 @@ def _per_task_means(bank: EmbeddingBank, tasks: Sequence[str]) -> np.ndarray:
     for size in np.unique(counts):
         group = np.flatnonzero(counts == size)
         rows = bank.values[order[(firsts[group, None] + np.arange(size)).ravel()]]
-        means[group] = rows.reshape(len(group), size, bank.dim).sum(axis=1) / size
+        with np.errstate(over="ignore"):  # unit_rows refuses an overflowed mean
+            means[group] = rows.reshape(len(group), size, bank.dim).sum(axis=1) / size
     return means
 
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by every module in the package, and the
-value checks that configs raise them from."""
+value checks that configs and JSON documents raise them from."""
 
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -109,3 +109,28 @@ def check_fields(config) -> None:
         elif kind == "float":  # JSON cannot encode a numpy float; a plain int still echoes as an int
             entries = [v if type(v) is int else float(v) for v in entries]
         object.__setattr__(config, f.name, tuple(entries) if is_tuple else entries[0])
+
+
+def check_keys(cls, doc, where: str, error: type[ModalignError]) -> None:
+    """Refuse, as error naming where, a decoded JSON document that is not an
+    object, names a key that is not a field of the dataclass cls, or leaves
+    out a field that has no default."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in doc and f.default is MISSING is f.default_factory]
+    if missing:
+        raise error(f"{where}: missing keys {missing}")
+
+
+def from_json(cls, doc, where: str):
+    """The dataclass cls built from a file's decoded JSON document: its keys
+    pass check_keys, and a ParameterError its fields raise becomes a
+    FormatError, each naming where."""
+    check_keys(cls, doc, where, FormatError)
+    try:
+        return cls(**doc)
+    except ParameterError as exc:
+        raise FormatError(f"{where}: {exc}") from None

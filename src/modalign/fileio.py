@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-import sys
 from contextlib import suppress
 
 import numpy as np
@@ -35,20 +34,6 @@ def read_json(data: str | bytes, where: str):
     # 4,300-digit integer limit; RecursionError covers deep nesting.
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-
-
-def json_int(value, what: str) -> int:
-    """A decoded JSON integer; a bool or a float is not one."""
-    if type(value) is not int:
-        raise FormatError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
-def json_number(value, what: str) -> float:
-    """A decoded JSON integer or float that is finite as a float64."""
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise FormatError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def float32_bytes(values: np.ndarray, message) -> bytes:

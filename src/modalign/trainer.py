@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,9 +30,10 @@ from .errors import (
     FormatError,
     ParameterError,
     check_fields,
+    from_json,
     is_integer,
 )
-from .fileio import float32_bytes, float32_values, json_number, read_bytes, read_json, write_atomic
+from .fileio import float32_bytes, float32_values, read_bytes, read_json, write_atomic
 from .nets import DenseParams, MomentumState, dense_backward, dense_count, dense_forward, init_dense
 
 PARAMS_MAGIC = b"EPRM"
@@ -386,18 +387,34 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _ParamsMetadata:
+    """The JSON metadata of a parameter file; config echoes the training settings."""
+
+    visual_sizes: tuple[int, ...] = field(metadata=POSITIVE)
+    text_sizes: tuple[int, ...] = field(metadata=POSITIVE)
+    token_table_shape: tuple[int, ...] = field(metadata=POSITIVE)
+    temperature: float = field(metadata=POSITIVE)
+    config: dict | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+        visual, text, table = self.visual_sizes, self.text_sizes, self.token_table_shape
+        if len(visual) < 2 or len(text) < 2 or visual[-1] != text[-1]:
+            raise ParameterError(
+                f"visual_sizes {list(visual)} and text_sizes {list(text)} must each list two or more sizes "
+                "and end in one dim"
+            )
+        if len(table) != 2 or table[1] != text[0]:
+            raise ParameterError(f"token_table_shape {list(table)} must be [vocab, text_sizes[0] = {text[0]}]")
+
+
 def save_encoder_params(params: EncoderParams, path, extra_metadata: dict | None = None) -> None:
-    if not 0.0 < params.temperature < math.inf:
-        raise ParameterError(f"temperature must be positive and finite, got {params.temperature!r}")
-    meta = {
-        "visual_sizes": params.visual.sizes,
-        "text_sizes": params.text.sizes,
-        "token_table_shape": list(params.token_table.shape),
-        "temperature": params.temperature,
-    }
-    if extra_metadata:
-        meta["config"] = extra_metadata
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta = _ParamsMetadata(
+        params.visual.sizes, params.text.sizes, params.token_table.shape, params.temperature, extra_metadata or None
+    )
+    doc = {name: value for name, value in asdict(meta).items() if value is not None}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buf = bytearray()
     buf += PARAMS_MAGIC
     buf += struct.pack("<B", PARAMS_VERSION)
@@ -421,32 +438,10 @@ def load_encoder_params(path) -> EncoderParams:
     (meta_len,) = struct.unpack_from("<I", raw, 5)
     if 9 + meta_len > len(raw):
         raise FormatError(f"{path}: truncated metadata block")
-    meta = read_json(raw[9 : 9 + meta_len], f"{path}: metadata")
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: metadata must be a JSON object")
-    for key in ("visual_sizes", "text_sizes", "token_table_shape", "temperature"):
-        if key not in meta:
-            raise FormatError(f"{path}: metadata is missing {key!r}")
-    temperature = json_number(meta["temperature"], f"{path}: temperature")
-    if temperature <= 0.0:
-        raise FormatError(f"{path}: temperature must be positive, got {temperature!r}")
-
-    for key in ("visual_sizes", "text_sizes", "token_table_shape"):
-        sizes = meta[key]
-        if not isinstance(sizes, list) or len(sizes) < 2 or not all(type(s) is int and s > 0 for s in sizes):
-            raise FormatError(f"{path}: {key} {sizes!r} must be a list of two or more positive integers")
-    visual_sizes, text_sizes, table_shape = meta["visual_sizes"], meta["text_sizes"], meta["token_table_shape"]
-    if visual_sizes[-1] != text_sizes[-1]:
-        raise FormatError(
-            f"{path}: visual_sizes {visual_sizes!r} and text_sizes {text_sizes!r} end in different dims"
-        )
-    if len(table_shape) != 2 or table_shape[1] != text_sizes[0]:
-        raise FormatError(
-            f"{path}: token_table_shape {table_shape!r} must be [vocab, text_sizes[0] = {text_sizes[0]}]"
-        )
+    meta = from_json(_ParamsMetadata, read_json(raw[9 : 9 + meta_len], f"{path}: metadata"), f"{path}: metadata")
     offset = 9 + meta_len
     # exact in Python ints: a declared size past the file is refused before anything is allocated
-    count = dense_count(visual_sizes) + dense_count(text_sizes) + math.prod(table_shape)
+    count = dense_count(meta.visual_sizes) + dense_count(meta.text_sizes) + math.prod(meta.token_table_shape)
     if offset + 4 * count > len(raw):
         raise FormatError(f"{path}: truncated payload: {4 * count} bytes of parameters at offset {offset}")
     if offset + 4 * count < len(raw):
@@ -454,4 +449,4 @@ def load_encoder_params(path) -> EncoderParams:
     flat = float32_values(
         raw, offset, count, lambda i: f"{path}: non-finite parameter at offset {offset + 4 * i}"
     )
-    return EncoderParams(visual_sizes, text_sizes, table_shape[0], flat, temperature)
+    return EncoderParams(meta.visual_sizes, meta.text_sizes, meta.token_table_shape[0], flat, float(meta.temperature))

@@ -201,7 +201,7 @@ class TestBankIo:
     def test_jsonl_version_must_be_a_json_integer(self, tmp_path, version):
         path = tmp_path / "bank.jsonl"
         path.write_text('{"format":"ebank","version":%s,"modality":"text","dim":1}\n' % version)
-        with pytest.raises(FormatError, match="line 1: version must be a JSON integer"):
+        with pytest.raises(FormatError, match="line 1: version must be integral"):
             load_bank(path)
 
     def test_missing_file(self, tmp_path):

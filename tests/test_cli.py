@@ -304,6 +304,66 @@ class TestVerify:
         pv, _ = bank_pair
         assert run(["verify", "--bank", pv, "--alpha", 1, "--tolerance", 0]) == 0
 
+    def test_encoder_params_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": 1, "grid_size": 3, "dim": 4, "encoder_steps": 0}))
+        params = tmp_path / "enc.eprm"
+        assert run(["train-encoder", "--config", config, "--out", params, "--loss-csv", tmp_path / "loss.csv"]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--bank", params]) == 0
+        sizes = "visual sizes [9, 64, 4], text sizes [32, 64, 4], vocab 14"
+        assert capsys.readouterr().out == f"{params}: valid encoder parameters, {sizes}\n"
+
+    def test_transform_file(self, bank_pair, tmp_path, capsys):
+        pv, pl = bank_pair
+        transform = tmp_path / "t.json"
+        argv = ["collapse", "--kind", "delete", "--k", 2, "--ref-visual", pv, "--ref-text", pl, "--target", pv,
+                "--out", tmp_path / "o.ebnk", "--transform-out", transform]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(["verify", "--bank", transform]) == 0
+        assert capsys.readouterr().out == f"{transform}: valid delete transform, dim 6 -> 4\n"
+
+    @pytest.mark.parametrize(
+        "line, summary",
+        [
+            (
+                '{"kind":"centralize","source_dim":1,"text_mean":[1],"visual_mean":[0]}',
+                "valid centralize transform, dim 1 -> 1",
+            ),
+            ('{"dim":3,"format":"ebank","modality":"text","version":1}', "valid text bank, 0 rows, dim 3"),
+        ],
+        ids=["with-kind", "header-only-bank"],
+    )
+    def test_one_json_object_is_a_transform_when_it_has_a_kind(self, tmp_path, capsys, line, summary):
+        path = tmp_path / "doc"
+        path.write_text(line + "\n")
+        assert run(["verify", "--bank", path]) == 0
+        assert capsys.readouterr().out == f"{path}: {summary}\n"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"EPRM\x01", "truncated header"), (b'{"kind": "delete"}', "missing keys ['source_dim']")],
+        ids=["eprm", "transform"],
+    )
+    def test_malformed_file_of_another_format_exits_two(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad"
+        path.write_bytes(content)
+        assert run(["verify", "--bank", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_against_needs_a_bank(self, bank_pair, tmp_path, capsys):
+        pv, pl = bank_pair
+        transform = tmp_path / "t.json"
+        fit = ["collapse", "--ref-visual", pv, "--ref-text", pl, "--target", pv, "--out", tmp_path / "o.ebnk",
+               "--transform-out", transform]
+        assert run(fit) == 0
+        capsys.readouterr()
+        assert run(["verify", "--bank", transform, "--against", pv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --against checks a bank against its original; {transform} is not a bank\n"
+        )
+
 
 def verify_reference(bank, original, alpha, tolerance):
     """Exit code and stderr of verify --against, checked row by row: the
@@ -597,6 +657,49 @@ class TestOverflowingNorms:
         assert run(["corrupt", "--bank", pv, "--kind", "cosine", "--out", tmp_path / "c.ebnk"]) == 2
         assert capsys.readouterr().err == "error: cannot corrupt row 0: its squared norm overflows float64\n"
         assert not (tmp_path / "c.ebnk").exists()
+
+    @staticmethod
+    def overflowing_mean_pair(tmp_path):
+        """Visual rows [1e308, 1.7e308, 0] for tasks a and b against text rows
+        [0, 0, 1]: every value is finite, and the visual mean overflows in dims 0 and 1."""
+        pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1e308, 1.7e308, 0.0]] * 2), pv, BankFormat.JSON_LINES)
+        save_bank(EmbeddingBank(Modality.TEXT, ("a", "b"), [[0.0, 0.0, 1.0]] * 2), pl, BankFormat.JSON_LINES)
+        return pv, pl
+
+    def test_delete_fit_of_an_overflowing_mean(self, tmp_path, capsys):
+        # the infinite gaps used to tie, and dim 0 was deleted with exit 0
+        pv, pl = self.overflowing_mean_pair(tmp_path)
+        argv = ["collapse", "--kind", "delete", "--ref-visual", pv, "--ref-text", pl, "--target", pl,
+                "--out", tmp_path / "o.ebnk", "--transform-out", tmp_path / "t.json"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: visual mean overflows float64 at dim 0\n"
+        assert not (tmp_path / "o.ebnk").exists() and not (tmp_path / "t.json").exists()
+
+    def test_diagnose_of_an_overflowing_mean(self, tmp_path, capsys):
+        pv, pl = self.overflowing_mean_pair(tmp_path)
+        assert run(["diagnose", "--bank-v", pv, "--bank-l", pl, "--out", tmp_path / "d"]) == 2
+        assert capsys.readouterr().err == "error: visual mean overflows float64 at dim 0\n"
+        assert list((tmp_path / "d").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--bank", "--against"])
+    def test_verify_against_a_row_whose_square_overflows(self, tmp_path, capsys, flag):
+        # the overflowed norms of the huge rows used to report cosine 0.0 where the true cosine is about 1
+        unit, huge = tmp_path / "unit.jsonl", tmp_path / "huge.jsonl"
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), np.eye(2)), unit, BankFormat.JSON_LINES)
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1.7e308, 1.0], [1.0, 1.7e308]]), huge,
+                  BankFormat.JSON_LINES)
+        bank, against = (huge, unit) if flag == "--bank" else (unit, huge)
+        assert run(["verify", "--bank", bank, "--against", against]) == 2
+        assert capsys.readouterr().err == f"error: {flag} row 0: its squared norm overflows float64\n"
+
+    def test_gaussian_corrupt_whose_sum_overflows(self, tmp_path, capsys):
+        path = tmp_path / "b.jsonl"
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a",), [[1.5e308, 0.0]]), path, BankFormat.JSON_LINES)
+        argv = ["corrupt", "--bank", path, "--kind", "gaussian", "--std", 1e308, "--seed", 4, "--out", tmp_path / "c"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: bank entries must be finite\n"
+        assert not (tmp_path / "c").exists()
 
     def test_centralize_fit(self, tmp_path, capsys):
         pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"

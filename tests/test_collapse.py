@@ -177,6 +177,13 @@ class TestFitDelete:
         bank_l = make_bank(Modality.TEXT, [("a", [0.0, 0.0, 0.0])])
         assert fit_delete(bank_v, bank_l, k=np.int64(2)).deleted_dims == (0, 1)
 
+    def test_overflowing_mean_refused(self):
+        # both gaps used to be inf and tie, so dim 0 was deleted although dim 1 has the larger gap
+        bank_v = make_bank(Modality.VISUAL, [("a", [1e308, 1.7e308, 0.0]), ("b", [1e308, 1.7e308, 0.0])])
+        bank_l = make_bank(Modality.TEXT, [("a", [0.0, 0.0, 1.0]), ("b", [0.0, 0.0, 1.0])])
+        with pytest.raises(ParameterError, match="^visual mean overflows float64 at dim 0$"):
+            fit_delete(bank_v, bank_l)
+
 
 class TestApplyDelete:
     def _delete(self, dims, source_dim):

@@ -71,6 +71,22 @@ class TestGapVector:
         with pytest.raises(DimensionError):
             gap_vector(bank_v, bank_l)
 
+    @pytest.mark.parametrize(
+        "visual, text, message",
+        [
+            ([[1e308, 0.0], [1e308, 1.0]], [[0.0, 1.0], [1.0, 0.0]], "visual mean overflows float64 at dim 0"),
+            ([[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.7e308], [0.0, 1.7e308]], "text mean overflows float64 at dim 1"),
+            ([[1.7e308, 0.0]], [[-1.7e308, 1.0]], "gap overflows float64 at dim 0"),
+        ],
+        ids=["visual-mean", "text-mean", "gap"],
+    )
+    def test_overflow_refused_naming_the_dimension(self, visual, text, message):
+        # finite rows whose means or gap overflow used to give an infinite gap and a raw numpy warning
+        bank_v = EmbeddingBank(Modality.VISUAL, ("a",) * len(visual), visual)
+        bank_l = EmbeddingBank(Modality.TEXT, ("a",) * len(text), text)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            gap_vector(bank_v, bank_l)
+
 
 class TestPerDimensionGap:
     def test_absolute_value_of_gap(self):

@@ -1,15 +1,29 @@
 """Byte pins of the documents the toolkit writes: the transfer report
-(JSON and CSV), the gap report and both kinds of transform file. Each
-digest was recorded when the documents' keys were still listed by hand;
-deriving them from their dataclasses' fields must keep every byte."""
+(JSON and CSV), the gap report, both kinds of transform file, both bank
+formats and the encoder parameter file. Each digest was recorded when the
+documents' keys were still listed by hand; deriving them from their
+dataclasses' fields must keep every byte."""
 
 import hashlib
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from modalign import fit_centralize, fit_delete, gap_report, save_transform, synthetic_gap_bank
+from modalign import (
+    BankFormat,
+    TrainerConfig,
+    fit_centralize,
+    fit_delete,
+    gap_report,
+    save_bank,
+    save_encoder_params,
+    save_transform,
+    synthetic_gap_bank,
+)
 from modalign.bench import BenchConfig, run_transfer_experiment
 from modalign.diagnostics import export_gap_report
+from modalign.trainer import init_encoder_params
 
 SCHEMA_ABLATIONS = (
     {"collapse": "none"}, {"delete_k": 2}, {"alpha": 0.5}, {"injected_gap_norm": 1.0},
@@ -72,3 +86,31 @@ def test_gap_report(bank_pair, tmp_path):
 def test_transform(bank_pair, tmp_path, fit, expected):
     save_transform(fit(*bank_pair), tmp_path / "transform.json")
     assert digest(tmp_path / "transform.json") == expected
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (BankFormat.JSON_LINES, ("e85fc2763e13ad2080181a53989aa562", "a4521ea175248c798b47add43d1631c1")),
+        (BankFormat.BINARY, ("fbf57e04d6bc7d7f854a64c4f9e9e9ac", "54cd8c3021c921505660f65ad32b80a9")),
+    ],
+    ids=["jsonl", "binary"],
+)
+def test_bank(bank_pair, tmp_path, fmt, expected):
+    bank_v, bank_l = bank_pair
+    save_bank(bank_v, tmp_path / "v", fmt)
+    save_bank(bank_l, tmp_path / "l", fmt)
+    assert (digest(tmp_path / "v"), digest(tmp_path / "l")) == expected
+
+
+ENCODER = TrainerConfig(obs_dim=6, vocab_size=7, dim=4, visual_hidden=(5,), text_hidden=(3, 5), token_dim=4)
+
+
+@pytest.mark.parametrize(
+    "echo, expected",
+    [(None, "b03be6d01cac9011e4f17466942cb7ad"), (asdict(ENCODER), "ce4b954036008482073c9bf9cb8f0552")],
+    ids=["bare", "config-echo"],
+)
+def test_encoder_params(tmp_path, echo, expected):
+    save_encoder_params(init_encoder_params(ENCODER, np.random.default_rng(43)), tmp_path / "enc.eprm", echo)
+    assert digest(tmp_path / "enc.eprm") == expected

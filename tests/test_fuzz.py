@@ -2,7 +2,8 @@
 character-level fuzzing of the bench's number-bearing flags.
 
 Each case mutates or truncates a valid file or flag value. The contract: the
-loader returns a valid object or raises ModalignError, and the CLI exits 0
+loader returns a valid object or raises ModalignError, and the CLI (the
+command that reads the file, and `verify` for every file format) exits 0
 or 2, never 1 with a traceback.
 """
 
@@ -62,7 +63,7 @@ def mutants(data: bytes, seed: int):
         yield bytes(buf)
 
 
-def fuzz(tmp_path, data, seed, load, check, argv=None):
+def fuzz(tmp_path, data, seed, load, check, *argvs):
     path = tmp_path / "case"
     loaded = 0
     for i, case in enumerate(mutants(data, seed)):
@@ -74,7 +75,7 @@ def fuzz(tmp_path, data, seed, load, check, argv=None):
         else:
             check(obj)
             loaded += 1
-        if argv is not None and i % CLI_EVERY == 0:
+        for argv in argvs if i % CLI_EVERY == 0 else ():
             assert main([str(a) for a in argv(path)]) in (0, 2)
     assert 0 < loaded < CASES  # the mutations reach both outcomes
 
@@ -109,7 +110,7 @@ def test_encoder_params(tmp_path):
         assert isinstance(params, EncoderParams) and math.isfinite(params.temperature)
         assert np.isfinite(params.flat).all()
 
-    fuzz(tmp_path, source.read_bytes(), 12, load_encoder_params, check)
+    fuzz(tmp_path, source.read_bytes(), 12, load_encoder_params, check, lambda p: ["verify", "--bank", p])
 
 
 @pytest.mark.parametrize("kind", ["centralize", "delete"])
@@ -126,6 +127,7 @@ def test_transform(tmp_path, kind):
     fuzz(
         tmp_path, source.read_bytes(), 13, load_transform, check,
         lambda p: ["collapse", "--transform-in", p, "--target", target, "--out", tmp_path / "out.ebnk"],
+        lambda p: ["verify", "--bank", p],
     )
 
 

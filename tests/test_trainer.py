@@ -806,11 +806,26 @@ class TestSerialization:
         with pytest.raises(FormatError, match="temperature must be positive"):
             load_encoder_params(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta: {**meta, "note": 1}, r"metadata: unknown keys \['note'\]"),
+            (lambda meta: {**meta, "config": [1]}, "metadata: config must be a mapping"),
+            (lambda meta: {k: v for k, v in meta.items() if k != "temperature"}, r"missing keys \['temperature'\]"),
+        ],
+        ids=["unknown-key", "config-not-an-object", "no-temperature"],
+    )
+    def test_metadata_names_exactly_its_fields(self, tmp_path, edit, message):
+        # the metadata is read through its dataclass: an unknown key used to be ignored
+        path = saved_with_metadata(tmp_path, lambda meta: json.dumps(edit(meta)))
+        with pytest.raises(FormatError, match=message):
+            load_encoder_params(path)
+
     @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, np.inf, np.nan])
     def test_save_refuses_a_temperature_that_is_not_positive(self, tmp_path, value):
         params = init_encoder_params(tiny_config(), np.random.default_rng(28))
         params.temperature = value
-        with pytest.raises(ParameterError, match="temperature must be positive"):
+        with pytest.raises(ParameterError, match="temperature must be (positive|a finite number)"):
             save_encoder_params(params, tmp_path / "enc.eprm")
         assert list(tmp_path.iterdir()) == []
 
