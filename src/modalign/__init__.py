@@ -3,7 +3,6 @@ training-free modality-gap removal, latent-space augmentation, gap
 diagnostics, and a gridworld transfer benchmark."""
 
 from .banks import (
-    BankFormat,
     EmbeddingBank,
     Modality,
     load_bank,
@@ -13,7 +12,6 @@ from .banks import (
 )
 from .bench import BenchConfig, TransferReport, run_transfer_experiment
 from .collapse import (
-    CollapseKind,
     CollapseTransform,
     apply_to_bank,
     fit_centralize,
@@ -21,7 +19,7 @@ from .collapse import (
     load_transform,
     save_transform,
 )
-from .corrupt import CorruptConfig, NoiseKind, corrupt_bank
+from .corrupt import CorruptConfig, corrupt_bank
 from .diagnostics import (
     GapReport,
     gap_report,

@@ -24,16 +24,12 @@ BINARY_MAGIC = b"EBNK"
 BINARY_VERSION = 1
 JSONL_VERSION = 1
 _NUMBER_TYPES = {int, float}
+BANK_FORMATS = ("jsonl", "binary")
 
 
 class Modality(Enum):
     VISUAL = "visual"
     TEXT = "text"
-
-
-class BankFormat(Enum):
-    JSON_LINES = "jsonl"
-    BINARY = "binary"
 
 
 @dataclass(frozen=True)
@@ -100,6 +96,17 @@ def unit_rows(matrix: np.ndarray, what: str = "row", floor: float = 0.0) -> np.n
     return matrix / norms[:, None]
 
 
+def mean_row(matrix: np.ndarray, what: str) -> np.ndarray:
+    """The column means of a matrix; an entry that overflows float64 is a
+    ParameterError naming what and its dimension."""
+    with np.errstate(over="ignore"):  # an overflowed entry is reported below
+        mean = matrix.mean(axis=0)
+    huge = np.flatnonzero(~np.isfinite(mean))
+    if huge.size:
+        raise ParameterError(f"{what} overflows float64 at dim {int(huge[0])}")
+    return mean
+
+
 # ---------------------------------------------------------------------------
 # File formats.
 #
@@ -128,15 +135,11 @@ class _JsonlHeader:
     __post_init__ = check_fields
 
 
-def save_bank(bank: EmbeddingBank, path, format: BankFormat) -> None:
-    """Write a bank to disk; deterministic (same bank -> same bytes)."""
-    if format is BankFormat.JSON_LINES:
-        payload = _encode_jsonl(bank)
-    elif format is BankFormat.BINARY:
-        payload = _encode_binary(bank)
-    else:
+def save_bank(bank: EmbeddingBank, path, format: str) -> None:
+    """Write a bank to disk in one of BANK_FORMATS; deterministic (same bank -> same bytes)."""
+    if format not in BANK_FORMATS:
         raise ParameterError(f"unknown bank format {format!r}")
-    write_atomic(path, payload)
+    write_atomic(path, _encode_jsonl(bank) if format == "jsonl" else _encode_binary(bank))
 
 
 def load_bank(path) -> EmbeddingBank:

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .banks import EmbeddingBank, Modality, row_norms
-from .collapse import CollapseTransform, fit_centralize, fit_delete
-from .corrupt import CorruptConfig, NoiseKind
+from .collapse import COLLAPSE_KINDS, CollapseTransform, fit_centralize, fit_delete
+from .corrupt import NOISE_KINDS, CorruptConfig
 from .errors import (
     COSINE_FLOOR,
     NON_NEGATIVE,
@@ -72,9 +72,9 @@ def subseed(*keys: int) -> int:
 class VariantSpec:
     """One ablation cell: collapse kind, corruption, and injected gap."""
 
-    collapse: str = field(default="centralize", metadata=one_of("centralize", "delete", "none"))
+    collapse: str = field(default="centralize", metadata=one_of(*COLLAPSE_KINDS, "none"))
     delete_k: int = field(default=1, metadata=POSITIVE)
-    corrupt_kind: str = field(default="cosine", metadata=one_of("cosine", "gaussian", "none"))
+    corrupt_kind: str = field(default="cosine", metadata=one_of(*NOISE_KINDS, "none"))
     alpha: float = field(default=0.2, metadata=COSINE_FLOOR)
     std: float = field(default=0.1, metadata=NON_NEGATIVE)
     injected_gap_norm: float = field(default=0.0, metadata=NON_NEGATIVE)
@@ -92,7 +92,7 @@ class VariantSpec:
     def corrupt_config(self, seed: int) -> CorruptConfig | None:
         if self.corrupt_kind == "none":
             return None
-        return CorruptConfig(NoiseKind(self.corrupt_kind), self.alpha, self.std, seed)
+        return CorruptConfig(self.corrupt_kind, self.alpha, self.std, seed)
 
     def report_fields(self) -> dict:
         """The variant's cells of a report row; alpha and std report as alpha_or_std."""
@@ -100,7 +100,6 @@ class VariantSpec:
         return {**cells, "alpha_or_std": self.alpha_or_std}
 
 
-_VARIANT_KEYS = {f.name for f in fields(VariantSpec)}
 _MODALITY = one_of("visual", "text")
 
 
@@ -108,7 +107,7 @@ _MODALITY = one_of("visual", "text")
 class BenchConfig(VariantSpec):
     """Every bench setting; the base variant's fields come from VariantSpec."""
 
-    schema_version: int = 1
+    schema_version: int = field(default=1, metadata=one_of(1))
     grid_size: int = field(default=5, metadata=POSITIVE)
     demos_per_task: int = field(default=20, metadata=POSITIVE)
     dim: int = field(default=16, metadata=POSITIVE)
@@ -152,8 +151,6 @@ class BenchConfig(VariantSpec):
                 raise ParameterError(f"{name} must not repeat, got {values}")
         if not self.eval_modalities:
             raise ParameterError("eval_modalities must name at least one modality")
-        if self.schema_version != 1:
-            raise ParameterError(f"unsupported schema_version {self.schema_version!r}")
         if self.horizon < 2 * (self.grid_size - 1):
             raise ParameterError(
                 f"horizon {self.horizon} cannot reach every cell of a {self.grid_size} grid"
@@ -166,9 +163,7 @@ class BenchConfig(VariantSpec):
             except ParameterError as exc:
                 raise ParameterError(f"{prefix}{exc}") from None
         for abl in self.ablations:
-            unknown = set(abl) - _VARIANT_KEYS
-            if unknown:
-                raise ParameterError(f"unknown ablation keys: {sorted(unknown)}")
+            check_keys(VariantSpec, abl, "ablation", ParameterError)
         variants = self.variants()
         # each ablation keeps the checked plain values its variant stores
         ablations = tuple({key: getattr(v, key) for key in abl} for abl, v in zip(self.ablations, variants[1:]))

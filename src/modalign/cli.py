@@ -16,17 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .banks import BINARY_MAGIC, BankFormat, EmbeddingBank, load_bank, row_norms, save_bank
+from .banks import BANK_FORMATS, BINARY_MAGIC, EmbeddingBank, load_bank, row_norms, save_bank
 from .bench import BenchConfig, run_transfer_experiment, train_seed_encoders
-from .collapse import (
-    CollapseKind,
-    apply_to_bank,
-    fit_centralize,
-    fit_delete,
-    load_transform,
-    save_transform,
-)
-from .corrupt import CorruptConfig, NoiseKind, corrupt_bank
+from .collapse import COLLAPSE_KINDS, apply_to_bank, fit_centralize, fit_delete, load_transform, save_transform
+from .corrupt import NOISE_KINDS, CorruptConfig, corrupt_bank
 from .diagnostics import (
     export_gap_report,
     export_pca_points,
@@ -69,7 +62,7 @@ def cmd_collapse(args) -> int:
         ref_v = load_bank(args.ref_visual)
         ref_l = load_bank(args.ref_text)
         reference = f"visual={args.ref_visual};text={args.ref_text}"
-        if CollapseKind(args.kind) is CollapseKind.CENTRALIZE:
+        if args.kind == "centralize":
             for flag, ref, want in (("--ref-visual", ref_v, "visual"), ("--ref-text", ref_l, "text")):
                 if ref.modality.value != want:
                     raise ParameterError(f"{flag} needs a {want} bank, got a {ref.modality.value} bank")
@@ -77,7 +70,7 @@ def cmd_collapse(args) -> int:
         else:
             transform = fit_delete(ref_v, ref_l, k=args.k, fit_reference=reference)
     collapsed = apply_to_bank(transform, target)
-    save_bank(collapsed, args.out, BankFormat(args.out_format))
+    save_bank(collapsed, args.out, args.out_format)
     if args.transform_out:
         save_transform(transform, args.transform_out)
     print(f"collapsed {target.n} rows: dim {target.dim} -> {collapsed.dim}; wrote {args.out}")
@@ -85,10 +78,10 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    cfg = CorruptConfig(NoiseKind(args.kind), args.alpha, args.std, args.seed)
+    cfg = CorruptConfig(args.kind, args.alpha, args.std, args.seed)
     bank = load_bank(args.bank)
     corrupted = corrupt_bank(bank, cfg)
-    save_bank(corrupted, args.out, BankFormat(args.out_format))
+    save_bank(corrupted, args.out, args.out_format)
     print(f"corrupted {bank.n} rows with {args.kind} noise; wrote {args.out}")
     return 0
 
@@ -147,7 +140,7 @@ def _parse_ablation(spec: str) -> dict:
                 overrides["corrupt_kind"] = "none"
             else:
                 kind, _, strength = value.partition(":")
-                if kind not in ("cosine", "gaussian") or not strength:
+                if kind not in NOISE_KINDS or not strength:
                     raise ParameterError(
                         f"--ablate corrupt expects cosine:<alpha>, gaussian:<std> or none, got {value!r}"
                     )
@@ -192,7 +185,7 @@ def _load_any(path) -> tuple[EmbeddingBank | None, str]:
         return None, f"valid encoder parameters, {sizes}, vocab {params.vocab_size}"
     if raw[:4] != BINARY_MAGIC and _is_transform(raw, path):
         t = load_transform(path)
-        return None, f"valid {t.kind.value} transform, dim {t.source_dim} -> {t.output_dim}"
+        return None, f"valid {t.kind} transform, dim {t.source_dim} -> {t.output_dim}"
     bank = load_bank(path)
     return bank, f"valid {bank.modality.value} bank, {bank.n} rows, dim {bank.dim}"
 
@@ -266,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("collapse", help="fit or load a gap transform and apply it to a bank")
-    p.add_argument("--kind", choices=["centralize", "delete"], default="centralize")
+    p.add_argument("--kind", choices=COLLAPSE_KINDS, default="centralize")
     p.add_argument("--ref-visual", help="visual reference bank (fitting)")
     p.add_argument("--ref-text", help="text reference bank (fitting)")
     p.add_argument("--target", required=True, help="bank to transform")
@@ -274,17 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform-in", help="apply a previously saved transform")
     p.add_argument("--transform-out", help="save the fitted transform as JSON")
     p.add_argument("--out", required=True, help="output bank file")
-    p.add_argument("--out-format", choices=["jsonl", "binary"], default="binary")
+    p.add_argument("--out-format", choices=BANK_FORMATS, default="binary")
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("corrupt", help="apply latent noise to every bank row")
     p.add_argument("--bank", required=True)
-    p.add_argument("--kind", choices=["cosine", "gaussian"], default="cosine")
+    p.add_argument("--kind", choices=NOISE_KINDS, default="cosine")
     p.add_argument("--alpha", type=float, default=0.2, help="cosine floor (kind=cosine)")
     p.add_argument("--std", type=float, default=0.1, help="noise std (kind=gaussian)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--out-format", choices=["jsonl", "binary"], default="binary")
+    p.add_argument("--out-format", choices=BANK_FORMATS, default="binary")
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser(

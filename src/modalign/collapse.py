@@ -8,108 +8,69 @@ serialized to JSON so a transform fit offline ships with a policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from enum import Enum
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality
+from .banks import EmbeddingBank, Modality, mean_row
 from .diagnostics import per_dimension_mean_gap
-from .errors import DimensionError, EmptyBankError, FormatError, ParameterError, check_keys, is_finite, is_integer
+from .errors import (
+    POSITIVE, DimensionError, EmptyBankError, ParameterError, check_fields, from_json, is_integer, one_of,
+)
 from .fileio import json_text, read_bytes, read_json, write_atomic
 
-
-class CollapseKind(Enum):
-    CENTRALIZE = "centralize"
-    DELETE = "delete"
+COLLAPSE_KINDS = ("centralize", "delete")
 
 
 @dataclass(frozen=True)
 class CollapseTransform:
-    """A frozen gap-removal transform; applying never refits."""
+    """A frozen gap-removal transform; applying never refits. A centralize
+    transform holds both means, stored as read-only float64 arrays, and a
+    delete transform the ascending dimensions it drops."""
 
-    kind: CollapseKind
-    source_dim: int
-    visual_mean: np.ndarray | None = None
-    text_mean: np.ndarray | None = None
+    kind: str = field(metadata=one_of(*COLLAPSE_KINDS))
+    source_dim: int = field(metadata=POSITIVE)
+    visual_mean: tuple[float, ...] | None = None
+    text_mean: tuple[float, ...] | None = None
     deleted_dims: tuple[int, ...] | None = None
     fit_reference: str | None = None  # provenance of the fitting banks
 
     def __post_init__(self):
-        if not isinstance(self.kind, CollapseKind):
-            raise ParameterError(f"unknown collapse kind {self.kind!r}")
-        if not is_integer(self.source_dim) or self.source_dim < 1:
-            raise DimensionError(f"source_dim must be a positive integer, got {self.source_dim!r}")
-        object.__setattr__(self, "source_dim", int(self.source_dim))
+        check_fields(self)
         # each kind sets its own fields and leaves the other kind's None
-        uses = ("visual_mean", "text_mean") if self.kind is CollapseKind.CENTRALIZE else ("deleted_dims",)
+        uses = ("visual_mean", "text_mean") if self.kind == "centralize" else ("deleted_dims",)
         for name in ("visual_mean", "text_mean", "deleted_dims"):
             if (getattr(self, name) is None) == (name in uses):
                 verb = "needs" if name in uses else "does not use"
-                raise ParameterError(f"a {self.kind.value} transform {verb} {name}")
-        if self.kind is CollapseKind.CENTRALIZE:
+                raise ParameterError(f"a {self.kind} transform {verb} {name}")
+        if self.kind == "centralize":
             for name in uses:
-                m = np.array(getattr(self, name), dtype=np.float64)
-                if m.shape != (self.source_dim,):
-                    raise DimensionError(f"{name} has shape {m.shape}, expected ({self.source_dim},)")
-                if not np.all(np.isfinite(m)):
-                    raise ParameterError(f"{name} must be finite")
-                m.setflags(write=False)
-                object.__setattr__(self, name, m)
-        else:
-            if not all(map(is_integer, self.deleted_dims)):
-                raise ParameterError(f"deleted_dims must be integers, got {self.deleted_dims!r}")
-            dims = tuple(int(d) for d in self.deleted_dims)
-            if not dims:
-                raise ParameterError("delete transform needs at least one dimension")
-            if list(dims) != sorted(set(dims)):
-                raise ParameterError(f"deleted_dims must be unique and ascending, got {dims}")
-            if dims[0] < 0 or dims[-1] >= self.source_dim:
-                raise ParameterError(f"deleted_dims {dims} out of range for dim {self.source_dim}")
-            if len(dims) >= self.source_dim:
-                raise ParameterError("cannot delete every dimension")
-            object.__setattr__(self, "deleted_dims", dims)
+                mean = np.array(getattr(self, name), dtype=np.float64)
+                if mean.shape != (self.source_dim,):
+                    raise ParameterError(f"{name} has shape {mean.shape}, expected ({self.source_dim},)")
+                mean.setflags(write=False)
+                object.__setattr__(self, name, mean)
+            return
+        dims = self.deleted_dims
+        if not dims:
+            raise ParameterError("delete transform needs at least one dimension")
+        if list(dims) != sorted(set(dims)):
+            raise ParameterError(f"deleted_dims must be unique and ascending, got {dims}")
+        if dims[0] < 0 or dims[-1] >= self.source_dim:
+            raise ParameterError(f"deleted_dims {dims} out of range for dim {self.source_dim}")
+        if len(dims) >= self.source_dim:
+            raise ParameterError("cannot delete every dimension")
 
     @property
     def output_dim(self) -> int:
-        if self.kind is CollapseKind.DELETE:
+        if self.kind == "delete":
             return self.source_dim - len(self.deleted_dims)
         return self.source_dim
 
     def to_json_dict(self) -> dict:
-        """Every field that is set, the kind as its name and means as lists."""
+        """Every field that is set, means as lists."""
         doc = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
-        doc["kind"] = self.kind.value
         return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in doc.items()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, where: str = "transform") -> "CollapseTransform":
-        """The transform a decoded JSON document holds. Here a missing or
-        unknown key or a field of the wrong JSON type is a FormatError naming
-        where; __post_init__ checks the values and which fields the kind uses."""
-        check_keys(cls, doc, where, FormatError)
-        try:
-            kind = CollapseKind(doc["kind"])
-        except ValueError:
-            raise FormatError(f"{where}: unknown transform kind {doc['kind']!r}") from None
-        return cls(kind, **{name: _json_field(name, value, where) for name, value in doc.items() if name != "kind"})
-
-
-def _json_field(name: str, value, where: str):
-    """A transform document's field as a Python value: fit_reference a
-    string, source_dim an integer, deleted_dims a list of integers and the
-    means lists of finite numbers."""
-    if name == "fit_reference":
-        if not isinstance(value, str):
-            raise FormatError(f"{where}: fit_reference must be a string, got {value!r}")
-        return value
-    entries = [value] if name == "source_dim" else value
-    if not isinstance(entries, list):
-        raise FormatError(f"{where}: {name} must be a list, got {value!r}")
-    test, text = (is_finite, "a finite number") if name.endswith("_mean") else (is_integer, "integral")
-    if not all(map(test, entries)):
-        raise FormatError(f"{where}: {name} must be {text}, got {value!r}")
-    return value
 
 
 def fit_centralize(
@@ -125,14 +86,13 @@ def fit_centralize(
         raise EmptyBankError("reference banks must be non-empty")
     if reference_v.dim != reference_l.dim:
         raise DimensionError(f"dimension mismatch: {reference_v.dim} vs {reference_l.dim}")
-    with np.errstate(over="ignore"):  # CollapseTransform refuses an overflowed mean
-        return CollapseTransform(
-            kind=CollapseKind.CENTRALIZE,
-            source_dim=reference_v.dim,
-            visual_mean=reference_v.values.mean(axis=0),
-            text_mean=reference_l.values.mean(axis=0),
-            fit_reference=fit_reference,
-        )
+    return CollapseTransform(
+        kind="centralize",
+        source_dim=reference_v.dim,
+        visual_mean=mean_row(reference_v.values, "visual mean"),
+        text_mean=mean_row(reference_l.values, "text mean"),
+        fit_reference=fit_reference,
+    )
 
 
 def fit_delete(
@@ -152,7 +112,7 @@ def fit_delete(
     order = np.lexsort((np.arange(dim), -gap))  # gap desc, then index asc
     dims = tuple(sorted(int(i) for i in order[:k]))
     return CollapseTransform(
-        kind=CollapseKind.DELETE,
+        kind="delete",
         source_dim=dim,
         deleted_dims=dims,
         fit_reference=fit_reference,
@@ -169,7 +129,7 @@ def apply_to_bank(transform: CollapseTransform | None, bank: EmbeddingBank) -> E
         return bank
     if bank.dim != transform.source_dim:
         raise DimensionError(f"bank dim {bank.dim} != transform dim {transform.source_dim}")
-    if transform.kind is CollapseKind.CENTRALIZE:
+    if transform.kind == "centralize":
         mean = transform.visual_mean if bank.modality is Modality.VISUAL else transform.text_mean
         return bank.with_values(bank.values - mean)
     keep = np.ones(transform.source_dim, dtype=bool)
@@ -182,4 +142,4 @@ def save_transform(transform: CollapseTransform, path) -> None:
 
 
 def load_transform(path) -> CollapseTransform:
-    return CollapseTransform.from_json_dict(read_json(read_bytes(path), str(path)), str(path))
+    return from_json(CollapseTransform, read_json(read_bytes(path), str(path)), str(path))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -18,9 +17,7 @@ from .banks import EmbeddingBank, row_norms
 from .errors import COSINE_FLOOR, NON_NEGATIVE, DegenerateVectorError, ParameterError, check_fields, one_of
 
 
-class NoiseKind(Enum):
-    COSINE = "cosine"
-    GAUSSIAN = "gaussian"
+NOISE_KINDS = ("cosine", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -28,7 +25,7 @@ class CorruptConfig:
     """Noise kind plus its strength parameters and the stream seed; cosine
     noise reads alpha and Gaussian noise std, and both are always checked."""
 
-    kind: NoiseKind = field(metadata=one_of(*NoiseKind))
+    kind: str = field(metadata=one_of(*NOISE_KINDS))
     alpha: float = field(default=0.2, metadata=COSINE_FLOOR)
     std: float = field(default=0.0, metadata=NON_NEGATIVE)
     seed: int = field(default=0, metadata=NON_NEGATIVE)
@@ -62,7 +59,7 @@ def corrupt_bank(bank: EmbeddingBank, cfg: CorruptConfig) -> EmbeddingBank:
     arithmetic on them runs over the whole bank at once."""
     values = bank.values
     streams = [_row_stream(cfg.seed, tid, row) for tid, row in zip(bank.task_ids, values)]
-    if cfg.kind is NoiseKind.GAUSSIAN:
+    if cfg.kind == "gaussian":
         noise = np.empty_like(values)
         for i, rng in enumerate(streams):
             noise[i] = rng.normal(0.0, cfg.std, size=bank.dim)

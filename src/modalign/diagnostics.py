@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .banks import EmbeddingBank, row_norms, unit_rows
+from .banks import EmbeddingBank, mean_row, row_norms, unit_rows
 from .errors import DimensionError, EmptyBankError, ParameterError, TaskMismatchError, is_integer
 from .fileio import csv_text, json_text, write_atomic
 
@@ -56,13 +56,12 @@ def gap_vector(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> np.ndarray:
     """Componentwise mean(visual rows) - mean(text rows). A mean or a gap
     entry that overflows float64 is a ParameterError naming its dimension."""
     _check_pair(bank_v, bank_l)
+    mean_v, mean_l = mean_row(bank_v.values, "visual mean"), mean_row(bank_l.values, "text mean")
     with np.errstate(over="ignore"):  # an overflowed entry is reported below
-        mean_v, mean_l = bank_v.values.mean(axis=0), bank_l.values.mean(axis=0)
         gap = mean_v - mean_l
-    for what, vector in (("visual mean", mean_v), ("text mean", mean_l), ("gap", gap)):
-        huge = np.flatnonzero(~np.isfinite(vector))
-        if huge.size:
-            raise ParameterError(f"{what} overflows float64 at dim {int(huge[0])}")
+    huge = np.flatnonzero(~np.isfinite(gap))
+    if huge.size:
+        raise ParameterError(f"gap overflows float64 at dim {int(huge[0])}")
     return gap
 
 
@@ -159,7 +158,8 @@ def pca_project_2d(banks: Sequence[EmbeddingBank]) -> np.ndarray:
     order, on the top-2 principal components of the pooled, mean-centered data.
 
     Deterministic: the sign of each component is fixed so that its first
-    loading of non-negligible magnitude is positive.
+    loading of non-negligible magnitude is positive. A mean or a centered
+    entry that overflows float64 is a ParameterError.
     """
     banks = list(banks)
     if not banks:
@@ -171,7 +171,11 @@ def pca_project_2d(banks: Sequence[EmbeddingBank]) -> np.ndarray:
     pooled = np.concatenate([b.values for b in banks], axis=0)
     if pooled.shape[0] < 2:
         raise EmptyBankError("need at least 2 rows for a 2-d projection")
-    centered = pooled - pooled.mean(axis=0)
+    with np.errstate(over="ignore"):  # np.linalg.svd does not return on a non-finite entry
+        centered = pooled - mean_row(pooled, "pooled mean")
+    huge = np.argwhere(~np.isfinite(centered))
+    if huge.size:
+        raise ParameterError(f"row {int(huge[0, 0])} overflows float64 at dim {int(huge[0, 1])} once centered")
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = np.zeros((2, dim))
     components[: min(2, vt.shape[0])] = vt[:2]

@@ -88,8 +88,9 @@ def check_fields(config) -> None:
     """Check each field of a config dataclass against its annotation (a
     _TYPES name, a tuple[<name>, ...], either of them | None; any other
     annotation is not type-checked) and then its declared rule, entry by
-    entry for a tuple. ParameterError names the first field that fails.
-    Numbers are stored as plain Python ints and floats, tuples as tuples."""
+    entry for a tuple, which may be given as a list, tuple or numpy array.
+    ParameterError names the first field that fails. Numbers are stored as
+    plain Python ints and floats, tuples as tuples."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind = f.type.removesuffix(" | None")
@@ -97,6 +98,8 @@ def check_fields(config) -> None:
             continue
         is_tuple = kind.startswith("tuple[")
         if is_tuple:
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
             if not isinstance(value, (list, tuple)):
                 raise ParameterError(f"{f.name} must be a list, got {value!r}")
             kind = kind[len("tuple[") : -len(", ...]")]

@@ -14,7 +14,6 @@ from modalign import (
     CorruptConfig,
     EmbeddingBank,
     Modality,
-    NoiseKind,
     PairBatch,
     TrainerConfig,
     compile_tokens,
@@ -72,7 +71,7 @@ def reverse_bench():
 def test_criterion_01_corrupt_anchor_property():
     start = time.monotonic()
     alpha = 0.2
-    cfg = CorruptConfig(NoiseKind.COSINE, alpha=alpha, seed=0)
+    cfg = CorruptConfig("cosine", alpha=alpha, seed=0)
     rng = np.random.default_rng(2024)
     # 10k draws: 20 anchors, each repeated 500 times under distinct task ids
     # so that every row is corrupted by its own stream

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from modalign import (
-    BankFormat,
     DegenerateVectorError,
     DimensionError,
     EmbeddingBank,
@@ -20,6 +19,7 @@ from modalign import (
     save_bank,
     unit_rows,
 )
+from modalign.banks import BANK_FORMATS
 
 
 def vec(*xs):
@@ -214,7 +214,7 @@ class TestBankIo:
         rng = np.random.default_rng(0)
         bank = random_bank(rng, n=5, float32=False)
         path = tmp_path / "b.jsonl"
-        save_bank(bank, path, BankFormat.JSON_LINES)
+        save_bank(bank, path, "jsonl")
         loaded = load_bank(path)
         np.testing.assert_array_equal(loaded.values, bank.values)
         assert loaded.task_ids == bank.task_ids
@@ -224,7 +224,7 @@ class TestBankIo:
         for trial in range(25):
             bank = random_bank(rng)
             path = tmp_path / f"b{trial}.ebnk"
-            save_bank(bank, path, BankFormat.BINARY)
+            save_bank(bank, path, "binary")
             loaded = load_bank(path)
             assert loaded.modality is bank.modality
             assert loaded.dim == bank.dim
@@ -234,14 +234,14 @@ class TestBankIo:
     def test_binary_save_deterministic(self, tmp_path):
         bank = random_bank(np.random.default_rng(2), n=4)
         p1, p2 = tmp_path / "a.ebnk", tmp_path / "b.ebnk"
-        save_bank(bank, p1, BankFormat.BINARY)
-        save_bank(bank, p2, BankFormat.BINARY)
+        save_bank(bank, p1, "binary")
+        save_bank(bank, p2, "binary")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_bank_roundtrip(self, tmp_path):
         bank = EmbeddingBank(Modality.TEXT, (), np.zeros((0, 8)))
-        for fmt in BankFormat:
-            path = tmp_path / f"empty.{fmt.value}"
+        for fmt in BANK_FORMATS:
+            path = tmp_path / f"empty.{fmt}"
             save_bank(bank, path, fmt)
             loaded = load_bank(path)
             assert loaded.n == 0 and loaded.dim == 8 and loaded.modality is Modality.TEXT
@@ -249,7 +249,7 @@ class TestBankIo:
     def test_binary_truncation_detected(self, tmp_path):
         bank = random_bank(np.random.default_rng(3), n=3)
         path = tmp_path / "b.ebnk"
-        save_bank(bank, path, BankFormat.BINARY)
+        save_bank(bank, path, "binary")
         raw = path.read_bytes()
         path.write_bytes(raw[:-3])
         with pytest.raises(FormatError, match="truncated"):
@@ -266,7 +266,7 @@ class TestBankIo:
     def test_binary_non_finite_payload_rejected_without_a_cast_warning(self, tmp_path, bits):
         bank = EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
         path = tmp_path / "b.ebnk"
-        save_bank(bank, path, BankFormat.BINARY)
+        save_bank(bank, path, "binary")
         raw = bytearray(path.read_bytes())
         raw[18 + 12 : 18 + 16] = struct.pack("<I", bits)  # row 1, dim 1
         path.write_bytes(bytes(raw))
@@ -281,21 +281,21 @@ class TestBankIo:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="row 1, dim 1: value 1e[+]?39 is outside float32 range"):
-                save_bank(bank, path, BankFormat.BINARY)
+                save_bank(bank, path, "binary")
         assert not path.exists()
 
     def test_format_sniffing(self, tmp_path):
         bank = random_bank(np.random.default_rng(4), n=2)
         pb = tmp_path / "b.bin"
         pj = tmp_path / "b.jsonl"
-        save_bank(bank, pb, BankFormat.BINARY)
-        save_bank(bank, pj, BankFormat.JSON_LINES)
+        save_bank(bank, pb, "binary")
+        save_bank(bank, pj, "jsonl")
         assert np.array_equal(load_bank(pb).values, load_bank(pj).values)
 
     def test_unicode_task_ids(self, tmp_path):
         bank = EmbeddingBank(Modality.VISUAL, ("tâche-1",), [[1.0, 2.0]])
-        for fmt in BankFormat:
-            path = tmp_path / f"u.{fmt.value}"
+        for fmt in BANK_FORMATS:
+            path = tmp_path / f"u.{fmt}"
             save_bank(bank, path, fmt)
             assert load_bank(path).task_ids == ("tâche-1",)
 

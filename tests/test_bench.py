@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from modalign import DivergenceError, NoiseKind, ParameterError, PipelineError, synthetic_gap_bank
+from modalign import DivergenceError, ParameterError, PipelineError, synthetic_gap_bank
 from modalign.bench import (
     CSV_COLUMNS,
     BenchConfig,
@@ -167,7 +167,7 @@ class TestBenchConfig:
 
     def test_corrupt_config_carries_both_strengths(self):
         cfg = VariantSpec(corrupt_kind="gaussian", alpha=0.5, std=0.3).corrupt_config(7)
-        assert (cfg.kind, cfg.alpha, cfg.std, cfg.seed) == (NoiseKind.GAUSSIAN, 0.5, 0.3, 7)
+        assert (cfg.kind, cfg.alpha, cfg.std, cfg.seed) == ("gaussian", 0.5, 0.3, 7)
         assert VariantSpec(corrupt_kind="none").corrupt_config(7) is None
 
     @pytest.mark.parametrize(

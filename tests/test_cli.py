@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalign import BankFormat, EmbeddingBank, Modality, load_bank, save_bank
+from modalign import EmbeddingBank, Modality, load_bank, save_bank
 from modalign.bench import subseed
 from modalign.cli import build_parser, main
 from modalign.gridworld import synthetic_gap_bank
@@ -22,8 +22,8 @@ def bank_pair(tmp_path):
     bank_v, bank_l = synthetic_gap_bank(5, 6, gap_norm=2.0, intra_noise_std=0.1, seed=3)
     pv = tmp_path / "v.ebnk"
     pl = tmp_path / "l.ebnk"
-    save_bank(bank_v, pv, BankFormat.BINARY)
-    save_bank(bank_l, pl, BankFormat.BINARY)
+    save_bank(bank_v, pv, "binary")
+    save_bank(bank_l, pl, "binary")
     return pv, pl
 
 
@@ -107,7 +107,7 @@ class TestDiagnose:
     def test_identical_banks_zero_gap(self, tmp_path):
         bank, _ = synthetic_gap_bank(4, 5, gap_norm=0.0, intra_noise_std=0.1, seed=1)
         p = tmp_path / "b.ebnk"
-        save_bank(bank, p, BankFormat.BINARY)
+        save_bank(bank, p, "binary")
         out = tmp_path / "diag"
         assert run(["diagnose", "--bank-v", p, "--bank-l", p, "--out", out]) == 0
         report = json.loads((out / "gap_report.json").read_text())
@@ -183,12 +183,12 @@ class TestCollapse:
     ], ids=["other-kind", "missing"])
     def test_transform_fields_must_be_those_of_its_kind(self, tmp_path, capsys, doc, message):
         target = tmp_path / "v.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a",), [[1.0, 2.0]]), target, BankFormat.JSON_LINES)
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a",), [[1.0, 2.0]]), target, "jsonl")
         transform = tmp_path / "t.json"
         transform.write_text(json.dumps(doc), encoding="utf-8")
         code = run(["collapse", "--transform-in", transform, "--target", target, "--out", tmp_path / "x.ebnk"])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {transform}: {message}\n"
         assert not (tmp_path / "x.ebnk").exists()
 
     @pytest.mark.parametrize(
@@ -386,7 +386,7 @@ class TestVerifyAgainst:
         pb, pa = tmp_path / "b.ebnk", tmp_path / "a.ebnk"
         for path, vals in ((pb, values), (pa, against)):
             vals = np.asarray(vals, dtype=np.float32).astype(np.float64)
-            save_bank(EmbeddingBank(Modality.VISUAL, ("t",) * len(vals), vals), path, BankFormat.BINARY)
+            save_bank(EmbeddingBank(Modality.VISUAL, ("t",) * len(vals), vals), path, "binary")
         bank, original = load_bank(pb), load_bank(pa)
         code = run(["verify", "--bank", pb, "--against", pa, "--alpha", alpha, "--tolerance", tolerance])
         out, err = capsys.readouterr()
@@ -526,6 +526,12 @@ class TestTrainEncoder:
         assert run(["train-encoder", "--config", config]) == 2
         assert "wat" in capsys.readouterr().err
 
+    def test_unsupported_schema_version_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema_version": 2}))
+        assert run(["train-encoder", "--config", config]) == 2
+        assert capsys.readouterr().err == "error: schema_version must be one of 1, got 2\n"
+
     @pytest.mark.parametrize("key", ["steps", "seed", "data_seed", "out_params", "out_loss_csv"])
     def test_old_config_keys_exit_two(self, tmp_path, capsys, key):
         config = self.config(tmp_path, **{key: 1})
@@ -626,7 +632,7 @@ class TestOverflowingNorms:
         paths = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
         banks = synthetic_gap_bank(8, 6, gap_norm=2.0, intra_noise_std=0.1, seed=3, rows_per_task=4)
         for bank, path in zip(banks, paths):
-            save_bank(bank.with_values(bank.values * scale), path, BankFormat.JSON_LINES)
+            save_bank(bank.with_values(bank.values * scale), path, "jsonl")
         return paths
 
     def test_diagnose(self, tmp_path, capsys):
@@ -643,7 +649,7 @@ class TestOverflowingNorms:
         ids = tuple(f"t{i // 2}" for i in range(8))
         pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
         for modality, first, path in ((Modality.VISUAL, 1e154, pv), (Modality.TEXT, -1e154, pl)):
-            save_bank(EmbeddingBank(modality, ids, offsets + [first, 0, 0, 0]), path, BankFormat.JSON_LINES)
+            save_bank(EmbeddingBank(modality, ids, offsets + [first, 0, 0, 0]), path, "jsonl")
         assert run(["diagnose", "--bank-v", pv, "--bank-l", pl, "--out", tmp_path / "d"]) == 0
 
         def refuse(constant):
@@ -663,8 +669,8 @@ class TestOverflowingNorms:
         """Visual rows [1e308, 1.7e308, 0] for tasks a and b against text rows
         [0, 0, 1]: every value is finite, and the visual mean overflows in dims 0 and 1."""
         pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1e308, 1.7e308, 0.0]] * 2), pv, BankFormat.JSON_LINES)
-        save_bank(EmbeddingBank(Modality.TEXT, ("a", "b"), [[0.0, 0.0, 1.0]] * 2), pl, BankFormat.JSON_LINES)
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1e308, 1.7e308, 0.0]] * 2), pv, "jsonl")
+        save_bank(EmbeddingBank(Modality.TEXT, ("a", "b"), [[0.0, 0.0, 1.0]] * 2), pl, "jsonl")
         return pv, pl
 
     def test_delete_fit_of_an_overflowing_mean(self, tmp_path, capsys):
@@ -686,16 +692,16 @@ class TestOverflowingNorms:
     def test_verify_against_a_row_whose_square_overflows(self, tmp_path, capsys, flag):
         # the overflowed norms of the huge rows used to report cosine 0.0 where the true cosine is about 1
         unit, huge = tmp_path / "unit.jsonl", tmp_path / "huge.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), np.eye(2)), unit, BankFormat.JSON_LINES)
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), np.eye(2)), unit, "jsonl")
         save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1.7e308, 1.0], [1.0, 1.7e308]]), huge,
-                  BankFormat.JSON_LINES)
+                  "jsonl")
         bank, against = (huge, unit) if flag == "--bank" else (unit, huge)
         assert run(["verify", "--bank", bank, "--against", against]) == 2
         assert capsys.readouterr().err == f"error: {flag} row 0: its squared norm overflows float64\n"
 
     def test_gaussian_corrupt_whose_sum_overflows(self, tmp_path, capsys):
         path = tmp_path / "b.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a",), [[1.5e308, 0.0]]), path, BankFormat.JSON_LINES)
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a",), [[1.5e308, 0.0]]), path, "jsonl")
         argv = ["corrupt", "--bank", path, "--kind", "gaussian", "--std", 1e308, "--seed", 4, "--out", tmp_path / "c"]
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: bank entries must be finite\n"
@@ -703,18 +709,18 @@ class TestOverflowingNorms:
 
     def test_centralize_fit(self, tmp_path, capsys):
         pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1e308, 1.0], [1e308, -1.0]]), pv, BankFormat.JSON_LINES)
-        save_bank(EmbeddingBank(Modality.TEXT, ("a", "b"), [[0.0, 1.0], [1.0, 0.0]]), pl, BankFormat.JSON_LINES)
+        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1e308, 1.0], [1e308, -1.0]]), pv, "jsonl")
+        save_bank(EmbeddingBank(Modality.TEXT, ("a", "b"), [[0.0, 1.0], [1.0, 0.0]]), pl, "jsonl")
         argv = ["collapse", "--ref-visual", pv, "--ref-text", pl, "--target", pl, "--out", tmp_path / "o.ebnk",
                 "--transform-out", tmp_path / "t.json"]
         assert run(argv) == 2
-        assert capsys.readouterr().err == "error: visual_mean must be finite\n"
+        assert capsys.readouterr().err == "error: visual mean overflows float64 at dim 0\n"
         assert not (tmp_path / "o.ebnk").exists() and not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("spec, message", [
         ("corrupt=gaussian:1e200", "stage 'training_goals': ParameterError: goal 0 has no finite norm"),
         # an infinite mean used to fail outside every stage, naming no seed or variant
-        ("gap=1e308", "stage 'fit_collapse': ParameterError: visual_mean must be finite"),
+        ("gap=1e308", "stage 'fit_collapse': ParameterError: visual mean overflows float64 at dim 0"),
     ])
     def test_bench_names_stage_seed_and_variant(self, tmp_path, capsys, spec, message):
         config = tmp_path / "bench.json"

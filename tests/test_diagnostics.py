@@ -381,6 +381,16 @@ class TestPca:
         with pytest.raises(EmptyBankError):
             pca_project_2d([bank])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1e308, 0, 0], [1e308, 1, 0], [0, 0, 1]], "^pooled mean overflows float64 at dim 0$"),
+        ([[1.7e308, 0, 0], [-1.7e308, 0, 1], [-1.7e308, 1, 0]], "^row 0 overflows float64 at dim 0 once centered$"),
+    ], ids=["mean", "centered"])
+    def test_overflowing_rows_refused(self, rows, message):
+        # np.linalg.svd used to run without returning on the non-finite centered rows
+        bank = EmbeddingBank(Modality.VISUAL, ("a", "b", "c"), rows)
+        with pytest.raises(ParameterError, match=message):
+            pca_project_2d([bank])
+
 
 class TestExport:
     def test_csv_and_json_exports(self, tmp_path):

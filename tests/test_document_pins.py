@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from modalign import (
-    BankFormat,
     TrainerConfig,
     fit_centralize,
     fit_delete,
@@ -91,8 +90,8 @@ def test_transform(bank_pair, tmp_path, fit, expected):
 @pytest.mark.parametrize(
     "fmt, expected",
     [
-        (BankFormat.JSON_LINES, ("e85fc2763e13ad2080181a53989aa562", "a4521ea175248c798b47add43d1631c1")),
-        (BankFormat.BINARY, ("fbf57e04d6bc7d7f854a64c4f9e9e9ac", "54cd8c3021c921505660f65ad32b80a9")),
+        ("jsonl", ("e85fc2763e13ad2080181a53989aa562", "a4521ea175248c798b47add43d1631c1")),
+        ("binary", ("fbf57e04d6bc7d7f854a64c4f9e9e9ac", "54cd8c3021c921505660f65ad32b80a9")),
     ],
     ids=["jsonl", "binary"],
 )

@@ -2,7 +2,8 @@
 character-level fuzzing of the bench's number-bearing flags.
 
 Each case mutates or truncates a valid file or flag value. The contract: the
-loader returns a valid object or raises ModalignError, and the CLI (the
+loader returns a valid object or raises ModalignError, whose message starts
+with the file's path for a bank, `.eprm` or transform file, and the CLI (the
 command that reads the file, and `verify` for every file format) exits 0
 or 2, never 1 with a traceback.
 """
@@ -17,7 +18,6 @@ import pytest
 
 import modalign.cli as cli_module
 from modalign import (
-    BankFormat,
     BenchConfig,
     CollapseTransform,
     EmbeddingBank,
@@ -34,6 +34,7 @@ from modalign import (
     save_encoder_params,
     save_transform,
 )
+from modalign.banks import BANK_FORMATS
 from modalign.bench import TransferReport
 from modalign.cli import main
 from modalign.fileio import read_bytes, read_json
@@ -63,15 +64,15 @@ def mutants(data: bytes, seed: int):
         yield bytes(buf)
 
 
-def fuzz(tmp_path, data, seed, load, check, *argvs):
+def fuzz(tmp_path, data, seed, load, check, *argvs, names_file=True):
     path = tmp_path / "case"
     loaded = 0
     for i, case in enumerate(mutants(data, seed)):
         path.write_bytes(case)
         try:
             obj = load(path)
-        except ModalignError:
-            pass
+        except ModalignError as exc:
+            assert not names_file or str(exc).startswith(str(path)), exc
         else:
             check(obj)
             loaded += 1
@@ -91,7 +92,8 @@ def small_bank(modality=Modality.VISUAL):
     return EmbeddingBank(modality, ("a", "b", "a"), values)
 
 
-@pytest.mark.parametrize("fmt", list(BankFormat))
+# explicit ids keep these cases' names in test reports stable
+@pytest.mark.parametrize("fmt", BANK_FORMATS, ids=["BankFormat.JSON_LINES", "BankFormat.BINARY"])
 def test_bank_formats(tmp_path, fmt):
     source = tmp_path / "bank"
     save_bank(small_bank(), source, fmt)
@@ -119,7 +121,7 @@ def test_transform(tmp_path, kind):
     fit = fit_centralize(ref_v, ref_l, "refs") if kind == "centralize" else fit_delete(ref_v, ref_l, 1, "refs")
     source, target = tmp_path / "t.json", tmp_path / "target.ebnk"
     save_transform(fit, source)
-    save_bank(ref_v, target, BankFormat.BINARY)
+    save_bank(ref_v, target, "binary")
 
     def check(transform):
         assert isinstance(transform, CollapseTransform) and transform.output_dim >= 1
@@ -149,6 +151,7 @@ def test_bench_config(tmp_path, monkeypatch):
     fuzz(
         tmp_path, json.dumps(doc).encode("utf-8"), 14, load, check,
         lambda p: ["bench", "--config", p, "--out-dir", tmp_path / "run"],
+        names_file=False,  # a config's value faults name the field, not the file
     )
 
 

@@ -9,7 +9,6 @@ from modalign import (
     DimensionError,
     DivergenceError,
     Modality,
-    NoiseKind,
     ParameterError,
     PolicyConfig,
     build_dataset,
@@ -263,7 +262,7 @@ class TestTrainPolicyFromArrays:
 class TestTrainPolicy:
     def test_deterministic(self, world):
         cfg = PolicyConfig(steps=50, seed=3)
-        corrupt = CorruptConfig(NoiseKind.COSINE, alpha=0.2, seed=1)
+        corrupt = CorruptConfig("cosine", alpha=0.2, seed=1)
         r1 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
         r2 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
         assert r1.loss_trace == r2.loss_trace
@@ -420,7 +419,7 @@ class TestTrainPolicies:
 
 @pytest.fixture(scope="module")
 def trained(world):
-    corrupt = CorruptConfig(NoiseKind.COSINE, alpha=0.2, seed=1)
+    corrupt = CorruptConfig("cosine", alpha=0.2, seed=1)
     config = PolicyConfig(steps=2500, seed=3)
     return train_on_dataset(world, corrupt, Modality.VISUAL, config, TRAIN_TEMPLATE_INDICES).net
 
