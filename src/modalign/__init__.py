@@ -3,8 +3,8 @@ training-free modality-gap removal, latent-space augmentation, gap
 diagnostics, and a gridworld transfer benchmark."""
 
 from .banks import (
+    MODALITIES,
     EmbeddingBank,
-    Modality,
     load_bank,
     row_norms,
     save_bank,

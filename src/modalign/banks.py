@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import (
-    POSITIVE, DegenerateVectorError, DimensionError, FormatError, ParameterError, check_fields, from_json, one_of,
+    NON_EMPTY, POSITIVE, DegenerateVectorError, DimensionError, FormatError, ParameterError, check_fields, from_json,
+    one_of,
 )
 from .fileio import float32_bytes, float32_values, read_bytes, read_json, write_atomic
 
@@ -25,11 +25,7 @@ BINARY_VERSION = 1
 JSONL_VERSION = 1
 _NUMBER_TYPES = {int, float}
 BANK_FORMATS = ("jsonl", "binary")
-
-
-class Modality(Enum):
-    VISUAL = "visual"
-    TEXT = "text"
+MODALITIES = ("visual", "text")
 
 
 @dataclass(frozen=True)
@@ -41,21 +37,15 @@ class EmbeddingBank:
     be non-empty strings.
     """
 
-    modality: Modality
-    task_ids: tuple[str, ...]
+    modality: str = field(metadata=one_of(*MODALITIES))
+    task_ids: tuple[str, ...] = field(metadata=NON_EMPTY)
     values: np.ndarray  # (N, dim)
 
     def __post_init__(self):
-        if not isinstance(self.modality, Modality):
-            raise ParameterError(f"modality must be a Modality, got {self.modality!r}")
-        ids = tuple(self.task_ids)
-        for i, tid in enumerate(ids):
-            if not isinstance(tid, str) or not tid:
-                raise ParameterError(f"row {i}: task_id must be a non-empty string")
-        object.__setattr__(self, "task_ids", ids)
+        check_fields(self)
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] != len(ids) or vals.shape[1] < 1:
-            raise DimensionError(f"values shape {vals.shape} is not {len(ids)} rows of at least one column")
+        if vals.ndim != 2 or vals.shape[0] != self.n or vals.shape[1] < 1:
+            raise DimensionError(f"values shape {vals.shape} is not {self.n} rows of at least one column")
         if not np.all(np.isfinite(vals)):
             raise ParameterError("bank entries must be finite")
         vals.setflags(write=False)
@@ -114,13 +104,10 @@ def mean_row(matrix: np.ndarray, what: str) -> np.ndarray:
 #   {"format":"ebank","version":1,"modality":"visual"|"text","dim":D}
 # followed by one {"task_id": str, "v": [D numbers]} object per row.
 #
-# Binary: magic "EBNK", u8 version=1, u8 modality (0=visual, 1=text),
-# u32 LE dim, u64 LE count, count*dim LE float32 row-major, then each
-# task_id as u16 LE byte length + UTF-8 bytes.
+# Binary: magic "EBNK", u8 version=1, u8 modality index in MODALITIES
+# (0=visual, 1=text), u32 LE dim, u64 LE count, count*dim LE float32
+# row-major, then each task_id as u16 LE byte length + UTF-8 bytes.
 # ---------------------------------------------------------------------------
-
-_MODALITY_CODE = {Modality.VISUAL: 0, Modality.TEXT: 1}
-_CODE_MODALITY = {v: k for k, v in _MODALITY_CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -129,7 +116,7 @@ class _JsonlHeader:
 
     format: str = field(metadata=one_of("ebank"))
     version: int = field(metadata=one_of(JSONL_VERSION))
-    modality: str = field(metadata=one_of(*(m.value for m in Modality)))
+    modality: str = field(metadata=one_of(*MODALITIES))
     dim: int = field(metadata=POSITIVE)
 
     __post_init__ = check_fields
@@ -152,7 +139,7 @@ def load_bank(path) -> EmbeddingBank:
 
 
 def _encode_jsonl(bank: EmbeddingBank) -> bytes:
-    header = asdict(_JsonlHeader("ebank", JSONL_VERSION, bank.modality.value, bank.dim))
+    header = asdict(_JsonlHeader("ebank", JSONL_VERSION, bank.modality, bank.dim))
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for tid, row in zip(bank.task_ids, bank.values):
         lines.append(
@@ -199,7 +186,7 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
         ids.append(tid)
         rows.append(row)
     values = np.array(rows, dtype=np.float64).reshape(len(ids), header.dim)
-    return EmbeddingBank(Modality(header.modality), tuple(ids), values)
+    return EmbeddingBank(header.modality, tuple(ids), values)
 
 
 def _encode_binary(bank: EmbeddingBank) -> bytes:
@@ -210,7 +197,7 @@ def _encode_binary(bank: EmbeddingBank) -> bytes:
     floats = float32_bytes(bank.values, outside)
     buf = bytearray()
     buf += BINARY_MAGIC
-    buf += struct.pack("<BB", BINARY_VERSION, _MODALITY_CODE[bank.modality])
+    buf += struct.pack("<BB", BINARY_VERSION, MODALITIES.index(bank.modality))
     buf += struct.pack("<IQ", bank.dim, bank.n)
     buf += floats
     for i, tid in enumerate(bank.task_ids):
@@ -231,7 +218,7 @@ def _decode_binary(raw: bytes, name: str) -> EmbeddingBank:
     version, modality_code = struct.unpack_from("<BB", raw, 4)
     if version != BINARY_VERSION:
         raise FormatError(f"{name}: offset 4: unsupported version {version}")
-    if modality_code not in _CODE_MODALITY:
+    if modality_code >= len(MODALITIES):
         raise FormatError(f"{name}: offset 5: bad modality code {modality_code}")
     need(6, 12, "dim and count")
     dim, count = struct.unpack_from("<IQ", raw, 6)
@@ -260,4 +247,4 @@ def _decode_binary(raw: bytes, name: str) -> EmbeddingBank:
         offset += length
     if offset != len(raw):
         raise FormatError(f"{name}: {len(raw) - offset} trailing bytes at offset {offset}")
-    return EmbeddingBank(_CODE_MODALITY[modality_code], tuple(ids), values)
+    return EmbeddingBank(MODALITIES[modality_code], tuple(ids), values)

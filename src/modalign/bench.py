@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality, row_norms
+from .banks import MODALITIES, EmbeddingBank, row_norms
 from .collapse import COLLAPSE_KINDS, CollapseTransform, fit_centralize, fit_delete
 from .corrupt import NOISE_KINDS, CorruptConfig
 from .errors import (
@@ -100,7 +100,7 @@ class VariantSpec:
         return {**cells, "alpha_or_std": self.alpha_or_std}
 
 
-_MODALITY = one_of("visual", "text")
+_MODALITY = one_of(*MODALITIES)
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,6 @@ class BenchConfig(VariantSpec):
     ablations: tuple[dict, ...] = ()
 
     def __post_init__(self):
-        try:
-            self._validate()
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"invalid bench config value: {exc}") from None
-
-    def _validate(self):
         """Check every field and every variant before any work."""
         check_fields(self)
         if not self.seeds:
@@ -283,7 +277,7 @@ def text_reference_bank(encoders, tasks: Sequence[GridTask]) -> EmbeddingBank:
     ordered = sorted(tasks, key=lambda t: t.task_id)
     ids = [task.task_id for task in ordered for _ in TRAIN_TEMPLATE_INDICES]
     seqs = [task.templates[i] for task in ordered for i in TRAIN_TEMPLATE_INDICES]
-    return encode_goals(encoders, Modality.TEXT, ids, seqs)
+    return encode_goals(encoders, "text", ids, seqs)
 
 
 def _fit_transform(
@@ -303,8 +297,6 @@ def _stage(name: str, fn, *args, where: str = ""):
     where: " (seed s)" or " (seed s, variant v)"."""
     try:
         return fn(*args)
-    except PipelineError:
-        raise
     except DivergenceError as exc:
         raise DivergenceError(f"stage '{name}': {exc}{where}") from exc
     except Exception as exc:
@@ -336,7 +328,6 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
     gap_rng = np.random.default_rng(subseed(config.world_seed, _GAP_TAG))
     gap_direction = gap_rng.standard_normal(config.dim)
     gap_direction /= row_norms(gap_direction)
-    train_modality = Modality(config.train_modality)
     variants = config.variants()
     report = TransferReport(config=config.to_dict(), chance_floor=floor)
     cells: dict[tuple[int, str], list[BenchRow]] = {}
@@ -350,13 +341,13 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
         # Every stream is keyed by (seed, stage), never by the variant: the
         # variants of a seed share every draw but the fields their ablation sets.
         unit_v, _ = _stage(
-            "reference_banks", build_goal_bank, encoders, dataset, Modality.VISUAL,
+            "reference_banks", build_goal_bank, encoders, dataset, "visual",
             subseed(seed, _STAGE_GOALS), where=at_seed,
         )
         ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks, where=at_seed)
         # visual goals draw no templates, so visual training goals are unit_v
-        unit_train = unit_v if train_modality is Modality.VISUAL else _stage(
-            "training_goals", build_goal_bank, encoders, dataset, train_modality,
+        unit_train = unit_v if config.train_modality == "visual" else _stage(
+            "training_goals", build_goal_bank, encoders, dataset, config.train_modality,
             subseed(seed, _STAGE_GOALS), TRAIN_TEMPLATE_INDICES, where=at_seed,
         )[0]
         # Stage-major: every variant's collapse fit and training goals, then
@@ -381,7 +372,7 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
         del bc_rows, goals
         # Each evaluation's episodes and goals are built once, for every variant.
         episodes = [_stage(
-            "eval_episodes", eval_episodes, tasks, Modality(name.removesuffix("_heldout")), encoders,
+            "eval_episodes", eval_episodes, tasks, name.removesuffix("_heldout"), encoders,
             config.episodes_per_task, subseed(seed, tag), pool, where=at_seed,
         ) for name, pool, tag in evals]
         for vi, (variant, policy, transform, offset) in enumerate(zip(variants, policies, transforms, offsets)):

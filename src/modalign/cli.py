@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .banks import BANK_FORMATS, BINARY_MAGIC, EmbeddingBank, load_bank, row_norms, save_bank
+from .banks import BANK_FORMATS, BINARY_MAGIC, MODALITIES, EmbeddingBank, load_bank, row_norms, save_bank
 from .bench import BenchConfig, run_transfer_experiment, train_seed_encoders
 from .collapse import COLLAPSE_KINDS, apply_to_bank, fit_centralize, fit_delete, load_transform, save_transform
 from .corrupt import NOISE_KINDS, CorruptConfig, corrupt_bank
@@ -64,8 +64,8 @@ def cmd_collapse(args) -> int:
         reference = f"visual={args.ref_visual};text={args.ref_text}"
         if args.kind == "centralize":
             for flag, ref, want in (("--ref-visual", ref_v, "visual"), ("--ref-text", ref_l, "text")):
-                if ref.modality.value != want:
-                    raise ParameterError(f"{flag} needs a {want} bank, got a {ref.modality.value} bank")
+                if ref.modality != want:
+                    raise ParameterError(f"{flag} needs a {want} bank, got a {ref.modality} bank")
             transform = fit_centralize(ref_v, ref_l, fit_reference=reference)
         else:
             transform = fit_delete(ref_v, ref_l, k=args.k, fit_reference=reference)
@@ -187,7 +187,7 @@ def _load_any(path) -> tuple[EmbeddingBank | None, str]:
         t = load_transform(path)
         return None, f"valid {t.kind} transform, dim {t.source_dim} -> {t.output_dim}"
     bank = load_bank(path)
-    return bank, f"valid {bank.modality.value} bank, {bank.n} rows, dim {bank.dim}"
+    return bank, f"valid {bank.modality} bank, {bank.n} rows, dim {bank.dim}"
 
 
 def _is_transform(raw: bytes, path) -> bool:
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--out-dir", default=".", help="where to write the report files")
     p.add_argument("--seeds", help="override config seeds, comma separated")
-    p.add_argument("--train-modality", choices=["visual", "text"], help="override train modality")
+    p.add_argument("--train-modality", choices=MODALITIES, help="override train modality")
     p.add_argument(
         "--ablate",
         action="append",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality, mean_row
+from .banks import EmbeddingBank, mean_row
 from .diagnostics import per_dimension_mean_gap
 from .errors import (
     POSITIVE, DimensionError, EmptyBankError, ParameterError, check_fields, from_json, is_integer, one_of,
@@ -77,10 +77,10 @@ def fit_centralize(
     reference_v: EmbeddingBank, reference_l: EmbeddingBank, fit_reference: str | None = None
 ) -> CollapseTransform:
     """Estimate per-modality means over all reference rows."""
-    if (reference_v.modality, reference_l.modality) != (Modality.VISUAL, Modality.TEXT):
+    if (reference_v.modality, reference_l.modality) != ("visual", "text"):
         raise ParameterError(
             f"centralize needs a visual then a text reference bank, got "
-            f"{reference_v.modality.value} then {reference_l.modality.value}"
+            f"{reference_v.modality} then {reference_l.modality}"
         )
     if reference_v.n == 0 or reference_l.n == 0:
         raise EmptyBankError("reference banks must be non-empty")
@@ -130,7 +130,7 @@ def apply_to_bank(transform: CollapseTransform | None, bank: EmbeddingBank) -> E
     if bank.dim != transform.source_dim:
         raise DimensionError(f"bank dim {bank.dim} != transform dim {transform.source_dim}")
     if transform.kind == "centralize":
-        mean = transform.visual_mean if bank.modality is Modality.VISUAL else transform.text_mean
+        mean = transform.visual_mean if bank.modality == "visual" else transform.text_mean
         return bank.with_values(bank.values - mean)
     keep = np.ones(transform.source_dim, dtype=bool)
     keep[list(transform.deleted_dims)] = False

@@ -238,7 +238,7 @@ def export_per_dim_gap(gap: np.ndarray, path) -> None:
 
 def export_pca_points(banks: Sequence[EmbeddingBank], coords: np.ndarray, path) -> None:
     """One CSV row per pca_project_2d(banks) coordinate row, labelled by its bank's modality and task id."""
-    labels = [(b.modality.value, tid) for b in banks for tid in b.task_ids]
+    labels = [(b.modality, tid) for b in banks for tid in b.task_ids]
     if coords.shape != (len(labels), 2):
         raise DimensionError(f"coordinates of shape {coords.shape} do not match {len(labels)} bank rows")
     rows = [[m, tid, repr(x), repr(y)] for (m, tid), (x, y) in zip(labels, coords.tolist())]

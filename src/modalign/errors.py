@@ -68,6 +68,7 @@ POSITIVE = {"rule": (lambda v: v > 0, "positive")}
 NON_NEGATIVE = {"rule": (lambda v: v >= 0, "non-negative")}
 UNIT_INTERVAL = {"rule": (lambda v: 0 <= v < 1, "in [0, 1)")}
 COSINE_FLOOR = {"rule": (lambda v: -1 < v <= 1, "in (-1, 1]")}
+NON_EMPTY = {"rule": (bool, "non-empty")}
 
 
 def one_of(*choices) -> dict:
@@ -89,8 +90,9 @@ def check_fields(config) -> None:
     _TYPES name, a tuple[<name>, ...], either of them | None; any other
     annotation is not type-checked) and then its declared rule, entry by
     entry for a tuple, which may be given as a list, tuple or numpy array.
-    ParameterError names the first field that fails. Numbers are stored as
-    plain Python ints and floats, tuples as tuples."""
+    ParameterError names the first field that fails, and for a tuple its
+    first failing entry and that entry's index. Numbers are stored as plain
+    Python ints and floats, tuples as tuples."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind = f.type.removesuffix(" | None")
@@ -106,7 +108,9 @@ def check_fields(config) -> None:
         entries = list(value) if is_tuple else [value]
         for test, text in (_TYPES.get(kind, _ANY), f.metadata.get("rule", _ANY)):
             if not all(map(test, entries)):
-                raise ParameterError(f"{f.name} must be {text}, got {value!r}")
+                i = next(i for i, v in enumerate(entries) if not test(v))
+                at = f" at index {i}" if is_tuple else ""
+                raise ParameterError(f"{f.name} must be {text}, got {entries[i]!r}{at}")
         if kind == "int":
             entries = [int(v) for v in entries]
         elif kind == "float":  # JSON cannot encode a numpy float; a plain int still echoes as an int
@@ -120,7 +124,7 @@ def check_keys(cls, doc, where: str, error: type[ModalignError]) -> None:
     out a field that has no default."""
     if not isinstance(doc, dict):
         raise error(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)}, key=str)  # a library dict may mix key types
     if unknown:
         raise error(f"{where}: unknown keys {unknown}")
     missing = [f.name for f in fields(cls) if f.name not in doc and f.default is MISSING is f.default_factory]

@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality, row_norms
+from .banks import EmbeddingBank, row_norms
 from .errors import ParameterError
 
 N_DISTRACTORS = 2
@@ -220,6 +220,6 @@ def synthetic_gap_bank(
         return noisy / row_norms(noisy)[:, None] + offset
 
     return (
-        EmbeddingBank(Modality.VISUAL, ids, rows(gap / 2.0)),
-        EmbeddingBank(Modality.TEXT, ids, rows(-gap / 2.0)),
+        EmbeddingBank("visual", ids, rows(gap / 2.0)),
+        EmbeddingBank("text", ids, rows(-gap / 2.0)),
     )

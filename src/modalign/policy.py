@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .banks import EmbeddingBank, Modality, unit_rows
+from .banks import EmbeddingBank, unit_rows
 from .collapse import CollapseTransform, apply_to_bank
 from .corrupt import CorruptConfig, corrupt_bank
 from .errors import (
@@ -57,7 +57,7 @@ class EvalReport:
 
 
 def encode_goals(
-    encoders: EncoderParams, modality: Modality, task_ids: Sequence[str], items: Sequence
+    encoders: EncoderParams, modality: str, task_ids: Sequence[str], items: Sequence
 ) -> EmbeddingBank:
     """Unit goal bank, one row per item: a Trajectory (visual) or a token
     sequence (text), all encoded in one batch.
@@ -68,7 +68,7 @@ def encode_goals(
     last observations; a zero transition has no direction and raises
     DegenerateVectorError.
     """
-    if modality is Modality.VISUAL:
+    if modality == "visual":
         starts, ends = [t.observations[0] for t in items], [t.observations[-1] for t in items]
         rows = unit_rows(frame_differences(encoders, starts, ends), "visual goal", 1e-12)
     else:
@@ -82,7 +82,7 @@ def variant_goals(
     """One variant's goals from unit goals: visual_offset (a synthetic
     modality gap) is added to a visual bank's rows, never a text bank's,
     then the rows are collapsed by transform (None is the identity)."""
-    if visual_offset is not None and bank.modality is Modality.VISUAL:
+    if visual_offset is not None and bank.modality == "visual":
         bank = bank.with_values(bank.values + visual_offset)
     return apply_to_bank(transform, bank)
 
@@ -96,7 +96,7 @@ def _draw_template(task: GridTask, pool: Sequence[int] | None, rng: np.random.Ge
 def build_goal_bank(
     encoders: EncoderParams,
     dataset: Sequence[tuple[Trajectory, GridTask]],
-    modality: Modality,
+    modality: str,
     seed: int,
     template_pool: Sequence[int] | None = None,
 ) -> tuple[EmbeddingBank, list[int]]:
@@ -107,7 +107,7 @@ def build_goal_bank(
     if not kept:
         raise ParameterError("no usable trajectories in the dataset")
     rng = np.random.default_rng(seed)
-    if modality is Modality.VISUAL:
+    if modality == "visual":
         items = [dataset[i][0] for i in kept]
     else:
         items = [_draw_template(dataset[i][1], template_pool, rng) for i in kept]
@@ -276,7 +276,7 @@ def _prompt(task: GridTask, rng: np.random.Generator) -> Trajectory:
 
 
 def eval_episodes(
-    tasks: Sequence[GridTask], eval_modality: Modality, encoders: EncoderParams, episodes_per_task: int,
+    tasks: Sequence[GridTask], eval_modality: str, encoders: EncoderParams, episodes_per_task: int,
     seed: int, template_pool: Sequence[int] | None = None,
 ):
     """What every variant's evaluation shares: tasks sorted by id, each
@@ -285,7 +285,7 @@ def eval_episodes(
     episode]). A visual goal is a fresh prompt demonstration (its own start cell
     and distractors), so it never matches the rollout's own observations."""
     ordered, episodes, streams = _episodes(tasks, episodes_per_task, seed)
-    if eval_modality is Modality.VISUAL:
+    if eval_modality == "visual":
         items = [_prompt(task, rng) for task, rng in zip(episodes, streams)]
     else:
         items = [_draw_template(task, template_pool, rng) for task, rng in zip(episodes, streams)]

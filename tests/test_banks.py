@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import warnings
 
@@ -11,7 +12,6 @@ from modalign import (
     EmbeddingBank,
     FormatError,
     IoError,
-    Modality,
     ParameterError,
     load_bank,
     matched_pair_similarity_matrix,
@@ -19,7 +19,7 @@ from modalign import (
     save_bank,
     unit_rows,
 )
-from modalign.banks import BANK_FORMATS
+from modalign.banks import BANK_FORMATS, BINARY_MAGIC
 
 
 def vec(*xs):
@@ -29,8 +29,8 @@ def vec(*xs):
 def cosine_similarity(a, b):
     """Cosine of two vectors as matched_pair_similarity_matrix gives it for
     a visual and a text bank of one row each."""
-    bank_v = EmbeddingBank(Modality.VISUAL, ("t",), np.array([a]))
-    bank_l = EmbeddingBank(Modality.TEXT, ("t",), np.array([b]))
+    bank_v = EmbeddingBank("visual", ("t",), np.array([a]))
+    bank_l = EmbeddingBank("text", ("t",), np.array([b]))
     return float(matched_pair_similarity_matrix(bank_v, bank_l)[0, 0])
 
 
@@ -123,33 +123,54 @@ class TestRowNorms:
 class TestBankConstruction:
     def test_row_dim_checked(self):
         with pytest.raises(DimensionError, match=r"values shape \(3, 2\) is not 2 rows"):
-            EmbeddingBank(Modality.VISUAL, ("a", "b"), np.ones((3, 2)))
+            EmbeddingBank("visual", ("a", "b"), np.ones((3, 2)))
 
     @pytest.mark.parametrize("shape", [(2,), (2, 0), (2, 2, 1)], ids=["1-d", "no-columns", "3-d"])
     def test_values_must_be_a_matrix_with_columns(self, shape):
         with pytest.raises(DimensionError, match="at least one column"):
-            EmbeddingBank(Modality.VISUAL, ("a", "b"), np.ones(shape))
+            EmbeddingBank("visual", ("a", "b"), np.ones(shape))
 
     def test_dim_is_the_width_of_values(self):
-        bank = EmbeddingBank(Modality.VISUAL, ("a", "b"), np.ones((2, 3), dtype=np.float32))
+        bank = EmbeddingBank("visual", ("a", "b"), np.ones((2, 3), dtype=np.float32))
         assert bank.dim == 3 and type(bank.dim) is int
         assert bank.with_values(np.ones((2, 5))).dim == 5
 
     def test_empty_task_id_rejected(self):
         with pytest.raises(ParameterError):
-            EmbeddingBank(Modality.VISUAL, ("",), [[1.0, 2.0]])
+            EmbeddingBank("visual", ("",), [[1.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "modality, ids, message",
+        [
+            ("audio", ("a", "b"), "modality must be one of visual, text, got 'audio'"),
+            (0, ("a", "b"), "modality must be a string, got 0"),
+            ("text", ("a", ""), "task_ids must be non-empty, got '' at index 1"),
+            ("text", ("a", 7), "task_ids must be a string, got 7 at index 1"),
+            ("text", "ab", "task_ids must be a list, got 'ab'"),
+        ],
+        ids=["unknown-modality", "modality-not-a-string", "empty-id", "id-not-a-string", "ids-not-a-list"],
+    )
+    def test_modality_and_task_ids_are_checked_fields(self, modality, ids, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            EmbeddingBank(modality, ids, np.ones((2, 2)))
+
+    def test_bad_id_refusal_names_its_index_not_every_id(self):
+        ids = [f"t{i}" for i in range(20_000)]
+        ids[12_345] = ""
+        with pytest.raises(ParameterError, match=r"^task_ids must be non-empty, got '' at index 12345$"):
+            EmbeddingBank("visual", ids, np.ones((20_000, 2)))
 
     def test_duplicate_task_ids_allowed(self):
-        bank = EmbeddingBank(Modality.TEXT, ("t", "t"), [[1.0, 0.0], [0.0, 1.0]])
+        bank = EmbeddingBank("text", ("t", "t"), [[1.0, 0.0], [0.0, 1.0]])
         assert bank.n == 2
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ParameterError):
-            EmbeddingBank(Modality.VISUAL, ("a",), [[1.0, float("nan")]])
+            EmbeddingBank("visual", ("a",), [[1.0, float("nan")]])
 
 
 
-def random_bank(rng, n=None, dim=None, modality=Modality.VISUAL, float32=True):
+def random_bank(rng, n=None, dim=None, modality="visual", float32=True):
     n = int(rng.integers(0, 7)) if n is None else n
     dim = int(rng.integers(2, 9)) if dim is None else dim
     values = rng.standard_normal((n, dim)) * 10
@@ -239,12 +260,12 @@ class TestBankIo:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_bank_roundtrip(self, tmp_path):
-        bank = EmbeddingBank(Modality.TEXT, (), np.zeros((0, 8)))
+        bank = EmbeddingBank("text", (), np.zeros((0, 8)))
         for fmt in BANK_FORMATS:
             path = tmp_path / f"empty.{fmt}"
             save_bank(bank, path, fmt)
             loaded = load_bank(path)
-            assert loaded.n == 0 and loaded.dim == 8 and loaded.modality is Modality.TEXT
+            assert loaded.n == 0 and loaded.dim == 8 and loaded.modality == "text"
 
     def test_binary_truncation_detected(self, tmp_path):
         bank = random_bank(np.random.default_rng(3), n=3)
@@ -264,7 +285,7 @@ class TestBankIo:
 
     @pytest.mark.parametrize("bits", [0x7FC00000, 0x7FA00000, 0xFF800000], ids=["nan", "signalling-nan", "-inf"])
     def test_binary_non_finite_payload_rejected_without_a_cast_warning(self, tmp_path, bits):
-        bank = EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
+        bank = EmbeddingBank("visual", ("a", "b"), [[1.0, 0.0], [0.0, 1.0]])
         path = tmp_path / "b.ebnk"
         save_bank(bank, path, "binary")
         raw = bytearray(path.read_bytes())
@@ -276,13 +297,42 @@ class TestBankIo:
                 load_bank(path)
 
     def test_binary_save_refuses_values_outside_float32(self, tmp_path):
-        bank = EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1.0, 0.0], [0.0, 1e39]])
+        bank = EmbeddingBank("visual", ("a", "b"), [[1.0, 0.0], [0.0, 1e39]])
         path = tmp_path / "b.ebnk"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="row 1, dim 1: value 1e[+]?39 is outside float32 range"):
                 save_bank(bank, path, "binary")
         assert not path.exists()
+
+    def test_save_refuses_an_unknown_format(self, tmp_path):
+        path = tmp_path / "b.csv"
+        with pytest.raises(ParameterError, match=r"^unknown bank format 'csv'$"):
+            save_bank(random_bank(np.random.default_rng(5), n=2), path, "csv")
+        assert not path.exists()
+
+    def test_binary_save_refuses_a_task_id_over_65535_utf8_bytes(self, tmp_path):
+        fits, over = "é" * 32767 + "a", "é" * 32768  # 65,535 and 65,536 UTF-8 bytes
+        path = tmp_path / "b.ebnk"
+        save_bank(EmbeddingBank("visual", (fits,), [[1.0]]), path, "binary")
+        assert load_bank(path).task_ids == (fits,)
+        with pytest.raises(ParameterError, match=r"^row 1: task_id longer than 65535 UTF-8 bytes$"):
+            save_bank(EmbeddingBank("visual", ("a", over), [[1.0], [2.0]]), path, "binary")
+
+    @pytest.mark.parametrize(
+        "header, tail, message",
+        [
+            (struct.pack("<BBIQ", 1, 0, 0, 0), b"", "offset 6: dim must be >= 1, got 0"),
+            (struct.pack("<BBIQ", 1, 2, 1, 0), b"", "offset 5: bad modality code 2"),
+            (struct.pack("<BBIQ", 1, 1, 1, 1), struct.pack("<fH", 1.0, 0), "task_id 0: empty string"),
+        ],
+        ids=["dim-0", "modality-code-2", "empty-task-id"],
+    )
+    def test_binary_header_and_id_refusals(self, tmp_path, header, tail, message):
+        path = tmp_path / "b.ebnk"
+        path.write_bytes(BINARY_MAGIC + header + tail)
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_bank(path)
 
     def test_format_sniffing(self, tmp_path):
         bank = random_bank(np.random.default_rng(4), n=2)
@@ -293,7 +343,7 @@ class TestBankIo:
         assert np.array_equal(load_bank(pb).values, load_bank(pj).values)
 
     def test_unicode_task_ids(self, tmp_path):
-        bank = EmbeddingBank(Modality.VISUAL, ("tâche-1",), [[1.0, 2.0]])
+        bank = EmbeddingBank("visual", ("tâche-1",), [[1.0, 2.0]])
         for fmt in BANK_FORMATS:
             path = tmp_path / f"u.{fmt}"
             save_bank(bank, path, fmt)
@@ -353,6 +403,13 @@ class TestJsonlRowContract:
         path = tmp_path / "b.jsonl"
         path.write_text(JSONL_HEADER + "".join(jsonl_row(r) for r in rows))
         with pytest.raises(error, match=message):
+            load_bank(path)
+
+    @pytest.mark.parametrize("task_id", ['""', "5", "null"], ids=["empty", "number", "null"])
+    def test_task_id_must_be_a_non_empty_string(self, tmp_path, task_id):
+        path = tmp_path / "b.jsonl"
+        path.write_text(JSONL_HEADER + jsonl_row("[1,2,3]") + '{"task_id":%s,"v":[1,2,3]}\n' % task_id)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 3: task_id must be a non-empty string$"):
             load_bank(path)
 
     def test_integers_convert_like_float(self, tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -48,6 +49,11 @@ class TestBenchConfig:
     def test_unknown_ablation_key_rejected(self):
         with pytest.raises(ParameterError, match="nope"):
             tiny_config(ablations=({"nope": 1},))
+
+    def test_unknown_ablation_keys_of_mixed_types_rejected(self):
+        # sorting an int key beside a str key raised TypeError, which only a catch-all in the config check caught
+        with pytest.raises(ParameterError, match=r"^ablation: unknown keys \[1, 'nope'\]$"):
+            tiny_config(ablations=({1: 0, "nope": 0},))
 
     def test_horizon_must_reach_every_cell(self):
         with pytest.raises(ParameterError, match="horizon"):
@@ -295,6 +301,10 @@ class TestRunTransferExperiment:
             assert agg["success_mean"] == pytest.approx(rows[0].success_mean)
             assert agg["n_seeds"] == 1
 
+    def test_aggregate_of_a_missing_cell_is_a_key_error(self, report):
+        with pytest.raises(KeyError, match=re.escape("no aggregate for text {'collapse': 'delete'}")):
+            report.aggregate("text", collapse="delete")
+
     def test_deterministic_rerun(self, report):
         again = run_transfer_experiment(tiny_config())
         assert [r.success_mean for r in again.rows] == [r.success_mean for r in report.rows]
@@ -336,7 +346,7 @@ class TestStageStreams:
 
         record("build_dataset", lambda tasks, demos, seed: ("dataset", seed))
         record("train_encoders", lambda clips, config: ("encoder", config.seed))
-        record("build_goal_bank", lambda encoders, dataset, modality, seed, *pool: (f"goals_{modality.value}", seed))
+        record("build_goal_bank", lambda encoders, dataset, modality, seed, *pool: (f"goals_{modality}", seed))
         record("train_policies", lambda *args: ("policy", args[5].seed))
         record("training_goals", lambda goals, corrupt, *rule: ("corrupt", corrupt.seed))
         record("eval_episodes", lambda *args: ("eval_heldout" if args[5] == HELDOUT_TEMPLATE_INDICES else "eval", args[4]))
@@ -366,7 +376,7 @@ class TestStageStreams:
         calls, real = [], bench_module.build_goal_bank
 
         def recording(encoders, dataset, modality, *args):
-            calls.append(modality.value)
+            calls.append(modality)
             return real(encoders, dataset, modality, *args)
 
         monkeypatch.setattr(bench_module, "build_goal_bank", recording)

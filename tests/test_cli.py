@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modalign import EmbeddingBank, Modality, load_bank, save_bank
+from modalign import EmbeddingBank, ParameterError, load_bank, save_bank
 from modalign.bench import subseed
-from modalign.cli import build_parser, main
+from modalign.cli import build_parser, cmd_verify, main
 from modalign.gridworld import synthetic_gap_bank
 
 
@@ -27,11 +27,15 @@ def bank_pair(tmp_path):
     return pv, pl
 
 
+def readme_block(section: str, language: str) -> str:
+    """The first code block of the given language under a README section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(section, 1)[1].split(f"```{language}", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_commands():
     """Every `modalign ...` command of README's CLI block, continuations joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = readme_block("## CLI", "sh").replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True) for line in lines if line.startswith("modalign ")]
 
 
@@ -44,6 +48,12 @@ class TestParser:
         for argv in commands:
             args = build_parser().parse_args(argv[1:])
             assert args.command == argv[1]
+
+    def test_readme_library_example_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        exec(compile(readme_block("## Library", "python"), "README.md", "exec"), {})
+        noisy = load_bank(tmp_path / "noisy.jsonl")
+        assert (noisy.modality, noisy.n, noisy.dim) == ("visual", 80, 16)
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:
@@ -183,7 +193,7 @@ class TestCollapse:
     ], ids=["other-kind", "missing"])
     def test_transform_fields_must_be_those_of_its_kind(self, tmp_path, capsys, doc, message):
         target = tmp_path / "v.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a",), [[1.0, 2.0]]), target, "jsonl")
+        save_bank(EmbeddingBank("visual", ("a",), [[1.0, 2.0]]), target, "jsonl")
         transform = tmp_path / "t.json"
         transform.write_text(json.dumps(doc), encoding="utf-8")
         code = run(["collapse", "--transform-in", transform, "--target", target, "--out", tmp_path / "x.ebnk"])
@@ -294,6 +304,15 @@ class TestVerify:
         assert f"error: {flag} must be {rule}, got {float(value)}" in err
         assert "absent" not in err
 
+    def test_transform_refusal_names_the_first_bad_entry(self, tmp_path, capsys):
+        # the refusal used to echo all 512 numbers of the mean, over 2,600 bytes
+        doc = {"kind": "centralize", "source_dim": 512, "visual_mean": [0.25] * 512, "text_mean": [0.5] * 512}
+        doc["text_mean"][300] = float("nan")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", "--bank", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: text_mean must be a finite number, got nan at index 300\n"
+
     def test_unbounded_cone_no_longer_passes_a_non_unit_bank(self, bank_pair, capsys):
         # --alpha=-inf --tolerance=inf used to confirm every row of any bank
         pv, pl = bank_pair
@@ -386,7 +405,7 @@ class TestVerifyAgainst:
         pb, pa = tmp_path / "b.ebnk", tmp_path / "a.ebnk"
         for path, vals in ((pb, values), (pa, against)):
             vals = np.asarray(vals, dtype=np.float32).astype(np.float64)
-            save_bank(EmbeddingBank(Modality.VISUAL, ("t",) * len(vals), vals), path, "binary")
+            save_bank(EmbeddingBank("visual", ("t",) * len(vals), vals), path, "binary")
         bank, original = load_bank(pb), load_bank(pa)
         code = run(["verify", "--bank", pb, "--against", pa, "--alpha", alpha, "--tolerance", tolerance])
         out, err = capsys.readouterr()
@@ -412,6 +431,16 @@ class TestVerifyAgainst:
     def test_zero_row_in_against(self, tmp_path, capsys):
         err = self.check(tmp_path, capsys, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0]])
         assert err == "error: row 1: cosine similarity of a zero vector is undefined\n"
+
+    def test_banks_of_different_shapes_exit_two(self, tmp_path, capsys):
+        pb, pa = tmp_path / "b.ebnk", tmp_path / "a.ebnk"
+        save_bank(EmbeddingBank("visual", ("t",) * 2, np.eye(2, 3)), pb, "binary")
+        save_bank(EmbeddingBank("visual", ("t",) * 3, np.eye(3)), pa, "binary")
+        argv = ["verify", "--bank", str(pb), "--against", str(pa)]
+        with pytest.raises(ParameterError, match=r"^banks disagree: 2x3 vs 3x3$"):
+            cmd_verify(build_parser().parse_args(argv))
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: banks disagree: 2x3 vs 3x3\n"
 
     def test_infinite_tolerance_exits_two(self, bank_pair, capsys):
         pv, pl = bank_pair
@@ -648,7 +677,7 @@ class TestOverflowingNorms:
         offsets = np.array([[0, a, b, c] for a, b in directions for c in (1e152, -1e152)])
         ids = tuple(f"t{i // 2}" for i in range(8))
         pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
-        for modality, first, path in ((Modality.VISUAL, 1e154, pv), (Modality.TEXT, -1e154, pl)):
+        for modality, first, path in (("visual", 1e154, pv), ("text", -1e154, pl)):
             save_bank(EmbeddingBank(modality, ids, offsets + [first, 0, 0, 0]), path, "jsonl")
         assert run(["diagnose", "--bank-v", pv, "--bank-l", pl, "--out", tmp_path / "d"]) == 0
 
@@ -669,8 +698,8 @@ class TestOverflowingNorms:
         """Visual rows [1e308, 1.7e308, 0] for tasks a and b against text rows
         [0, 0, 1]: every value is finite, and the visual mean overflows in dims 0 and 1."""
         pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1e308, 1.7e308, 0.0]] * 2), pv, "jsonl")
-        save_bank(EmbeddingBank(Modality.TEXT, ("a", "b"), [[0.0, 0.0, 1.0]] * 2), pl, "jsonl")
+        save_bank(EmbeddingBank("visual", ("a", "b"), [[1e308, 1.7e308, 0.0]] * 2), pv, "jsonl")
+        save_bank(EmbeddingBank("text", ("a", "b"), [[0.0, 0.0, 1.0]] * 2), pl, "jsonl")
         return pv, pl
 
     def test_delete_fit_of_an_overflowing_mean(self, tmp_path, capsys):
@@ -692,8 +721,8 @@ class TestOverflowingNorms:
     def test_verify_against_a_row_whose_square_overflows(self, tmp_path, capsys, flag):
         # the overflowed norms of the huge rows used to report cosine 0.0 where the true cosine is about 1
         unit, huge = tmp_path / "unit.jsonl", tmp_path / "huge.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), np.eye(2)), unit, "jsonl")
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1.7e308, 1.0], [1.0, 1.7e308]]), huge,
+        save_bank(EmbeddingBank("visual", ("a", "b"), np.eye(2)), unit, "jsonl")
+        save_bank(EmbeddingBank("visual", ("a", "b"), [[1.7e308, 1.0], [1.0, 1.7e308]]), huge,
                   "jsonl")
         bank, against = (huge, unit) if flag == "--bank" else (unit, huge)
         assert run(["verify", "--bank", bank, "--against", against]) == 2
@@ -701,7 +730,7 @@ class TestOverflowingNorms:
 
     def test_gaussian_corrupt_whose_sum_overflows(self, tmp_path, capsys):
         path = tmp_path / "b.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a",), [[1.5e308, 0.0]]), path, "jsonl")
+        save_bank(EmbeddingBank("visual", ("a",), [[1.5e308, 0.0]]), path, "jsonl")
         argv = ["corrupt", "--bank", path, "--kind", "gaussian", "--std", 1e308, "--seed", 4, "--out", tmp_path / "c"]
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: bank entries must be finite\n"
@@ -709,8 +738,8 @@ class TestOverflowingNorms:
 
     def test_centralize_fit(self, tmp_path, capsys):
         pv, pl = tmp_path / "v.jsonl", tmp_path / "l.jsonl"
-        save_bank(EmbeddingBank(Modality.VISUAL, ("a", "b"), [[1e308, 1.0], [1e308, -1.0]]), pv, "jsonl")
-        save_bank(EmbeddingBank(Modality.TEXT, ("a", "b"), [[0.0, 1.0], [1.0, 0.0]]), pl, "jsonl")
+        save_bank(EmbeddingBank("visual", ("a", "b"), [[1e308, 1.0], [1e308, -1.0]]), pv, "jsonl")
+        save_bank(EmbeddingBank("text", ("a", "b"), [[0.0, 1.0], [1.0, 0.0]]), pl, "jsonl")
         argv = ["collapse", "--ref-visual", pv, "--ref-text", pl, "--target", pl, "--out", tmp_path / "o.ebnk",
                 "--transform-out", tmp_path / "t.json"]
         assert run(argv) == 2

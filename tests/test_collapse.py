@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from modalign import (
     EmptyBankError,
     FormatError,
     ModalignError,
-    Modality,
     ParameterError,
     apply_to_bank,
     fit_centralize,
@@ -34,15 +36,15 @@ def cosine_similarity(a, b):
 
 class TestFitCentralize:
     def test_mean_of_rows(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [2, 0]), ("b", [4, 0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0, 1]), ("b", [0, 3])])
+        bank_v = make_bank("visual", [("a", [2, 0]), ("b", [4, 0])])
+        bank_l = make_bank("text", [("a", [0, 1]), ("b", [0, 3])])
         t = fit_centralize(bank_v, bank_l)
         np.testing.assert_allclose(t.visual_mean, [3, 0])
         np.testing.assert_allclose(t.text_mean, [0, 2])
 
     def test_single_row_means(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [1.5, -2.0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0.25, 9.0])])
+        bank_v = make_bank("visual", [("a", [1.5, -2.0])])
+        bank_l = make_bank("text", [("a", [0.25, 9.0])])
         t = fit_centralize(bank_v, bank_l)
         np.testing.assert_array_equal(t.visual_mean, [1.5, -2.0])
         np.testing.assert_array_equal(t.text_mean, [0.25, 9.0])
@@ -58,7 +60,9 @@ class TestFitCentralize:
 
     @pytest.mark.parametrize(
         "first, second",
-        [(Modality.TEXT, Modality.VISUAL), (Modality.VISUAL, Modality.VISUAL), (Modality.TEXT, Modality.TEXT)],
+        [("text", "visual"), ("visual", "visual"), ("text", "text")],
+        # the ids these cases had when the modality was an enum member
+        ids=["Modality.TEXT-Modality.VISUAL", "Modality.VISUAL-Modality.VISUAL", "Modality.TEXT-Modality.TEXT"],
     )
     def test_reference_modalities_must_be_visual_then_text(self, first, second):
         # a swapped pair used to store the text mean as visual_mean
@@ -69,18 +73,25 @@ class TestFitCentralize:
 
     def test_overflowing_mean_rejected(self):
         # the inf mean used to be stored and saved to a file load_transform refuses
-        bank_v = make_bank(Modality.VISUAL, [("a", [1e308, 1.0]), ("b", [1e308, -1.0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0, 1]), ("b", [0, 3])])
+        bank_v = make_bank("visual", [("a", [1e308, 1.0]), ("b", [1e308, -1.0])])
+        bank_l = make_bank("text", [("a", [0, 1]), ("b", [0, 3])])
         with pytest.raises(ParameterError, match="^visual mean overflows float64 at dim 0$"):
             fit_centralize(bank_v, bank_l)
         with pytest.raises(ParameterError, match="^text_mean must be a finite number"):
             CollapseTransform("centralize", 2, np.zeros(2), np.array([0.0, np.inf]))
 
     def test_empty_bank_rejected(self):
-        empty = EmbeddingBank(Modality.VISUAL, (), np.zeros((0, 2)))
-        full = make_bank(Modality.TEXT, [("a", [1, 2])])
+        empty = EmbeddingBank("visual", (), np.zeros((0, 2)))
+        full = make_bank("text", [("a", [1, 2])])
         with pytest.raises(EmptyBankError):
             fit_centralize(empty, full)
+
+    @pytest.mark.parametrize("fit", [fit_centralize, fit_delete], ids=["centralize", "delete"])
+    def test_reference_banks_of_different_dims_rejected(self, fit):
+        bank_v = make_bank("visual", [("a", [1.0, 2.0])])
+        bank_l = make_bank("text", [("a", [1.0, 2.0, 3.0])])
+        with pytest.raises(DimensionError, match="^dimension mismatch: 2 vs 3$"):
+            fit(bank_v, bank_l)
 
 
 def one_row(values, modality):
@@ -95,7 +106,7 @@ class TestApplyCentralize:
             visual_mean=np.array([3.0, 0.0]),
             text_mean=np.array([0.0, 0.0]),
         )
-        out = apply_to_bank(t, one_row([3.0, 0.0], Modality.VISUAL))
+        out = apply_to_bank(t, one_row([3.0, 0.0], "visual"))
         np.testing.assert_array_equal(out.values, [[0, 0]])
 
     def test_zero_mean_is_identity(self):
@@ -105,7 +116,7 @@ class TestApplyCentralize:
             visual_mean=np.zeros(3),
             text_mean=np.zeros(3),
         )
-        bank = one_row([1.0, -2.0, 0.5], Modality.TEXT)
+        bank = one_row([1.0, -2.0, 0.5], "text")
         np.testing.assert_array_equal(apply_to_bank(t, bank).values, bank.values)
 
     def test_modality_selects_mean(self):
@@ -115,8 +126,8 @@ class TestApplyCentralize:
             visual_mean=np.array([1.0, 0.0]),
             text_mean=np.array([0.0, 1.0]),
         )
-        vis = apply_to_bank(t, one_row([1.0, 1.0], Modality.VISUAL))
-        txt = apply_to_bank(t, one_row([1.0, 1.0], Modality.TEXT))
+        vis = apply_to_bank(t, one_row([1.0, 1.0], "visual"))
+        txt = apply_to_bank(t, one_row([1.0, 1.0], "text"))
         np.testing.assert_array_equal(vis.values, [[0, 1]])
         np.testing.assert_array_equal(txt.values, [[1, 0]])
 
@@ -136,35 +147,35 @@ class TestApplyCentralize:
         # The bank-level apply dispatches on the transform's own kind, so a
         # delete transform deletes and never subtracts a mean.
         t = fit_delete(
-            make_bank(Modality.VISUAL, [("a", [1, 0, 0])]),
-            make_bank(Modality.TEXT, [("a", [0, 0, 0.5])]),
+            make_bank("visual", [("a", [1, 0, 0])]),
+            make_bank("text", [("a", [0, 0, 0.5])]),
             k=1,
         )
-        out = apply_to_bank(t, one_row([1.0, 0, 0], Modality.VISUAL))
+        out = apply_to_bank(t, one_row([1.0, 0, 0], "visual"))
         assert out.dim == 2
         np.testing.assert_array_equal(out.values, [[0.0, 0.0]])
 
 
 class TestFitDelete:
     def test_argmax_of_gap_profile(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [0.1, 5.0, 0.2])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0.0, 0.0, 0.0])])
+        bank_v = make_bank("visual", [("a", [0.1, 5.0, 0.2])])
+        bank_l = make_bank("text", [("a", [0.0, 0.0, 0.0])])
         t = fit_delete(bank_v, bank_l, k=1)
         assert t.deleted_dims == (1,)
 
     def test_tie_breaks_to_lower_index(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [3.0, 3.0, 1.0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0.0, 0.0, 0.0])])
+        bank_v = make_bank("visual", [("a", [3.0, 3.0, 1.0])])
+        bank_l = make_bank("text", [("a", [0.0, 0.0, 0.0])])
         assert fit_delete(bank_v, bank_l, k=2).deleted_dims == (0, 1)
 
     def test_all_zero_gap_deletes_first(self):
-        bank = make_bank(Modality.VISUAL, [("a", [1.0, 2.0, 3.0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [1.0, 2.0, 3.0])])
+        bank = make_bank("visual", [("a", [1.0, 2.0, 3.0])])
+        bank_l = make_bank("text", [("a", [1.0, 2.0, 3.0])])
         assert fit_delete(bank, bank_l, k=1).deleted_dims == (0,)
 
     def test_k_bounds(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [1, 2])])
-        bank_l = make_bank(Modality.TEXT, [("a", [3, 4])])
+        bank_v = make_bank("visual", [("a", [1, 2])])
+        bank_l = make_bank("text", [("a", [3, 4])])
         with pytest.raises(ParameterError):
             fit_delete(bank_v, bank_l, k=2)
         with pytest.raises(ParameterError):
@@ -173,14 +184,14 @@ class TestFitDelete:
             fit_delete(bank_v, bank_l, k=1.0)
 
     def test_numpy_integer_k(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [3.0, 3.0, 1.0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0.0, 0.0, 0.0])])
+        bank_v = make_bank("visual", [("a", [3.0, 3.0, 1.0])])
+        bank_l = make_bank("text", [("a", [0.0, 0.0, 0.0])])
         assert fit_delete(bank_v, bank_l, k=np.int64(2)).deleted_dims == (0, 1)
 
     def test_overflowing_mean_refused(self):
         # both gaps used to be inf and tie, so dim 0 was deleted although dim 1 has the larger gap
-        bank_v = make_bank(Modality.VISUAL, [("a", [1e308, 1.7e308, 0.0]), ("b", [1e308, 1.7e308, 0.0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0.0, 0.0, 1.0]), ("b", [0.0, 0.0, 1.0])])
+        bank_v = make_bank("visual", [("a", [1e308, 1.7e308, 0.0]), ("b", [1e308, 1.7e308, 0.0])])
+        bank_l = make_bank("text", [("a", [0.0, 0.0, 1.0]), ("b", [0.0, 0.0, 1.0])])
         with pytest.raises(ParameterError, match="^visual mean overflows float64 at dim 0$"):
             fit_delete(bank_v, bank_l)
 
@@ -207,18 +218,18 @@ class TestApplyDelete:
 
     def test_single_coordinate_removal(self):
         t = self._delete((1,), 3)
-        out = apply_to_bank(t, one_row([7.0, 8.0, 9.0], Modality.VISUAL))
+        out = apply_to_bank(t, one_row([7.0, 8.0, 9.0], "visual"))
         np.testing.assert_array_equal(out.values, [[7, 9]])
 
     def test_multi_removal_keeps_order(self):
         t = self._delete((0, 2), 4)
-        out = apply_to_bank(t, one_row([1.0, 2.0, 3.0, 4.0], Modality.TEXT))
+        out = apply_to_bank(t, one_row([1.0, 2.0, 3.0, 4.0], "text"))
         np.testing.assert_array_equal(out.values, [[2, 4]])
 
     def test_same_dims_for_both_modalities(self):
         t = self._delete((2,), 3)
-        v = apply_to_bank(t, one_row([1.0, 2.0, 3.0], Modality.VISUAL))
-        l = apply_to_bank(t, one_row([4.0, 5.0, 6.0], Modality.TEXT))
+        v = apply_to_bank(t, one_row([1.0, 2.0, 3.0], "visual"))
+        l = apply_to_bank(t, one_row([4.0, 5.0, 6.0], "text"))
         np.testing.assert_array_equal(v.values, [[1, 2]])
         np.testing.assert_array_equal(l.values, [[4, 5]])
 
@@ -231,8 +242,8 @@ class TestApplyDelete:
         base_v = rng.standard_normal((n, dim)) * 0.1
         base_l = rng.standard_normal((n, dim)) * 0.1
         ids = tuple(f"t{i}" for i in range(n))
-        bank_v = EmbeddingBank(Modality.VISUAL, ids, base_v + gap)
-        bank_l = EmbeddingBank(Modality.TEXT, ids, base_l)
+        bank_v = EmbeddingBank("visual", ids, base_v + gap)
+        bank_l = EmbeddingBank("text", ids, base_l)
         t = fit_delete(bank_v, bank_l, k=1)
         assert t.deleted_dims == (3,)
         before = gap_report(bank_v, bank_l).gap_norm
@@ -242,7 +253,7 @@ class TestApplyDelete:
     def test_wrong_dim(self):
         t = self._delete((0,), 3)
         with pytest.raises(DimensionError):
-            apply_to_bank(t, one_row([1.0, 2.0], Modality.VISUAL))
+            apply_to_bank(t, one_row([1.0, 2.0], "visual"))
 
 
 class TestInvariants:
@@ -251,11 +262,11 @@ class TestInvariants:
         for _ in range(20):
             n_v, n_l, dim = rng.integers(1, 30), rng.integers(1, 30), rng.integers(2, 10)
             bank_v = EmbeddingBank(
-                Modality.VISUAL, tuple(f"v{i}" for i in range(n_v)),
+                "visual", tuple(f"v{i}" for i in range(n_v)),
                 rng.standard_normal((n_v, dim)) * 5,
             )
             bank_l = EmbeddingBank(
-                Modality.TEXT, tuple(f"l{i}" for i in range(n_l)),
+                "text", tuple(f"l{i}" for i in range(n_l)),
                 rng.standard_normal((n_l, dim)) * 5,
             )
             t = fit_centralize(bank_v, bank_l)
@@ -276,9 +287,9 @@ class TestInvariants:
         # preservation must hold bitwise.
         rng = np.random.default_rng(23)
         values = rng.integers(-(2**24), 2**24, size=(16, 6)).astype(np.float64) * 2.0**-20
-        bank = EmbeddingBank(Modality.VISUAL, tuple(f"t{i}" for i in range(16)), values)
+        bank = EmbeddingBank("visual", tuple(f"t{i}" for i in range(16)), values)
         other_vals = rng.integers(-(2**24), 2**24, size=(8, 6)).astype(np.float64) * 2.0**-20
-        other = EmbeddingBank(Modality.TEXT, tuple(f"x{i}" for i in range(8)), other_vals)
+        other = EmbeddingBank("text", tuple(f"x{i}" for i in range(8)), other_vals)
         t = fit_centralize(bank, other)
         out = apply_to_bank(t, bank)
         for i in range(bank.n):
@@ -292,10 +303,10 @@ class TestInvariants:
         # rounding per coordinate.
         rng = np.random.default_rng(24)
         bank = EmbeddingBank(
-            Modality.VISUAL, tuple(f"t{i}" for i in range(10)),
+            "visual", tuple(f"t{i}" for i in range(10)),
             rng.standard_normal((10, 6)) * 3,
         )
-        other = EmbeddingBank(Modality.TEXT, ("x",), rng.standard_normal((1, 6)))
+        other = EmbeddingBank("text", ("x",), rng.standard_normal((1, 6)))
         out = apply_to_bank(fit_centralize(bank, other), bank)
         for i in range(bank.n):
             for j in range(bank.n):
@@ -309,11 +320,11 @@ class TestInvariants:
         rng = np.random.default_rng(29)
         values = rng.standard_normal((8, 5))
         ids = tuple(f"t{i}" for i in range(8))
-        bank = EmbeddingBank(Modality.VISUAL, ids, values)
-        ref_l = EmbeddingBank(Modality.TEXT, ids, rng.standard_normal((8, 5)))
+        bank = EmbeddingBank("visual", ids, values)
+        ref_l = EmbeddingBank("text", ids, rng.standard_normal((8, 5)))
         t = fit_delete(bank, ref_l, k=2)
         perm = rng.permutation(8)
-        permuted = EmbeddingBank(Modality.VISUAL, tuple(ids[i] for i in perm), values[perm])
+        permuted = EmbeddingBank("visual", tuple(ids[i] for i in perm), values[perm])
         np.testing.assert_array_equal(
             apply_to_bank(t, permuted).values, apply_to_bank(t, bank).values[perm]
         )
@@ -396,6 +407,22 @@ class TestSerialization:
         # a centralize file with deleted_dims used to load, ignoring them
         with pytest.raises(ModalignError, match=message):
             from_json(CollapseTransform, doc, "transform")
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ([], "delete transform needs at least one dimension"),
+            ([2, 1], "deleted_dims must be unique and ascending, got (2, 1)"),
+            ([1, 1], "deleted_dims must be unique and ascending, got (1, 1)"),
+            ([0, 1, 2], "cannot delete every dimension"),
+        ],
+        ids=["empty", "descending", "repeated", "every-dimension"],
+    )
+    def test_deleted_dims_refusals_name_the_file(self, tmp_path, dims, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"kind": "delete", "source_dim": 3, "deleted_dims": dims}))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_transform(path)
 
     def test_integral_values_still_load(self):
         t = from_json(CollapseTransform, {"kind": "delete", "source_dim": 4, "deleted_dims": [0, 3]}, "transform")

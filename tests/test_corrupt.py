@@ -8,7 +8,6 @@ from modalign import (
     DegenerateVectorError,
     DimensionError,
     EmbeddingBank,
-    Modality,
     ParameterError,
     corrupt_bank,
 )
@@ -77,7 +76,7 @@ def anchor_bank(anchors, repeats):
     copy is corrupted by its own stream."""
     values = np.repeat(np.atleast_2d(anchors), repeats, axis=0)
     return EmbeddingBank(
-        Modality.VISUAL, tuple(f"r{i}" for i in range(len(values))), values
+        "visual", tuple(f"r{i}" for i in range(len(values))), values
     )
 
 
@@ -136,7 +135,7 @@ class TestOrthogonalComponent:
         assert parallel.tolist() == [True, False]
 
     def test_zero_reference(self):
-        bank = EmbeddingBank(Modality.VISUAL, ("a", "b", "c"), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        bank = EmbeddingBank("visual", ("a", "b", "c"), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateVectorError):
             corrupt_bank(bank, cosine_cfg(0.2))
 
@@ -170,17 +169,17 @@ class TestNoiseInput:
             noise(vector, cfg, np.random.default_rng(0))
         rows = np.atleast_2d(vector)
         with pytest.raises(error):
-            corrupt_bank(EmbeddingBank(Modality.VISUAL, ("a",), rows), cfg)
+            corrupt_bank(EmbeddingBank("visual", ("a",), rows), cfg)
 
     def test_overflowing_norm_rejected_naming_the_row(self):
         # its squared norm used to overflow, leaving a row far outside the alpha-cone
-        bank = EmbeddingBank(Modality.VISUAL, ("a", "b"), [[3.0, 4.0, 0.0], [1e200, 0.0, -1e200]])
+        bank = EmbeddingBank("visual", ("a", "b"), [[3.0, 4.0, 0.0], [1e200, 0.0, -1e200]])
         with pytest.raises(ParameterError, match="^cannot corrupt row 1: its squared norm overflows float64$"):
             corrupt_bank(bank, cosine_cfg(0.2))
         assert np.isfinite(corrupt_bank(bank, gaussian_cfg(0.1)).values).all()
 
     def test_input_is_not_modified(self):
-        bank = EmbeddingBank(Modality.VISUAL, ("a", "b"), [[3.0, 4.0, 0.0], [0.0, 1.0, 2.0]])
+        bank = EmbeddingBank("visual", ("a", "b"), [[3.0, 4.0, 0.0], [0.0, 1.0, 2.0]])
         corrupt_bank(bank, cosine_cfg(0.2))
         corrupt_bank(bank, gaussian_cfg(0.5))
         np.testing.assert_array_equal(bank.values, [[3.0, 4.0, 0.0], [0.0, 1.0, 2.0]])
@@ -274,7 +273,7 @@ class TestGaussianNoise:
 class TestCorruptBank:
     def bank(self, rng, n=6, dim=8):
         return EmbeddingBank(
-            Modality.VISUAL, tuple(f"t{i}" for i in range(n)), rng.standard_normal((n, dim))
+            "visual", tuple(f"t{i}" for i in range(n)), rng.standard_normal((n, dim))
         )
 
     def test_alpha_one_normalizes_rows(self):
@@ -315,13 +314,13 @@ class TestCorruptBank:
     def test_bit_identical_to_per_row_reference(self, dim, cfg):
         rng = np.random.default_rng(dim)
         values = rng.standard_normal((40, dim)) * rng.uniform(0.1, 10.0, (40, 1))
-        bank = EmbeddingBank(Modality.TEXT, tuple(f"t{i % 7}" for i in range(40)), values)
+        bank = EmbeddingBank("text", tuple(f"t{i % 7}" for i in range(40)), values)
         np.testing.assert_array_equal(corrupt_bank(bank, cfg).values, reference_values(bank, cfg))
 
     @pytest.mark.parametrize("dim", [1, 2, 16])
     @pytest.mark.parametrize("cfg", [cosine_cfg(0.2), gaussian_cfg(0.1)])
     def test_empty_bank(self, dim, cfg):
-        out = corrupt_bank(EmbeddingBank(Modality.VISUAL, (), np.zeros((0, dim))), cfg)
+        out = corrupt_bank(EmbeddingBank("visual", (), np.zeros((0, dim))), cfg)
         assert out.n == 0 and out.dim == dim
 
     def test_parallel_draw_is_redrawn_from_its_row_stream(self, monkeypatch):

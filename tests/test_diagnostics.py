@@ -7,7 +7,6 @@ from modalign import (
     DimensionError,
     EmbeddingBank,
     EmptyBankError,
-    Modality,
     ParameterError,
     TaskMismatchError,
     gap_report,
@@ -35,39 +34,39 @@ def cosine_similarity(a, b):
 
 class TestGapVector:
     def test_worked_example(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [1, 0]), ("b", [3, 0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0, 2]), ("b", [0, 4])])
+        bank_v = make_bank("visual", [("a", [1, 0]), ("b", [3, 0])])
+        bank_l = make_bank("text", [("a", [0, 2]), ("b", [0, 4])])
         np.testing.assert_allclose(gap_vector(bank_v, bank_l), [2, -3])
 
     def test_identical_banks(self):
-        bank = make_bank(Modality.VISUAL, [("a", [0.5, -1.0]), ("b", [2.0, 3.0])])
+        bank = make_bank("visual", [("a", [0.5, -1.0]), ("b", [2.0, 3.0])])
         np.testing.assert_array_equal(gap_vector(bank, bank), [0, 0])
 
     def test_constant_offset(self):
         rng = np.random.default_rng(0)
         base = rng.standard_normal((6, 4))
         offset = np.array([1.5, -2.0, 0.25, 7.0])
-        bank_v = EmbeddingBank(Modality.VISUAL, tuple("abcdef"), base + offset)
-        bank_l = EmbeddingBank(Modality.TEXT, tuple("abcdef"), base)
+        bank_v = EmbeddingBank("visual", tuple("abcdef"), base + offset)
+        bank_l = EmbeddingBank("text", tuple("abcdef"), base)
         np.testing.assert_allclose(gap_vector(bank_v, bank_l), offset, atol=1e-12)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(1)
-        bank_v = EmbeddingBank(Modality.VISUAL, ("a", "b"), rng.standard_normal((2, 5)))
-        bank_l = EmbeddingBank(Modality.TEXT, ("a", "b", "c"), rng.standard_normal((3, 5)))
+        bank_v = EmbeddingBank("visual", ("a", "b"), rng.standard_normal((2, 5)))
+        bank_l = EmbeddingBank("text", ("a", "b", "c"), rng.standard_normal((3, 5)))
         np.testing.assert_allclose(
             gap_vector(bank_v, bank_l), -gap_vector(bank_l, bank_v), atol=1e-12
         )
 
     def test_empty_bank(self):
-        empty = EmbeddingBank(Modality.VISUAL, (), np.zeros((0, 3)))
-        full = make_bank(Modality.TEXT, [("a", [1, 2, 3])])
+        empty = EmbeddingBank("visual", (), np.zeros((0, 3)))
+        full = make_bank("text", [("a", [1, 2, 3])])
         with pytest.raises(EmptyBankError):
             gap_vector(empty, full)
 
     def test_dim_mismatch(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [1, 2])])
-        bank_l = make_bank(Modality.TEXT, [("a", [1, 2, 3])])
+        bank_v = make_bank("visual", [("a", [1, 2])])
+        bank_l = make_bank("text", [("a", [1, 2, 3])])
         with pytest.raises(DimensionError):
             gap_vector(bank_v, bank_l)
 
@@ -82,51 +81,51 @@ class TestGapVector:
     )
     def test_overflow_refused_naming_the_dimension(self, visual, text, message):
         # finite rows whose means or gap overflow used to give an infinite gap and a raw numpy warning
-        bank_v = EmbeddingBank(Modality.VISUAL, ("a",) * len(visual), visual)
-        bank_l = EmbeddingBank(Modality.TEXT, ("a",) * len(text), text)
+        bank_v = EmbeddingBank("visual", ("a",) * len(visual), visual)
+        bank_l = EmbeddingBank("text", ("a",) * len(text), text)
         with pytest.raises(ParameterError, match=f"^{message}$"):
             gap_vector(bank_v, bank_l)
 
 
 class TestPerDimensionGap:
     def test_absolute_value_of_gap(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [1, 0]), ("b", [3, 0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0, 2]), ("b", [0, 4])])
+        bank_v = make_bank("visual", [("a", [1, 0]), ("b", [3, 0])])
+        bank_l = make_bank("text", [("a", [0, 2]), ("b", [0, 4])])
         np.testing.assert_allclose(per_dimension_mean_gap(bank_v, bank_l), [2, 3])
 
     def test_identical_banks_zero(self):
-        bank = make_bank(Modality.VISUAL, [("a", [1.0, -2.0, 0.5])])
+        bank = make_bank("visual", [("a", [1.0, -2.0, 0.5])])
         np.testing.assert_array_equal(per_dimension_mean_gap(bank, bank), [0, 0, 0])
 
     def test_single_row_difference(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [5.0, 0.0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [1.0, 0.0])])
+        bank_v = make_bank("visual", [("a", [5.0, 0.0])])
+        bank_l = make_bank("text", [("a", [1.0, 0.0])])
         np.testing.assert_allclose(per_dimension_mean_gap(bank_v, bank_l), [4, 0])
 
     def test_one_dimensional_banks(self):
-        bank_v = make_bank(Modality.VISUAL, [("a", [5.0])])
-        bank_l = make_bank(Modality.TEXT, [("a", [1.0])])
+        bank_v = make_bank("visual", [("a", [5.0])])
+        bank_l = make_bank("text", [("a", [1.0])])
         np.testing.assert_allclose(per_dimension_mean_gap(bank_v, bank_l), [4])
 
 
 class TestSimilarityMatrix:
     def test_identical_per_task_vectors(self):
         rows_v = [("t1", [1, 0, 0]), ("t2", [0, 1, 0]), ("t3", [0, 0, 1])]
-        bank_v = make_bank(Modality.VISUAL, rows_v)
-        bank_l = make_bank(Modality.TEXT, rows_v)
+        bank_v = make_bank("visual", rows_v)
+        bank_l = make_bank("text", rows_v)
         matrix = matched_pair_similarity_matrix(bank_v, bank_l)
         np.testing.assert_allclose(np.diag(matrix), np.ones(3), atol=1e-12)
 
     def test_worked_example(self):
-        bank_v = make_bank(Modality.VISUAL, [("t1", [1, 0]), ("t2", [0, 1])])
-        bank_l = make_bank(Modality.TEXT, [("t1", [1, 0]), ("t2", [1, 1])])
+        bank_v = make_bank("visual", [("t1", [1, 0]), ("t2", [0, 1])])
+        bank_l = make_bank("text", [("t1", [1, 0]), ("t2", [1, 1])])
         matrix = matched_pair_similarity_matrix(bank_v, bank_l)
         s = 1 / math.sqrt(2)
         np.testing.assert_allclose(matrix, [[1, s], [0, s]], atol=1e-12)
 
     def test_task_mismatch_lists_difference(self):
-        bank_v = make_bank(Modality.VISUAL, [("t1", [1, 0]), ("t2", [0, 1])])
-        bank_l = make_bank(Modality.TEXT, [("t1", [1, 0]), ("t3", [0, 1])])
+        bank_v = make_bank("visual", [("t1", [1, 0]), ("t2", [0, 1])])
+        bank_l = make_bank("text", [("t1", [1, 0]), ("t3", [0, 1])])
         with pytest.raises(TaskMismatchError, match="t2.*t3"):
             matched_pair_similarity_matrix(bank_v, bank_l)
 
@@ -136,8 +135,8 @@ class TestSimilarityMatrix:
         tasks = ["a", "b", "c", "d"]
         rows_v = [(t, rng.standard_normal(6)) for t in tasks for _ in range(3)]
         rows_l = [(t, rng.standard_normal(6)) for t in tasks for _ in range(2)]
-        bank_v = make_bank(Modality.VISUAL, rows_v)
-        bank_l = make_bank(Modality.TEXT, rows_l)
+        bank_v = make_bank("visual", rows_v)
+        bank_l = make_bank("text", rows_l)
         matrix = matched_pair_similarity_matrix(bank_v, bank_l)
         for i, task in enumerate(sorted(tasks)):
             mean_v = np.mean([r for t, r in rows_v if t == task], axis=0)
@@ -155,13 +154,13 @@ class TestSimilarityMatrix:
             rng.shuffle(ids)
             values = rng.standard_normal((len(ids), dim)) * 10.0 ** rng.uniform(-6, 6, size=(len(ids), 1))
             values[:, 0] = np.where(rng.random(len(ids)) < 0.5, -0.0, values[:, 0])
-            bank = EmbeddingBank(Modality.VISUAL, ids, values)
+            bank = EmbeddingBank("visual", ids, values)
             expected = np.stack([np.mean(values[[t == task for t in ids]], axis=0) for task in tasks])
             assert diagnostics._per_task_means(bank, tasks).tobytes() == expected.tobytes()
 
     def test_sorted_task_order(self):
-        bank_v = make_bank(Modality.VISUAL, [("z", [1, 0]), ("a", [0, 1])])
-        bank_l = make_bank(Modality.TEXT, [("a", [0, 1]), ("z", [1, 0])])
+        bank_v = make_bank("visual", [("z", [1, 0]), ("a", [0, 1])])
+        bank_l = make_bank("text", [("a", [0, 1]), ("z", [1, 0])])
         assert shared_task_ids(bank_v, bank_l) == ["a", "z"]
         matrix = matched_pair_similarity_matrix(bank_v, bank_l)
         np.testing.assert_allclose(np.diag(matrix), [1, 1], atol=1e-12)
@@ -171,15 +170,15 @@ class TestRetrieval:
     def test_self_retrieval(self):
         rng = np.random.default_rng(6)
         bank = EmbeddingBank(
-            Modality.VISUAL, tuple(f"t{i}" for i in range(5)), rng.standard_normal((5, 4))
+            "visual", tuple(f"t{i}" for i in range(5)), rng.standard_normal((5, 4))
         )
         assert retrieval_topk_accuracy(bank, bank, 1) == 1.0
 
     def test_permuted_wrong_assignment(self):
         # oracle: brute-force nearest neighbour is the wrong task for all rows
         eye = np.eye(3)
-        bank_v = EmbeddingBank(Modality.VISUAL, ("a", "b", "c"), eye)
-        bank_l = EmbeddingBank(Modality.TEXT, ("b", "c", "a"), eye)
+        bank_v = EmbeddingBank("visual", ("a", "b", "c"), eye)
+        bank_l = EmbeddingBank("text", ("b", "c", "a"), eye)
         assert retrieval_topk_accuracy(bank_v, bank_l, 1) == 0.0
 
     def test_aligned_synthetic_banks(self):
@@ -196,8 +195,8 @@ class TestRetrieval:
     def test_monotone_in_k(self):
         rng = np.random.default_rng(8)
         ids = tuple(f"t{i % 4}" for i in range(12))
-        bank_v = EmbeddingBank(Modality.VISUAL, ids, rng.standard_normal((12, 5)))
-        bank_l = EmbeddingBank(Modality.TEXT, ids, rng.standard_normal((12, 5)))
+        bank_v = EmbeddingBank("visual", ids, rng.standard_normal((12, 5)))
+        bank_l = EmbeddingBank("text", ids, rng.standard_normal((12, 5)))
         accs = [retrieval_topk_accuracy(bank_v, bank_l, k) for k in range(1, 13)]
         assert all(a <= b for a, b in zip(accs, accs[1:]))
         assert accs[-1] == 1.0
@@ -206,8 +205,8 @@ class TestRetrieval:
         rng = np.random.default_rng(12)
         ids_q = tuple(f"t{i % 3}" for i in range(8))
         ids_g = tuple(f"t{i % 3}" for i in range(9))
-        bank_q = EmbeddingBank(Modality.VISUAL, ids_q, rng.standard_normal((8, 4)))
-        bank_g = EmbeddingBank(Modality.TEXT, ids_g, rng.standard_normal((9, 4)))
+        bank_q = EmbeddingBank("visual", ids_q, rng.standard_normal((8, 4)))
+        bank_g = EmbeddingBank("text", ids_g, rng.standard_normal((9, 4)))
         for k in (1, 2, 5):
             hits = 0
             for q in range(bank_q.n):
@@ -222,30 +221,36 @@ class TestRetrieval:
             assert retrieval_topk_accuracy(bank_q, bank_g, k) == pytest.approx(hits / bank_q.n)
 
     def test_parameter_errors(self):
-        bank = make_bank(Modality.VISUAL, [("a", [1, 0])])
+        bank = make_bank("visual", [("a", [1, 0])])
         with pytest.raises(ParameterError):
             retrieval_topk_accuracy(bank, bank, 0)
         with pytest.raises(ParameterError):
             retrieval_topk_accuracy(bank, bank, 2)
 
+    def test_banks_of_different_dims_rejected(self):
+        bank_q = make_bank("visual", [("a", [1, 0])])
+        bank_g = make_bank("text", [("a", [1, 0, 0])])
+        with pytest.raises(DimensionError, match="^dimension mismatch: 2 vs 3$"):
+            retrieval_topk_accuracy(bank_q, bank_g, 1)
+
     def test_query_task_missing_from_gallery(self):
-        bank_q = make_bank(Modality.VISUAL, [("a", [1, 0]), ("b", [0, 1])])
-        bank_g = make_bank(Modality.TEXT, [("a", [1, 0])])
+        bank_q = make_bank("visual", [("a", [1, 0]), ("b", [0, 1])])
+        bank_g = make_bank("text", [("a", [1, 0])])
         with pytest.raises(TaskMismatchError, match="b"):
             retrieval_topk_accuracy(bank_q, bank_g, 1)
 
     def test_empty_query_bank_rejected(self):
-        gallery = make_bank(Modality.TEXT, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
-        empty = EmbeddingBank(Modality.VISUAL, (), np.zeros((0, 2)))
+        gallery = make_bank("text", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        empty = EmbeddingBank("visual", (), np.zeros((0, 2)))
         with pytest.raises(EmptyBankError, match="query bank"):
             retrieval_topk_accuracy(empty, gallery, 1)
 
     def test_ties_break_by_task_id_then_index(self):
         # all gallery rows identical, so similarity ties everywhere and the
         # lexicographically smallest task id must win top-1
-        query = make_bank(Modality.VISUAL, [("aa", [1.0, 0.0]), ("zz", [1.0, 0.0])])
+        query = make_bank("visual", [("aa", [1.0, 0.0]), ("zz", [1.0, 0.0])])
         gallery = make_bank(
-            Modality.TEXT, [("zz", [1.0, 0.0]), ("aa", [1.0, 0.0]), ("mm", [1.0, 0.0])]
+            "text", [("zz", [1.0, 0.0]), ("aa", [1.0, 0.0]), ("mm", [1.0, 0.0])]
         )
         assert retrieval_topk_accuracy(query, gallery, 1) == 0.5  # only "aa" hits
         assert retrieval_topk_accuracy(query, gallery, 2) == 0.5  # "aa", "mm"
@@ -263,8 +268,8 @@ class TestRetrieval:
         g_vals = axes[rng.integers(0, 4, size=30)] * rng.integers(1, 4, size=(30, 1))
         q_ids = tuple(g_ids[i] for i in rng.integers(0, 30, size=12))
         q_vals = axes[rng.integers(0, 4, size=12)]
-        gallery = EmbeddingBank(Modality.TEXT, g_ids, g_vals)
-        query = EmbeddingBank(Modality.VISUAL, q_ids, q_vals)
+        gallery = EmbeddingBank("text", g_ids, g_vals)
+        query = EmbeddingBank("visual", q_ids, q_vals)
         for k in (1, 2, 3, 7):
             hits = 0
             for q in range(query.n):
@@ -299,8 +304,8 @@ def tie_heavy_pair(rng, n_query, n_gallery, dim=3):
         vals[~vals.any(axis=1), 0] = 1.0
         return vals
     return (
-        EmbeddingBank(Modality.VISUAL, q_ids, rows(n_query)),
-        EmbeddingBank(Modality.TEXT, g_ids, rows(n_gallery)),
+        EmbeddingBank("visual", q_ids, rows(n_query)),
+        EmbeddingBank("text", g_ids, rows(n_gallery)),
     )
 
 
@@ -329,8 +334,8 @@ class TestBlockedRetrieval:
     def test_all_rows_tied(self):
         # every similarity is 1, so only the id order decides the ranks
         ids = ("m", "c", "z", "c", "a")
-        gallery = EmbeddingBank(Modality.TEXT, ids, np.ones((5, 2)))
-        query = EmbeddingBank(Modality.VISUAL, ("z",), np.ones((1, 2)))
+        gallery = EmbeddingBank("text", ids, np.ones((5, 2)))
+        query = EmbeddingBank("visual", ("z",), np.ones((1, 2)))
         assert [retrieval_topk_accuracy(query, gallery, k) for k in range(1, 6)] == [0, 0, 0, 0, 1]
 
 
@@ -343,7 +348,7 @@ class TestPca:
         flat = np.zeros((n, 5))
         flat[:, 1] = rng.standard_normal(n) * 3
         flat[:, 3] = rng.standard_normal(n) * 2
-        bank = EmbeddingBank(Modality.VISUAL, tuple(f"t{i}" for i in range(n)), flat)
+        bank = EmbeddingBank("visual", tuple(f"t{i}" for i in range(n)), flat)
         coords = pca_project_2d([bank])
         assert coords.shape == (n, 2)
         for i in range(n):
@@ -353,7 +358,7 @@ class TestPca:
                 assert projected == pytest.approx(original, abs=1e-6)
 
     def test_identical_rows_map_to_origin(self):
-        bank = make_bank(Modality.TEXT, [("a", [2.0, 3.0, 4.0]), ("a", [2.0, 3.0, 4.0])])
+        bank = make_bank("text", [("a", [2.0, 3.0, 4.0]), ("a", [2.0, 3.0, 4.0])])
         np.testing.assert_allclose(pca_project_2d([bank]), np.zeros((2, 2)), atol=1e-12)
 
     def test_gap_separates_clusters(self):
@@ -368,18 +373,28 @@ class TestPca:
         rng = np.random.default_rng(30)
         values = rng.standard_normal((10, 6))
         ids = tuple(f"t{i}" for i in range(10))
-        bank = EmbeddingBank(Modality.VISUAL, ids, values)
+        bank = EmbeddingBank("visual", ids, values)
         perm = rng.permutation(10)
         shuffled = EmbeddingBank(
-            Modality.VISUAL, tuple(ids[i] for i in perm), values[perm]
+            "visual", tuple(ids[i] for i in perm), values[perm]
         )
         # shuffled row k is row perm[k] of the bank
         np.testing.assert_allclose(pca_project_2d([shuffled]), pca_project_2d([bank])[perm], atol=1e-9)
 
     def test_too_few_rows(self):
-        bank = make_bank(Modality.VISUAL, [("a", [1, 2])])
+        bank = make_bank("visual", [("a", [1, 2])])
         with pytest.raises(EmptyBankError):
             pca_project_2d([bank])
+
+    def test_no_bank_rejected(self):
+        with pytest.raises(EmptyBankError, match="^at least one bank is required$"):
+            pca_project_2d([])
+
+    def test_banks_of_different_dims_rejected(self):
+        bank_v = make_bank("visual", [("a", [1, 2]), ("b", [3, 4])])
+        bank_l = make_bank("text", [("a", [1, 2, 3])])
+        with pytest.raises(DimensionError, match="^dimension mismatch: 3 vs 2$"):
+            pca_project_2d([bank_v, bank_l])
 
     @pytest.mark.parametrize("rows, message", [
         ([[1e308, 0, 0], [1e308, 1, 0], [0, 0, 1]], "^pooled mean overflows float64 at dim 0$"),
@@ -387,7 +402,7 @@ class TestPca:
     ], ids=["mean", "centered"])
     def test_overflowing_rows_refused(self, rows, message):
         # np.linalg.svd used to run without returning on the non-finite centered rows
-        bank = EmbeddingBank(Modality.VISUAL, ("a", "b", "c"), rows)
+        bank = EmbeddingBank("visual", ("a", "b", "c"), rows)
         with pytest.raises(ParameterError, match=message):
             pca_project_2d([bank])
 
@@ -442,8 +457,8 @@ class TestGapReport:
         rng = np.random.default_rng(31)
         ids = tuple(f"t{i}" for i in range(4))
         values = rng.standard_normal((4, 5))
-        bank_v = EmbeddingBank(Modality.VISUAL, ids, values)
-        bank_l = EmbeddingBank(Modality.TEXT, ids, values)
+        bank_v = EmbeddingBank("visual", ids, values)
+        bank_l = EmbeddingBank("text", ids, values)
         report = gap_report(bank_v, bank_l)
         assert report.gap_norm == pytest.approx(0.0, abs=1e-12)
         assert report.matched_pair_mean_cosine == pytest.approx(1.0, abs=1e-12)

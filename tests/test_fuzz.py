@@ -22,7 +22,6 @@ from modalign import (
     CollapseTransform,
     EmbeddingBank,
     EncoderParams,
-    Modality,
     ModalignError,
     TrainerConfig,
     fit_centralize,
@@ -86,7 +85,7 @@ def check_bank(bank):
     assert bank.values.shape == (bank.n, bank.dim) and np.isfinite(bank.values).all()
 
 
-def small_bank(modality=Modality.VISUAL):
+def small_bank(modality="visual"):
     rng = np.random.default_rng(5)
     values = rng.standard_normal((3, 2)).astype(np.float32)
     return EmbeddingBank(modality, ("a", "b", "a"), values)
@@ -117,7 +116,7 @@ def test_encoder_params(tmp_path):
 
 @pytest.mark.parametrize("kind", ["centralize", "delete"])
 def test_transform(tmp_path, kind):
-    ref_v, ref_l = small_bank(), small_bank(Modality.TEXT)
+    ref_v, ref_l = small_bank(), small_bank("text")
     fit = fit_centralize(ref_v, ref_l, "refs") if kind == "centralize" else fit_delete(ref_v, ref_l, 1, "refs")
     source, target = tmp_path / "t.json", tmp_path / "target.ebnk"
     save_transform(fit, source)

@@ -1,3 +1,4 @@
+import re
 from collections import deque
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from modalign import (
     Action,
-    Modality,
     ParameterError,
     build_dataset,
     build_vocab,
@@ -137,6 +137,10 @@ class TestBuildDataset:
     def test_zero_per_task_is_empty(self):
         assert build_dataset(generate_tasks(3, 0), 0, seed=1) == []
 
+    def test_negative_per_task_rejected(self):
+        with pytest.raises(ParameterError, match="^trajectories_per_task must be >= 0, got -1$"):
+            build_dataset(generate_tasks(3, 0), -1, seed=1)
+
     def test_count(self):
         dataset = build_dataset(generate_tasks(5, 0), 20, seed=1)
         assert len(dataset) == 500
@@ -180,7 +184,20 @@ class TestSyntheticGapBank:
         with pytest.raises(ParameterError):
             synthetic_gap_bank(3, 1, gap_norm=0.0, intra_noise_std=0.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_tasks, rows_per_task, std, message",
+        [
+            (0, 8, 0.0, "n_tasks and rows_per_task must be positive"),
+            (3, 0, 0.0, "n_tasks and rows_per_task must be positive"),
+            (3, 8, -0.1, "intra_noise_std must be >= 0, got -0.1"),
+        ],
+        ids=["no-tasks", "no-rows", "negative-noise"],
+    )
+    def test_argument_checks(self, n_tasks, rows_per_task, std, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            synthetic_gap_bank(n_tasks, 4, gap_norm=1.0, intra_noise_std=std, seed=0, rows_per_task=rows_per_task)
+
     def test_modalities(self):
         bank_v, bank_l = synthetic_gap_bank(3, 4, gap_norm=1.0, intra_noise_std=0.1, seed=4)
-        assert bank_v.modality is Modality.VISUAL
-        assert bank_l.modality is Modality.TEXT
+        assert bank_v.modality == "visual"
+        assert bank_l.modality == "text"

@@ -8,7 +8,6 @@ from modalign import (
     DegenerateVectorError,
     DimensionError,
     DivergenceError,
-    Modality,
     ParameterError,
     PolicyConfig,
     build_dataset,
@@ -52,7 +51,7 @@ def world():
         seed=7,
     )
     encoders = train_encoders(clips_from_dataset(dataset), cfg).params
-    ref_v, _ = build_goal_bank(encoders, dataset, Modality.VISUAL, seed=2)
+    ref_v, _ = build_goal_bank(encoders, dataset, "visual", seed=2)
     ref_l = text_reference_bank(encoders, tasks)
     transform = fit_centralize(ref_v, ref_l)
     return dict(
@@ -86,22 +85,22 @@ class TestGoalEmbedding:
         good = expert_trajectory(other, (0, 0) if other.target != (0, 0) else (1, 1), seed=2)
         traj = expert_trajectory(task, task.target, seed=3)
         with pytest.raises(DegenerateVectorError):
-            encode_goals(world["encoders"], Modality.VISUAL, [other.task_id, task.task_id], [good, traj])
+            encode_goals(world["encoders"], "visual", [other.task_id, task.task_id], [good, traj])
 
     def test_visual_goal_is_pure(self, world):
         task = world["tasks"][1]
         start = (0, 0) if task.target != (0, 0) else (1, 1)
         traj = expert_trajectory(task, start, seed=4)
-        args = (world["encoders"], Modality.VISUAL, [task.task_id], [traj])
+        args = (world["encoders"], "visual", [task.task_id], [traj])
         e1 = encode_goals(*args)
         e2 = encode_goals(*args)
         np.testing.assert_array_equal(e1.values, e2.values)
 
     def test_text_template_selection(self, world):
         task = world["tasks"][2]
-        explicit = encode_goals(world["encoders"], Modality.TEXT, [task.task_id], [task.templates[1]])
+        explicit = encode_goals(world["encoders"], "text", [task.task_id], [task.templates[1]])
         traj = expert_trajectory(task, off_target_start(task, np.random.default_rng(0), world["grid"]), 1)
-        sampled, _ = build_goal_bank(world["encoders"], [(traj, task)], Modality.TEXT, seed=0, template_pool=(1,))
+        sampled, _ = build_goal_bank(world["encoders"], [(traj, task)], "text", seed=0, template_pool=(1,))
         np.testing.assert_array_equal(explicit.values, sampled.values)
 
     def test_trained_goals_align_across_modalities(self, world):
@@ -110,14 +109,14 @@ class TestGoalEmbedding:
         tasks = sorted(world["tasks"], key=lambda t: t.task_id)
         ids = [t.task_id for t in tasks]
         text_goals = variant_goals(
-            encode_goals(world["encoders"], Modality.TEXT, ids, [t.templates[0] for t in tasks]), world["transform"]
+            encode_goals(world["encoders"], "text", ids, [t.templates[0] for t in tasks]), world["transform"]
         ).values
         rng = np.random.default_rng(5)
         trajs = []
         for task in tasks:
             start = off_target_start(task, rng, world["grid"])
             trajs.append(expert_trajectory(task, start, seed=int(rng.integers(1 << 40))))
-        vis = variant_goals(encode_goals(world["encoders"], Modality.VISUAL, ids, trajs), world["transform"]).values
+        vis = variant_goals(encode_goals(world["encoders"], "visual", ids, trajs), world["transform"]).values
         matched, mismatched = [], []
         for i in range(len(tasks)):
             for j in range(len(tasks)):
@@ -130,7 +129,7 @@ class TestGoalEmbedding:
         rng = np.random.default_rng(6)
         trajs = [expert_trajectory(t, off_target_start(t, rng, world["grid"]), i) for i, t in enumerate(tasks)]
         seqs = [t.templates[i % 3] for i, t in enumerate(tasks)]
-        for modality, items in ((Modality.VISUAL, trajs), (Modality.TEXT, seqs)):
+        for modality, items in (("visual", trajs), ("text", seqs)):
             ids = [t.task_id for t in tasks]
             batch = encode_goals(world["encoders"], modality, ids, items)
             for i in range(len(tasks)):
@@ -141,7 +140,7 @@ class TestGoalEmbedding:
         offset = np.random.default_rng(8).standard_normal(world["ref_v"].dim)
         moved = variant_goals(world["ref_v"], None, offset)
         np.testing.assert_array_equal(moved.values, world["ref_v"].values + offset)
-        assert moved.task_ids == world["ref_v"].task_ids and moved.modality is Modality.VISUAL
+        assert moved.task_ids == world["ref_v"].task_ids and moved.modality == "visual"
         assert variant_goals(world["ref_l"], None, offset) is world["ref_l"]
 
     @pytest.mark.parametrize("bank", ["ref_v", "ref_l"])
@@ -263,19 +262,19 @@ class TestTrainPolicy:
     def test_deterministic(self, world):
         cfg = PolicyConfig(steps=50, seed=3)
         corrupt = CorruptConfig("cosine", alpha=0.2, seed=1)
-        r1 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
-        r2 = train_on_dataset(world, corrupt, Modality.VISUAL, cfg)
+        r1 = train_on_dataset(world, corrupt, "visual", cfg)
+        r2 = train_on_dataset(world, corrupt, "visual", cfg)
         assert r1.loss_trace == r2.loss_trace
         np.testing.assert_array_equal(r1.net.flat, r2.net.flat)
 
     def test_text_modality_uses_template_pool(self, world):
-        result = train_on_dataset(world, None, Modality.TEXT, PolicyConfig(steps=10, seed=4), TRAIN_TEMPLATE_INDICES)
+        result = train_on_dataset(world, None, "text", PolicyConfig(steps=10, seed=4), TRAIN_TEMPLATE_INDICES)
         assert len(result.loss_trace) == 10
 
     def test_expert_steps_follow_goal_bank_rows(self, world):
         # the per-trajectory loop that built the behavior-cloning rows before
         grid, dataset = world["grid"], world["dataset"]
-        _, kept = build_goal_bank(world["encoders"], dataset, Modality.VISUAL, seed=0)
+        _, kept = build_goal_bank(world["encoders"], dataset, "visual", seed=0)
         rows, cells, actions = [], [], []
         for row, i in enumerate(kept):
             traj = dataset[i][0]
@@ -289,7 +288,7 @@ class TestTrainPolicy:
 
     def test_empty_dataset_rejected(self, world):
         with pytest.raises(ParameterError):
-            build_goal_bank(world["encoders"], [], Modality.VISUAL, 0)
+            build_goal_bank(world["encoders"], [], "visual", 0)
         states, actions, goal_rows = expert_steps([], world["grid"])
         with pytest.raises(ParameterError):
             train_policies(states, actions, goal_rows, [np.zeros((0, 3))], world["grid"], PolicyConfig())
@@ -343,6 +342,10 @@ def reference_train_policy(states, goals, actions, config):
             v -= config.learning_rate * g
             a += v
     return net, trace
+
+
+# the ids these cases had when the modality was an enum member
+MODALITY_POOL_IDS = ["Modality.VISUAL-None", "Modality.TEXT-pool1"]
 
 
 def bc_rows(n, grid, seed):
@@ -403,6 +406,14 @@ class TestTrainPolicies:
         with pytest.raises(ParameterError, match=field):
             train_policies(states, rows["actions"], rows["goal_rows"], [rng.standard_normal((5, 4))], 3, PolicyConfig())
 
+    @pytest.mark.parametrize("field", ["actions", "goal_rows"])
+    def test_actions_and_goal_rows_must_match_the_states(self, field):
+        states, actions, rng = bc_rows(10, 3, 5)
+        rows = {"actions": actions, "goal_rows": rng.integers(0, 5, 10)}
+        rows[field] = rows[field][:9]
+        with pytest.raises(DimensionError, match=rf"^{field} shape \(9,\) does not match 10 rows$"):
+            train_policies(states, rows["actions"], rows["goal_rows"], [rng.standard_normal((5, 4))], 3, PolicyConfig())
+
     @pytest.mark.parametrize("width", [8, 10])
     def test_states_must_be_grid_cells(self, width):
         _, actions, rng = bc_rows(10, 3, 3)
@@ -421,7 +432,7 @@ class TestTrainPolicies:
 def trained(world):
     corrupt = CorruptConfig("cosine", alpha=0.2, seed=1)
     config = PolicyConfig(steps=2500, seed=3)
-    return train_on_dataset(world, corrupt, Modality.VISUAL, config, TRAIN_TEMPLATE_INDICES).net
+    return train_on_dataset(world, corrupt, "visual", config, TRAIN_TEMPLATE_INDICES).net
 
 
 class TestEvaluatePolicy:
@@ -429,7 +440,7 @@ class TestEvaluatePolicy:
     def test_deterministic_repeat(self, world, trained):
         r1, r2 = (
             evaluate_policy(
-                trained, eval_episodes(world["tasks"], Modality.TEXT, world["encoders"], 4, 11, TRAIN_TEMPLATE_INDICES),
+                trained, eval_episodes(world["tasks"], "text", world["encoders"], 4, 11, TRAIN_TEMPLATE_INDICES),
                 6, world["transform"],
             )
             for _ in range(2)
@@ -437,7 +448,9 @@ class TestEvaluatePolicy:
         assert r1.success_rate == r2.success_rate
         assert r1.per_task == r2.per_task
 
-    @pytest.mark.parametrize("modality, pool", [(Modality.VISUAL, None), (Modality.TEXT, TRAIN_TEMPLATE_INDICES)])
+    @pytest.mark.parametrize(
+        "modality, pool", [("visual", None), ("text", TRAIN_TEMPLATE_INDICES)], ids=MODALITY_POOL_IDS
+    )
     def test_leaves_the_shared_episodes_as_they_are(self, world, trained, modality, pool):
         # every variant of a bench seed rolls out from one eval_episodes result
         episodes = eval_episodes(world["tasks"], modality, world["encoders"], 5, seed=37, template_pool=pool)
@@ -453,7 +466,7 @@ class TestEvaluatePolicy:
 
     def test_beats_chance_on_both_modalities(self, world, trained):
         floor = chance_floor(world["tasks"], 6, 6, seed=13)
-        for modality, pool in ((Modality.VISUAL, None), (Modality.TEXT, TRAIN_TEMPLATE_INDICES)):
+        for modality, pool in (("visual", None), ("text", TRAIN_TEMPLATE_INDICES)):
             episodes = eval_episodes(world["tasks"], modality, world["encoders"], 6, seed=13, template_pool=pool)
             report = evaluate_policy(trained, episodes, 6, world["transform"])
             assert report.success_rate > floor + 0.2
@@ -461,20 +474,20 @@ class TestEvaluatePolicy:
     def test_heldout_templates_close_to_seen(self, world, trained):
         rates = []
         for pool in (TRAIN_TEMPLATE_INDICES, HELDOUT_TEMPLATE_INDICES):
-            episodes = eval_episodes(world["tasks"], Modality.TEXT, world["encoders"], 6, seed=17, template_pool=pool)
+            episodes = eval_episodes(world["tasks"], "text", world["encoders"], 6, seed=17, template_pool=pool)
             rates.append(evaluate_policy(trained, episodes, 6, world["transform"]).success_rate)
         assert abs(rates[0] - rates[1]) <= 0.15
 
     def test_horizon_zero_start_on_target(self, world, trained):
         # with horizon 0 the only successes are episodes starting on target
         episodes = eval_episodes(
-            world["tasks"], Modality.TEXT, world["encoders"], 50, seed=19, template_pool=TRAIN_TEMPLATE_INDICES
+            world["tasks"], "text", world["encoders"], 50, seed=19, template_pool=TRAIN_TEMPLATE_INDICES
         )
         report = evaluate_policy(trained, episodes, 0, world["transform"])
         expected = 1.0 / (world["grid"] ** 2)
         assert 0.0 < report.success_rate < 3 * expected
 
-    @pytest.mark.parametrize("modality", [Modality.TEXT, Modality.VISUAL])
+    @pytest.mark.parametrize("modality", ["text", "visual"], ids=["Modality.TEXT", "Modality.VISUAL"])
     @pytest.mark.parametrize("n_tasks, episodes", [(0, 2), (3, 0), (3, -1)])
     def test_no_episode_rejected(self, world, trained, modality, n_tasks, episodes):
         with pytest.raises(ParameterError, match="no episodes"):
@@ -494,14 +507,14 @@ def reference_evaluate(net, tasks, modality, encoders, transform, episodes, hori
         grid, wins = task.grid_size, 0
         for episode in range(episodes):
             rng = np.random.default_rng([seed, ti, episode])
-            if modality is Modality.VISUAL:
+            if modality == "visual":
                 start = off_target_start(task, rng, grid)
                 item = expert_trajectory(task, start, int(rng.integers(0, 2**63 - 1)))
             else:
                 options = pool if pool is not None else range(len(task.templates))
                 item = task.templates[options[int(rng.integers(len(options)))]]
             goal = encode_goals(encoders, modality, [task.task_id], [item])
-            if offset is not None and modality is Modality.VISUAL:
+            if offset is not None and modality == "visual":
                 goal = goal.with_values(goal.values + offset)
             goal = apply_to_bank(transform, goal).values[0]
             goal = goal / np.linalg.norm(goal)
@@ -524,7 +537,7 @@ def reference_evaluate(net, tasks, modality, encoders, transform, episodes, hori
 
 class TestLockstepRollout:
     @pytest.mark.parametrize(
-        "modality, pool", [(Modality.VISUAL, None), (Modality.TEXT, TRAIN_TEMPLATE_INDICES)]
+        "modality, pool", [("visual", None), ("text", TRAIN_TEMPLATE_INDICES)], ids=MODALITY_POOL_IDS
     )
     def test_matches_per_episode_reference(self, world, trained, monkeypatch, modality, pool):
         used = []
