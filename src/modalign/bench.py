@@ -36,7 +36,6 @@ from .gridworld import (
     build_dataset,
     build_vocab,
     generate_tasks,
-    usable_trajectories,
 )
 from .policy import (
     PolicyConfig,
@@ -137,14 +136,12 @@ class BenchConfig(VariantSpec):
     def __post_init__(self):
         """Check every field and every variant before any work."""
         check_fields(self)
-        if not self.seeds:
-            raise ParameterError("seeds must not be empty")
         for name in ("seeds", "eval_modalities"):  # a repeat would count twice in the aggregates
             values = list(getattr(self, name))
+            if not values:
+                raise ParameterError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ParameterError(f"{name} must not repeat, got {values}")
-        if not self.eval_modalities:
-            raise ParameterError("eval_modalities must name at least one modality")
         if self.horizon < 2 * (self.grid_size - 1):
             raise ParameterError(
                 f"horizon {self.horizon} cannot reach every cell of a {self.grid_size} grid"
@@ -260,11 +257,11 @@ class TransferReport:
 
 
 def clips_from_dataset(dataset: Sequence[tuple[Trajectory, GridTask]]) -> list[Clip]:
-    """The usable trajectories as encoder clips, each paired with its task's
-    training templates."""
+    """The dataset's trajectories as encoder clips, each paired with its
+    task's training templates."""
     return [
         Clip(traj.observations, tuple(task.templates[t] for t in TRAIN_TEMPLATE_INDICES))
-        for traj, task in (dataset[i] for i in usable_trajectories(dataset))
+        for traj, task in dataset
     ]
 
 

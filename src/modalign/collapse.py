@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .banks import EmbeddingBank, mean_row
-from .diagnostics import per_dimension_mean_gap
+from .diagnostics import _check_pair, per_dimension_mean_gap
 from .errors import (
-    POSITIVE, DimensionError, EmptyBankError, ParameterError, check_fields, from_json, is_integer, one_of,
+    POSITIVE, DimensionError, ParameterError, check_fields, from_json, is_integer, one_of,
 )
 from .fileio import json_text, read_bytes, read_json, write_atomic
 
@@ -82,10 +82,7 @@ def fit_centralize(
             f"centralize needs a visual then a text reference bank, got "
             f"{reference_v.modality} then {reference_l.modality}"
         )
-    if reference_v.n == 0 or reference_l.n == 0:
-        raise EmptyBankError("reference banks must be non-empty")
-    if reference_v.dim != reference_l.dim:
-        raise DimensionError(f"dimension mismatch: {reference_v.dim} vs {reference_l.dim}")
+    _check_pair(reference_v, reference_l)
     return CollapseTransform(
         kind="centralize",
         source_dim=reference_v.dim,

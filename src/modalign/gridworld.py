@@ -147,7 +147,8 @@ def expert_trajectory(task: GridTask, start_cell: tuple[int, int], seed: int) ->
 def build_dataset(
     tasks: list[GridTask], trajectories_per_task: int, seed: int
 ) -> list[tuple[Trajectory, GridTask]]:
-    """Expert demonstrations from seeded random start cells."""
+    """Expert demonstrations from seeded random start cells; a draw that starts
+    on its task's target takes its three stream draws but adds none."""
     if trajectories_per_task < 0:
         raise ParameterError(f"trajectories_per_task must be >= 0, got {trajectories_per_task}")
     rng = np.random.default_rng(seed)
@@ -156,14 +157,9 @@ def build_dataset(
         for _ in range(trajectories_per_task):
             start = (int(rng.integers(task.grid_size)), int(rng.integers(task.grid_size)))
             traj_seed = int(rng.integers(0, 2**63 - 1))
-            dataset.append((expert_trajectory(task, start, traj_seed), task))
+            if start != task.target:
+                dataset.append((expert_trajectory(task, start, traj_seed), task))
     return dataset
-
-
-def usable_trajectories(dataset: list[tuple[Trajectory, GridTask]]) -> list[int]:
-    """Indices of the dataset's trajectories with at least one transition (two
-    states), in order: the only ones that give goals, expert steps and clips."""
-    return [i for i, (traj, _) in enumerate(dataset) if len(traj.states) >= 2]
 
 
 def step(grid_size: int, cell: tuple[int, int], action: Action) -> tuple[int, int]:

@@ -44,8 +44,6 @@ class DenseParams:
 
 def init_dense(layer_sizes: list[int], rng: np.random.Generator) -> DenseParams:
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
-    if len(layer_sizes) < 2:
-        raise ParameterError(f"need at least input and output sizes, got {layer_sizes}")
     if any(int(s) < 1 for s in layer_sizes):
         raise ParameterError(f"layer sizes must be positive, got {layer_sizes}")
     layers = []

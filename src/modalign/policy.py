@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     check_fields,
 )
-from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells, usable_trajectories
+from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
 from .trainer import EncoderParams, frame_differences, text_forward
 
@@ -100,19 +100,18 @@ def build_goal_bank(
     seed: int,
     template_pool: Sequence[int] | None = None,
 ) -> tuple[EmbeddingBank, list[int]]:
-    """Unit goals of the usable trajectories as a bank, plus the dataset index
-    of each row. Text rows draw their templates in row order from a stream
+    """Unit goals of the dataset's trajectories as a bank, plus each row's
+    dataset index. Text rows draw their templates in row order from a stream
     seeded by seed."""
-    kept = usable_trajectories(dataset)
-    if not kept:
-        raise ParameterError("no usable trajectories in the dataset")
+    if not dataset:
+        raise ParameterError("the dataset is empty")
     rng = np.random.default_rng(seed)
     if modality == "visual":
-        items = [dataset[i][0] for i in kept]
+        items = [traj for traj, _ in dataset]
     else:
-        items = [_draw_template(dataset[i][1], template_pool, rng) for i in kept]
-    ids = [dataset[i][1].task_id for i in kept]
-    return encode_goals(encoders, modality, ids, items), kept
+        items = [_draw_template(task, template_pool, rng) for _, task in dataset]
+    ids = [task.task_id for _, task in dataset]
+    return encode_goals(encoders, modality, ids, items), list(range(len(dataset)))
 
 
 def _state_onehot(grid_size: int, cells) -> np.ndarray:
@@ -124,13 +123,13 @@ def _state_onehot(grid_size: int, cells) -> np.ndarray:
 
 
 def expert_steps(dataset: Sequence[tuple[Trajectory, GridTask]], grid_size: int):
-    """Every expert step of the usable trajectories, in order: one-hot states
+    """Every expert step of the dataset, in order: one-hot states
     (n, grid_size**2), actions (n,), and goal_rows (n,), each step's row in
     build_goal_bank's bank of the dataset."""
-    kept = [dataset[i][0] for i in usable_trajectories(dataset)]
-    cells = [cell for traj in kept for cell in traj.states[: len(traj.actions)]]
-    actions = np.array([a for traj in kept for a in traj.actions], dtype=np.intp)
-    goal_rows = np.array([row for row, traj in enumerate(kept) for _ in traj.actions], dtype=np.intp)
+    trajs = [traj for traj, _ in dataset]
+    cells = [cell for traj in trajs for cell in traj.states[: len(traj.actions)]]
+    actions = np.array([a for traj in trajs for a in traj.actions], dtype=np.intp)
+    goal_rows = np.array([row for row, traj in enumerate(trajs) for _ in traj.actions], dtype=np.intp)
     return _state_onehot(grid_size, cells), actions, goal_rows
 
 

@@ -255,6 +255,11 @@ class TestBenchConfig:
         with pytest.raises(ParameterError, match=field):
             BenchConfig.from_dict({"schema_version": 1, field: value})
 
+    @pytest.mark.parametrize("field", ["seeds", "eval_modalities"])
+    def test_empty_list_refused_by_name(self, field):
+        with pytest.raises(ParameterError, match=f"^{field} must not be empty$"):
+            BenchConfig.from_dict({"schema_version": 1, field: []})
+
     def test_zero_steps_and_empty_hidden_lists_accepted(self):
         cfg = tiny_config(
             encoder_steps=0, policy_steps=0, encoder_freeze_text_after=0, policy_hidden=(), world_seed=0

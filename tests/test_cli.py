@@ -1,12 +1,16 @@
 import json
+import os
 import shlex
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modalign
 from modalign import EmbeddingBank, ParameterError, load_bank, save_bank
 from modalign.bench import subseed
 from modalign.cli import build_parser, cmd_verify, main
@@ -70,6 +74,29 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             run(["corrupt", "--frobnicate"])
         assert info.value.code == 2
+
+
+class TestModuleEntryPoint:
+    """`python -m modalign.cli` in a child process, so the exit code is the
+    one the interpreter returns."""
+
+    def module_run(self, *argv, cwd):
+        src = str(Path(modalign.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "modalign.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
+        )
+
+    def test_missing_bank_exits_two(self, tmp_path):
+        done = self.module_run("verify", "--bank", "missing.ebnk", cwd=tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot read missing.ebnk: ")
+        assert done.stdout == ""
+
+    def test_help_exits_zero(self, tmp_path):
+        done = self.module_run("--help", cwd=tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: ")
 
 
 class TestUnwritableOutput:

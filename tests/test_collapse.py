@@ -87,6 +87,14 @@ class TestFitCentralize:
             fit_centralize(empty, full)
 
     @pytest.mark.parametrize("fit", [fit_centralize, fit_delete], ids=["centralize", "delete"])
+    @pytest.mark.parametrize("empty_side", ["visual", "text"])
+    def test_both_fits_refuse_an_empty_reference_alike(self, fit, empty_side):
+        banks = {m: make_bank(m, [("a", [1.0, 2.0]), ("b", [0.0, 1.0])]) for m in ("visual", "text")}
+        banks[empty_side] = EmbeddingBank(empty_side, (), np.zeros((0, 2)))
+        with pytest.raises(EmptyBankError, match="^both banks must be non-empty$"):
+            fit(banks["visual"], banks["text"])
+
+    @pytest.mark.parametrize("fit", [fit_centralize, fit_delete], ids=["centralize", "delete"])
     def test_reference_banks_of_different_dims_rejected(self, fit):
         bank_v = make_bank("visual", [("a", [1.0, 2.0])])
         bank_l = make_bank("text", [("a", [1.0, 2.0, 3.0])])

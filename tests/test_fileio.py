@@ -44,6 +44,22 @@ class TestWriteAtomic:
         assert target.read_bytes() == b"old"
         assert temp_files(tmp_path) == []
 
+    def test_interrupted_replace_propagates_and_keeps_previous_bytes(self, tmp_path, monkeypatch):
+        # an exception that is not an OSError passes through as itself
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old")
+        interrupt = KeyboardInterrupt()
+
+        def interrupted_replace(src, dst):
+            raise interrupt
+
+        monkeypatch.setattr(fileio.os, "replace", interrupted_replace)
+        with pytest.raises(KeyboardInterrupt) as info:
+            write_atomic(target, b"new")
+        assert info.value is interrupt
+        assert target.read_bytes() == b"old"
+        assert temp_files(tmp_path) == []
+
     def test_symlinked_output_updates_the_link_target(self, tmp_path):
         real = tmp_path / "data" / "real.csv"
         real.parent.mkdir()

@@ -142,8 +142,26 @@ class TestBuildDataset:
             build_dataset(generate_tasks(3, 0), -1, seed=1)
 
     def test_count(self):
-        dataset = build_dataset(generate_tasks(5, 0), 20, seed=1)
-        assert len(dataset) == 500
+        # reference: the same stream, three draws per demonstration, with the
+        # draws that start on their target dropped
+        tasks = generate_tasks(5, 0)
+        rng = np.random.default_rng(1)
+        expected = []
+        for task in tasks:
+            for _ in range(20):
+                start = (int(rng.integers(5)), int(rng.integers(5)))
+                traj_seed = int(rng.integers(0, 2**63 - 1))
+                if start != task.target:
+                    expected.append((task, expert_trajectory(task, start, traj_seed)))
+        dataset = build_dataset(tasks, 20, seed=1)
+        assert len(dataset) == len(expected) == 483
+        for (traj, task), (ref_task, ref) in zip(dataset, expected):
+            assert task == ref_task and traj.states == ref.states
+            np.testing.assert_array_equal(traj.observations, ref.observations)
+
+    def test_every_demonstration_has_a_transition(self):
+        for traj, _ in build_dataset(generate_tasks(3, 0), 30, seed=2):
+            assert len(traj.states) >= 2 and len(traj.actions) >= 1
 
     def test_every_trajectory_reaches_its_target(self):
         for traj, task in build_dataset(generate_tasks(4, 2), 5, seed=3):

@@ -286,6 +286,21 @@ class TestTrainPolicy:
         np.testing.assert_array_equal(got_actions, actions)
         np.testing.assert_array_equal(states, np.eye(grid * grid)[[r * grid + c for r, c in cells]])
 
+    def test_one_state_trajectory_refused(self, world):
+        # build_dataset yields none, so a hand-built one is refused, not skipped
+        grid, task = world["grid"], world["tasks"][0]
+        moving = expert_trajectory(task, off_target_start(task, np.random.default_rng(5), grid), seed=2)
+        still = expert_trajectory(task, task.target, seed=3)
+        dataset = [(moving, task), (still, task)]
+        with pytest.raises(DegenerateVectorError, match="^visual goal 1 is a zero vector$"):
+            build_goal_bank(world["encoders"], dataset, "visual", 0)
+        with pytest.raises(ParameterError, match=r"^a clip needs at least 2 observations, got shape \(1, 16\)$"):
+            clips_from_dataset(dataset)
+
+    def test_empty_dataset_refused_by_name(self, world):
+        with pytest.raises(ParameterError, match="^the dataset is empty$"):
+            build_goal_bank(world["encoders"], [], "text", 0)
+
     def test_empty_dataset_rejected(self, world):
         with pytest.raises(ParameterError):
             build_goal_bank(world["encoders"], [], "visual", 0)
@@ -419,6 +434,12 @@ class TestTrainPolicies:
         _, actions, rng = bc_rows(10, 3, 3)
         with pytest.raises(DimensionError, match="states"):
             train_policies(np.zeros((10, width)), actions, np.arange(10), [rng.standard_normal((10, 4))], 3, PolicyConfig())
+
+    def test_zero_width_states_and_goals_rejected(self):
+        # a 0-cell grid and zero-width goals make the net's input size 0
+        states, actions, goal_rows, goals = np.zeros((1, 0)), np.array([0]), np.array([0]), [np.zeros((1, 0))]
+        with pytest.raises(ParameterError, match=r"^layer sizes must be positive, got \[0, 64, 5\]$"):
+            train_policies(states, actions, goal_rows, goals, 0, PolicyConfig())
 
     @pytest.mark.parametrize(
         "field, value", [("steps", 2.5), ("batch_size", 8.0), ("hidden", (63.9,)), ("steps", True)]

@@ -266,6 +266,14 @@ class TestInfonceLoss:
         off = np.array([-1.0, -1.0])
         assert np.all(diag - off > 0.0)
 
+    def test_zero_text_embedding_rejected(self):
+        # a zero token table makes the text tower output zeros, while the
+        # frame differences stay non-zero
+        params = linear_identity_params(2, table=np.zeros((2, 2)))
+        batch = PairBatch(np.zeros((2, 2)), np.eye(2), compile_tokens(((0,), (1,)), 2))
+        with pytest.raises(DegenerateVectorError, match="^text embedding 0 is zero$"):
+            infonce_loss(params, batch)
+
 
 class TestInfonceGradient:
     def test_batch_of_one_gradient_is_zero(self):
@@ -407,6 +415,45 @@ class TestTrainEncoders:
         np.testing.assert_array_equal(result.params.text.flat, frozen.text.flat)
         # while the visual tower moved
         assert not np.array_equal(result.params.visual.flat, frozen.visual.flat)
+
+    def test_no_clips_rejected(self):
+        with pytest.raises(ParameterError, match="^training needs at least one clip$"):
+            train_encoders([], tiny_config(steps=5))
+
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_clip_of_another_width_rejected(self, steps):
+        # at steps=0 no batch is drawn, so this check is the only one
+        clips = [Clip(np.zeros((3, 6)), ((0,),)), Clip(np.zeros((3, 5)), ((1,),))]
+        with pytest.raises(DimensionError, match="^clip 1 obs dim 5 != config 6$"):
+            train_encoders(clips, tiny_config(steps=steps))
+
+
+class TestClipAndBatchRefusals:
+    @pytest.mark.parametrize(
+        "observations, templates, message",
+        [
+            (np.zeros((1, 6)), ((0,),), r"a clip needs at least 2 observations, got shape \(1, 6\)"),
+            (np.zeros(6), ((0,),), r"a clip needs at least 2 observations, got shape \(6,\)"),
+            (np.zeros((2, 6)), (), "a clip needs at least one instruction template"),
+            (np.zeros((2, 6)), ((0,), ()), "instruction templates must be non-empty"),
+        ],
+        ids=["one-observation", "flat-observations", "no-templates", "empty-template"],
+    )
+    def test_clip_rejected(self, observations, templates, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            Clip(observations, templates)
+
+    def test_frames_of_two_shapes_rejected(self):
+        with pytest.raises(DimensionError, match=r"^frame arrays disagree: \(2, 6\) vs \(2, 5\)$"):
+            PairBatch(np.zeros((2, 6)), np.zeros((2, 5)), compile_tokens(((0,), (1,)), 7))
+
+    def test_frame_and_token_rows_must_agree(self):
+        with pytest.raises(DimensionError, match="^3 frame rows but 2 instruction rows$"):
+            PairBatch(np.zeros((3, 6)), np.ones((3, 6)), compile_tokens(((0,), (1,)), 7))
+
+    def test_batch_of_no_rows_rejected(self):
+        with pytest.raises(ParameterError, match="^a batch needs at least one row$"):
+            PairBatch(np.zeros((0, 6)), np.zeros((0, 6)), compile_tokens((), 7))
 
 
 def chunk_rows(clips, count, rng):
