@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (
     NON_EMPTY, POSITIVE, DegenerateVectorError, DimensionError, FormatError, ParameterError, check_fields, from_json,
-    one_of,
+    one_of, refuse_first,
 )
 from .fileio import float32_bytes, float32_values, read_bytes, read_json, write_atomic
 
@@ -46,8 +46,9 @@ class EmbeddingBank:
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[0] != self.n or vals.shape[1] < 1:
             raise DimensionError(f"values shape {vals.shape} is not {self.n} rows of at least one column")
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("bank entries must be finite")
+        refuse_first(~np.isfinite(vals), ParameterError, lambda r, c: (
+            f"bank entries must be finite, got {float(vals[r, c])!r} at row {r}, dim {c}"
+        ))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -77,12 +78,8 @@ def unit_rows(matrix: np.ndarray, what: str = "row", floor: float = 0.0) -> np.n
     np.linalg.norm(axis=1), whose bits every goal and retrieval bank keeps."""
     with np.errstate(over="ignore"):  # an overflowed norm is reported below
         norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms <= floor)
-    if zero.size:
-        raise DegenerateVectorError(f"{what} {int(zero[0])} is a zero vector")
-    huge = np.flatnonzero(~np.isfinite(norms))
-    if huge.size:
-        raise ParameterError(f"{what} {int(huge[0])} has no finite norm")
+    refuse_first(norms <= floor, DegenerateVectorError, lambda i: f"{what} {i} is a zero vector")
+    refuse_first(~np.isfinite(norms), ParameterError, lambda i: f"{what} {i} has no finite norm")
     return matrix / norms[:, None]
 
 
@@ -91,9 +88,7 @@ def mean_row(matrix: np.ndarray, what: str) -> np.ndarray:
     ParameterError naming what and its dimension."""
     with np.errstate(over="ignore"):  # an overflowed entry is reported below
         mean = matrix.mean(axis=0)
-    huge = np.flatnonzero(~np.isfinite(mean))
-    if huge.size:
-        raise ParameterError(f"{what} overflows float64 at dim {int(huge[0])}")
+    refuse_first(~np.isfinite(mean), ParameterError, lambda i: f"{what} overflows float64 at dim {i}")
     return mean
 
 
@@ -190,16 +185,13 @@ def _decode_jsonl(raw: bytes, name: str) -> EmbeddingBank:
 
 
 def _encode_binary(bank: EmbeddingBank) -> bytes:
-    def outside(i: int) -> str:
-        r, c = divmod(i, bank.dim)
-        return f"row {r}, dim {c}: value {float(bank.values[r, c])!r} is outside float32 range"
-
-    floats = float32_bytes(bank.values, outside)
     buf = bytearray()
     buf += BINARY_MAGIC
     buf += struct.pack("<BB", BINARY_VERSION, MODALITIES.index(bank.modality))
     buf += struct.pack("<IQ", bank.dim, bank.n)
-    buf += floats
+    buf += float32_bytes(bank.values, lambda r, c: (
+        f"row {r}, dim {c}: value {float(bank.values[r, c])!r} is outside float32 range"
+    ))
     for i, tid in enumerate(bank.task_ids):
         encoded = tid.encode("utf-8")
         if len(encoded) > 0xFFFF:
@@ -227,9 +219,7 @@ def _decode_binary(raw: bytes, name: str) -> EmbeddingBank:
     offset = 18
     n_floats = dim * count
     need(offset, 4 * n_floats, f"{n_floats} float32 values")
-    values = float32_values(
-        raw, offset, n_floats, lambda i: f"{name}: row {i // dim}: non-finite value"
-    ).reshape(count, dim)
+    values = float32_values(raw, offset, (count, dim), lambda r, c: f"{name}: row {r}: non-finite value")
     offset += 4 * n_floats
     ids = []
     for i in range(count):

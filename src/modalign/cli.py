@@ -29,7 +29,7 @@ from .diagnostics import (
     pca_project_2d,
     shared_task_ids,
 )
-from .errors import DegenerateVectorError, DivergenceError, FormatError, ModalignError, ParameterError
+from .errors import DegenerateVectorError, DivergenceError, FormatError, ModalignError, ParameterError, refuse_first
 from .fileio import csv_text, read_bytes, read_json, write_atomic
 from .gridworld import generate_tasks
 from .trainer import PARAMS_MAGIC, load_encoder_params, save_encoder_params
@@ -218,10 +218,9 @@ def cmd_verify(args) -> int:
     tolerance = args.tolerance
     with np.errstate(over="ignore"):  # an overflowed square is refused below
         norms, ref_norms = row_norms(bank.values), row_norms(original.values)
-    for flag, row_norm in (("--bank", norms), ("--against", ref_norms)):
-        huge = np.flatnonzero(~np.isfinite(row_norm))
-        if huge.size:
-            raise ParameterError(f"{flag} row {int(huge[0])}: its squared norm overflows float64")
+    refuse_first(~np.isfinite([norms, ref_norms]), ParameterError, lambda f, i: (
+        f"{('--bank', '--against')[f]} row {i}: its squared norm overflows float64"
+    ))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero row is reported below
         cosines = np.vecdot(bank.values, original.values) / (norms * ref_norms)
     off_norm = np.abs(norms - 1.0) > tolerance

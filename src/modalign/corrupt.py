@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .banks import EmbeddingBank, row_norms
-from .errors import COSINE_FLOOR, NON_NEGATIVE, DegenerateVectorError, ParameterError, check_fields, one_of
+from .errors import (
+    COSINE_FLOOR, NON_NEGATIVE, DegenerateVectorError, ParameterError, check_fields, one_of, refuse_first,
+)
 
 
 NOISE_KINDS = ("cosine", "gaussian")
@@ -67,11 +69,10 @@ def corrupt_bank(bank: EmbeddingBank, cfg: CorruptConfig) -> EmbeddingBank:
             return bank.with_values(values + noise)
     with np.errstate(over="ignore"):  # an overflowed norm is reported below
         sq_norms = np.vecdot(values, values)
-    if np.any(sq_norms == 0.0):
-        raise DegenerateVectorError("cannot corrupt a zero vector")
-    huge = np.flatnonzero(~np.isfinite(sq_norms))
-    if huge.size:
-        raise ParameterError(f"cannot corrupt row {int(huge[0])}: its squared norm overflows float64")
+    refuse_first(sq_norms == 0.0, DegenerateVectorError, lambda i: f"cannot corrupt row {i}: it is a zero vector")
+    refuse_first(
+        ~np.isfinite(sq_norms), ParameterError, lambda i: f"cannot corrupt row {i}: its squared norm overflows float64"
+    )
     if bank.n and bank.dim < 2:  # an empty bank passes at any dim
         raise ParameterError("cosine noise needs dim >= 2 for an orthogonal direction")
     s = np.empty(bank.n)

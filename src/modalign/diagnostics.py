@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .banks import EmbeddingBank, mean_row, row_norms, unit_rows
-from .errors import DimensionError, EmptyBankError, ParameterError, TaskMismatchError, is_integer
+from .errors import DimensionError, EmptyBankError, ParameterError, TaskMismatchError, is_integer, refuse_first
 from .fileio import csv_text, json_text, write_atomic
 
 # The heatmap aggregates multiple rows per task as the per-task mean; this
@@ -59,9 +59,7 @@ def gap_vector(bank_v: EmbeddingBank, bank_l: EmbeddingBank) -> np.ndarray:
     mean_v, mean_l = mean_row(bank_v.values, "visual mean"), mean_row(bank_l.values, "text mean")
     with np.errstate(over="ignore"):  # an overflowed entry is reported below
         gap = mean_v - mean_l
-    huge = np.flatnonzero(~np.isfinite(gap))
-    if huge.size:
-        raise ParameterError(f"gap overflows float64 at dim {int(huge[0])}")
+    refuse_first(~np.isfinite(gap), ParameterError, lambda i: f"gap overflows float64 at dim {i}")
     return gap
 
 
@@ -173,9 +171,9 @@ def pca_project_2d(banks: Sequence[EmbeddingBank]) -> np.ndarray:
         raise EmptyBankError("need at least 2 rows for a 2-d projection")
     with np.errstate(over="ignore"):  # np.linalg.svd does not return on a non-finite entry
         centered = pooled - mean_row(pooled, "pooled mean")
-    huge = np.argwhere(~np.isfinite(centered))
-    if huge.size:
-        raise ParameterError(f"row {int(huge[0, 0])} overflows float64 at dim {int(huge[0, 1])} once centered")
+    refuse_first(
+        ~np.isfinite(centered), ParameterError, lambda r, c: f"row {r} overflows float64 at dim {c} once centered"
+    )
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = np.zeros((2, dim))
     components[: min(2, vt.shape[0])] = vt[:2]

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by every module in the package, and the
-value checks that configs and JSON documents raise them from."""
+value checks that configs, JSON documents and arrays raise them from."""
 
 import sys
 from dataclasses import MISSING, fields
@@ -50,6 +50,12 @@ class PipelineError(ModalignError):
     def __init__(self, stage, message):
         super().__init__(f"stage '{stage}': {message}")
         self.stage = stage
+
+
+def refuse_first(bad: np.ndarray, error: type[ModalignError], message) -> None:
+    """Raise error(message(*index)) at bad's first true entry in C order, one int per axis."""
+    if bad.any():
+        raise error(message(*map(int, np.unravel_index(np.argmax(bad), bad.shape))))
 
 
 def is_integer(value) -> bool:

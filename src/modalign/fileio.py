@@ -15,7 +15,7 @@ from contextlib import suppress
 
 import numpy as np
 
-from .errors import FormatError, IoError, ParameterError
+from .errors import FormatError, IoError, ParameterError, refuse_first
 
 
 def read_bytes(path) -> bytes:
@@ -38,23 +38,19 @@ def read_json(data: str | bytes, where: str):
 
 def float32_bytes(values: np.ndarray, message) -> bytes:
     """values as C-order LE float32 bytes. A value that is not finite as a
-    float32 is a ParameterError saying message(i) of flat entry i."""
+    float32 is a ParameterError saying message(*index) of its entry."""
     with np.errstate(over="ignore"):  # the finiteness check below reports it
         floats = np.ascontiguousarray(values, dtype="<f4")
-    bad = np.flatnonzero(~np.isfinite(floats))
-    if bad.size:
-        raise ParameterError(message(int(bad[0])))
+    refuse_first(~np.isfinite(floats), ParameterError, message)
     return floats.tobytes()
 
 
-def float32_values(raw: bytes, offset: int, count: int, message) -> np.ndarray:
-    """count LE float32 values of raw from offset, as float64. A non-finite
-    one is a FormatError saying message(i) of entry i; the check runs on
-    the float32 view, so a NaN payload is refused before the cast warns."""
-    floats = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    bad = np.flatnonzero(~np.isfinite(floats))
-    if bad.size:
-        raise FormatError(message(int(bad[0])))
+def float32_values(raw: bytes, offset: int, shape: tuple[int, ...], message) -> np.ndarray:
+    """The LE float32 values of raw from offset as a float64 array of shape. A
+    non-finite one is a FormatError saying message(*index) of its entry; the
+    check runs on the float32 view, so a NaN payload is refused before the cast warns."""
+    floats = np.frombuffer(raw, dtype="<f4", count=np.prod(shape), offset=offset).reshape(shape)
+    refuse_first(~np.isfinite(floats), FormatError, message)
     return floats.astype(np.float64)
 
 

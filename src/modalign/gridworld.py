@@ -62,7 +62,6 @@ class GridTask:
 
 @dataclass(frozen=True)
 class Trajectory:
-    grid_size: int
     states: tuple[tuple[int, int], ...]
     actions: tuple[Action, ...]
     observations: np.ndarray  # (len(states), G*G)
@@ -99,34 +98,18 @@ def generate_tasks(grid_size: int, seed: int) -> list[GridTask]:
     return tasks
 
 
-def render_observation(
-    grid_size: int, agent: tuple[int, int], goal: tuple[int, int], distractors
-) -> np.ndarray:
-    """Flattened scene frame: goal marker, agent marker, distractor markers.
-
-    The goal cell is rendered into every frame (tasks are visually
-    identifiable within the scene); markers superimpose additively when
-    they share a cell.
-    """
-    obs = np.zeros(grid_size * grid_size)
-    for dr, dc in distractors:
-        obs[dr * grid_size + dc] += DISTRACTOR_VALUE
-    obs[goal[0] * grid_size + goal[1]] += GOAL_VALUE
-    obs[agent[0] * grid_size + agent[1]] += 1.0
-    return obs
-
-
 def expert_trajectory(task: GridTask, start_cell: tuple[int, int], seed: int) -> Trajectory:
-    """Shortest path to the target, moving along rows before columns,
-    rendered with seeded static distractor markers."""
+    """Shortest path to the target, moving along rows before columns. Each
+    state's flattened scene frame marks the seeded static distractor cells,
+    the goal cell (so a task is identifiable within its scene) and the
+    agent; markers that share a cell add up."""
     grid_size = task.grid_size
     r, c = start_cell
     if not (0 <= r < grid_size and 0 <= c < grid_size):
         raise ParameterError(f"start cell {start_cell} outside a {grid_size}x{grid_size} grid")
     tr, tc = task.target
     rng = np.random.default_rng(seed)
-    flat = rng.choice(grid_size * grid_size, size=N_DISTRACTORS, replace=False)
-    distractors = [(int(i) // grid_size, int(i) % grid_size) for i in flat]
+    distractors = rng.choice(grid_size * grid_size, size=N_DISTRACTORS, replace=False)
 
     states = [(r, c)]
     actions: list[Action] = []
@@ -138,10 +121,11 @@ def expert_trajectory(task: GridTask, start_cell: tuple[int, int], seed: int) ->
         actions.append(Action.RIGHT if tc > c else Action.LEFT)
         c += 1 if tc > c else -1
         states.append((r, c))
-    observations = np.stack(
-        [render_observation(grid_size, s, task.target, distractors) for s in states]
-    )
-    return Trajectory(grid_size, tuple(states), tuple(actions), observations)
+    frames = np.zeros((len(states), grid_size * grid_size))
+    frames[:, distractors] = DISTRACTOR_VALUE  # distinct cells, so this adds each marker once
+    frames[:, tr * grid_size + tc] += GOAL_VALUE
+    frames[np.arange(len(states)), np.array(states) @ (grid_size, 1)] += 1.0
+    return Trajectory(tuple(states), tuple(actions), frames)
 
 
 def build_dataset(

@@ -25,6 +25,7 @@ from .errors import (
     DivergenceError,
     ParameterError,
     check_fields,
+    refuse_first,
 )
 from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells
 from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
@@ -66,8 +67,10 @@ def encode_goals(
     constrains directions), so corruption strengths and injected gap norms
     are scale-free. A visual goal is the frame difference of the first and
     last observations; a zero transition has no direction and raises
-    DegenerateVectorError.
+    DegenerateVectorError. No items is a ParameterError.
     """
+    if not items:
+        raise ParameterError("no goals to encode")
     if modality == "visual":
         starts, ends = [t.observations[0] for t in items], [t.observations[-1] for t in items]
         rows = unit_rows(frame_differences(encoders, starts, ends), "visual goal", 1e-12)
@@ -103,8 +106,6 @@ def build_goal_bank(
     """Unit goals of the dataset's trajectories as a bank, plus each row's
     dataset index. Text rows draw their templates in row order from a stream
     seeded by seed."""
-    if not dataset:
-        raise ParameterError("the dataset is empty")
     rng = np.random.default_rng(seed)
     if modality == "visual":
         items = [traj for traj, _ in dataset]
@@ -210,10 +211,9 @@ def _train_lockstep(states, actions, goal_rows, goals, config, members):
         probs /= probs.sum(axis=2, keepdims=True)
         picked = lanes + (actions[batch],)
         losses = -(np.add.reduce(np.log(probs[picked] + 1e-300), axis=1) / size)  # as np.mean
-        finite = np.isfinite(losses)
-        if not finite.all():
-            bad = members[int(np.argmin(finite))]
-            raise DivergenceError(f"variant {bad}: non-finite loss at step {step_idx}")
+        refuse_first(~np.isfinite(losses), DivergenceError, lambda v: (
+            f"variant {members[v]}: non-finite loss at step {step_idx}"
+        ))
         traces[step_idx] = losses
         probs[picked] -= 1.0
         probs /= size

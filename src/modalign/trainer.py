@@ -32,6 +32,7 @@ from .errors import (
     check_fields,
     from_json,
     is_integer,
+    refuse_first,
 )
 from .fileio import float32_bytes, float32_values, read_bytes, read_json, write_atomic
 from .nets import DenseParams, MomentumState, dense_backward, dense_count, dense_forward, init_dense
@@ -215,14 +216,8 @@ def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
     # wrappers that cost more than the arithmetic at this size
     norm_f = np.sqrt(np.add.reduce(diff * diff, axis=1))
     norm_t = np.sqrt(np.add.reduce(text * text, axis=1))
-    if not norm_f.all():
-        raise DegenerateVectorError(
-            f"frame-difference embedding {int(np.flatnonzero(norm_f == 0.0)[0])} is zero"
-        )
-    if not norm_t.all():
-        raise DegenerateVectorError(
-            f"text embedding {int(np.flatnonzero(norm_t == 0.0)[0])} is zero"
-        )
+    refuse_first(norm_f == 0.0, DegenerateVectorError, lambda i: f"frame-difference embedding {i} is zero")
+    refuse_first(norm_t == 0.0, DegenerateVectorError, lambda i: f"text embedding {i} is zero")
     fn = diff / norm_f[:, None]
     tn = text / norm_t[:, None]
     sims = fn @ tn.T  # sims[j, i] = cos(frame-diff j, text i)
@@ -447,6 +442,6 @@ def load_encoder_params(path) -> EncoderParams:
     if offset + 4 * count < len(raw):
         raise FormatError(f"{path}: {len(raw) - offset - 4 * count} trailing bytes")
     flat = float32_values(
-        raw, offset, count, lambda i: f"{path}: non-finite parameter at offset {offset + 4 * i}"
+        raw, offset, (count,), lambda i: f"{path}: non-finite parameter at offset {offset + 4 * i}"
     )
     return EncoderParams(meta.visual_sizes, meta.text_sizes, meta.token_table_shape[0], flat, float(meta.temperature))

@@ -165,8 +165,15 @@ class TestBankConstruction:
         assert bank.n == 2
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^bank entries must be finite, got nan at row 0, dim 1$"):
             EmbeddingBank("visual", ("a",), [[1.0, float("nan")]])
+
+    def test_nonfinite_refusal_names_the_first_entry_in_row_order(self):
+        values = np.ones((3, 4))
+        values[2, 0] = np.nan
+        values[1, 3] = -np.inf
+        with pytest.raises(ParameterError, match="^bank entries must be finite, got -inf at row 1, dim 3$"):
+            EmbeddingBank("visual", ("a", "b", "c"), values)
 
 
 

@@ -760,7 +760,7 @@ class TestOverflowingNorms:
         save_bank(EmbeddingBank("visual", ("a",), [[1.5e308, 0.0]]), path, "jsonl")
         argv = ["corrupt", "--bank", path, "--kind", "gaussian", "--std", 1e308, "--seed", 4, "--out", tmp_path / "c"]
         assert run(argv) == 2
-        assert capsys.readouterr().err == "error: bank entries must be finite\n"
+        assert capsys.readouterr().err == "error: bank entries must be finite, got inf at row 0, dim 0\n"
         assert not (tmp_path / "c").exists()
 
     def test_centralize_fit(self, tmp_path, capsys):

@@ -136,7 +136,7 @@ class TestOrthogonalComponent:
 
     def test_zero_reference(self):
         bank = EmbeddingBank("visual", ("a", "b", "c"), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateVectorError):
+        with pytest.raises(DegenerateVectorError, match="^cannot corrupt row 2: it is a zero vector$"):
             corrupt_bank(bank, cosine_cfg(0.2))
 
     def test_orthogonality_over_random_draws(self):
@@ -206,7 +206,7 @@ class TestCosineNoise:
         np.testing.assert_array_equal(out1.values, out2.values)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateVectorError):
+        with pytest.raises(DegenerateVectorError, match="^cannot corrupt row 0: it is a zero vector$"):
             corrupt_bank(anchor_bank(np.zeros(4), 1), cosine_cfg(0.2))
 
     def test_one_dimensional_input_rejected(self):

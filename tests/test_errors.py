@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modalign.errors import is_finite
+from modalign.errors import DimensionError, DivergenceError, ParameterError, is_finite, refuse_first
 
 
 @pytest.mark.parametrize(
@@ -29,3 +29,29 @@ from modalign.errors import is_finite
 def test_is_finite_without_warnings(value, finite):
     # the suite turns RuntimeWarning into an error, so a warning fails here
     assert is_finite(value) is finite
+
+
+@pytest.mark.parametrize("bad", [np.zeros(5, dtype=bool), np.zeros((3, 4), dtype=bool), np.zeros((0, 2), dtype=bool)],
+                         ids=["1-d", "2-d", "empty"])
+def test_refuse_first_passes_a_mask_with_no_true_entry(bad):
+    refuse_first(bad, ParameterError, lambda *index: pytest.fail(f"message asked for at {index}"))
+
+
+def test_refuse_first_names_the_first_index_of_a_1d_mask():
+    with pytest.raises(ParameterError, match="^entry 2$"):
+        refuse_first(np.array([False, False, True, True]), ParameterError, lambda i: f"entry {i}")
+
+
+def test_refuse_first_names_row_then_column_in_c_order():
+    bad = np.zeros((3, 4), dtype=bool)
+    bad[2, 0] = bad[1, 3] = True
+    seen = []
+    with pytest.raises(DimensionError, match="^row 1, col 3$"):
+        refuse_first(bad, DimensionError, lambda r, c: seen.append((r, c)) or f"row {r}, col {c}")
+    assert [tuple(map(type, index)) for index in seen] == [(int, int)]
+
+
+def test_refuse_first_raises_the_given_class():
+    with pytest.raises(DivergenceError) as info:
+        refuse_first(np.array([True]), DivergenceError, lambda i: "diverged")
+    assert type(info.value) is DivergenceError

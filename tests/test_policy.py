@@ -87,6 +87,11 @@ class TestGoalEmbedding:
         with pytest.raises(DegenerateVectorError):
             encode_goals(world["encoders"], "visual", [other.task_id, task.task_id], [good, traj])
 
+    @pytest.mark.parametrize("modality", ["visual", "text"])
+    def test_no_items_refused_alike(self, world, modality):
+        with pytest.raises(ParameterError, match="^no goals to encode$"):
+            encode_goals(world["encoders"], modality, [], [])
+
     def test_visual_goal_is_pure(self, world):
         task = world["tasks"][1]
         start = (0, 0) if task.target != (0, 0) else (1, 1)
@@ -298,11 +303,11 @@ class TestTrainPolicy:
             clips_from_dataset(dataset)
 
     def test_empty_dataset_refused_by_name(self, world):
-        with pytest.raises(ParameterError, match="^the dataset is empty$"):
+        with pytest.raises(ParameterError, match="^no goals to encode$"):
             build_goal_bank(world["encoders"], [], "text", 0)
 
     def test_empty_dataset_rejected(self, world):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^no goals to encode$"):
             build_goal_bank(world["encoders"], [], "visual", 0)
         states, actions, goal_rows = expert_steps([], world["grid"])
         with pytest.raises(ParameterError):

@@ -217,7 +217,7 @@ class TestInfonceLoss:
         params = linear_identity_params(2)
         obs = np.array([[1.0, 0.0]])
         batch = PairBatch(obs, obs, compile_tokens(((0,),), 2))
-        with pytest.raises(DegenerateVectorError):
+        with pytest.raises(DegenerateVectorError, match="^frame-difference embedding 0 is zero$"):
             infonce_loss(params, batch)
 
     def test_row_rescaling_invariance(self):
