@@ -166,11 +166,8 @@ class BenchConfig(VariantSpec):
             if width < 2 and variant.corrupt_kind == "cosine":
                 raise ParameterError(f"cosine corruption needs a goal width of at least 2, got {width}")
 
-    def base_variant(self) -> VariantSpec:
-        return VariantSpec(**{f.name: getattr(self, f.name) for f in fields(VariantSpec)})
-
     def variants(self) -> list[VariantSpec]:
-        base = self.base_variant()
+        base = VariantSpec(**{f.name: getattr(self, f.name) for f in fields(VariantSpec)})
         return [base] + [replace(base, **abl) for abl in self.ablations]
 
     @classmethod

@@ -63,9 +63,6 @@ def cmd_collapse(args) -> int:
         ref_l = load_bank(args.ref_text)
         reference = f"visual={args.ref_visual};text={args.ref_text}"
         if args.kind == "centralize":
-            for flag, ref, want in (("--ref-visual", ref_v, "visual"), ("--ref-text", ref_l, "text")):
-                if ref.modality != want:
-                    raise ParameterError(f"{flag} needs a {want} bank, got a {ref.modality} bank")
             transform = fit_centralize(ref_v, ref_l, fit_reference=reference)
         else:
             transform = fit_delete(ref_v, ref_l, k=args.k, fit_reference=reference)

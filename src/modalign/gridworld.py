@@ -32,7 +32,8 @@ TEMPLATES = (
 TRAIN_TEMPLATE_INDICES = tuple(range(len(TEMPLATES) - 1))
 HELDOUT_TEMPLATE_INDICES = (len(TEMPLATES) - 1,)
 
-_FRAME_WORDS = ("go", "to", "row", "col", "navigate", "cell", "reach", "target")
+# The templates' fixed words in first-use order: the head of every vocabulary.
+_FRAME_WORDS = tuple(dict.fromkeys(word for template in TEMPLATES for word in template if word[0] != "{"))
 
 
 class Action(IntEnum):
@@ -43,13 +44,8 @@ class Action(IntEnum):
     STAY = 4
 
 
-_MOVES = {
-    Action.UP: (-1, 0),
-    Action.DOWN: (1, 0),
-    Action.LEFT: (0, -1),
-    Action.RIGHT: (0, 1),
-    Action.STAY: (0, 0),
-}
+# Each action's (row, column) change, one row per Action in order.
+_MOVE_ROWS = np.array([(-1, 0), (1, 0), (0, -1), (0, 1), (0, 0)])
 
 
 @dataclass(frozen=True)
@@ -111,21 +107,14 @@ def expert_trajectory(task: GridTask, start_cell: tuple[int, int], seed: int) ->
     rng = np.random.default_rng(seed)
     distractors = rng.choice(grid_size * grid_size, size=N_DISTRACTORS, replace=False)
 
-    states = [(r, c)]
-    actions: list[Action] = []
-    while r != tr:
-        actions.append(Action.DOWN if tr > r else Action.UP)
-        r += 1 if tr > r else -1
-        states.append((r, c))
-    while c != tc:
-        actions.append(Action.RIGHT if tc > c else Action.LEFT)
-        c += 1 if tc > c else -1
-        states.append((r, c))
-    frames = np.zeros((len(states), grid_size * grid_size))
+    vertical, horizontal = (Action.DOWN if tr > r else Action.UP), (Action.RIGHT if tc > c else Action.LEFT)
+    actions = (vertical,) * abs(tr - r) + (horizontal,) * abs(tc - c)
+    path = np.cumsum(np.concatenate([[(r, c)], _MOVE_ROWS[list(actions)]]), axis=0)
+    frames = np.zeros((len(path), grid_size * grid_size))
     frames[:, distractors] = DISTRACTOR_VALUE  # distinct cells, so this adds each marker once
     frames[:, tr * grid_size + tc] += GOAL_VALUE
-    frames[np.arange(len(states)), np.array(states) @ (grid_size, 1)] += 1.0
-    return Trajectory(tuple(states), tuple(actions), frames)
+    frames[np.arange(len(path)), path @ (grid_size, 1)] += 1.0
+    return Trajectory(tuple(map(tuple, path.tolist())), actions, frames)
 
 
 def build_dataset(
@@ -148,21 +137,16 @@ def build_dataset(
 
 def step(grid_size: int, cell: tuple[int, int], action: Action) -> tuple[int, int]:
     """Grid dynamics: moves clamp at the walls."""
-    dr, dc = _MOVES[Action(action)]
+    dr, dc = _MOVE_ROWS[Action(action)].tolist()
     return (
         min(max(cell[0] + dr, 0), grid_size - 1),
         min(max(cell[1] + dc, 0), grid_size - 1),
     )
 
 
-_MOVE_ROWS = np.array([_MOVES[a] for a in Action])
-
-
-def step_cells(grid_sizes, cells: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """`step` for n cells (n, 2) and n actions at once; grid_sizes is one
-    size or one per cell."""
-    upper = np.asarray(grid_sizes).reshape(-1, 1) - 1
-    return np.clip(cells + _MOVE_ROWS[actions], 0, upper)
+def step_cells(grid_size: int, cells: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """`step` for n cells (n, 2) and n actions at once."""
+    return np.clip(cells + _MOVE_ROWS[actions], 0, grid_size - 1)
 
 
 def synthetic_gap_bank(

@@ -233,10 +233,9 @@ def greedy(net: DenseParams, grid_size: int, goals: np.ndarray):
 
 
 def rollout(tasks: Sequence[GridTask], starts: np.ndarray, horizon: int, choose) -> np.ndarray:
-    """Lockstep episodes, episode i on tasks[i] from start cell starts[i] (left
-    as given). Every time step makes one choose(active, cells) call for the
-    episodes not yet on their target. Returns which reach it by the horizon."""
-    grids = np.array([task.grid_size for task in tasks], dtype=np.intp)
+    """Lockstep episodes on the tasks' one grid, episode i on tasks[i] from start
+    cell starts[i] (left as given). Every time step makes one choose(active, cells)
+    call for the episodes not yet on their target. Returns which reach it by the horizon."""
     targets = np.array([task.target for task in tasks], dtype=np.intp).reshape(-1, 2)
     cells = np.array(starts, dtype=np.intp).reshape(-1, 2)  # a copy: the episodes move it in place
     reached = np.all(cells == targets, axis=1)
@@ -244,7 +243,7 @@ def rollout(tasks: Sequence[GridTask], starts: np.ndarray, horizon: int, choose)
         active = np.flatnonzero(~reached)
         if active.size == 0:
             break
-        cells[active] = step_cells(grids[active], cells[active], choose(active, cells[active]))
+        cells[active] = step_cells(tasks[0].grid_size, cells[active], choose(active, cells[active]))
         reached[active] = np.all(cells[active] == targets[active], axis=1)
     return reached
 

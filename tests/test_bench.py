@@ -147,7 +147,7 @@ class TestBenchConfig:
         cfg = BenchConfig(collapse="delete", delete_k=np.int64(2))
         assert type(cfg.delete_k) is int
         bank_v, bank_l = synthetic_gap_bank(4, cfg.dim, gap_norm=1.0, intra_noise_std=0.1, seed=0)
-        transform = _fit_transform(cfg.base_variant(), bank_v, bank_l, None)
+        transform = _fit_transform(cfg.variants()[0], bank_v, bank_l, None)
         assert len(transform.deleted_dims) == 2 and transform.output_dim == cfg.dim - 2
 
     @pytest.mark.parametrize(

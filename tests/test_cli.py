@@ -193,8 +193,12 @@ class TestCollapse:
         ]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("refs, flag", [("lv", "--ref-visual"), ("vv", "--ref-text"), ("ll", "--ref-visual")])
-    def test_centralize_refs_must_match_their_flags(self, bank_pair, tmp_path, capsys, refs, flag):
+    @pytest.mark.parametrize("refs, got", [  # each id names the flag given the wrong bank
+        pytest.param("lv", "text then visual", id="lv---ref-visual"),
+        pytest.param("vv", "visual then visual", id="vv---ref-text"),
+        pytest.param("ll", "text then text", id="ll---ref-visual"),
+    ])
+    def test_centralize_refs_must_match_their_flags(self, bank_pair, tmp_path, capsys, refs, got):
         # a text bank given as --ref-visual used to be taken as the visual mean
         paths = dict(zip("vl", bank_pair))
         out = tmp_path / "collapsed.ebnk"
@@ -203,7 +207,7 @@ class TestCollapse:
             "--ref-text", paths[refs[1]], "--target", paths["v"], "--out", out,
         ])
         assert code == 2
-        assert f"error: {flag} needs a" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: centralize needs a visual then a text reference bank, got {got}\n"
         assert not out.exists()
 
     def test_fit_without_refs_exits_two(self, bank_pair, tmp_path):

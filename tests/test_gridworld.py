@@ -19,7 +19,22 @@ from modalign.gridworld import (
     TEMPLATES,
     TRAIN_TEMPLATE_INDICES,
     step,
+    step_cells,
 )
+
+# (cell, action, next cell) on a 5-grid, written out: one interior move per
+# action, then each wall holding its move.
+STEP_CASES = [
+    ((2, 2), Action.UP, (1, 2)),
+    ((2, 2), Action.DOWN, (3, 2)),
+    ((2, 2), Action.LEFT, (2, 1)),
+    ((2, 2), Action.RIGHT, (2, 3)),
+    ((2, 2), Action.STAY, (2, 2)),
+    ((0, 2), Action.UP, (0, 2)),
+    ((4, 2), Action.DOWN, (4, 2)),
+    ((2, 0), Action.LEFT, (2, 0)),
+    ((2, 4), Action.RIGHT, (2, 4)),
+]
 
 
 def bfs_distance(grid_size, start, target):
@@ -36,6 +51,24 @@ def bfs_distance(grid_size, start, target):
                 seen.add(nxt)
                 queue.append((nxt, d + 1))
     raise AssertionError("unreachable")
+
+
+class TestStep:
+    @pytest.mark.parametrize(
+        "cell, action, nxt", STEP_CASES, ids=[f"{a.name}-from-{r}{c}" for (r, c), a, _ in STEP_CASES]
+    )
+    def test_written_out_moves(self, cell, action, nxt):
+        got = step(5, cell, action)
+        assert got == nxt and all(type(x) is int for x in got)
+
+    def test_step_cells_is_step_on_every_cell_and_action(self):
+        cases = [((r, c), a) for r in range(4) for c in range(4) for a in Action]
+        cells = np.array([cell for cell, _ in cases])
+        got = step_cells(4, cells, np.array([a for _, a in cases]))
+        assert list(map(tuple, got.tolist())) == [step(4, cell, a) for cell, a in cases]
+        cells = np.array([cell for cell, _, _ in STEP_CASES])
+        got = step_cells(5, cells, np.array([a for _, a, _ in STEP_CASES]))
+        assert list(map(tuple, got.tolist())) == [nxt for _, _, nxt in STEP_CASES]
 
 
 class TestGenerateTasks:
@@ -73,6 +106,12 @@ class TestGenerateTasks:
         with pytest.raises(ParameterError):
             generate_tasks(2, 0)
 
+    def test_vocab_written_out(self):
+        # the order fixes every token id
+        assert build_vocab(3) == [
+            "go", "to", "row", "col", "navigate", "cell", "reach", "target", "r0", "r1", "r2", "c0", "c1", "c2",
+        ]
+
 
 class TestExpertTrajectory:
     def _task(self, grid_size, target, seed=0):
@@ -91,6 +130,23 @@ class TestExpertTrajectory:
         traj = expert_trajectory(task, (0, 0), seed=5)
         assert traj.actions == (Action.DOWN, Action.DOWN)
         assert traj.states[-1] == (2, 0)
+
+    @pytest.mark.parametrize("start, target, actions, states", [
+        (
+            (0, 3), (2, 1), ("DOWN", "DOWN", "LEFT", "LEFT"),
+            [(0, 3), (1, 3), (2, 3), (2, 2), (2, 1)],
+        ),
+        (
+            (3, 0), (1, 2), ("UP", "UP", "RIGHT", "RIGHT"),
+            [(3, 0), (2, 0), (1, 0), (1, 1), (1, 2)],
+        ),
+    ], ids=["down-left", "up-right"])
+    def test_written_out_paths(self, start, target, actions, states):
+        traj = expert_trajectory(self._task(4, target), start, seed=3)
+        assert traj.actions == tuple(Action[a] for a in actions)
+        assert all(type(a) is Action for a in traj.actions)
+        assert traj.states == tuple(states)
+        assert all(type(x) is int for cell in traj.states for x in cell)
 
     def test_length_matches_bfs_oracle(self):
         rng = np.random.default_rng(11)

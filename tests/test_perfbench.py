@@ -1,11 +1,14 @@
 """The benchmark's oracle self-tests run with the tier-1 suite, so a broken
 oracle shows up here and not only when the benchmark runs."""
 
+import importlib
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 SELFTEST = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+TRACING = SELFTEST.with_name("tracing.py")
 
 
 def test_benchmark_oracles_selftest_passes():
@@ -14,3 +17,18 @@ def test_benchmark_oracles_selftest_passes():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.rstrip().endswith(" 0 failed")
+
+
+def test_wrapped_attributes_missing_from_modalign_are_the_six_known_dead():
+    # The tracer wraps attributes by name, so a rename silently zeroes that layer's
+    # metrics. These six are gone already; ROADMAP item 1 deletes their entries.
+    wrapped = runpy.run_path(str(TRACING))["WRAPPED"]
+    missing = {
+        f"{module.removeprefix('modalign.')}.{attr}"
+        for module, attr, _, _ in wrapped
+        if not hasattr(importlib.import_module(module), attr)
+    }
+    assert missing == {
+        "bench.text_forward", "bench.train_policy", "policy.frame_difference_embedding",
+        "policy.apply_transform", "cli.gap_vector", "cli.matched_pair_similarity_matrix",
+    }
