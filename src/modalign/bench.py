@@ -30,6 +30,7 @@ from .errors import (
 from .fileio import csv_text, json_text, write_atomic
 from .gridworld import (
     HELDOUT_TEMPLATE_INDICES,
+    MIN_GRID_SIZE,
     TRAIN_TEMPLATE_INDICES,
     GridTask,
     Trajectory,
@@ -80,23 +81,16 @@ class VariantSpec:
 
     __post_init__ = check_fields
 
-    @property
-    def alpha_or_std(self) -> float | None:
-        if self.corrupt_kind == "cosine":
-            return self.alpha
-        if self.corrupt_kind == "gaussian":
-            return self.std
-        return None
-
     def corrupt_config(self, seed: int) -> CorruptConfig | None:
         if self.corrupt_kind == "none":
             return None
         return CorruptConfig(self.corrupt_kind, self.alpha, self.std, seed)
 
     def report_fields(self) -> dict:
-        """The variant's cells of a report row; alpha and std report as alpha_or_std."""
+        """The variant's cells of a report row; alpha and std report as
+        alpha_or_std, the strength of its kind of corruption (None for none)."""
         cells = {f.name: getattr(self, f.name) for f in fields(VariantSpec) if f.name not in ("alpha", "std")}
-        return {**cells, "alpha_or_std": self.alpha_or_std}
+        return {**cells, "alpha_or_std": {"cosine": self.alpha, "gaussian": self.std}.get(self.corrupt_kind)}
 
 
 _MODALITY = one_of(*MODALITIES)
@@ -107,7 +101,7 @@ class BenchConfig(VariantSpec):
     """Every bench setting; the base variant's fields come from VariantSpec."""
 
     schema_version: int = field(default=1, metadata=one_of(1))
-    grid_size: int = field(default=5, metadata=POSITIVE)
+    grid_size: int = field(default=5, metadata={"rule": (lambda v: v >= MIN_GRID_SIZE, f">= {MIN_GRID_SIZE}")})
     demos_per_task: int = field(default=20, metadata=POSITIVE)
     dim: int = field(default=16, metadata=POSITIVE)
     world_seed: int = field(default=0, metadata=NON_NEGATIVE)
@@ -177,9 +171,6 @@ class BenchConfig(VariantSpec):
             raise ParameterError("config is missing schema_version")
         return cls(**doc)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def _stage_fields(self, prefix: str) -> dict:
         """Every field named prefix + x, keyed x: one stage config's arguments."""
         n = len(prefix)
@@ -243,11 +234,8 @@ class TransferReport:
                 return agg
         raise KeyError(f"no aggregate for {eval_modality} {variant_fields}")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     def write_json(self, path) -> None:
-        write_atomic(path, json_text(self.to_json_dict()))
+        write_atomic(path, json_text(asdict(self)))
 
     def write_csv(self, path) -> None:
         write_atomic(path, csv_text(CSV_COLUMNS, [row.csv_values() for row in self.rows]))
@@ -286,9 +274,10 @@ def _fit_transform(
     return fit_delete(ref_v, ref_l, variant.delete_k, fit_reference="bench_reference_banks")
 
 
-def _stage(name: str, fn, *args, where: str = ""):
+def _stage(name: str, fn, *args, seed: int | None = None, variant: int | None = None):
     """Run one stage; a failure names the stage, then what went wrong, then
-    where: " (seed s)" or " (seed s, variant v)"."""
+    where: nothing for a run-wide stage, " (seed s)" or " (seed s, variant v)"."""
+    where = "" if seed is None else f" (seed {seed})" if variant is None else f" (seed {seed}, variant {variant})"
     try:
         return fn(*args)
     except DivergenceError as exc:
@@ -302,12 +291,11 @@ def train_seed_encoders(
 ) -> tuple[list[tuple[Trajectory, GridTask]], TrainerConfig, TrainResult]:
     """The encoder stage of one bench seed: its gridworld dataset, the
     trainer config derived from the seed, and the trained encoder pair."""
-    where = f" (seed {seed})"
     dataset = _stage(
-        "build_dataset", build_dataset, tasks, config.demos_per_task, subseed(seed, _STAGE_DATA), where=where
+        "build_dataset", build_dataset, tasks, config.demos_per_task, subseed(seed, _STAGE_DATA), seed=seed
     )
     trainer_config = config.trainer_config(subseed(seed, _STAGE_ENCODER))
-    trained = _stage("train_encoders", train_encoders, clips_from_dataset(dataset), trainer_config, where=where)
+    trained = _stage("train_encoders", train_encoders, clips_from_dataset(dataset), trainer_config, seed=seed)
     return dataset, trainer_config, trained
 
 
@@ -323,56 +311,56 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
     gap_direction = gap_rng.standard_normal(config.dim)
     gap_direction /= row_norms(gap_direction)
     variants = config.variants()
-    report = TransferReport(config=config.to_dict(), chance_floor=floor)
-    cells: dict[tuple[int, str], list[BenchRow]] = {}
+    offsets = [gap_direction * v.injected_gap_norm if v.injected_gap_norm > 0.0 else None for v in variants]
+    report = TransferReport(config=asdict(config), chance_floor=floor)
     evals = [(m, TRAIN_TEMPLATE_INDICES if m == "text" else None, _STAGE_EVAL) for m in config.eval_modalities]
     if config.eval_heldout_text and "text" in config.eval_modalities:
         evals.append(("text_heldout", HELDOUT_TEMPLATE_INDICES, _STAGE_EVAL_HELDOUT))
 
     for seed in config.seeds:
         dataset, _, trained = train_seed_encoders(config, tasks, seed)
-        encoders, at_seed = trained.params, f" (seed {seed})"
+        encoders = trained.params
         # Every stream is keyed by (seed, stage), never by the variant: the
         # variants of a seed share every draw but the fields their ablation sets.
         unit_v, _ = _stage(
             "reference_banks", build_goal_bank, encoders, dataset, "visual",
-            subseed(seed, _STAGE_GOALS), where=at_seed,
+            subseed(seed, _STAGE_GOALS), seed=seed,
         )
-        ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks, where=at_seed)
+        ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks, seed=seed)
         # visual goals draw no templates, so visual training goals are unit_v
         unit_train = unit_v if config.train_modality == "visual" else _stage(
             "training_goals", build_goal_bank, encoders, dataset, config.train_modality,
-            subseed(seed, _STAGE_GOALS), TRAIN_TEMPLATE_INDICES, where=at_seed,
+            subseed(seed, _STAGE_GOALS), TRAIN_TEMPLATE_INDICES, seed=seed,
         )[0]
         # Stage-major: every variant's collapse fit and training goals, then
         # all of the seed's policies in one lockstep training, then evaluation.
-        at = [f" (seed {seed}, variant {vi})" for vi in range(len(variants))]
-        offsets = [gap_direction * v.injected_gap_norm if v.injected_gap_norm > 0.0 else None for v in variants]
         transforms, goals = [], []
         for vi, (variant, offset) in enumerate(zip(variants, offsets)):
-            transforms.append(_stage("fit_collapse", _fit_transform, variant, unit_v, ref_l, offset, where=at[vi]))
+            transform = _stage("fit_collapse", _fit_transform, variant, unit_v, ref_l, offset, seed=seed, variant=vi)
+            transforms.append(transform)
             goals.append(_stage(
                 "training_goals", training_goals, unit_train,
-                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT)), transforms[vi], offset, where=at[vi],
+                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT)), transform, offset, seed=seed, variant=vi,
             ))
         # The policy stage sets the run's peak memory: it runs without the
         # dataset, and evaluation without the goals, rows and loss traces.
-        bc_rows = _stage("expert_steps", expert_steps, dataset, config.grid_size, where=at_seed)
+        bc_rows = _stage("expert_steps", expert_steps, dataset, config.grid_size, seed=seed)
         del dataset
         policies = [result.net for result in _stage(
             "train_policy", train_policies, *bc_rows, goals, config.grid_size,
-            config.policy_config(subseed(seed, _STAGE_POLICY)), where=at_seed,
+            config.policy_config(subseed(seed, _STAGE_POLICY)), seed=seed,
         )]
         del bc_rows, goals
         # Each evaluation's episodes and goals are built once, for every variant.
         episodes = [_stage(
             "eval_episodes", eval_episodes, tasks, name.removesuffix("_heldout"), encoders,
-            config.episodes_per_task, subseed(seed, tag), pool, where=at_seed,
+            config.episodes_per_task, subseed(seed, tag), pool, seed=seed,
         ) for name, pool, tag in evals]
         for vi, (variant, policy, transform, offset) in enumerate(zip(variants, policies, transforms, offsets)):
             for (eval_name, *_), shared in zip(evals, episodes):
                 result = _stage(
-                    "evaluate_policy", evaluate_policy, policy, shared, config.horizon, transform, offset, where=at[vi]
+                    "evaluate_policy", evaluate_policy, policy, shared, config.horizon, transform, offset,
+                    seed=seed, variant=vi,
                 )
                 per_task = np.array(list(result.per_task.values()))
                 row = BenchRow(
@@ -385,11 +373,12 @@ def run_transfer_experiment(config: BenchConfig) -> TransferReport:
                     chance_floor=floor,
                 )
                 report.rows.append(row)
-                cells.setdefault((vi, eval_name), []).append(row)
 
     # One aggregate per (variant, eval modality) cell, in run order, so
     # variants that differ in any field (delete_k included) never pool.
-    for rows in cells.values():
+    # Each seed appends its n cells in that order, so row i of every seed is cell i.
+    n = len(variants) * len(evals)
+    for rows in (report.rows[i::n] for i in range(n)):
         values = [row.success_mean for row in rows]
         cell = {k: v for k, v in asdict(rows[0]).items() if k != "seed"}
         cell.update(success_mean=float(np.mean(values)), success_std=float(np.std(values)), n_seeds=len(values))

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
+import threading
 from contextlib import suppress
 
 import numpy as np
 
 from .errors import FormatError, IoError, ParameterError, refuse_first
+
+_TMP_IDS = itertools.count()  # process-wide, so no two writes share a temporary name
 
 
 def read_bytes(path) -> bytes:
@@ -57,18 +61,24 @@ def float32_values(raw: bytes, offset: int, shape: tuple[int, ...], message) -> 
 def write_atomic(path, data: bytes | str) -> None:
     """Replace the regular file at path (through its symlinks) with data, a
     str as UTF-8: a temporary file beside it, made by a plain open so that a
-    new file's mode follows the umask, then os.replace."""
+    new file's mode follows the umask, then os.replace. The temporary name is
+    this call's own (pid, thread, counter) and holds no part of the target's,
+    so concurrent writers of one path never share one and any target name
+    fits; an existing file or symlink of that name is refused."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise IoError(f"cannot write {path}: not a regular file")
-    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    name = f".modalign.{os.getpid()}.{threading.get_ident()}.{next(_TMP_IDS)}.tmp"
+    tmp, made = os.path.join(os.path.dirname(target), name), False
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "xb") as fh:
+            made = True
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, target)
     except BaseException as exc:
-        with suppress(OSError):
-            os.unlink(tmp)
+        if made:
+            with suppress(OSError):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
             raise IoError(f"cannot write {path}: {exc}") from exc
         raise

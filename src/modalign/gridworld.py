@@ -16,6 +16,7 @@ import numpy as np
 from .banks import EmbeddingBank, row_norms
 from .errors import ParameterError
 
+MIN_GRID_SIZE = 3
 N_DISTRACTORS = 2
 DISTRACTOR_VALUE = 0.5
 GOAL_VALUE = 2.0
@@ -73,8 +74,8 @@ def build_vocab(grid_size: int) -> list[str]:
 def generate_tasks(grid_size: int, seed: int) -> list[GridTask]:
     """One task per cell (K = G*G), each with every paraphrase template,
     listed in a seeded random order."""
-    if grid_size < 3:
-        raise ParameterError(f"grid size must be >= 3, got {grid_size}")
+    if grid_size < MIN_GRID_SIZE:
+        raise ParameterError(f"grid size must be >= {MIN_GRID_SIZE}, got {grid_size}")
     vocab = build_vocab(grid_size)
     index = {tok: i for i, tok in enumerate(vocab)}
     tasks = []

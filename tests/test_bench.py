@@ -61,7 +61,7 @@ class TestBenchConfig:
 
     def test_roundtrip_through_dict(self):
         cfg = tiny_config(ablations=({"collapse": "delete"},))
-        again = BenchConfig.from_dict(cfg.to_dict())
+        again = BenchConfig.from_dict(asdict(cfg))
         assert again == cfg
 
     def test_variants_apply_overrides(self):
@@ -115,7 +115,7 @@ class TestBenchConfig:
     @pytest.mark.parametrize(
         "field, inside, outside",
         [
-            ("grid_size", 1, 0),
+            ("grid_size", 3, 2),
             ("demos_per_task", 1, 0),
             ("dim", 1, 0),
             ("world_seed", 0, -1),
@@ -164,8 +164,8 @@ class TestBenchConfig:
     )
     def test_numpy_scalars_are_stored_as_plain_values(self, numpy_fields, plain_fields):
         # the report echoes the config, and JSON cannot encode a numpy scalar
-        got = json_text(BenchConfig(**numpy_fields).to_dict())
-        assert got == json_text(BenchConfig(**plain_fields).to_dict())
+        got = json_text(asdict(BenchConfig(**numpy_fields)))
+        assert got == json_text(asdict(BenchConfig(**plain_fields)))
 
     def test_plain_int_in_a_float_field_echoes_as_an_int(self):
         cfg = BenchConfig(alpha=0, ablations=({"std": 1},))
@@ -488,6 +488,19 @@ class TestAblations:
             assert [a["n_seeds"] for a in cells] == [1, 1, 1]
         assert len(report.aggregates) == 6
 
+    def test_variants_identical_to_the_base_aggregate_apart(self):
+        # an aggregate reads its cell's rows by their place in each seed's run
+        # order, so variants that share every field still never pool
+        report = run_transfer_experiment(tiny_config(
+            seeds=(0, 1), encoder_steps=20, policy_steps=20, ablations=({}, {"alpha": 0.2}),
+        ))
+        per_seed = [[r for r in report.rows if r.seed == seed] for seed in (0, 1)]
+        assert len(per_seed[0]) == len(per_seed[1]) == len(report.aggregates) == 9
+        assert [a["eval_modality"] for a in report.aggregates] == ["visual", "text", "text_heldout"] * 3
+        assert [a["n_seeds"] for a in report.aggregates] == [2] * 9
+        for agg, first, second in zip(report.aggregates, *per_seed):
+            assert agg["success_mean"] == float(np.mean([first.success_mean, second.success_mean]))
+
     def test_rows_name_their_seed_and_variant(self, tmp_path):
         # without seed, delete_k and injected_gap_norm two rows could share
         # every identifying column
@@ -496,7 +509,7 @@ class TestAblations:
             ablations=({"delete_k": 3}, {"injected_gap_norm": 2.0}),
         ))
         assert [r.delete_k for r in report.rows] == [1, 3, 1] * 2
-        assert [r["delete_k"] for r in report.to_json_dict()["rows"]] == [1, 3, 1] * 2
+        assert [r["delete_k"] for r in asdict(report)["rows"]] == [1, 3, 1] * 2
         path = tmp_path / "report.csv"
         report.write_csv(path)
         header, *lines = path.read_text().splitlines()
@@ -583,6 +596,40 @@ class TestAblations:
             run_transfer_experiment(tiny_config(seeds=(5,), ablations=ablations))
         assert str(info.value) == "stage 'train_policy': variant 3: non-finite loss at step 0 (seed 5)"
         assert calls == [0, 1, 2, 3, 4]
+
+    def test_run_wide_stage_failure_names_no_seed(self, monkeypatch):
+        import modalign.bench as bench_module
+
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(bench_module, "chance_floor", broken)
+        with pytest.raises(PipelineError) as info:
+            run_transfer_experiment(tiny_config())
+        assert info.value.stage == "chance_floor"
+        assert str(info.value) == "stage 'chance_floor': ValueError: boom"
+
+    def test_divergence_in_a_variant_stage_keeps_its_class_and_exits_3(self, monkeypatch, tmp_path, capsys):
+        import modalign.bench as bench_module
+
+        real, calls = bench_module.training_goals, []
+
+        def diverging_for_variant_1(*args):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise DivergenceError("non-finite goals")
+            return real(*args)
+
+        monkeypatch.setattr(bench_module, "training_goals", diverging_for_variant_1)
+        config = tiny_config(seeds=(4,), encoder_steps=20, policy_steps=20, ablations=({"alpha": 0.5},))
+        with pytest.raises(DivergenceError) as info:
+            run_transfer_experiment(config)
+        assert str(info.value) == "stage 'training_goals': non-finite goals (seed 4, variant 1)"
+        calls.clear()
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(asdict(config)))
+        assert main(["bench", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 class TestReportSchema:

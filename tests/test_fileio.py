@@ -1,7 +1,10 @@
 import ast
 import os
 import stat
+import sys
+import threading
 from collections import Counter
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,59 @@ class TestWriteAtomic:
         assert link.is_symlink()
         assert real.read_bytes() == b"new\n"
         assert temp_files(tmp_path) == temp_files(real.parent) == []
+
+    def test_nested_write_of_the_same_path_keeps_its_own_temporary_file(self, tmp_path, monkeypatch):
+        # a second writer of the path (another thread) may run between a write and its rename
+        target = tmp_path / "out.bin"
+        real_replace, nested = os.replace, []
+
+        def replace_after_a_nested_write(src, dst):
+            if not nested:
+                nested.append(src)
+                write_atomic(target, b"inner")
+                assert target.read_bytes() == b"inner"
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fileio.os, "replace", replace_after_a_nested_write)
+        write_atomic(target, b"outer")
+        assert target.read_bytes() == b"outer"
+        assert temp_files(tmp_path) == []
+
+    def test_concurrent_writers_of_one_path_each_land_whole(self, tmp_path):
+        target = tmp_path / "out.bin"
+        payloads = [bytes([i]) * (1 << 16) for i in range(4)]  # more writers than cores
+        errors, seen = [], set()
+
+        def writer(data):
+            try:
+                for _ in range(20):
+                    write_atomic(target, data)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(data,)) for data in payloads]
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                with suppress(FileNotFoundError):
+                    seen.add(target.read_bytes())
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert seen <= set(payloads) and target.read_bytes() in payloads
+        assert temp_files(tmp_path) == []
+
+    def test_longest_file_name_is_written(self, tmp_path):
+        target = tmp_path / ("a" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        write_atomic(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert temp_files(tmp_path) == []
 
     def test_new_file_mode_matches_plain_open(self, tmp_path):
         previous = os.umask(0o027)

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import string
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def test_bench_config(tmp_path, monkeypatch):
         assert isinstance(config, BenchConfig) and config.variants()
 
     # an accepted config writes an empty report; the bench is not under test
-    monkeypatch.setattr(cli_module, "run_transfer_experiment", lambda c: TransferReport(c.to_dict(), 0.0))
+    monkeypatch.setattr(cli_module, "run_transfer_experiment", lambda c: TransferReport(asdict(c), 0.0))
     fuzz(
         tmp_path, json.dumps(doc).encode("utf-8"), 14, load, check,
         lambda p: ["bench", "--config", p, "--out-dir", tmp_path / "run"],
@@ -178,7 +179,7 @@ def flag_mutant(text: str, rng: random.Random) -> str:
 
 def test_bench_number_flags(tmp_path, monkeypatch):
     # an accepted flag writes an empty report; the bench is not under test
-    monkeypatch.setattr(cli_module, "run_transfer_experiment", lambda c: TransferReport(c.to_dict(), 0.0))
+    monkeypatch.setattr(cli_module, "run_transfer_experiment", lambda c: TransferReport(asdict(c), 0.0))
     rng = random.Random(15)
     codes = []
     for i in range(FLAG_CASES):

@@ -32,3 +32,23 @@ def test_wrapped_attributes_missing_from_modalign_are_the_six_known_dead():
         "bench.text_forward", "bench.train_policy", "policy.frame_difference_embedding",
         "policy.apply_transform", "cli.gap_vector", "cli.matched_pair_similarity_matrix",
     }
+
+
+def test_traced_bench_counts_every_wrapped_layer():
+    # a wrapped function called with keyword arguments, or returning a new
+    # shape, breaks only the traced benchmark pass; this runs a tiny one
+    from modalign.bench import BenchConfig, run_transfer_experiment
+
+    config = BenchConfig(
+        grid_size=3, demos_per_task=4, dim=8, seeds=(0,), episodes_per_task=2, horizon=4, encoder_steps=20,
+        policy_steps=20, ablations=({"collapse": "delete"}, {"corrupt_kind": "gaussian"}),
+    )
+    with runpy.run_path(str(TRACING))["Tracer"]() as tracer:
+        run_transfer_experiment(config)
+    totals = tracer.totals()
+    names = (
+        "trainer.train_encoders", "policy.build_goal_bank", "policy.evaluate_policy", "policy.chance_floor",
+        "collapse.fit_centralize", "collapse.fit_delete", "corrupt.corrupt_bank",
+    )
+    counts = {name: totals.get(name, (0.0, 0))[1] for name in names}
+    assert all(counts.values()), counts
