@@ -48,8 +48,11 @@ class PipelineError(ModalignError):
     """A benchmark pipeline stage failed; carries the stage name."""
 
     def __init__(self, stage, message):
-        super().__init__(f"stage '{stage}': {message}")
+        super().__init__(stage, message)  # both stay in args, so the error pickles
         self.stage = stage
+
+    def __str__(self):
+        return f"stage '{self.stage}': {self.args[1]}"
 
 
 def refuse_first(bad: np.ndarray, error: type[ModalignError], message) -> None:

@@ -37,6 +37,9 @@ class DenseParams:
             self.biases.append(flat[..., at : at + fan_out])
             at += fan_out
 
+    def __reduce__(self):  # the views are rebuilt on the unpickled buffer, not pickled as copies of it
+        return DenseParams, (self.sizes, self.flat)
+
     @property
     def n_layers(self) -> int:
         return len(self.weights)

@@ -9,6 +9,7 @@ collapsed goals at evaluation time get the same treatment.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -159,7 +160,8 @@ def train_policies(
     Policies of equal goal width train in lockstep as one stacked net on one
     default_rng(config.seed) stream: one init draw and one batch of rows per
     step serve them all, and the stacked matmuls run one gemm per policy, so
-    each result is bit-identical to training that policy alone.
+    each result is bit-identical to training that policy alone. With 2+ CPUs,
+    groups of different widths train whole in worker processes, raising as one process would.
     """
     states = np.asarray(states, dtype=np.float64)
     actions, goal_rows = np.asarray(actions), np.asarray(goal_rows)
@@ -178,15 +180,20 @@ def train_policies(
     groups: dict[int, list[int]] = {}
     for v, g in enumerate(goals):
         groups.setdefault(g.shape[1], []).append(v)
-    trained: list = [None] * len(goals)
-    for members in groups.values():
-        stacked = np.stack([goals[v] for v in members])
-        for v, result in zip(members, _train_lockstep(states, actions, goal_rows, stacked, config, members)):
-            trained[v] = result
+    jobs = [(states, actions, goal_rows, np.stack([goals[v] for v in vs]), config, vs) for vs in groups.values()]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # Linux only: else one process
+    if len(jobs) > 1 and cpus > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, not at the top: a run with no pool never loads it
+        with ProcessPoolExecutor(min(len(jobs), cpus)) as pool:
+            lanes = list(pool.map(_train_lockstep, *zip(*jobs)))
+    else:
+        lanes = [_train_lockstep(*job) for job in jobs]
+    trained = {v: lane for vs, group in zip(groups.values(), lanes) for v, lane in zip(vs, group)}
     # Python-float traces take four times the memory of the arrays: build them after all the training.
-    return [PolicyResult(net, trace.tolist()) for net, trace in trained]
+    return [PolicyResult(net, trace.tolist()) for _, (net, trace) in sorted(trained.items())]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite losses and weights raise below; workers would warn again
 def _train_lockstep(states, actions, goal_rows, goals, config, members):
     """(net, loss trace array) of each policy in members, whose (V, rows,
     width) goals are stacked: the rows of one stacked (V, P) net. Each step
@@ -218,6 +225,8 @@ def _train_lockstep(states, actions, goal_rows, goals, config, members):
         probs[picked] -= 1.0
         probs /= size
         optimizer.step(dense_backward(net, cache, probs)[0])
+    refuse_first(~np.isfinite(net.flat).all(axis=1), DivergenceError,  # the last step's update has no loss after it
+                 lambda v: f"variant {members[v]}: non-finite weights after step {config.steps - 1}")
     return [(DenseParams(sizes, flat), t) for flat, t in zip(net.flat, traces.T)]
 
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shlex
 import struct
@@ -915,6 +916,19 @@ class TestBench:
         config = self.bench_config(tmp_path)
         assert run(["bench", "--config", config, "--out-dir", tmp_path / "x"]) == 3
         assert "stage 'train_encoders': non-finite loss at step 3" in capsys.readouterr().err
+
+    def test_policy_divergence_exits_three_alike_under_one_and_two_cpus(self, monkeypatch, tmp_path, capsys):
+        # collapse=delete narrows the second variant's goals: two goal widths, so two lockstep groups
+        config = self.bench_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "policy_learning_rate": 1e308}))
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            argv = ["bench", "--config", config, "--out-dir", tmp_path / f"cpus{cpus}", "--ablate", "collapse=delete"]
+            assert run(argv) == 3
+            errors.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] == "error: stage 'train_policy': variant 0: non-finite loss at step 2 (seed 0)\n"
 
     def test_stage_failure_exits_two_naming_seed_and_variant(self, monkeypatch, tmp_path, capsys):
         import modalign.bench as bench_module

@@ -1,9 +1,18 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from modalign.errors import DimensionError, DivergenceError, ParameterError, is_finite, refuse_first
+from modalign.errors import (
+    DimensionError,
+    DivergenceError,
+    ModalignError,
+    ParameterError,
+    PipelineError,
+    is_finite,
+    refuse_first,
+)
 
 
 @pytest.mark.parametrize(
@@ -55,3 +64,13 @@ def test_refuse_first_raises_the_given_class():
     with pytest.raises(DivergenceError) as info:
         refuse_first(np.array([True]), DivergenceError, lambda i: "diverged")
     assert type(info.value) is DivergenceError
+
+
+@pytest.mark.parametrize("cls", [ModalignError, *ModalignError.__subclasses__()], ids=lambda cls: cls.__name__)
+def test_every_error_survives_pickling(cls):
+    # an error raised in a worker process reaches the caller pickled
+    error = cls("stage", "went wrong") if cls is PipelineError else cls("went wrong")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error) == ("stage 'stage': went wrong" if cls is PipelineError else "went wrong")
+    assert getattr(copy, "stage", None) == getattr(error, "stage", None)

@@ -1,3 +1,7 @@
+import concurrent.futures
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -368,10 +372,46 @@ def reference_train_policy(states, goals, actions, config):
 MODALITY_POOL_IDS = ["Modality.VISUAL-None", "Modality.TEXT-pool1"]
 
 
+def on_cpus(monkeypatch, n):
+    """Make train_policies see n usable CPUs. Returns the worker counts of
+    the process pools it then builds, in order."""
+    built = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return built
+
+
 def bc_rows(n, grid, seed):
     """n random one-hot states and actions, and the stream that made them."""
     rng = np.random.default_rng(seed)
     return np.eye(grid * grid)[rng.integers(0, grid * grid, n)], rng.integers(0, len(Action), n), rng
+
+
+def assert_matches_reference(n, widths, config):
+    """train_policies on n random expert rows, one goal matrix per width:
+    results in input order, each its own policy trained alone under the
+    shared config, with its weights views of its own buffer."""
+    states, actions, rng = bc_rows(n, 3, 0)
+    goal_rows = rng.integers(0, 9, n)  # several expert rows share a goal row
+    goals = [rng.standard_normal((9, w)) for w in widths]
+    config = PolicyConfig(**config)
+    results = train_policies(states, actions, goal_rows, goals, 3, config)
+    assert len(results) == len(goals)
+    for goal, result in zip(goals, results):
+        net, trace = reference_train_policy(states, goal[goal_rows], actions, config)
+        assert result.loss_trace == trace
+        assert result.net.sizes == net.sizes
+        np.testing.assert_array_equal(result.net.flat, net.flat)
+        assert all(np.shares_memory(a, result.net.flat) for a in (*result.net.weights, *result.net.biases))
+
+
+MIXED_WIDTHS = (41, [6, 5, 6, 3, 6], dict(steps=30, seed=4))  # three goal widths: three lockstep groups
 
 
 class TestTrainPolicies:
@@ -379,7 +419,7 @@ class TestTrainPolicies:
         "n, widths, config",
         [
             (40, [6], dict(steps=30, seed=1)),
-            (41, [6, 5, 6, 3, 6], dict(steps=30, seed=4)),
+            MIXED_WIDTHS,
             (40, [6, 6], dict(steps=0, seed=1)),
             (7, [6, 6], dict(steps=30, batch_size=64, seed=1)),
             (40, [6, 6], dict(steps=30, hidden=(), seed=1)),
@@ -388,19 +428,7 @@ class TestTrainPolicies:
         ids=["one", "mixed-widths", "zero-steps", "batch-over-n", "no-hidden", "two-hidden"],
     )
     def test_bit_identical_to_per_policy_reference(self, n, widths, config):
-        grid = 3
-        states, actions, rng = bc_rows(n, grid, 0)
-        goal_rows = rng.integers(0, 9, n)  # several expert rows share a goal row
-        goals = [rng.standard_normal((9, w)) for w in widths]
-        config = PolicyConfig(**config)
-        results = train_policies(states, actions, goal_rows, goals, grid, config)
-        assert len(results) == len(goals)
-        # results in input order: each matches its own policy trained alone under the shared config
-        for goal, result in zip(goals, results):
-            net, trace = reference_train_policy(states, goal[goal_rows], actions, config)
-            assert result.loss_trace == trace
-            assert result.net.sizes == net.sizes
-            np.testing.assert_array_equal(result.net.flat, net.flat)
+        assert_matches_reference(n, widths, config)
 
     def test_divergence_names_the_variant_and_step(self):
         states, actions, rng = bc_rows(20, 3, 1)
@@ -409,7 +437,50 @@ class TestTrainPolicies:
         with pytest.raises(DivergenceError, match="variant 1: non-finite loss at step 0"):
             train_policies(states, actions, np.arange(20), goals, 3, PolicyConfig(steps=5))
 
-    @pytest.mark.parametrize("rows", [(10, 9), ()], ids=["two-row-counts", "no-goals"])
+    @pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2])], ids=["1-cpu", "2-cpus"])
+    def test_mixed_widths_bit_identical_under_one_and_two_cpus(self, monkeypatch, cpus, pools):
+        built = on_cpus(monkeypatch, cpus)
+        assert_matches_reference(*MIXED_WIDTHS)
+        assert built == pools
+
+    @pytest.mark.parametrize(
+        "widths, cpus", [([4, 4, 4], 2), ([4, 3, 4], 1), ([4, 3, 4], None)], ids=["one-group", "one-cpu", "no-affinity"]
+    )
+    def test_one_group_or_one_cpu_starts_no_process(self, monkeypatch, widths, cpus):
+        if cpus is None:  # a platform without os.sched_getaffinity trains in one process
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            on_cpus(monkeypatch, cpus)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        states, actions, rng = bc_rows(20, 3, 6)
+        goals = [rng.standard_normal((20, w)) for w in widths]
+        assert len(train_policies(states, actions, np.arange(20), goals, 3, PolicyConfig(steps=3))) == 3
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "scale, config, failure",
+        [
+            (np.nan, dict(steps=5), "loss at step 0"),
+            # every loss is finite; the one update overflows the scaled groups' first layers
+            (1e4, dict(steps=1, learning_rate=1e308), "weights after step 0"),
+        ],
+        ids=["nan-goals", "last-update"],
+    )
+    def test_divergence_in_a_later_group_raises_as_in_one_process(self, monkeypatch, cpus, scale, config, failure):
+        on_cpus(monkeypatch, cpus)
+        states, actions, rng = bc_rows(20, 3, 1)
+        goals = [rng.standard_normal((20, w)) for w in [4, 3, 2]]
+        goals[1] *= scale  # the second and third groups both fail; the second raises
+        goals[2] *= scale
+        with pytest.raises(DivergenceError, match=f"^variant 1: non-finite {failure}$"):
+            train_policies(states, actions, np.arange(20), goals, 3, PolicyConfig(**config))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("rows",[(10, 9), ()], ids=["two-row-counts", "no-goals"])
     def test_goals_must_be_matrices_of_one_row_count(self, rows):
         states, actions, rng = bc_rows(10, 3, 4)
         goals = [rng.standard_normal((r, 4)) for r in rows]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 import struct
 import warnings
 
@@ -919,6 +920,15 @@ class TestFlatBuffer:
             row = DenseParams(sizes, flat[v])
             for got, want in zip((*net.weights, *net.biases), (*row.weights, *row.biases)):
                 np.testing.assert_array_equal(got[v], want)
+
+    def test_a_pickled_net_keeps_its_views_on_one_buffer(self):
+        # a lane trained in a worker process comes back pickled
+        stacked = DenseParams([4, 3, 2], np.arange(3 * 23, dtype=np.float64).reshape(3, 23))
+        net = pickle.loads(pickle.dumps(DenseParams(stacked.sizes, stacked.flat[1])))
+        np.testing.assert_array_equal(net.flat, np.arange(23, 46))
+        assert all(np.shares_memory(a, net.flat) for a in (*net.weights, *net.biases))
+        net.flat += 1.0
+        np.testing.assert_array_equal(net.biases[1], [45.0, 46.0])
 
     def test_buffer_of_another_size_refused(self):
         with pytest.raises(DimensionError, match="need 23 parameters"):
