@@ -115,34 +115,28 @@ def _flag_number(flag: str, value: str, cast):
     raise ParameterError(f"{flag} expects a finite number, got {value!r}")
 
 
+# --ablate keys that each set one BenchConfig field: (field, cast), None keeping the text
+_ABLATE_FIELDS = {"collapse": ("collapse", None), "delete_k": ("delete_k", int),
+                  "gap": ("injected_gap_norm", float), "alpha": ("alpha", float)}
+
+
 def _parse_ablation(spec: str) -> dict:
     overrides: dict = {}
     for pair in spec.split(","):
         if "=" not in pair:
             raise ParameterError(f"--ablate expects key=value pairs, got {pair!r}")
-        key, value = pair.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        flag = f"--ablate {key}"
-        if key == "collapse":
-            overrides["collapse"] = value
-        elif key == "delete_k":
-            overrides["delete_k"] = _flag_number(flag, value, int)
-        elif key == "gap":
-            overrides["injected_gap_norm"] = _flag_number(flag, value, float)
-        elif key == "alpha":
-            overrides["alpha"] = _flag_number(flag, value, float)
+        key, value = (part.strip() for part in pair.split("=", 1))
+        if key in _ABLATE_FIELDS:
+            name, cast = _ABLATE_FIELDS[key]
+            overrides[name] = value if cast is None else _flag_number(f"--ablate {key}", value, cast)
+        elif key == "corrupt" and value == "none":
+            overrides["corrupt_kind"] = "none"
         elif key == "corrupt":
-            if value == "none":
-                overrides["corrupt_kind"] = "none"
-            else:
-                kind, _, strength = value.partition(":")
-                if kind not in NOISE_KINDS or not strength:
-                    raise ParameterError(
-                        f"--ablate corrupt expects cosine:<alpha>, gaussian:<std> or none, got {value!r}"
-                    )
-                overrides["corrupt_kind"] = kind
-                overrides["alpha" if kind == "cosine" else "std"] = _flag_number(flag, strength, float)
+            kind, _, strength = value.partition(":")
+            if kind not in NOISE_KINDS or not strength:
+                raise ParameterError(f"--ablate corrupt expects cosine:<alpha>, gaussian:<std> or none, got {value!r}")
+            overrides["corrupt_kind"] = kind
+            overrides["alpha" if kind == "cosine" else "std"] = _flag_number("--ablate corrupt", strength, float)
         else:
             raise ParameterError(f"unknown --ablate key {key!r}")
     return overrides
@@ -209,9 +203,7 @@ def cmd_verify(args) -> int:
         return 0
     original = load_bank(args.against)
     if original.n != bank.n or original.dim != bank.dim:
-        raise ParameterError(
-            f"banks disagree: {bank.n}x{bank.dim} vs {original.n}x{original.dim}"
-        )
+        raise ParameterError(f"banks disagree: {bank.n}x{bank.dim} vs {original.n}x{original.dim}")
     tolerance = args.tolerance
     with np.errstate(over="ignore"):  # an overflowed square is refused below
         norms, ref_norms = row_norms(bank.values), row_norms(original.values)
@@ -276,18 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-format", choices=BANK_FORMATS, default="binary")
     p.set_defaults(func=cmd_corrupt)
 
-    p = sub.add_parser(
-        "train-encoder", help="train one bench seed's encoder pair on its gridworld data"
-    )
+    p = sub.add_parser("train-encoder", help="train one bench seed's encoder pair on its gridworld data")
     p.add_argument("--config", help="bench JSON config document")
     p.add_argument("--steps", type=int, help="override config encoder_steps")
     p.add_argument("--seed", type=int, help="bench seed to train (default: the config's first seed)")
-    p.add_argument(
-        "--freeze-text-after",
-        type=int,
-        help="override config encoder_freeze_text_after: freeze the text tower after "
-        "this step (visual keeps training)",
-    )
+    p.add_argument("--freeze-text-after", type=int, help="override config encoder_freeze_text_after: "
+                   "freeze the text tower after this step (visual keeps training)")
     p.add_argument("--out", default="encoder_params.eprm", help="params output path")
     p.add_argument("--loss-csv", default="encoder_loss.csv", help="loss trace output path")
     p.set_defaults(func=cmd_train_encoder)
@@ -297,13 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="where to write the report files")
     p.add_argument("--seeds", help="override config seeds, comma separated")
     p.add_argument("--train-modality", choices=MODALITIES, help="override train modality")
-    p.add_argument(
-        "--ablate",
-        action="append",
-        metavar="KEY=VALUE[,KEY=VALUE...]",
-        help="add a comparison variant; keys: collapse, delete_k, gap, alpha, corrupt "
-        "(e.g. collapse=none, alpha=0.5 or corrupt=gaussian:0.1)",
-    )
+    p.add_argument("--ablate", action="append", metavar="KEY=VALUE[,KEY=VALUE...]",
+                   help=f"add a comparison variant; keys: {', '.join(_ABLATE_FIELDS)}, corrupt "
+                   "(e.g. collapse=none, alpha=0.5 or corrupt=gaussian:0.1)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="re-check a bank, .eprm or transform file, and corruption cosine bounds")

@@ -83,19 +83,19 @@ def dense_forward(
 
 
 def dense_backward(
-    params: DenseParams, cache: list[np.ndarray], grad_out: np.ndarray
+    params: DenseParams, cache: list[np.ndarray], grad_out: np.ndarray, grads: DenseParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop grad_out (B, out) through the net; returns (flat param
-    grads aligned with params.flat, dL/dz of the first layer (B, sizes[1])).
-    The input gradient is that @ weights[0], left to the callers that need
-    it. A leading axis on the input of an unstacked net gives each slice's
-    gradients along that axis. The cache is spent: each hidden activation
-    is overwritten by its tanh derivative."""
+    """Backprop grad_out (B, out) through the net into grads, a training
+    loop's one buffer for them, whose every entry it writes; returns
+    (grads.flat, dL/dz of the first layer (B, sizes[1])). The input gradient
+    is that @ weights[0], left to the callers that need it. A leading axis on
+    the input of an unstacked net gives each slice's gradients along that
+    axis, in a grads buffer with that axis. The cache is spent: each hidden
+    activation is overwritten by its tanh derivative."""
     g = np.asarray(grad_out, dtype=np.float64)  # dL/dz of the linear output
-    grads = DenseParams(params.sizes, np.empty(g.shape[:-2] + params.flat.shape[-1:]))
     for l in range(params.n_layers - 1, -1, -1):
         np.matmul(g.mT, cache[l], out=grads.weights[l])
-        np.sum(g, axis=-2, out=grads.biases[l])
+        np.add.reduce(g, axis=-2, out=grads.biases[l])  # np.sum, without its Python wrapper
         if l > 0:
             tanh_grad = np.square(cache[l], out=cache[l])
             np.subtract(1.0, tanh_grad, out=tanh_grad)

@@ -205,10 +205,12 @@ def _train_lockstep(states, actions, goal_rows, goals, config, members):
     sizes = [x.shape[2], *config.hidden, len(Action)]
     net = DenseParams(sizes, np.tile(init_dense(sizes, rng).flat, (len(members), 1)))
     optimizer = MomentumState(net.flat, config.learning_rate, config.momentum)
+    grads = DenseParams(sizes, np.empty_like(net.flat))
     traces = np.empty((config.steps, len(members)))
     lanes = np.arange(len(members))[:, None], np.arange(size)
-    for step_idx in range(config.steps):
-        batch = rng.integers(0, n, size=size)
+    # one (k, B) draw gives the rows, and leaves the stream, as k draws of B rows: a call per 128 steps
+    chunks = (rng.integers(0, n, size=(min(128, config.steps - lo), size)) for lo in range(0, config.steps, 128))
+    for step_idx, batch in enumerate(row for chunk in chunks for row in chunk):
         x[..., :width] = states[batch]
         # mode="clip" writes straight into the buffer; every index is in range
         np.take(goals, goal_rows[batch], axis=1, out=x[..., width:], mode="clip")
@@ -224,7 +226,7 @@ def _train_lockstep(states, actions, goal_rows, goals, config, members):
         traces[step_idx] = losses
         probs[picked] -= 1.0
         probs /= size
-        optimizer.step(dense_backward(net, cache, probs)[0])
+        optimizer.step(dense_backward(net, cache, probs, grads)[0])
     refuse_first(~np.isfinite(net.flat).all(axis=1), DivergenceError,  # the last step's update has no loss after it
                  lambda v: f"variant {members[v]}: non-finite weights after step {config.steps - 1}")
     return [(DenseParams(sizes, flat), t) for flat, t in zip(net.flat, traces.T)]

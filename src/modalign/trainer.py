@@ -69,11 +69,13 @@ class TokenRows(NamedTuple):
     lengths: np.ndarray  # (N,) intp, every entry >= 1
     vocab: int
 
-    def pool(self, table: np.ndarray) -> np.ndarray:
-        """Mean token vector per row. The row sum adds the tokens in order and
-        then exact zeros, so it is bit-identical to table[seq].mean(axis=0)."""
-        ext = np.concatenate([table, np.zeros((1, table.shape[1]))])
-        return ext[self.padded].sum(axis=1) / self.lengths[:, None]
+    def pool(self, table: np.ndarray, padded_table: np.ndarray | None = None) -> np.ndarray:
+        """Mean token vector per row, from table copied into padded_table (vocab + 1
+        rows, the last zero; a new one when None). The row sum adds the tokens in order
+        and then exact zeros, so it is bit-identical to table[seq].mean(axis=0)."""
+        ext = np.zeros((len(table) + 1, table.shape[1])) if padded_table is None else padded_table
+        ext[:-1] = table
+        return np.add.reduce(ext[self.padded], axis=1) / self.lengths[:, None]
 
 
 def compile_tokens(token_seqs: Sequence[Sequence[int]], vocab: int) -> TokenRows:
@@ -196,10 +198,24 @@ def frame_differences(params: EncoderParams, starts, ends) -> np.ndarray:
     return encoded[len(starts) :] - encoded[: len(starts)]
 
 
-def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
-    """The InfoNCE loss and, when asked, its gradient: the one path behind
-    infonce_loss and infonce_loss_and_gradient."""
-    rows = batch.tokens
+class _StepBuffers:
+    """What an encoder step writes into, built once per params: the gradient as
+    EncoderParams (its visual output bias, which no step writes, stays zero),
+    the visual hidden layers' view `sub` with their stacked (2, P_sub) start/end
+    gradient, and the padded token table."""
+
+    def __init__(self, params: EncoderParams):
+        visual = params.visual
+        self.grad = EncoderParams(visual.sizes, params.text.sizes, params.vocab_size, np.zeros_like(params.flat))
+        self.sub = DenseParams(visual.sizes[:-1], visual.flat[: dense_count(visual.sizes[:-1])])
+        self.stacked = DenseParams(self.sub.sizes, np.empty((2, self.sub.flat.size)))
+        self.table = np.zeros((params.vocab_size + 1, params.token_table.shape[1]))
+
+
+def _infonce(params: EncoderParams, frames: np.ndarray, rows: TokenRows, buffers: _StepBuffers | None = None):
+    """The InfoNCE loss of (2, B, obs_dim) start/end frames against token rows
+    and, given buffers, its gradient in buffers.grad: the one path behind
+    infonce_loss, infonce_loss_and_gradient and train_encoders."""
     if rows.vocab != params.vocab_size:
         # a pad index of another vocabulary would select a real token row
         raise DimensionError(f"batch tokens are compiled for vocab {rows.vocab}, not {params.vocab_size}")
@@ -207,10 +223,11 @@ def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
     # The output-layer bias cancels in the frame difference; computing the
     # difference before the last matmul keeps that cancellation exact.
     visual, last = params.visual, params.visual.n_layers - 1
-    hidden, cache = dense_forward(visual, np.stack([batch.o_start, batch.o_end]), hidden_only=True)
+    hidden, cache = dense_forward(visual, frames, hidden_only=True)
     hidden_diff = hidden[1] - hidden[0]
     diff = hidden_diff @ visual.weights[last].T  # (B, D)
-    text, cache_text = dense_forward(params.text, rows.pool(params.token_table))
+    padded_table = None if buffers is None else buffers.table
+    text, cache_text = dense_forward(params.text, rows.pool(params.token_table, padded_table))
 
     # np.linalg.norm and np.mean compute exactly these, behind Python-level
     # wrappers that cost more than the arithmetic at this size
@@ -224,11 +241,11 @@ def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
     logits = sims / params.temperature
     colmax = logits.max(axis=0)
     exp = np.exp(logits - colmax)
-    denom = exp.sum(axis=0)
+    denom = np.add.reduce(exp, axis=0)
     lse = colmax + np.log(denom)
     size = len(lse)
     loss = float(np.add.reduce(lse - logits.diagonal()) / size)
-    if not gradient:
+    if buffers is None:
         return loss
 
     dlogits = exp / denom  # the softmax, less one on the diagonal, over B
@@ -238,10 +255,10 @@ def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
     g_fn = dsims @ tn  # (B, D), gradient on the normalized frame-diffs
     g_tn = dsims.T @ fn
     # through x -> x / ||x||
-    ddiff = (g_fn - (np.sum(g_fn * fn, axis=1, keepdims=True)) * fn) / norm_f[:, None]
-    dtext = (g_tn - (np.sum(g_tn * tn, axis=1, keepdims=True)) * tn) / norm_t[:, None]
+    ddiff = (g_fn - np.add.reduce(g_fn * fn, axis=1, keepdims=True) * fn) / norm_f[:, None]
+    dtext = (g_tn - np.add.reduce(g_tn * tn, axis=1, keepdims=True) * tn) / norm_t[:, None]
 
-    grads = []
+    grad = buffers.grad
     if last > 0:
         # One backward of both frame sets through the hidden layers: the
         # start frames carry -g, and each gradient is end slice + start slice.
@@ -250,33 +267,33 @@ def _infonce(params: EncoderParams, batch: PairBatch, gradient: bool):
         np.subtract(1.0, grad_out, out=grad_out)
         grad_out *= g
         np.negative(grad_out[0], out=grad_out[0])
-        sub = DenseParams(visual.sizes[:-1], visual.flat[: dense_count(visual.sizes[:-1])])
-        stacked, _ = dense_backward(sub, cache, grad_out)
-        grads = [stacked[1] + stacked[0]]
-    # the output bias cancels in the difference, so its gradient is zero
-    grads += [(ddiff.T @ hidden_diff).ravel(), np.zeros_like(visual.biases[last])]
+        stacked, _ = dense_backward(buffers.sub, cache, grad_out, buffers.stacked)
+        np.add(stacked[1], stacked[0], out=grad.flat[: stacked.shape[1]])
+    # the output bias cancels in the difference, so its gradient stays zero
+    np.matmul(ddiff.T, hidden_diff, out=grad.visual.weights[last])
 
-    text_grads, dz_text = dense_backward(params.text, cache_text, dtext)
+    _, dz_text = dense_backward(params.text, cache_text, dtext, grad.text)
     dpooled = dz_text @ params.text.weights[0]
     # One weighted count over the flattened table adds every token's share
     # in the order a per-token loop would; pads land in the dropped last row.
     width = params.token_table.shape[1]
-    share = np.repeat(dpooled / rows.lengths[:, None], rows.padded.shape[1], axis=0)
+    share = (dpooled / rows.lengths[:, None]).repeat(rows.padded.shape[1], axis=0)
     cells = rows.padded.reshape(-1, 1) * width + np.arange(width)
-    table = np.bincount(cells.ravel(), share.ravel(), (rows.vocab + 1) * width)
-    return loss, np.concatenate([*grads, text_grads, table[: rows.vocab * width]])
+    table = np.bincount(cells.ravel(), share.ravel(), (rows.vocab + 1) * width).reshape(-1, width)
+    grad.token_table[:] = table[:-1]
+    return loss, grad.flat
 
 
 def infonce_loss(params: EncoderParams, batch: PairBatch) -> float:
     """Mean over instructions of -log softmax(cos / temperature) mass on
     the matched frame-difference; exactly 0 at batch size 1."""
-    return _infonce(params, batch, gradient=False)
+    return _infonce(params, np.stack([batch.o_start, batch.o_end]), batch.tokens)
 
 
 def infonce_loss_and_gradient(params: EncoderParams, batch: PairBatch) -> tuple[float, np.ndarray]:
     """infonce_loss and its analytic gradient, one flat array aligned with
-    params.flat."""
-    return _infonce(params, batch, gradient=True)
+    params.flat that the caller owns."""
+    return _infonce(params, np.stack([batch.o_start, batch.o_end]), batch.tokens, _StepBuffers(params))
 
 
 def finite_difference_check(params: EncoderParams, batch: PairBatch, epsilon: float = 1e-5) -> float:
@@ -327,9 +344,10 @@ class _CompiledClips:
         self.spans = np.stack([firsts[:, 0], sizes[:, 0], firsts[:, 1], sizes[:, 1]])
 
     def batches(self, steps: int, batch_size: int, rng: np.random.Generator):
-        """`steps` batches of B rows, drawn about _CHUNK_ROWS rows at a time
-        by four rng.integers calls: every row's clip, then every start frame,
-        every segment length over the valid suffix and every template."""
+        """`steps` (frames, tokens) batches of B rows, frames (2, B, obs_dim) the
+        start then end frames, views of one gather per chunk. Rows are drawn about
+        _CHUNK_ROWS at a time by four rng.integers calls: every row's clip, then
+        every start frame, every segment length over the valid suffix and every template."""
         per_chunk = max(1, _CHUNK_ROWS // batch_size)
         for done in range(0, steps, per_chunk):
             count = min(per_chunk, steps - done) * batch_size
@@ -337,11 +355,11 @@ class _CompiledClips:
             starts = frame + rng.integers(0, horizon - 1)
             ends = starts + rng.integers(1, frame + horizon - starts)
             picks = first + rng.integers(0, templates)
-            o_start, o_end = self.observations[starts], self.observations[ends]
+            frames = self.observations[np.stack([starts, ends])]
             padded, lengths = self.rows.padded[picks], self.rows.lengths[picks]
             for lo in range(0, count, batch_size):
                 rows = slice(lo, lo + batch_size)
-                yield PairBatch(o_start[rows], o_end[rows], TokenRows(padded[rows], lengths[rows], self.rows.vocab))
+                yield frames[:, rows], TokenRows(padded[rows], lengths[rows], self.rows.vocab)
 
 
 def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
@@ -361,9 +379,9 @@ def train_encoders(clips: Sequence[Clip], config: TrainerConfig) -> TrainResult:
     rng = np.random.default_rng(config.seed)
     params = init_encoder_params(config, rng)
     optimizer = MomentumState(params.flat, config.learning_rate, config.momentum)
-    trace: list[float] = []
-    for step, batch in enumerate(compiled.batches(config.steps, config.batch_size, rng)):
-        loss, grad = infonce_loss_and_gradient(params, batch)
+    buffers, trace = _StepBuffers(params), []
+    for step, (frames, tokens) in enumerate(compiled.batches(config.steps, config.batch_size, rng)):
+        loss, grad = _infonce(params, frames, tokens, buffers)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at step {step}")
         trace.append(loss)
@@ -410,15 +428,10 @@ def save_encoder_params(params: EncoderParams, path, extra_metadata: dict | None
     )
     doc = {name: value for name, value in asdict(meta).items() if value is not None}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = bytearray()
-    buf += PARAMS_MAGIC
-    buf += struct.pack("<B", PARAMS_VERSION)
-    buf += struct.pack("<I", len(blob))
-    buf += blob
-    buf += float32_bytes(params.flat, lambda i: (
+    payload = float32_bytes(params.flat, lambda i: (
         f"parameter entry {i}: value {float(params.flat[i])!r} is outside float32 range"
     ))
-    write_atomic(path, bytes(buf))
+    write_atomic(path, PARAMS_MAGIC + struct.pack("<BI", PARAMS_VERSION, len(blob)) + blob + payload)
 
 
 def load_encoder_params(path) -> EncoderParams:
@@ -427,10 +440,9 @@ def load_encoder_params(path) -> EncoderParams:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {PARAMS_MAGIC!r}")
     if len(raw) < 9:
         raise FormatError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<B", raw, 4)
+    version, meta_len = struct.unpack_from("<BI", raw, 4)
     if version != PARAMS_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    (meta_len,) = struct.unpack_from("<I", raw, 5)
     if 9 + meta_len > len(raw):
         raise FormatError(f"{path}: truncated metadata block")
     meta = from_json(_ParamsMetadata, read_json(raw[9 : 9 + meta_len], f"{path}: metadata"), f"{path}: metadata")

@@ -424,11 +424,27 @@ class TestTrainPolicies:
             (7, [6, 6], dict(steps=30, batch_size=64, seed=1)),
             (40, [6, 6], dict(steps=30, hidden=(), seed=1)),
             (40, [6, 6], dict(steps=30, hidden=(32, 16), seed=1)),
+            # batch rows are drawn 128 steps at a time: 300 steps end inside a third draw
+            (40, [6, 6], dict(steps=300, batch_size=5, hidden=(8,), seed=2)),
         ],
-        ids=["one", "mixed-widths", "zero-steps", "batch-over-n", "no-hidden", "two-hidden"],
+        ids=["one", "mixed-widths", "zero-steps", "batch-over-n", "no-hidden", "two-hidden", "past-a-draw"],
     )
     def test_bit_identical_to_per_policy_reference(self, n, widths, config):
         assert_matches_reference(n, widths, config)
+
+    @pytest.mark.parametrize("n", [3, 483, 2**31 + 5])
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_chunked_draws_give_per_step_rows_and_stream(self, n, size):
+        # training draws a (k, B) block of batch rows per 128 steps; numpy must
+        # give the rows, and leave the generator, as k draws of B rows would
+        steps, chunk = 300, 128
+        per_step, chunked = np.random.default_rng(7), np.random.default_rng(7)
+        want = np.stack([per_step.integers(0, n, size=size) for _ in range(steps)])
+        got = np.concatenate([
+            chunked.integers(0, n, size=(min(chunk, steps - lo), size)) for lo in range(0, steps, chunk)
+        ])
+        np.testing.assert_array_equal(got, want)
+        assert chunked.bit_generator.state == per_step.bit_generator.state
 
     def test_divergence_names_the_variant_and_step(self):
         states, actions, rng = bc_rows(20, 3, 1)

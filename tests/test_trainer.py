@@ -29,7 +29,7 @@ from modalign import (
 from modalign.bench import train_seed_encoders
 from modalign.gridworld import generate_tasks
 from modalign import trainer
-from modalign.nets import DenseParams, MomentumState
+from modalign.nets import DenseParams, MomentumState, dense_backward, dense_forward
 from modalign.trainer import (
     TokenRows,
     _CompiledClips,
@@ -290,6 +290,29 @@ class TestInfonceGradient:
             _, grad = infonce_loss_and_gradient(params, random_batch(np.random.default_rng(14)))
             assert grad.shape == params.flat.shape
 
+    @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+    def test_each_call_returns_a_gradient_the_caller_owns(self, hidden):
+        # finite_difference_check keeps one gradient across many loss calls
+        params = init_encoder_params(tiny_config(visual_hidden=hidden), np.random.default_rng(41))
+        _, first = infonce_loss_and_gradient(params, random_batch(np.random.default_rng(42)))
+        kept = first.copy()
+        _, second = infonce_loss_and_gradient(params, random_batch(np.random.default_rng(43)))
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(first, second) and not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+    def test_reused_step_buffers_give_each_batch_its_own_gradient(self, hidden):
+        # training reuses one set of buffers: nothing of one step may reach the next
+        params = init_encoder_params(tiny_config(visual_hidden=hidden), np.random.default_rng(44))
+        buffers = trainer._StepBuffers(params)
+        for seed in (45, 46, 47):
+            batch = random_batch(np.random.default_rng(seed), b=4)
+            frames = np.stack([batch.o_start, batch.o_end])
+            loss, grad = trainer._infonce(params, frames, batch.tokens, buffers)
+            want_loss, want = infonce_loss_and_gradient(params, batch)
+            assert loss == want_loss and grad is buffers.grad.flat
+            np.testing.assert_array_equal(grad, want)
+
     def test_matches_finite_differences(self):
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
@@ -366,15 +389,15 @@ class TestTrainEncoders:
 
         clips, _ = synthetic_clips(np.random.default_rng(19), n_tasks=2, clips_per_task=2)
         cfg = TrainerConfig(obs_dim=12, vocab_size=11, dim=4, steps=5, seed=1)
-        real = trainer_module.infonce_loss_and_gradient
+        real = trainer_module._infonce
         calls = []
 
-        def poisoned(params, batch):
-            loss, grads = real(params, batch)
+        def poisoned(*args):
+            loss, grads = real(*args)
             calls.append(1)
             return (float("nan") if len(calls) >= 3 else loss), grads
 
-        monkeypatch.setattr(trainer_module, "infonce_loss_and_gradient", poisoned)
+        monkeypatch.setattr(trainer_module, "_infonce", poisoned)
         with pytest.raises(DivergenceError, match="step 2"):
             train_encoders(clips, cfg)
 
@@ -484,9 +507,15 @@ def reference_batches(clips, steps, batch_size, rng):
             )
 
 
+def pair_batches(compiled, steps, batch_size, rng):
+    """compiled.batches, each (frames, tokens) batch as a PairBatch."""
+    for frames, tokens in compiled.batches(steps, batch_size, rng):
+        yield PairBatch(frames[0], frames[1], tokens)
+
+
 def sample(compiled, batch_size, rng):
     """One batch of B rows: the one-step case of batches."""
-    return next(compiled.batches(1, batch_size, rng))
+    return next(pair_batches(compiled, 1, batch_size, rng))
 
 
 def varied_clips(rng, n_clips=7, obs_dim=6, vocab=9):
@@ -527,7 +556,7 @@ class TestBatchSampling:
         compiled = _CompiledClips(clips, 9)
         steps = 80 if batch_size < 300 else 3
         rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
-        got = list(compiled.batches(steps, batch_size, rng))
+        got = list(pair_batches(compiled, steps, batch_size, rng))
         want = list(reference_batches(clips, steps, batch_size, ref_rng))
         assert len(got) == len(want) == steps
         for batch, (start, end, tokens) in zip(got, want):
@@ -544,7 +573,7 @@ class TestBatchSampling:
         frame, horizon, first, templates = compiled.spans
         steps, batch_size = 2000, 100
         rows = [[], [], []]
-        for batch in compiled.batches(steps, batch_size, np.random.default_rng(42)):
+        for batch in pair_batches(compiled, steps, batch_size, np.random.default_rng(42)):
             rows[0].append(batch.o_start)
             rows[1].append(batch.o_end)
             rows[2].append(batch.tokens.padded)
@@ -628,7 +657,7 @@ class TestBatchSampling:
             ([20, 17, 0, 10, 19, 19], [23, 18, 1, 11, 21, 23], [7, 6, 0, 5, 8, 7]),
         ]
         rng = np.random.default_rng(40)
-        for batch, (starts, ends, picks) in zip(compiled.batches(50, 6, rng), recorded):
+        for batch, (starts, ends, picks) in zip(pair_batches(compiled, 50, 6, rng), recorded):
             np.testing.assert_array_equal(batch.o_start, compiled.observations[starts])
             np.testing.assert_array_equal(batch.o_end, compiled.observations[ends])
             np.testing.assert_array_equal(batch.tokens.padded, compiled.rows.padded[picks])
@@ -679,6 +708,15 @@ class TestTokenRows:
         pooled = compile_tokens(seqs, 9).pool(table)
         for i, seq in enumerate(seqs):
             assert np.array_equal(pooled[i], table[np.asarray(seq)].mean(axis=0)), seq
+
+    def test_pooling_into_a_padded_table_buffer_is_bit_identical(self):
+        rng = np.random.default_rng(39)
+        rows = compile_tokens([(3,), (1, 2, 1), (0, 8, 8, 4)], 9)
+        padded = np.zeros((10, 5))
+        for _ in range(2):  # a second table overwrites the first
+            table = rng.standard_normal((9, 5))
+            np.testing.assert_array_equal(rows.pool(table, padded), rows.pool(table))
+            np.testing.assert_array_equal(padded, np.concatenate([table, np.zeros((1, 5))]))
 
     def test_empty_sequence_names_its_row(self):
         params = init_encoder_params(tiny_config(), np.random.default_rng(35))
@@ -929,6 +967,22 @@ class TestFlatBuffer:
         assert all(np.shares_memory(a, net.flat) for a in (*net.weights, *net.biases))
         net.flat += 1.0
         np.testing.assert_array_equal(net.biases[1], [45.0, 46.0])
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-net", "stacked"])
+    def test_backward_writes_every_entry_of_its_buffer(self, lead):
+        # a reused buffer holds the last step's gradient; none of it may remain
+        rng = np.random.default_rng(48)
+        sizes = [4, 3, 2]
+        net = DenseParams(sizes, rng.standard_normal((*lead, 23)))
+        x, grad_out = rng.standard_normal((*lead, 6, 4)), rng.standard_normal((*lead, 6, 2))
+        results = []
+        for fill in (np.nan, 7.0):
+            buffer = DenseParams(sizes, np.full((*lead, 23), fill))
+            grads, dz = dense_backward(net, dense_forward(net, x)[1], grad_out, buffer)
+            assert grads is buffer.flat and np.isfinite(grads).all()
+            results.append((grads, dz))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
 
     def test_buffer_of_another_size_refused(self):
         with pytest.raises(DimensionError, match="need 23 parameters"):
