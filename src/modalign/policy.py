@@ -26,10 +26,9 @@ from .errors import (
     DivergenceError,
     ParameterError,
     check_fields,
-    refuse_first,
 )
 from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells
-from .nets import DenseParams, MomentumState, dense_backward, dense_forward, init_dense
+from .nets import DenseParams, MomentumState, dense_backward, dense_count, dense_forward, init_dense
 from .trainer import EncoderParams, frame_differences, text_forward
 
 
@@ -157,11 +156,10 @@ def train_policies(
     config: expert row i pairs states[i] and goals[v][goal_rows[i]] with
     actions[i]. Goals are used as given. Results come in input order.
 
-    Policies of equal goal width train in lockstep as one stacked net on one
-    default_rng(config.seed) stream: one init draw and one batch of rows per
-    step serve them all, and the stacked matmuls run one gemm per policy, so
-    each result is bit-identical to training that policy alone. With 2+ CPUs,
-    groups of different widths train whole in worker processes, raising as one process would.
+    Each policy is a lane of a stacked net that runs one gemm per lane, so
+    each result is bit-identical to training that policy alone. The lanes
+    split into min(V, CPUs) contiguous chunks of near-equal size; 2+ chunks
+    train in worker processes. A failure raises as one process would meet it.
     """
     states = np.asarray(states, dtype=np.float64)
     actions, goal_rows = np.asarray(actions), np.asarray(goal_rows)
@@ -177,59 +175,76 @@ def train_policies(
             raise ParameterError(f"{name} must be integers in [0, {bound})")
     if len(states) == 0:
         raise ParameterError("behavior cloning needs at least one example")
-    groups: dict[int, list[int]] = {}
-    for v, g in enumerate(goals):
-        groups.setdefault(g.shape[1], []).append(v)
-    jobs = [(states, actions, goal_rows, np.stack([goals[v] for v in vs]), config, vs) for vs in groups.values()]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # Linux only: else one process
-    if len(jobs) > 1 and cpus > 1:
+    chunks = np.array_split(np.arange(len(goals)), min(len(goals), cpus))
+    jobs = [(states, actions, goal_rows, [goals[v] for v in vs], config, vs.tolist()) for vs in chunks]
+    if len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, not at the top: a run with no pool never loads it
-        with ProcessPoolExecutor(min(len(jobs), cpus)) as pool:
-            lanes = list(pool.map(_train_lockstep, *zip(*jobs)))
+        with ProcessPoolExecutor(len(jobs)) as pool:
+            futures = [pool.submit(_train_lanes, *job) for job in jobs]
+        if failures := [err for future in futures if (err := future.exception())]:
+            raise min(failures, key=lambda err: getattr(err, "rank", ()))  # the one a single process meets first
+        lanes = [lane for future in futures for lane in future.result()]
     else:
-        lanes = [_train_lockstep(*job) for job in jobs]
-    trained = {v: lane for vs, group in zip(groups.values(), lanes) for v, lane in zip(vs, group)}
+        lanes = _train_lanes(*jobs[0])
     # Python-float traces take four times the memory of the arrays: build them after all the training.
-    return [PolicyResult(net, trace.tolist()) for _, (net, trace) in sorted(trained.items())]
+    return [PolicyResult(net, trace.tolist()) for net, trace in lanes]
+
+
+def _refuse(bad: np.ndarray, members: list[int], step: int, weights: bool) -> None:
+    """Raise bad's first lane's DivergenceError, ranked (step, weights, variant) as one process meets it."""
+    if bad.any():
+        variant = members[int(np.argmax(bad))]
+        err = DivergenceError(f"variant {variant}: non-finite {'weights after' if weights else 'loss at'} step {step}")
+        err.rank = (step, weights, variant)
+        raise err
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite losses and weights raise below; workers would warn again
-def _train_lockstep(states, actions, goal_rows, goals, config, members):
-    """(net, loss trace array) of each policy in members, whose (V, rows,
-    width) goals are stacked: the rows of one stacked (V, P) net. Each step
-    gathers its (V, B, in) batch into one buffer; states are never stacked."""
-    rng = np.random.default_rng(config.seed)
+def _train_lanes(states, actions, goal_rows, goals, config, members):
+    """(net, loss trace array) of each policy in members, the lanes of one stacked (V, P) net
+    whose goal and first-layer weight columns are zero-padded to the widest goal: zeros add
+    nothing to a gemm's sums. Each lane draws its init at its own width, then its batch rows,
+    from its own default_rng(config.seed). A step gathers its (V, B, in) batch in one buffer."""
     n, width = states.shape
-    size = min(config.batch_size, n)
-    x = np.empty((len(members), size, width + goals.shape[2]))
+    size, wide = min(config.batch_size, n), max(g.shape[1] for g in goals)
+    rngs = [np.random.default_rng(config.seed) for _ in members]
+    inits = [init_dense([width + g.shape[1], *config.hidden, len(Action)], rng) for g, rng in zip(goals, rngs)]
+    padded = np.concatenate([np.pad(g, ((0, 0), (0, wide - g.shape[1]))) for g in goals])  # lane v's rows, then v+1's
+    x = np.empty((len(members), size, width + wide))
     sizes = [x.shape[2], *config.hidden, len(Action)]
-    net = DenseParams(sizes, np.tile(init_dense(sizes, rng).flat, (len(members), 1)))
+    net = DenseParams(sizes, np.zeros((len(members), dense_count(sizes))))
+    pairs = [(v, stacked, own) for v, init in enumerate(inits)
+             for stacked, own in zip([*net.weights, *net.biases], [*init.weights, *init.biases])]
+    for v, stacked, own in pairs:
+        stacked[v, ..., : own.shape[-1]] = own
     optimizer = MomentumState(net.flat, config.learning_rate, config.momentum)
     grads = DenseParams(sizes, np.empty_like(net.flat))
     traces = np.empty((config.steps, len(members)))
     lanes = np.arange(len(members))[:, None], np.arange(size)
+    offsets = lanes[0] * len(goals[0])  # lane v's goal rows start at row v * rows of padded
     # one (k, B) draw gives the rows, and leaves the stream, as k draws of B rows: a call per 128 steps
-    chunks = (rng.integers(0, n, size=(min(128, config.steps - lo), size)) for lo in range(0, config.steps, 128))
+    chunks = (np.stack([rng.integers(0, n, size=(min(128, config.steps - lo), size)) for rng in rngs], axis=1)
+              for lo in range(0, config.steps, 128))
     for step_idx, batch in enumerate(row for chunk in chunks for row in chunk):
         x[..., :width] = states[batch]
         # mode="clip" writes straight into the buffer; every index is in range
-        np.take(goals, goal_rows[batch], axis=1, out=x[..., width:], mode="clip")
+        np.take(padded, goal_rows[batch] + offsets, axis=0, out=x[..., width:], mode="clip")
         logits, cache = dense_forward(net, x)
         logits -= logits.max(axis=2, keepdims=True)
         probs = np.exp(logits, out=logits)
         probs /= probs.sum(axis=2, keepdims=True)
         picked = lanes + (actions[batch],)
         losses = -(np.add.reduce(np.log(probs[picked] + 1e-300), axis=1) / size)  # as np.mean
-        refuse_first(~np.isfinite(losses), DivergenceError, lambda v: (
-            f"variant {members[v]}: non-finite loss at step {step_idx}"
-        ))
+        _refuse(~np.isfinite(losses), members, step_idx, False)
         traces[step_idx] = losses
         probs[picked] -= 1.0
         probs /= size
         optimizer.step(dense_backward(net, cache, probs, grads)[0])
-    refuse_first(~np.isfinite(net.flat).all(axis=1), DivergenceError,  # the last step's update has no loss after it
-                 lambda v: f"variant {members[v]}: non-finite weights after step {config.steps - 1}")
-    return [(DenseParams(sizes, flat), t) for flat, t in zip(net.flat, traces.T)]
+    _refuse(~np.isfinite(net.flat).all(axis=1), members, config.steps - 1, True)  # the last update has no loss after it
+    for v, stacked, own in pairs:  # unpad each lane into its own init's buffer
+        own[...] = stacked[v, ..., : own.shape[-1]]
+    return list(zip(inits, traces.T))
 
 
 def greedy(net: DenseParams, grid_size: int, goals: np.ndarray):

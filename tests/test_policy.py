@@ -393,15 +393,15 @@ def bc_rows(n, grid, seed):
     return np.eye(grid * grid)[rng.integers(0, grid * grid, n)], rng.integers(0, len(Action), n), rng
 
 
-def assert_matches_reference(n, widths, config):
-    """train_policies on n random expert rows, one goal matrix per width:
-    results in input order, each its own policy trained alone under the
-    shared config, with its weights views of its own buffer."""
-    states, actions, rng = bc_rows(n, 3, 0)
+def assert_matches_reference(n, widths, config, grid=3):
+    """train_policies on n random expert rows of a grid, one goal matrix per
+    width: results in input order, each its own policy trained alone under
+    the shared config, with its weights views of its own buffer."""
+    states, actions, rng = bc_rows(n, grid, 0)
     goal_rows = rng.integers(0, 9, n)  # several expert rows share a goal row
     goals = [rng.standard_normal((9, w)) for w in widths]
     config = PolicyConfig(**config)
-    results = train_policies(states, actions, goal_rows, goals, 3, config)
+    results = train_policies(states, actions, goal_rows, goals, grid, config)
     assert len(results) == len(goals)
     for goal, result in zip(goals, results):
         net, trace = reference_train_policy(states, goal[goal_rows], actions, config)
@@ -411,13 +411,16 @@ def assert_matches_reference(n, widths, config):
         assert all(np.shares_memory(a, result.net.flat) for a in (*result.net.weights, *result.net.biases))
 
 
-MIXED_WIDTHS = (41, [6, 5, 6, 3, 6], dict(steps=30, seed=4))  # three goal widths: three lockstep groups
+MIXED_WIDTHS = (41, [6, 5, 6, 3, 6], dict(steps=30, seed=4))  # three goal widths, zero-padded to the widest
+# the transfer bench's policies: a 5 grid's 25 state columns, 16-dim goals and
+# delete variants 1 and 3 dims narrower, its batch size and hidden layer
+BENCH_SHAPES = (1573, [16, 15, 13, 16, 16], dict(steps=300, batch_size=64, hidden=(64,), seed=5))
 
 
 class TestTrainPolicies:
     @pytest.mark.parametrize(
-        "n, widths, config",
-        [
+        "n, widths, config, cpus, grid",
+        [(*case, None, 3) for case in [
             (40, [6], dict(steps=30, seed=1)),
             MIXED_WIDTHS,
             (40, [6, 6], dict(steps=0, seed=1)),
@@ -426,11 +429,16 @@ class TestTrainPolicies:
             (40, [6, 6], dict(steps=30, hidden=(32, 16), seed=1)),
             # batch rows are drawn 128 steps at a time: 300 steps end inside a third draw
             (40, [6, 6], dict(steps=300, batch_size=5, hidden=(8,), seed=2)),
+        ]] + [(*BENCH_SHAPES, cpus, 5) for cpus in (1, 2)],
+        ids=[
+            "one", "mixed-widths", "zero-steps", "batch-over-n", "no-hidden", "two-hidden", "past-a-draw",
+            "bench-shapes-1-cpu", "bench-shapes-2-cpus",
         ],
-        ids=["one", "mixed-widths", "zero-steps", "batch-over-n", "no-hidden", "two-hidden", "past-a-draw"],
     )
-    def test_bit_identical_to_per_policy_reference(self, n, widths, config):
-        assert_matches_reference(n, widths, config)
+    def test_bit_identical_to_per_policy_reference(self, monkeypatch, n, widths, config, cpus, grid):
+        if cpus is not None:  # else the CPUs of the machine
+            on_cpus(monkeypatch, cpus)
+        assert_matches_reference(n, widths, config, grid)
 
     @pytest.mark.parametrize("n", [3, 483, 2**31 + 5])
     @pytest.mark.parametrize("size", [1, 5, 64])
@@ -460,7 +468,7 @@ class TestTrainPolicies:
         assert built == pools
 
     @pytest.mark.parametrize(
-        "widths, cpus", [([4, 4, 4], 2), ([4, 3, 4], 1), ([4, 3, 4], None)], ids=["one-group", "one-cpu", "no-affinity"]
+        "widths, cpus", [([4], 2), ([4, 3, 4], 1), ([4, 3, 4], None)], ids=["one-lane", "one-cpu", "no-affinity"]
     )
     def test_one_group_or_one_cpu_starts_no_process(self, monkeypatch, widths, cpus):
         if cpus is None:  # a platform without os.sched_getaffinity trains in one process
@@ -474,7 +482,14 @@ class TestTrainPolicies:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         states, actions, rng = bc_rows(20, 3, 6)
         goals = [rng.standard_normal((20, w)) for w in widths]
-        assert len(train_policies(states, actions, np.arange(20), goals, 3, PolicyConfig(steps=3))) == 3
+        assert len(train_policies(states, actions, np.arange(20), goals, 3, PolicyConfig(steps=3))) == len(widths)
+
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (8, [3])], ids=["2-cpus", "more-cpus-than-lanes"])
+    def test_equal_widths_split_over_the_cpus(self, monkeypatch, cpus, pools):
+        # lanes of one goal width split too: one pool of min(V, CPUs) workers
+        built = on_cpus(monkeypatch, cpus)
+        assert_matches_reference(20, [4, 4, 4], dict(steps=3, seed=6))
+        assert built == pools
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
@@ -490,10 +505,43 @@ class TestTrainPolicies:
         on_cpus(monkeypatch, cpus)
         states, actions, rng = bc_rows(20, 3, 1)
         goals = [rng.standard_normal((20, w)) for w in [4, 3, 2]]
-        goals[1] *= scale  # the second and third groups both fail; the second raises
+        goals[1] *= scale  # the second and third lanes both fail, in one chunk or two; the second raises
         goals[2] *= scale
         with pytest.raises(DivergenceError, match=f"^variant 1: non-finite {failure}$"):
             train_policies(states, actions, np.arange(20), goals, 3, PolicyConfig(**config))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_earliest_failure_raises_whatever_the_split(self, monkeypatch, cpus):
+        # lanes 0-1 and 2-3 are the two chunks on 2 CPUs; the earlier chunk fails later
+        on_cpus(monkeypatch, cpus)
+        states, actions, rng = bc_rows(20, 3, 7)
+        goals = [rng.standard_normal((20, w)) for w in [4, 3, 4, 2]]
+        config = PolicyConfig(steps=5, batch_size=5)
+        lane = np.random.default_rng(config.seed)  # lane 1's stream: its init, then its batch rows
+        init_dense([9 + 3, *config.hidden, len(Action)], lane)
+        first, later = lane.integers(0, 20, size=5), lane.integers(0, 20, size=5)
+        goals[1][np.setdiff1d(later, first)[0]] = np.nan  # first drawn at step 1
+        goals[3][:] = np.nan
+        with pytest.raises(DivergenceError, match="^variant 1: non-finite loss at step 1$"):
+            train_policies(states, actions, np.arange(20), goals[:2], 3, config)
+        with pytest.raises(DivergenceError, match="^variant 3: non-finite loss at step 0$"):
+            train_policies(states, actions, np.arange(20), goals, 3, config)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_loss_failure_outranks_weights_after_its_step(self, monkeypatch, cpus):
+        # lane 1's one update overflows its weights; lane 3's loss is NaN at that same step
+        on_cpus(monkeypatch, cpus)
+        states, actions, rng = bc_rows(20, 3, 1)
+        goals = [rng.standard_normal((20, w)) for w in [4, 3, 4, 2]]
+        goals[1] *= 1e4
+        config = PolicyConfig(steps=1, learning_rate=1e308)
+        with pytest.raises(DivergenceError, match="^variant 1: non-finite weights after step 0$"):
+            train_policies(states, actions, np.arange(20), goals, 3, config)
+        goals[3][:] = np.nan
+        with pytest.raises(DivergenceError, match="^variant 3: non-finite loss at step 0$"):
+            train_policies(states, actions, np.arange(20), goals, 3, config)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("rows",[(10, 9), ()], ids=["two-row-counts", "no-goals"])
