@@ -9,6 +9,7 @@ Everything is seeded; re-running a config reproduces every output byte.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -299,86 +300,82 @@ def train_seed_encoders(
     return dataset, trainer_config, trained
 
 
-def run_transfer_experiment(config: BenchConfig) -> TransferReport:
-    """Run the full pipeline per seed and variant; aggregate mean and std
-    across seeds per (variant, eval modality)."""
-    tasks = _stage("generate_tasks", generate_tasks, config.grid_size, config.world_seed)
-    floor = _stage(
-        "chance_floor", chance_floor, tasks, config.episodes_per_task, config.horizon,
-        subseed(config.world_seed, _CHANCE_TAG),
-    )
+def seed_rows(config: BenchConfig, tasks: Sequence[GridTask], floor: float, seed: int) -> list[BenchRow]:
+    """One seed's stages, from its dataset to its evaluations: a row per
+    (variant, eval modality) cell, in the same order for every seed."""
+    stage = partial(_stage, seed=seed)
     gap_rng = np.random.default_rng(subseed(config.world_seed, _GAP_TAG))
     gap_direction = gap_rng.standard_normal(config.dim)
     gap_direction /= row_norms(gap_direction)
     variants = config.variants()
     offsets = [gap_direction * v.injected_gap_norm if v.injected_gap_norm > 0.0 else None for v in variants]
-    report = TransferReport(config=asdict(config), chance_floor=floor)
     evals = [(m, TRAIN_TEMPLATE_INDICES if m == "text" else None, _STAGE_EVAL) for m in config.eval_modalities]
     if config.eval_heldout_text and "text" in config.eval_modalities:
         evals.append(("text_heldout", HELDOUT_TEMPLATE_INDICES, _STAGE_EVAL_HELDOUT))
 
-    for seed in config.seeds:
-        dataset, _, trained = train_seed_encoders(config, tasks, seed)
-        encoders = trained.params
-        # Every stream is keyed by (seed, stage), never by the variant: the
-        # variants of a seed share every draw but the fields their ablation sets.
-        unit_v, _ = _stage(
-            "reference_banks", build_goal_bank, encoders, dataset, "visual",
-            subseed(seed, _STAGE_GOALS), seed=seed,
-        )
-        ref_l = _stage("reference_banks", text_reference_bank, encoders, tasks, seed=seed)
-        # visual goals draw no templates, so visual training goals are unit_v
-        unit_train = unit_v if config.train_modality == "visual" else _stage(
-            "training_goals", build_goal_bank, encoders, dataset, config.train_modality,
-            subseed(seed, _STAGE_GOALS), TRAIN_TEMPLATE_INDICES, seed=seed,
-        )[0]
-        # Stage-major: every variant's collapse fit and training goals, then
-        # all of the seed's policies in one lockstep training, then evaluation.
-        transforms, goals = [], []
-        for vi, (variant, offset) in enumerate(zip(variants, offsets)):
-            transform = _stage("fit_collapse", _fit_transform, variant, unit_v, ref_l, offset, seed=seed, variant=vi)
-            transforms.append(transform)
-            goals.append(_stage(
-                "training_goals", training_goals, unit_train,
-                variant.corrupt_config(subseed(seed, _STAGE_CORRUPT)), transform, offset, seed=seed, variant=vi,
+    dataset, _, trained = train_seed_encoders(config, tasks, seed)
+    encoders = trained.params
+    # Every stream is keyed by (seed, stage), never by the variant: the
+    # variants of a seed share every draw but the fields their ablation sets.
+    unit_v, _ = stage("reference_banks", build_goal_bank, encoders, dataset, "visual", subseed(seed, _STAGE_GOALS))
+    ref_l = stage("reference_banks", text_reference_bank, encoders, tasks)
+    # visual goals draw no templates, so visual training goals are unit_v
+    unit_train = unit_v if config.train_modality == "visual" else stage(
+        "training_goals", build_goal_bank, encoders, dataset, config.train_modality,
+        subseed(seed, _STAGE_GOALS), TRAIN_TEMPLATE_INDICES,
+    )[0]
+    # Stage-major: every variant's collapse fit and training goals, then
+    # one train_policies call for all of them, then evaluation.
+    transforms, goals = [], []
+    for vi, (variant, offset) in enumerate(zip(variants, offsets)):
+        transform = stage("fit_collapse", _fit_transform, variant, unit_v, ref_l, offset, variant=vi)
+        transforms.append(transform)
+        goals.append(stage(
+            "training_goals", training_goals, unit_train,
+            variant.corrupt_config(subseed(seed, _STAGE_CORRUPT)), transform, offset, variant=vi,
+        ))
+    # The policy stage sets the run's peak memory: it runs without the
+    # dataset, and evaluation without the goals, rows and loss traces.
+    bc_rows = stage("expert_steps", expert_steps, dataset, config.grid_size)
+    del dataset
+    policies = [result.net for result in stage(
+        "train_policy", train_policies, *bc_rows, goals, config.grid_size,
+        config.policy_config(subseed(seed, _STAGE_POLICY)),
+    )]
+    del bc_rows, goals
+    # Each evaluation's episodes and goals are built once, for every variant.
+    episodes = [stage(
+        "eval_episodes", eval_episodes, tasks, name.removesuffix("_heldout"), encoders,
+        config.episodes_per_task, subseed(seed, tag), pool,
+    ) for name, pool, tag in evals]
+    rows = []
+    for vi, (variant, policy, transform, offset) in enumerate(zip(variants, policies, transforms, offsets)):
+        for (eval_name, *_), shared in zip(evals, episodes):
+            result = stage(
+                "evaluate_policy", evaluate_policy, policy, shared, config.horizon, transform, offset, variant=vi
+            )
+            per_task = np.array(list(result.per_task.values()))
+            rows.append(BenchRow(
+                **variant.report_fields(), train_modality=config.train_modality, eval_modality=eval_name, seed=seed,
+                success_mean=float(result.success_rate), success_std=float(per_task.std()), chance_floor=floor,
             ))
-        # The policy stage sets the run's peak memory: it runs without the
-        # dataset, and evaluation without the goals, rows and loss traces.
-        bc_rows = _stage("expert_steps", expert_steps, dataset, config.grid_size, seed=seed)
-        del dataset
-        policies = [result.net for result in _stage(
-            "train_policy", train_policies, *bc_rows, goals, config.grid_size,
-            config.policy_config(subseed(seed, _STAGE_POLICY)), seed=seed,
-        )]
-        del bc_rows, goals
-        # Each evaluation's episodes and goals are built once, for every variant.
-        episodes = [_stage(
-            "eval_episodes", eval_episodes, tasks, name.removesuffix("_heldout"), encoders,
-            config.episodes_per_task, subseed(seed, tag), pool, seed=seed,
-        ) for name, pool, tag in evals]
-        for vi, (variant, policy, transform, offset) in enumerate(zip(variants, policies, transforms, offsets)):
-            for (eval_name, *_), shared in zip(evals, episodes):
-                result = _stage(
-                    "evaluate_policy", evaluate_policy, policy, shared, config.horizon, transform, offset,
-                    seed=seed, variant=vi,
-                )
-                per_task = np.array(list(result.per_task.values()))
-                row = BenchRow(
-                    **variant.report_fields(),
-                    train_modality=config.train_modality,
-                    eval_modality=eval_name,
-                    seed=seed,
-                    success_mean=float(result.success_rate),
-                    success_std=float(per_task.std()),
-                    chance_floor=floor,
-                )
-                report.rows.append(row)
+    return rows
 
+
+def run_transfer_experiment(config: BenchConfig) -> TransferReport:
+    """Run every seed's stages; aggregate mean and std across seeds per
+    (variant, eval modality)."""
+    tasks = _stage("generate_tasks", generate_tasks, config.grid_size, config.world_seed)
+    floor = _stage(
+        "chance_floor", chance_floor, tasks, config.episodes_per_task, config.horizon,
+        subseed(config.world_seed, _CHANCE_TAG),
+    )
+    per_seed = [seed_rows(config, tasks, floor, s) for s in config.seeds]
+    report = TransferReport(config=asdict(config), chance_floor=floor, rows=[r for rows in per_seed for r in rows])
     # One aggregate per (variant, eval modality) cell, in run order, so
     # variants that differ in any field (delete_k included) never pool.
-    # Each seed appends its n cells in that order, so row i of every seed is cell i.
-    n = len(variants) * len(evals)
-    for rows in (report.rows[i::n] for i in range(n)):
+    # Row i of every seed is cell i.
+    for rows in zip(*per_seed):
         values = [row.success_mean for row in rows]
         cell = {k: v for k, v in asdict(rows[0]).items() if k != "seed"}
         cell.update(success_mean=float(np.mean(values)), success_std=float(np.std(values)), n_seeds=len(values))

@@ -1,5 +1,6 @@
 import csv
 import json
+import pickle
 import re
 from dataclasses import asdict, fields
 
@@ -14,11 +15,12 @@ from modalign.bench import (
     VariantSpec,
     _fit_transform,
     run_transfer_experiment,
+    seed_rows,
     subseed,
 )
 from modalign.cli import main
 from modalign.fileio import json_text
-from modalign.gridworld import HELDOUT_TEMPLATE_INDICES
+from modalign.gridworld import HELDOUT_TEMPLATE_INDICES, generate_tasks
 
 
 def tiny_config(**overrides):
@@ -333,6 +335,35 @@ class TestRunTransferExperiment:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("train_modality", ["visual", "text"])
+class TestSeedRows:
+    """seed_rows is one seed's unit of work: the report's rows are the
+    seeds' rows in seed order, and a call pickles whole."""
+
+    @pytest.fixture
+    def run(self, train_modality):
+        config = tiny_config(
+            seeds=(0, 1), train_modality=train_modality, encoder_steps=20, policy_steps=20,
+            ablations=({"alpha": 0.5}, {"collapse": "delete"}),
+        )
+        report = run_transfer_experiment(config)
+        return config, generate_tasks(config.grid_size, config.world_seed), report
+
+    def test_the_seeds_rows_are_the_report_rows(self, run):
+        config, tasks, report = run
+        per_seed = [seed_rows(config, tasks, report.chance_floor, s) for s in config.seeds]
+        assert [len(rows) for rows in per_seed] == [9, 9]
+        assert [row for rows in per_seed for row in rows] == report.rows
+
+    def test_arguments_and_rows_survive_a_pickle_round_trip(self, run):
+        config, tasks, report = run
+        arguments = (config, tasks, report.chance_floor)
+        unpickled = pickle.loads(pickle.dumps(arguments))
+        assert unpickled == arguments
+        rows = seed_rows(*unpickled, 1)
+        assert pickle.loads(pickle.dumps(rows)) == rows == report.rows[9:]
+
+
 class TestStageStreams:
     def test_every_stage_has_its_own_stream_and_every_variant_shares_it(self, monkeypatch):
         import modalign.bench as bench_module
@@ -546,6 +577,42 @@ class TestAblations:
             run_transfer_experiment(tiny_config(seeds=(3,), ablations=({"alpha": 0.5}, {"collapse": "delete"})))
         assert info.value.stage == "fit_collapse"
         assert str(info.value) == "stage 'fit_collapse': ValueError: boom (seed 3, variant 2)"
+
+    @pytest.mark.parametrize(
+        "attr, fails, train_modality, stage, where",
+        [
+            ("build_dataset", lambda *a: True, "visual", "build_dataset", "(seed 6)"),
+            ("build_goal_bank", lambda *a: True, "visual", "reference_banks", "(seed 6)"),
+            ("text_reference_bank", lambda *a: True, "visual", "reference_banks", "(seed 6)"),
+            # the visual reference bank is built first and passes; the text training goals fail
+            ("build_goal_bank", lambda *a: a[2] == "text", "text", "training_goals", "(seed 6)"),
+            ("eval_episodes", lambda *a: True, "visual", "eval_episodes", "(seed 6)"),
+            # only variant 1, collapse=none, evaluates without a transform
+            ("evaluate_policy", lambda *a: a[3] is None, "visual", "evaluate_policy", "(seed 6, variant 1)"),
+        ],
+        ids=[
+            "build_dataset", "visual-reference-bank", "text-reference-bank", "text-training-goals", "eval_episodes",
+            "evaluate_policy",
+        ],
+    )
+    def test_every_seed_stage_failure_names_its_seed(self, monkeypatch, attr, fails, train_modality, stage, where):
+        import modalign.bench as bench_module
+
+        real = getattr(bench_module, attr)
+
+        def broken(*args):
+            if fails(*args):
+                raise ValueError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(bench_module, attr, broken)
+        config = tiny_config(
+            seeds=(6,), train_modality=train_modality, encoder_steps=20, policy_steps=20,
+            ablations=({"collapse": "none"},),
+        )
+        with pytest.raises(PipelineError) as info:
+            run_transfer_experiment(config)
+        assert str(info.value) == f"stage '{stage}': ValueError: boom {where}"
 
     @pytest.mark.parametrize("collapse, stage", [("centralize", "fit_collapse"), ("none", "training_goals")])
     def test_goal_rule_fails_inside_the_stage_that_uses_it(self, monkeypatch, collapse, stage):

@@ -918,7 +918,8 @@ class TestBench:
         assert "stage 'train_encoders': non-finite loss at step 3" in capsys.readouterr().err
 
     def test_policy_divergence_exits_three_alike_under_one_and_two_cpus(self, monkeypatch, tmp_path, capsys):
-        # collapse=delete narrows the second variant's goals: two goal widths, so two lockstep groups
+        # collapse=delete narrows the second variant's goals: two lanes of different widths, one
+        # zero-padded stack in process on 1 CPU and two chunks in a pool on 2
         config = self.bench_config(tmp_path)
         config.write_text(json.dumps({**json.loads(config.read_text()), "policy_learning_rate": 1e308}))
         errors = []

@@ -39,12 +39,21 @@ def test_traced_bench_counts_every_wrapped_layer():
     # shape, breaks only the traced benchmark pass; this runs a tiny one
     from modalign.bench import BenchConfig, run_transfer_experiment
 
+    # text training reaches build_goal_bank for the visual reference bank and the text training goals
     config = BenchConfig(
         grid_size=3, demos_per_task=4, dim=8, seeds=(0,), episodes_per_task=2, horizon=4, encoder_steps=20,
-        policy_steps=20, ablations=({"collapse": "delete"}, {"corrupt_kind": "gaussian"}),
+        policy_steps=20, train_modality="text", ablations=({"collapse": "delete"}, {"corrupt_kind": "gaussian"}),
     )
-    with runpy.run_path(str(TRACING))["Tracer"]() as tracer:
+    tracing = runpy.run_path(str(TRACING))
+    with tracing["Tracer"]() as tracer:
         run_transfer_experiment(config)
+    # a stage function bound at import time would bypass its wrapper and
+    # zero its layer's metrics; entries that share a span name share a metric
+    live = {
+        name for module, attr, name, _ in tracing["WRAPPED"]
+        if module in ("modalign.bench", "modalign.policy") and hasattr(importlib.import_module(module), attr)
+    }
+    assert live - {rec[0] for rec in tracer.spans} == set()
     totals = tracer.totals()
     names = (
         "trainer.train_encoders", "policy.build_goal_bank", "policy.evaluate_policy", "policy.chance_floor",

@@ -496,7 +496,7 @@ class TestTrainPolicies:
         "scale, config, failure",
         [
             (np.nan, dict(steps=5), "loss at step 0"),
-            # every loss is finite; the one update overflows the scaled groups' first layers
+            # every loss is finite; the one update overflows the scaled lanes' first layers
             (1e4, dict(steps=1, learning_rate=1e308), "weights after step 0"),
         ],
         ids=["nan-goals", "last-update"],
