@@ -41,7 +41,7 @@ class IoError(ModalignError):
 
 
 class DivergenceError(ModalignError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or non-finite weights."""
 
 
 class PipelineError(ModalignError):

@@ -26,6 +26,7 @@ from .errors import (
     DivergenceError,
     ParameterError,
     check_fields,
+    refuse_first,
 )
 from .gridworld import Action, GridTask, Trajectory, expert_trajectory, step_cells
 from .nets import DenseParams, MomentumState, dense_backward, dense_count, dense_forward, init_dense
@@ -159,7 +160,9 @@ def train_policies(
     Each policy is a lane of a stacked net that runs one gemm per lane, so
     each result is bit-identical to training that policy alone. The lanes
     split into min(V, CPUs) contiguous chunks of near-equal size; 2+ chunks
-    train in worker processes. A failure raises as one process would meet it.
+    train in worker processes. Every lane trains to the last step; then one
+    check raises DivergenceError at the earliest non-finite loss, the lowest
+    variant at a tied step, and weights are checked only when every loss is finite.
     """
     states = np.asarray(states, dtype=np.float64)
     actions, goal_rows = np.asarray(actions), np.asarray(goal_rows)
@@ -177,51 +180,44 @@ def train_policies(
         raise ParameterError("behavior cloning needs at least one example")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # Linux only: else one process
     chunks = np.array_split(np.arange(len(goals)), min(len(goals), cpus))
-    jobs = [(states, actions, goal_rows, [goals[v] for v in vs], config, vs.tolist()) for vs in chunks]
+    jobs = [(states, actions, goal_rows, [goals[v] for v in vs], config) for vs in chunks]
     if len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, not at the top: a run with no pool never loads it
         with ProcessPoolExecutor(len(jobs)) as pool:
-            futures = [pool.submit(_train_lanes, *job) for job in jobs]
-        if failures := [err for future in futures if (err := future.exception())]:
-            raise min(failures, key=lambda err: getattr(err, "rank", ()))  # the one a single process meets first
-        lanes = [lane for future in futures for lane in future.result()]
+            lanes = [lane for chunk in pool.map(_train_lanes, *zip(*jobs)) for lane in chunk]
     else:
         lanes = _train_lanes(*jobs[0])
+    refuse_first(~np.isfinite(np.stack([trace for _, trace in lanes], axis=1)), DivergenceError,
+                 lambda step, v: f"variant {v}: non-finite loss at step {step}")
+    refuse_first(np.array([not np.isfinite(net.flat).all() for net, _ in lanes]), DivergenceError,
+                 lambda v: f"variant {v}: non-finite weights after step {config.steps - 1}")  # no loss follows it
     # Python-float traces take four times the memory of the arrays: build them after all the training.
     return [PolicyResult(net, trace.tolist()) for net, trace in lanes]
 
 
-def _refuse(bad: np.ndarray, members: list[int], step: int, weights: bool) -> None:
-    """Raise bad's first lane's DivergenceError, ranked (step, weights, variant) as one process meets it."""
-    if bad.any():
-        variant = members[int(np.argmax(bad))]
-        err = DivergenceError(f"variant {variant}: non-finite {'weights after' if weights else 'loss at'} step {step}")
-        err.rank = (step, weights, variant)
-        raise err
-
-
-@np.errstate(over="ignore", invalid="ignore")  # non-finite losses and weights raise below; workers would warn again
-def _train_lanes(states, actions, goal_rows, goals, config, members):
-    """(net, loss trace array) of each policy in members, the lanes of one stacked (V, P) net
-    whose goal and first-layer weight columns are zero-padded to the widest goal: zeros add
+@np.errstate(over="ignore", invalid="ignore")  # a diverged lane trains on quietly; train_policies reports it
+def _train_lanes(states, actions, goal_rows, goals, config):
+    """(net, loss trace array) of each policy, the lanes of one stacked (V, P) net whose
+    goal and first-layer weight columns are zero-padded to the widest goal: zeros add
     nothing to a gemm's sums. Each lane draws its init at its own width, then its batch rows,
-    from its own default_rng(config.seed). A step gathers its (V, B, in) batch in one buffer."""
+    from its own default_rng(config.seed). A step gathers its (V, B, in) batch in one buffer.
+    A lane whose loss or weights turn non-finite trains on to the last step; the caller reports it."""
     n, width = states.shape
     size, wide = min(config.batch_size, n), max(g.shape[1] for g in goals)
-    rngs = [np.random.default_rng(config.seed) for _ in members]
+    rngs = [np.random.default_rng(config.seed) for _ in goals]
     inits = [init_dense([width + g.shape[1], *config.hidden, len(Action)], rng) for g, rng in zip(goals, rngs)]
     padded = np.concatenate([np.pad(g, ((0, 0), (0, wide - g.shape[1]))) for g in goals])  # lane v's rows, then v+1's
-    x = np.empty((len(members), size, width + wide))
+    x = np.empty((len(goals), size, width + wide))
     sizes = [x.shape[2], *config.hidden, len(Action)]
-    net = DenseParams(sizes, np.zeros((len(members), dense_count(sizes))))
+    net = DenseParams(sizes, np.zeros((len(goals), dense_count(sizes))))
     pairs = [(v, stacked, own) for v, init in enumerate(inits)
              for stacked, own in zip([*net.weights, *net.biases], [*init.weights, *init.biases])]
     for v, stacked, own in pairs:
         stacked[v, ..., : own.shape[-1]] = own
     optimizer = MomentumState(net.flat, config.learning_rate, config.momentum)
     grads = DenseParams(sizes, np.empty_like(net.flat))
-    traces = np.empty((config.steps, len(members)))
-    lanes = np.arange(len(members))[:, None], np.arange(size)
+    traces = np.empty((config.steps, len(goals)))
+    lanes = np.arange(len(goals))[:, None], np.arange(size)
     offsets = lanes[0] * len(goals[0])  # lane v's goal rows start at row v * rows of padded
     # one (k, B) draw gives the rows, and leaves the stream, as k draws of B rows: a call per 128 steps
     chunks = (np.stack([rng.integers(0, n, size=(min(128, config.steps - lo), size)) for rng in rngs], axis=1)
@@ -236,12 +232,10 @@ def _train_lanes(states, actions, goal_rows, goals, config, members):
         probs /= probs.sum(axis=2, keepdims=True)
         picked = lanes + (actions[batch],)
         losses = -(np.add.reduce(np.log(probs[picked] + 1e-300), axis=1) / size)  # as np.mean
-        _refuse(~np.isfinite(losses), members, step_idx, False)
         traces[step_idx] = losses
         probs[picked] -= 1.0
         probs /= size
         optimizer.step(dense_backward(net, cache, probs, grads)[0])
-    _refuse(~np.isfinite(net.flat).all(axis=1), members, config.steps - 1, True)  # the last update has no loss after it
     for v, stacked, own in pairs:  # unpad each lane into its own init's buffer
         own[...] = stacked[v, ..., : own.shape[-1]]
     return list(zip(inits, traces.T))

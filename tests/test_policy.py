@@ -544,6 +544,19 @@ class TestTrainPolicies:
             train_policies(states, actions, np.arange(20), goals, 3, config)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan-goals", "inf-goals"])  # inf makes numpy warn
+    def test_a_diverged_lane_trains_on_quietly(self, monkeypatch, capfd, fill, cpus):
+        # a worker's numpy warning may go to fd 2, past this process's warning filters: read the fd
+        on_cpus(monkeypatch, cpus)
+        states, actions, rng = bc_rows(20, 3, 1)
+        goals = [rng.standard_normal((20, w)) for w in [4, 3, 4, 2]]
+        goals[2][:] = fill
+        with pytest.raises(DivergenceError, match="^variant 2: non-finite loss at step 0$"):
+            train_policies(states, actions, np.arange(20), goals, 3, PolicyConfig(steps=300))
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("rows",[(10, 9), ()], ids=["two-row-counts", "no-goals"])
     def test_goals_must_be_matrices_of_one_row_count(self, rows):
         states, actions, rng = bc_rows(10, 3, 4)
