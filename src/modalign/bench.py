@@ -338,7 +338,7 @@ def seed_rows(config: BenchConfig, tasks: Sequence[GridTask], floor: float, seed
     # dataset, and evaluation without the goals, rows and loss traces.
     bc_rows = stage("expert_steps", expert_steps, dataset, config.grid_size)
     del dataset
-    policies = [result.net for result in stage(
+    policies = [net for net, _ in stage(
         "train_policy", train_policies, *bc_rows, goals, config.grid_size,
         config.policy_config(subseed(seed, _STAGE_POLICY)),
     )]

@@ -45,12 +45,6 @@ class PolicyConfig:
     __post_init__ = check_fields
 
 
-@dataclass
-class PolicyResult:
-    net: DenseParams
-    loss_trace: list[float] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     success_rate: float
@@ -152,15 +146,14 @@ def train_policies(
     goals: Sequence[np.ndarray],
     grid_size: int,
     config: PolicyConfig,
-) -> list[PolicyResult]:
+) -> list[tuple[DenseParams, np.ndarray]]:
     """Cross-entropy behavior cloning of one policy per goals[v], all under
     config: expert row i pairs states[i] and goals[v][goal_rows[i]] with
-    actions[i]. Goals are used as given. Results come in input order.
+    actions[i]. Goals are used as given. Returns (net, loss trace array) pairs in input order.
 
     Each policy is a lane of a stacked net that runs one gemm per lane, so
-    each result is bit-identical to training that policy alone. The lanes
-    split into min(V, CPUs) contiguous chunks of near-equal size; 2+ chunks
-    train in worker processes. Every lane trains to the last step; then one
+    each result is bit-identical to training that policy alone; _split_map
+    spreads the lanes over the CPUs. Every lane trains to the last step; then one
     check raises DivergenceError at the earliest non-finite loss, the lowest
     variant at a tied step, and weights are checked only when every loss is finite.
     """
@@ -178,25 +171,30 @@ def train_policies(
             raise ParameterError(f"{name} must be integers in [0, {bound})")
     if len(states) == 0:
         raise ParameterError("behavior cloning needs at least one example")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # Linux only: else one process
-    chunks = np.array_split(np.arange(len(goals)), min(len(goals), cpus))
-    jobs = [(states, actions, goal_rows, [goals[v] for v in vs], config) for vs in chunks]
-    if len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, not at the top: a run with no pool never loads it
-        with ProcessPoolExecutor(len(jobs)) as pool:
-            lanes = [lane for chunk in pool.map(_train_lanes, *zip(*jobs)) for lane in chunk]
-    else:
-        lanes = _train_lanes(*jobs[0])
+    lanes = _split_map(_train_lanes, goals, states, actions, goal_rows, config)
     refuse_first(~np.isfinite(np.stack([trace for _, trace in lanes], axis=1)), DivergenceError,
                  lambda step, v: f"variant {v}: non-finite loss at step {step}")
     refuse_first(np.array([not np.isfinite(net.flat).all() for net, _ in lanes]), DivergenceError,
                  lambda v: f"variant {v}: non-finite weights after step {config.steps - 1}")  # no loss follows it
-    # Python-float traces take four times the memory of the arrays: build them after all the training.
-    return [PolicyResult(net, trace.tolist()) for net, trace in lanes]
+    return lanes
+
+
+def _split_map(fn, items, *shared):
+    """fn(chunk, *shared) over min(len(items), CPUs) contiguous chunks of items
+    of near-equal size, its results concatenated in input order. One chunk runs
+    in this process; 2+ run in a pool of forked workers, one worker per chunk."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # Linux only: else one process
+    chunks = [[items[i] for i in part] for part in np.array_split(np.arange(len(items)), min(len(items), cpus))]
+    if len(chunks) == 1:
+        return fn(chunks[0], *shared)
+    import multiprocessing  # here, not at the top: a run with no pool never loads them
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(len(chunks), mp_context=multiprocessing.get_context("fork")) as pool:
+        return [out for chunk in pool.map(fn, chunks, *([arg] * len(chunks) for arg in shared)) for out in chunk]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged lane trains on quietly; train_policies reports it
-def _train_lanes(states, actions, goal_rows, goals, config):
+def _train_lanes(goals, states, actions, goal_rows, config):
     """(net, loss trace array) of each policy, the lanes of one stacked (V, P) net whose
     goal and first-layer weight columns are zero-padded to the widest goal: zeros add
     nothing to a gemm's sums. Each lane draws its init at its own width, then its batch rows,

@@ -4,6 +4,7 @@ Each test prints one `[criterion NN] name: PASS/FAIL` line; run with
 `pytest tests/test_acceptance.py -v -s` to watch them stream.
 """
 
+import hashlib
 import math
 import time
 
@@ -348,3 +349,20 @@ def test_criterion_10_determinism(forward_bench, tmp_path):
         f"csv identical = {p1.read_bytes() == p2.read_bytes()}, "
         f"json identical = {j1.read_bytes() == j2.read_bytes()}",
     )
+
+
+# md5 of the JSON and CSV bytes of each fixture's report. Like TestBitPins,
+# they hold for one numpy and BLAS build (numpy 2.4.6, OpenBLAS, x86-64).
+REPORT_PINS = {
+    "forward_bench": ("5f34a7600bbafaf662abb6b04fabb050", "ceca93f6fb914ff45900809b1ade8ddd"),
+    "reverse_bench": ("4ced02c1115aa20b3637312955735f63", "de4b781104aa79e8cdd0cdeeb9407db7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_report_bytes_are_pinned(request, tmp_path, name):
+    report, _ = request.getfixturevalue(name)
+    report.write_json(tmp_path / "report.json")
+    report.write_csv(tmp_path / "report.csv")
+    digests = tuple(hashlib.md5((tmp_path / f"report.{ext}").read_bytes()).hexdigest() for ext in ("json", "csv"))
+    assert digests == REPORT_PINS[name]

@@ -931,6 +931,29 @@ class TestBench:
             assert multiprocessing.active_children() == []
         assert errors[0] == errors[1] == "error: stage 'train_policy': variant 0: non-finite loss at step 2 (seed 0)\n"
 
+    def test_reports_are_byte_identical_under_one_and_two_cpus(self, monkeypatch, tmp_path):
+        # the two lanes train in process on 1 CPU and in a pool of two workers on 2
+        import concurrent.futures
+
+        built = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        config = self.bench_config(tmp_path)
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
+            assert run(["bench", "--config", config, "--out-dir", out, "--ablate", "collapse=delete"]) == 0
+            reports.append([(out / f"transfer_report.{ext}").read_bytes() for ext in ("json", "csv")])
+            assert multiprocessing.active_children() == []
+        assert built == [2]
+        assert reports[0] == reports[1]
+
     def test_stage_failure_exits_two_naming_seed_and_variant(self, monkeypatch, tmp_path, capsys):
         import modalign.bench as bench_module
 

@@ -222,8 +222,8 @@ class TestTrainPolicyFromArrays:
                 goals.append(goal)
                 actions.append(int(action))
         states, goals, actions = np.stack(states), np.stack(goals), np.asarray(actions)
-        result = train_one(states, goals, actions, grid, PolicyConfig(steps=2500, seed=5))
-        logits, _ = dense_forward(result.net, np.concatenate([states, goals], axis=1))
+        net, _ = train_one(states, goals, actions, grid, PolicyConfig(steps=2500, seed=5))
+        logits, _ = dense_forward(net, np.concatenate([states, goals], axis=1))
         accuracy = float(np.mean(np.argmax(logits, axis=1) == actions))
         assert accuracy >= 0.99
 
@@ -232,10 +232,10 @@ class TestTrainPolicyFromArrays:
         states = np.eye(grid * grid)[:4]
         goals = np.ones((4, 3))
         actions = np.array([0, 1, 2, 3])
-        r1 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
-        r2 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
-        assert r1.loss_trace == []
-        np.testing.assert_array_equal(r1.net.flat, r2.net.flat)
+        net1, trace1 = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
+        net2, _ = train_one(states, goals, actions, grid, PolicyConfig(steps=0, seed=9))
+        assert len(trace1) == 0
+        np.testing.assert_array_equal(net1.flat, net2.flat)
 
     def test_oracle_goal_rollouts_exceed_95_percent_on_default_grid(self):
         # isolates policy learning from embedding quality: one-hot target
@@ -253,9 +253,9 @@ class TestTrainPolicyFromArrays:
                 states.append(onehot)
                 goals.append(goal)
                 actions.append(int(action))
-        net = train_one(
+        net, _ = train_one(
             np.stack(states), np.stack(goals), np.asarray(actions), grid, PolicyConfig(steps=3000, seed=5)
-        ).net
+        )
         # ten episodes per task; one shared stream draws the start cells in order
         episodes = [task for task in tasks for _ in range(10)]
         goals = np.zeros((len(episodes), grid * grid))
@@ -271,14 +271,14 @@ class TestTrainPolicy:
     def test_deterministic(self, world):
         cfg = PolicyConfig(steps=50, seed=3)
         corrupt = CorruptConfig("cosine", alpha=0.2, seed=1)
-        r1 = train_on_dataset(world, corrupt, "visual", cfg)
-        r2 = train_on_dataset(world, corrupt, "visual", cfg)
-        assert r1.loss_trace == r2.loss_trace
-        np.testing.assert_array_equal(r1.net.flat, r2.net.flat)
+        net1, trace1 = train_on_dataset(world, corrupt, "visual", cfg)
+        net2, trace2 = train_on_dataset(world, corrupt, "visual", cfg)
+        np.testing.assert_array_equal(trace1, trace2)
+        np.testing.assert_array_equal(net1.flat, net2.flat)
 
     def test_text_modality_uses_template_pool(self, world):
-        result = train_on_dataset(world, None, "text", PolicyConfig(steps=10, seed=4), TRAIN_TEMPLATE_INDICES)
-        assert len(result.loss_trace) == 10
+        _, trace = train_on_dataset(world, None, "text", PolicyConfig(steps=10, seed=4), TRAIN_TEMPLATE_INDICES)
+        assert len(trace) == 10
 
     def test_expert_steps_follow_goal_bank_rows(self, world):
         # the per-trajectory loop that built the behavior-cloning rows before
@@ -373,18 +373,19 @@ MODALITY_POOL_IDS = ["Modality.VISUAL-None", "Modality.TEXT-pool1"]
 
 
 def on_cpus(monkeypatch, n):
-    """Make train_policies see n usable CPUs. Returns the worker counts of
-    the process pools it then builds, in order."""
-    built = []
+    """Make train_policies see n usable CPUs. Returns the worker counts and
+    the start methods of the process pools it then builds, in order."""
+    built, methods = [], []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             built.append(max_workers)
-            super().__init__(max_workers)
+            methods.append(mp_context.get_start_method())
+            super().__init__(max_workers, mp_context=mp_context)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    return built
+    return built, methods
 
 
 def bc_rows(n, grid, seed):
@@ -403,12 +404,12 @@ def assert_matches_reference(n, widths, config, grid=3):
     config = PolicyConfig(**config)
     results = train_policies(states, actions, goal_rows, goals, grid, config)
     assert len(results) == len(goals)
-    for goal, result in zip(goals, results):
+    for goal, (got, got_trace) in zip(goals, results):
         net, trace = reference_train_policy(states, goal[goal_rows], actions, config)
-        assert result.loss_trace == trace
-        assert result.net.sizes == net.sizes
-        np.testing.assert_array_equal(result.net.flat, net.flat)
-        assert all(np.shares_memory(a, result.net.flat) for a in (*result.net.weights, *result.net.biases))
+        np.testing.assert_array_equal(got_trace, trace)
+        assert got.sizes == net.sizes
+        np.testing.assert_array_equal(got.flat, net.flat)
+        assert all(np.shares_memory(a, got.flat) for a in (*got.weights, *got.biases))
 
 
 MIXED_WIDTHS = (41, [6, 5, 6, 3, 6], dict(steps=30, seed=4))  # three goal widths, zero-padded to the widest
@@ -463,7 +464,7 @@ class TestTrainPolicies:
 
     @pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2])], ids=["1-cpu", "2-cpus"])
     def test_mixed_widths_bit_identical_under_one_and_two_cpus(self, monkeypatch, cpus, pools):
-        built = on_cpus(monkeypatch, cpus)
+        built, _ = on_cpus(monkeypatch, cpus)
         assert_matches_reference(*MIXED_WIDTHS)
         assert built == pools
 
@@ -487,7 +488,7 @@ class TestTrainPolicies:
     @pytest.mark.parametrize("cpus, pools", [(2, [2]), (8, [3])], ids=["2-cpus", "more-cpus-than-lanes"])
     def test_equal_widths_split_over_the_cpus(self, monkeypatch, cpus, pools):
         # lanes of one goal width split too: one pool of min(V, CPUs) workers
-        built = on_cpus(monkeypatch, cpus)
+        built, _ = on_cpus(monkeypatch, cpus)
         assert_matches_reference(20, [4, 4, 4], dict(steps=3, seed=6))
         assert built == pools
 
@@ -602,11 +603,38 @@ class TestTrainPolicies:
             PolicyConfig(**{field: value})
 
 
+def refuse_item(chunk, bad):
+    """Each item of chunk, unless chunk holds bad: a worker's failure."""
+    if bad in chunk:
+        raise ParameterError(f"item {bad} refused")
+    return [(item, os.getpid()) for item in chunk]
+
+
+class TestSplitMap:
+    @pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2])], ids=["1-cpu", "2-cpus"])
+    def test_results_come_in_input_order(self, monkeypatch, cpus, pools):
+        built, methods = on_cpus(monkeypatch, cpus)
+        out = policy_module._split_map(refuse_item, list(range(5)), None)
+        assert [item for item, _ in out] == list(range(5))
+        assert all((pid == os.getpid()) == (pools == []) for _, pid in out)  # in process only without a pool
+        assert (built, methods) == (pools, ["fork"] * len(pools))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_workers_exception_reaches_the_caller_as_in_one_process(self, monkeypatch, cpus):
+        # items 0-1 and 2-3 are the two chunks on 2 CPUs: the second chunk's worker raises
+        built, _ = on_cpus(monkeypatch, cpus)
+        with pytest.raises(ParameterError, match="^item 3 refused$"):
+            policy_module._split_map(refuse_item, [0, 1, 2, 3], 3)
+        assert built == ([] if cpus == 1 else [2])
+        assert multiprocessing.active_children() == []
+
+
 @pytest.fixture(scope="module")
 def trained(world):
     corrupt = CorruptConfig("cosine", alpha=0.2, seed=1)
     config = PolicyConfig(steps=2500, seed=3)
-    return train_on_dataset(world, corrupt, "visual", config, TRAIN_TEMPLATE_INDICES).net
+    return train_on_dataset(world, corrupt, "visual", config, TRAIN_TEMPLATE_INDICES)[0]
 
 
 class TestEvaluatePolicy:
